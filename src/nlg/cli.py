@@ -4,8 +4,6 @@ Subcommands take JSON files in the documented schemas and print CSV (or
 a single scalar) to stdout with full %.12g precision and the literal
 ``inf`` for divergent energies.  Every subcommand is deterministic given
 its flags and seed: identical invocations produce byte-identical output.
-``NLG_THREADS`` is accepted to cap parallelism; the current
-implementation is serial, which satisfies any cap.
 """
 
 from __future__ import annotations

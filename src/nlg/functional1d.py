@@ -101,7 +101,8 @@ def pair_cell_energy(i1: Interval, i2: Interval, params: EnergyParams) -> float:
     """Exact kernel integral over i1 x i2 for disjoint intervals.
 
     Returns +inf when the intervals touch (shared endpoint), since the
-    kernel is not integrable across the contact point for any p >= 1.
+    kernel is not integrable across the contact point for any p >= 1, and
+    for two unbounded intervals at p = 1.
     """
     a1, b1, a2, b2 = i1.lo, i1.hi, i2.lo, i2.hi
     if (a2, b2) < (a1, b1):
@@ -113,20 +114,32 @@ def pair_cell_energy(i1: Interval, i2: Interval, params: EnergyParams) -> float:
         return INF
     len1 = b1 - a1
     len2 = b2 - a2
-    delta, p = params.delta, params.p
-    if p == 1.0:
-        if len1 == INF and len2 == INF:
+    if len1 == INF:
+        if len2 == INF and params.p == 1.0:
             return INF
-        if len1 == INF:
-            return delta * math.log1p(len2 / gap)
-        if len2 == INF:
-            return delta * math.log1p(len1 / gap)
-        return delta * math.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
+        len1, len2 = len2, len1
+    return float(_pair_energies(gap, len1, len2, params))
+
+
+def _pair_energies(gap, len1, len2, params: EnergyParams):
+    """Closed-form pair energies of separated cells, vectorized.
+
+    ``gap`` is the distance between two cells and ``len1``, ``len2`` their
+    lengths.  ``len2`` may be the scalar +inf: the analytic limit for a
+    cell against an unbounded tail, in which the terms containing the
+    infinite endpoint vanish.
+    """
+    delta, p = params.delta, params.p
+    tail = np.ndim(len2) == 0 and len2 == INF
+    if p == 1.0:
+        if tail:
+            return delta * np.log1p(len1 / gap)
+        return delta * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
     q = 1.0 - p
-    coef = delta ** p / (p * (p - 1.0))
-    # x ** q -> 0 for x = +inf, which drops exactly the vanishing limit terms
-    brk = gap ** q - (gap + len1) ** q - (gap + len2) ** q + (gap + len1 + len2) ** q
-    return coef * max(brk, 0.0)
+    brk = gap ** q - (gap + len1) ** q
+    if not tail:
+        brk = brk - (gap + len2) ** q + (gap + len1 + len2) ** q
+    return delta ** p / (p * (p - 1.0)) * np.maximum(brk, 0.0)
 
 
 def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams,
@@ -224,92 +237,86 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
     return np.asarray(edges), np.asarray(vals)
 
 
-def _gap_pair_energies(gap, len1, len2, delta, p):
-    """Vectorized pair energy for arrays of bounded separated cells."""
-    if p == 1.0:
-        return delta * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
-    q = 1.0 - p
-    coef = delta ** p / (p * (p - 1.0))
-    brk = gap ** q - (gap + len1) ** q - (gap + len2) ** q + (gap + len1 + len2) ** q
-    return coef * np.maximum(brk, 0.0)
-
-
-def _interacts(level_diff: np.ndarray, thr: float) -> np.ndarray:
-    return np.abs(level_diff) > thr
-
-
-def _sum_core_general(edges, vals, interact_of_gap, params) -> list[float]:
+def _sum_core_general(edges, x, interacts, params) -> list[float]:
     """Per-gap pair sums over bounded cells; returns partial sums.
 
-    ``interact_of_gap(m)`` must return the boolean interaction mask for
-    the pairs (i, i+m).
+    The pairs (i, i+m) interact where ``interacts(x[m:] - x[:-m])``.
     """
-    n = len(vals)
+    n = len(x)
     de = np.diff(edges)
     parts = []
     for m in range(2, n):
-        mask = interact_of_gap(m)
+        mask = interacts(x[m:] - x[:-m])
         if not mask.any():
             continue
         k = n - m
         gap = edges[m:n] - edges[1:k + 1]
-        len1 = de[0:k]
-        len2 = de[m:m + k]
-        e = _gap_pair_energies(gap[mask], len1[mask], len2[mask],
-                               params.delta, params.p)
+        e = _pair_energies(gap[mask], de[:k][mask], de[m:][mask], params)
         parts.append(float(np.sum(e)))
     return parts
 
 
-def _sum_core_uniform(n, ell, step, params, thr) -> list[float]:
-    """O(n) pair sum for a uniform partition with arithmetic values.
+def _pair_sum(edges, x, interacts, params) -> float:
+    """Sum of pair energies over ordered pairs of interacting cells.
 
-    ``ell`` is the common cell width, ``step`` the common value increment;
-    the pair (i, i+m) then has gap (m-1)*ell and interacts iff
-    m*|step| > thr, so contributions aggregate by the index gap m.
+    ``edges`` and ``x`` describe the cells as :func:`step_cells` returns
+    them, with ``x`` any per-cell label (values, or integer grid levels);
+    ``interacts(d)`` maps an array of label differences to the boolean
+    interaction mask.  Returns +inf when two adjacent cells interact.
+
+    A uniform partition with arithmetic labels takes an O(n) path: the
+    pair (i, i+m) then has gap (m-1)*ell and interacts iff the difference
+    m*step does, so contributions aggregate by the index gap m.  Other
+    partitions sum per index gap in O(n^2).  An unbounded end cell (a zero
+    tail) pairs with every bounded cell but the adjacent one; two tails
+    never interact.  Subtotals are accumulated with math.fsum.
     """
-    m = np.arange(2, n, dtype=float)
-    mask = m * abs(step) > thr
-    if not mask.any():
-        return []
-    m = m[mask]
-    counts = n - m
-    delta, p = params.delta, params.p
-    if p == 1.0:
-        e = delta * np.log1p(1.0 / (m * m - 1.0))
-    else:
-        q = 1.0 - p
-        e = delta ** p / (p * (p - 1.0)) * ell ** q \
-            * ((m - 1.0) ** q - 2.0 * m ** q + (m + 1.0) ** q)
-    return [float(np.sum(counts * e))]
+    n = len(x)
+    if n >= 2 and np.any(interacts(np.diff(x))):
+        return INF
+    if n < 3:
+        return 0.0
 
+    c0 = 1 if edges[0] == -INF else 0
+    c1 = n - 1 if edges[-1] == INF else n
+    ce = edges[c0:c1 + 1]
+    cx = x[c0:c1]
+    parts: list[float] = []
+    ncore = len(cx)
+    if ncore >= 3:
+        ell = (ce[-1] - ce[0]) / ncore
+        dx = np.diff(cx)
+        step = dx[0]
+        # spacing/label differences carry the rounding of the endpoints, so
+        # the detection tolerance scales with their magnitude, not the gap;
+        # the label tolerance is relative to the step, so integer levels
+        # are compared exactly
+        eps = np.finfo(float).eps
+        tol_sp = 1e-12 * ell + 4.0 * eps * max(abs(ce[0]), abs(ce[-1]))
+        tol_x = 1e-9 * abs(step) + 4.0 * eps * float(np.max(np.abs(cx)))
+        if (np.max(np.abs(np.diff(ce) - ell)) <= tol_sp
+                and np.max(np.abs(dx - step)) <= tol_x):
+            m = np.arange(2, ncore, dtype=float)
+            m = m[interacts(m * step)]
+            if len(m):
+                # unit-width pairs at gap m-1, scaled to width ell
+                e = ell ** (1.0 - params.p) * _pair_energies(m - 1.0, 1.0, 1.0, params)
+                parts.append(float(np.sum((ncore - m) * e)))
+        else:
+            parts += _sum_core_general(ce, cx, interacts, params)
 
-def _sum_unbounded_tail(edges, vals, side: str, params, thr) -> list[float]:
-    """Pairs of one unbounded zero tail against every interacting bounded cell."""
-    n = len(vals)
-    delta, p = params.delta, params.p
-    if side == "left":
-        x0 = edges[1]
-        idx = np.arange(2, n)          # skip the adjacent cell
-        gap = edges[idx] - x0
-        lens = edges[idx + 1] - edges[idx]
-    else:
-        xn = edges[-2]
-        idx = np.arange(0, n - 2)
-        gap = xn - edges[idx + 1]
-        lens = edges[idx + 1] - edges[idx]
-    if len(idx) == 0:
-        return []
-    mask = _interacts(vals[idx] - 0.0, thr) & np.isfinite(lens)
-    if not mask.any():
-        return []
-    gap, lens = gap[mask], lens[mask]
-    if p == 1.0:
-        e = delta * np.log1p(lens / gap)
-    else:
-        q = 1.0 - p
-        e = delta ** p / (p * (p - 1.0)) * np.maximum(gap ** q - (gap + lens) ** q, 0.0)
-    return [float(np.sum(e))]
+    de = np.diff(edges)
+    tails = []  # (gaps, bounded cell lengths, label differences)
+    if c0 == 1:  # left tail against the bounded cells 2 .. c1-1
+        tails.append((edges[2:c1] - edges[1], de[2:c1], x[2:c1] - x[0]))
+    if c1 == n - 1:  # right tail against the bounded cells c0 .. n-3
+        tails.append((edges[-2] - edges[c0 + 1:n - 1], de[c0:n - 2],
+                      x[c0:n - 2] - x[-1]))
+    for gap, lens, diff in tails:
+        mask = interacts(diff)
+        if mask.any():
+            parts.append(float(np.sum(_pair_energies(gap[mask], lens[mask], INF, params))))
+    return 2.0 * math.fsum(parts)
 
 
 def step_energy(u: StepFunction1D, domain: Interval | None = None,
@@ -328,44 +335,8 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     if domain is None:
         domain = u.domain
     edges, vals = step_cells(u, domain)
-    n = len(vals)
     thr = params.threshold
-    if n >= 2 and np.any(_interacts(np.diff(vals), thr)):
-        return INF
-    if n < 3:
-        return 0.0
-
-    c0 = 1 if edges[0] == -INF else 0
-    c1 = n - 1 if edges[-1] == INF else n
-    ce = edges[c0:c1 + 1]
-    cv = vals[c0:c1]
-    parts: list[float] = []
-    ncore = len(cv)
-    if ncore >= 3:
-        de = np.diff(ce)
-        ell = (ce[-1] - ce[0]) / ncore
-        dv = np.diff(cv)
-        # spacing/value differences carry the rounding of the endpoints, so
-        # the detection tolerance scales with their magnitude, not the gap
-        eps = np.finfo(float).eps
-        tol_sp = 1e-12 * ell + 4.0 * eps * max(abs(ce[0]), abs(ce[-1]))
-        tol_val = 1e-9 * params.delta + 4.0 * eps * float(np.max(np.abs(cv)))
-        uniform = np.max(np.abs(de - ell)) <= tol_sp
-        step = dv[0] if len(dv) else 0.0
-        arithmetic = len(dv) == 0 or np.max(np.abs(dv - step)) <= tol_val
-        if uniform and arithmetic:
-            parts += _sum_core_uniform(ncore, ell, step, params, thr)
-        else:
-            parts += _sum_core_general(
-                ce, cv, lambda m: _interacts(cv[m:] - cv[:-m], thr), params)
-    if c0 == 1:
-        parts += _sum_unbounded_tail(edges, vals, "left", params, thr)
-    if c1 == n - 1:
-        parts += _sum_unbounded_tail(edges, vals, "right", params, thr)
-
-    with np.errstate(over="ignore"):
-        total = 2.0 * math.fsum(parts)
-    return total
+    return _pair_sum(edges, vals, lambda d: np.abs(d) > thr, params)
 
 
 def interaction_pairs(u: StepFunction1D, domain: Interval,

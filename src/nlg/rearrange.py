@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import EnergyParams, step_cells, _gap_pair_energies, INF
+from .functional1d import EnergyParams, step_cells, _pair_sum
 
 
 class WeightsTooShort(ValueError):
@@ -70,17 +70,26 @@ def grid_floor_level(v: float, delta: float) -> int:
     return k
 
 
-def _merged_step(edges: Sequence[float], values: Sequence[float],
-                 tail_mode: TailMode) -> StepFunction1D:
-    """Step function from raw cells, merging equal-valued neighbours."""
-    out_e = [edges[0]]
+def _cells_to_step(edges: Sequence[float], values: Sequence[float],
+                   tail_mode: TailMode) -> StepFunction1D | None:
+    """Step function from raw cells, dropping zero-width cells and merging
+    equal-valued neighbours; None when no cell has positive width."""
+    out_e: list[float] = []
     out_v: list[float] = []
-    for i, v in enumerate(values):
-        if out_v and v == out_v[-1]:
-            out_e[-1] = edges[i + 1]
-        else:
-            out_e.append(edges[i + 1])
-            out_v.append(v)
+    last = None
+    for a, b, v in zip(edges, edges[1:], values):
+        if a == b:
+            continue
+        if v == last:
+            out_e[-1] = b
+            continue
+        if not out_e:
+            out_e.append(a)
+        out_e.append(b)
+        out_v.append(v)
+        last = v
+    if not out_v:
+        return None
     return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
 
 
@@ -129,7 +138,7 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
 
     values = [k * delta for k in levels]
     if not u.compact_support:
-        return _merged_step(edges, values, TailMode.DOMAIN_ONLY)
+        return _cells_to_step(edges, values, TailMode.DOMAIN_ONLY)
     # compact support: fold the zero cells at both ends into the tails
     while len(values) > 1 and values[0] == 0.0:
         edges.pop(0)
@@ -137,7 +146,7 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     while len(values) > 1 and values[-1] == 0.0:
         edges.pop()
         values.pop()
-    return _merged_step(edges, values, TailMode.COMPACT_SUPPORT)
+    return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT)
 
 
 def vertical_segmentation(u, delta: float):
@@ -154,7 +163,7 @@ def vertical_segmentation(u, delta: float):
         return _segment_pwa(u, delta)
     if isinstance(u, StepFunction1D):
         values = [grid_floor_level(v, delta) * delta for v in u.values]
-        return _merged_step(u.breakpoints, values, u.tail_mode)
+        return _cells_to_step(u.breakpoints, values, u.tail_mode)
     if callable(u):
         return lambda x: grid_floor_level(u(x), delta) * delta
     return grid_floor_level(float(u), delta) * delta
@@ -172,7 +181,7 @@ def clamp_values(u: StepFunction1D, lo: float, hi: float) -> StepFunction1D:
     if u.tail_mode is TailMode.COMPACT_SUPPORT and not lo <= 0.0 <= hi:
         raise BadBounds("bounds must bracket 0 for a compactly supported function")
     values = [min(max(v, lo), hi) for v in u.values]
-    return _merged_step(u.breakpoints, values, u.tail_mode)
+    return _cells_to_step(u.breakpoints, values, u.tail_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def monotone_rearrangement_step(u: StepFunction1D, domain: Interval) -> StepFunc
         acc += float(lengths[i])
         new_edges.append(acc)
     new_edges.append(domain.hi)  # exact right endpoint, no accumulation drift
-    return _merged_step(new_edges, [float(vals[i]) for i in order], TailMode.DOMAIN_ONLY)
+    return _cells_to_step(new_edges, [float(vals[i]) for i in order], TailMode.DOMAIN_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +265,8 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")
-    levels = levels.astype(int)
-    n = len(levels)
-    if n >= 2 and np.any(np.abs(np.diff(levels)) >= k + 1):
-        return INF
-    parts = []
-    for m in range(2, n):
-        mask = np.abs(levels[m:] - levels[:-m]) >= k + 1
-        if not mask.any():
-            continue
-        kk = n - m
-        gap = edges[m:n] - edges[1:kk + 1]
-        de = np.diff(edges)
-        e = _gap_pair_energies(gap[mask], de[0:kk][mask], de[m:m + kk][mask],
-                               params.delta, params.p)
-        parts.append(float(np.sum(e)))
-    return 2.0 * math.fsum(parts)
+    k1 = k + 1
+    return _pair_sum(edges, levels.astype(int), lambda d: np.abs(d) >= k1, params)
 
 
 # ---------------------------------------------------------------------------

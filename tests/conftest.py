@@ -5,10 +5,13 @@ Everything is seeded by the caller; no test draws from global state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from nlg import HostilityWeights, Interval, StepFunction1D, TailMode
+from nlg import (HostilityWeights, Interval, StepFunction1D, TailMode,
+                 pair_cell_energy, step_cells)
 
 
 def random_breakpoints(rng, n_cells: int, lo: float = 0.0, hi: float = 1.0,
@@ -35,6 +38,22 @@ def random_grid_step(rng, delta: float, n_range=(3, 12), max_jump: int = 1,
     bp = random_breakpoints(rng, n)
     levels = base_level + np.cumsum(rng.integers(-max_jump, max_jump + 1, n))
     return StepFunction1D(tuple(bp), tuple(levels * delta), tail)
+
+
+def pairwise_energy(u: StepFunction1D, domain: Interval, interacts, params,
+                    labels=None) -> float:
+    """Energy as 2 * the sum of pair_cell_energy over explicitly listed pairs.
+
+    ``labels`` (default: the cell values) are what ``interacts(a, b)``
+    compares; the oracle of every pair-sum shortcut.
+    """
+    edges, vals = step_cells(u, domain)
+    labels = vals if labels is None else labels
+    cells = [Interval(float(a), float(b)) for a, b in zip(edges, edges[1:])]
+    return 2.0 * math.fsum(pair_cell_energy(cells[i], cells[j], params)
+                           for i in range(len(cells))
+                           for j in range(i + 1, len(cells))
+                           if interacts(labels[i], labels[j]))
 
 
 def random_nonincreasing_weights(rng, length: int, lo: float = 0.0,

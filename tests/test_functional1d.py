@@ -8,12 +8,12 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  energy_quadrature, integrate_pointwise_hostility,
                  interaction_pairs, local_energy, pair_cell_energy,
                  pair_cell_quadrature, pointwise_hostility, step_cells,
-                 step_energy, vertical_segmentation)
+                 step_energy, step_hostility, vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
                               OverlappingIntervals, UnsupportedCombination,
-                              _interacts, _sum_core_general)
+                              _sum_core_general)
 
-from conftest import UNIT, random_grid_step, random_step
+from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
 P1 = EnergyParams(1.0, 1.0)
 P2 = EnergyParams(1.0, 2.0)
@@ -125,14 +125,34 @@ class TestStepEnergy:
         delta = 1.0 / n
         u = StepFunction1D(tuple(np.linspace(0, 1, n + 1)),
                            tuple(np.arange(n) * delta), TailMode.DOMAIN_ONLY)
+        edges, vals = step_cells(u, u.support)
+        levels = np.arange(n)
         for p in (1.0, 1.5, 2.0):
             params = EnergyParams(delta, p)
             fast = step_energy(u, u.support, params)
-            edges, vals = step_cells(u, u.support)
             parts = _sum_core_general(
-                edges, vals,
-                lambda m: _interacts(vals[m:] - vals[:-m], params.threshold), params)
+                edges, vals, lambda d: np.abs(d) > params.threshold, params)
             assert math.isclose(fast, 2.0 * math.fsum(parts), rel_tol=1e-10)
+            # step_hostility shares the uniform path; k = 2 drops the gap m = 2
+            fast = step_hostility(u, u.support, 2, params)
+            parts = _sum_core_general(edges, levels, lambda d: np.abs(d) >= 3, params)
+            assert math.isclose(fast, 2.0 * math.fsum(parts), rel_tol=1e-10)
+
+    def test_full_line_matches_pairwise_sum(self, rng):
+        # compact support: both zero tails pair with every bounded cell
+        delta = 0.25
+        checked = 0
+        while checked < 60:
+            u = random_grid_step(rng, delta, tail=TailMode.COMPACT_SUPPORT)
+            if abs(u.values[-1]) > delta:
+                continue  # the jump into the right tail would diverge
+            checked += 1
+            for p in (1.0, 1.5, 2.0):
+                params = EnergyParams(delta, p)
+                got = step_energy(u, FULL_LINE, params)
+                expected = pairwise_energy(
+                    u, FULL_LINE, lambda a, b: abs(b - a) > params.threshold, params)
+                assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_translation_invariance_and_dilation_scaling(self, rng):
         for _ in range(20):

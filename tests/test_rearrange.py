@@ -15,8 +15,8 @@ from nlg.rearrange import (BadBounds, TooManyPermutations, TooShort,
                            ValuesNotOnGrid, WeightsTooShort, grid_floor_level,
                            hostile_gap_counts)
 
-from conftest import (UNIT, random_grid_step, random_nonincreasing_weights,
-                      random_step)
+from conftest import (UNIT, pairwise_energy, random_grid_step,
+                      random_nonincreasing_weights, random_step)
 
 E1 = EnemyList.band_complement(1)
 H3 = HostilityWeights((1.0, 0.5, 1.0 / 3.0))
@@ -202,6 +202,19 @@ class TestStepHostility:
         expected = 2.0 * pair_cell_energy(Interval(0.0, 1.0), Interval(2.0, 3.0),
                                           params)
         assert math.isclose(got, expected, rel_tol=1e-14)
+
+    def test_matches_pairwise_sum(self, rng):
+        delta = 0.2
+        for _ in range(40):
+            for k in (2, 3):
+                u = random_grid_step(rng, delta, max_jump=k)
+                levels = [round(v / delta) for v in u.values]
+                for p in (1.0, 1.5, 2.0):
+                    params = EnergyParams(delta, p)
+                    got = step_hostility(u, UNIT, k, params)
+                    expected = pairwise_energy(
+                        u, UNIT, lambda a, b: abs(b - a) >= k + 1, params, levels)
+                    assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_values_off_grid_rejected(self):
         u = StepFunction1D((0.0, 1.0, 2.0), (0.0, 0.31), TailMode.DOMAIN_ONLY)
