@@ -265,8 +265,8 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")
-    k1 = k + 1
-    return _pair_sum(edges, levels.astype(int), lambda d: np.abs(d) >= k1, params)
+    # integer levels: |d| >= k+1 is |d| > k
+    return _pair_sum(edges, levels, k, params)
 
 
 # ---------------------------------------------------------------------------

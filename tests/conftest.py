@@ -9,9 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nlg import (HostilityWeights, Interval, StepFunction1D, TailMode,
                  pair_cell_energy, step_cells)
+
+
+# property tests replay the same examples on every run and keep no
+# example database, so a tier-1 run is reproducible
+settings.register_profile("nlg", derandomize=True, database=None)
+settings.load_profile("nlg")
 
 
 def random_breakpoints(rng, n_cells: int, lo: float = 0.0, hi: float = 1.0,

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from nlg import functional1d
 from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  StepFunction1D, TailMode, affine_interpolation_energy,
                  energy_quadrature, integrate_pointwise_hostility,
@@ -10,8 +13,7 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  pair_cell_quadrature, pointwise_hostility, step_cells,
                  step_energy, step_hostility, vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
-                              OverlappingIntervals, UnsupportedCombination,
-                              _sum_core_general)
+                              OverlappingIntervals, UnsupportedCombination, _bands)
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -111,32 +113,41 @@ class TestStepEnergy:
             step_energy(u, Interval(-1.0, 1.0), P1)
 
     def test_uniform_staircase_matches_aggregated_sum(self):
-        n = 2000
-        delta = 1.0 / n
+        # on a uniform partition with consecutive levels, the pair (i, i+m)
+        # has gap (m-1)*ell and interacts iff m >= 2, so the energy
+        # aggregates by the index gap m over unit cells scaled to width ell
+        n = 10 ** 5
+        ell = 1.0 / n
         u = StepFunction1D(tuple(np.linspace(0, 1, n + 1)),
-                           tuple(np.arange(n) * delta), TailMode.DOMAIN_ONLY)
-        got = step_energy(u, u.support, EnergyParams(delta, 1.0))
-        m = np.arange(2, n)
-        expected = 2.0 * float(np.sum((1 - m / n) * np.log(m * m / (m * m - 1.0))))
-        assert math.isclose(got, expected, rel_tol=1e-12)
+                           tuple(np.arange(n, dtype=float)), TailMode.DOMAIN_ONLY)
+        m = np.arange(2, n, dtype=float)
+        for p in (1.0, 1.5, 2.0):
+            got = step_energy(u, u.support, EnergyParams(1.0, p))
+            if p == 1.0:
+                pair = np.log(m * m / (m * m - 1.0))
+            else:
+                q = 1.0 - p
+                pair = ((m - 1.0) ** q - 2.0 * m ** q + (m + 1.0) ** q) / (p * (p - 1.0))
+            expected = 2.0 * math.fsum((n - m) * ell ** (1.0 - p) * pair)
+            assert math.isclose(got, expected, rel_tol=1e-12)
 
-    def test_fast_path_matches_general_path(self):
-        n = 600
+    def test_uniform_staircase_matches_pairwise_sum(self):
+        n = 200
         delta = 1.0 / n
         u = StepFunction1D(tuple(np.linspace(0, 1, n + 1)),
                            tuple(np.arange(n) * delta), TailMode.DOMAIN_ONLY)
-        edges, vals = step_cells(u, u.support)
         levels = np.arange(n)
         for p in (1.0, 1.5, 2.0):
             params = EnergyParams(delta, p)
-            fast = step_energy(u, u.support, params)
-            parts = _sum_core_general(
-                edges, vals, lambda d: np.abs(d) > params.threshold, params)
-            assert math.isclose(fast, 2.0 * math.fsum(parts), rel_tol=1e-10)
-            # step_hostility shares the uniform path; k = 2 drops the gap m = 2
-            fast = step_hostility(u, u.support, 2, params)
-            parts = _sum_core_general(edges, levels, lambda d: np.abs(d) >= 3, params)
-            assert math.isclose(fast, 2.0 * math.fsum(parts), rel_tol=1e-10)
+            got = step_energy(u, u.support, params)
+            expected = pairwise_energy(
+                u, u.support, lambda a, b: abs(b - a) > params.threshold, params)
+            assert math.isclose(got, expected, rel_tol=1e-12)
+            # k = 2 drops the index gap m = 2
+            got = step_hostility(u, u.support, 2, params)
+            expected = pairwise_energy(
+                u, u.support, lambda a, b: abs(b - a) >= 3, params, levels)
+            assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_full_line_matches_pairwise_sum(self, rng):
         # compact support: both zero tails pair with every bounded cell
@@ -225,6 +236,97 @@ class TestStepEnergy:
             else:
                 assert math.isclose(whole, left + right + cross,
                                     rel_tol=1e-10, abs_tol=1e-14)
+
+
+@st.composite
+def engine_cases(draw):
+    """A step function and parameters for the pair-sum engine.
+
+    Widths share one scale drawn from [1e-6, 1] and vary within a factor
+    8 of it: thin cells far apart are ill-conditioned for both the engine
+    (a run's energy is a difference of half-line energies, relative error
+    about eps * gap / width) and the four-term closed form the oracle
+    uses at p > 1, which this test does not measure.
+    """
+    n = draw(st.integers(1, 12))
+    delta = 0.25
+    scale = 10.0 ** draw(st.floats(-6.0, 0.0))
+    widths = draw(st.lists(st.floats(0.125, 1.0), min_size=n, max_size=n))
+    origin = draw(st.floats(-2.0, 2.0))
+    bp = scale * (origin + np.concatenate([[0.0], np.cumsum(widths)]))
+    grid = draw(st.booleans())
+    if grid:  # delta-grid values, jumps of up to one level
+        jumps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    else:  # off-grid values, adjacent jumps below delta
+        jumps = draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n))
+    levels = draw(st.integers(-2, 2)) + np.cumsum(jumps)
+    tail = draw(st.sampled_from(list(TailMode)))
+    u = StepFunction1D(tuple(bp), tuple(levels * delta), tail)
+    params = EnergyParams(delta, draw(st.sampled_from([1.0, 1.5, 2.0])))
+    return u, params, levels if grid else None
+
+
+class TestPairSumEngine:
+    @pytest.mark.parametrize("chunk", [1, 7, functional1d._SBP_CHUNK])
+    @given(case=engine_cases())
+    def test_matches_pairwise_sum(self, chunk, case):
+        # chunk sizes 1 and 7 put chunk seams inside every transition range
+        u, params, levels = case
+        with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
+            got = step_energy(u, u.domain, params)
+            expected = pairwise_energy(
+                u, u.domain, lambda a, b: abs(b - a) > params.threshold, params)
+            assert math.isclose(got, expected, rel_tol=1e-12)  # inf == inf too
+            if levels is None:
+                return  # off the grid: no hostility
+            for k in (1, 2, 3):
+                got = step_hostility(u, u.support, k, params)
+                expected = pairwise_energy(
+                    u, u.support, lambda a, b: abs(b - a) >= k + 1, params, levels)
+                assert math.isclose(got, expected, rel_tol=1e-12)
+
+    def test_difference_within_an_ulp_of_threshold(self):
+        # cells 0 and 2 at labels whose float difference straddles thr
+        # within an ulp; only abs(d) > thr decides, however d rounds
+        params = EnergyParams(0.3, 1.5)
+        thr = params.threshold
+        pair = 2.0 * pair_cell_energy(Interval(0.0, 1.0), Interval(2.0, 3.0), params)
+        base = 0.7
+        t = base + thr
+        for _ in range(3):
+            t = np.nextafter(t, -np.inf)
+        seen = set()
+        for _ in range(7):
+            interacts = bool(abs(t - base) > thr)
+            seen.add(interacts)
+            u = StepFunction1D((0.0, 1.0, 2.0, 3.0), (base, 0.5 * (base + t), t),
+                               TailMode.DOMAIN_ONLY)
+            got = step_energy(u, u.support, params)
+            if interacts:
+                assert math.isclose(got, pair, rel_tol=1e-12)
+            else:
+                assert got == 0.0
+            t = np.nextafter(t, np.inf)
+        assert seen == {False, True}
+
+    def test_bands_are_exact_at_float_boundaries(self):
+        # labels one ulp around y -+ r, where searchsorted at the rounded
+        # y -+ r may be off and the fix-up must place the boundary
+        rng = np.random.default_rng(7)
+        for y0, r in ((1000.0, 0.1), (1.0, 1.0), (-3.7, 0.3 * (1 + 1e-12)), (0.0, 1e-300)):
+            near = []
+            for v in (y0 - r, y0 + r, y0):
+                for _ in range(4):
+                    v = np.nextafter(v, -np.inf)
+                for _ in range(9):
+                    near.append(v)
+                    v = np.nextafter(v, np.inf)
+            x = rng.permutation(np.repeat(near, 2))  # ties too
+            s = np.sort(x, kind="stable")
+            lo, hi = _bands(s, x, r)
+            inside = np.abs(s[None, :] - x[:, None]) <= r
+            k = np.arange(len(s))
+            assert np.array_equal(inside, (k >= lo[:, None]) & (k < hi[:, None]))
 
 
 class TestEnergyQuadrature:
