@@ -324,9 +324,10 @@ def _sum_by_parts(edges, x, radius, params) -> list[float]:
     adjacent cells interacting, the rows that switch are two sorted-index
     ranges per column (:func:`_switch_ranges`).  They are expanded
     ``_SBP_CHUNK`` transitions at a time, keeping rows i <= b-2, so the
-    cost is O(n log n + K) for K transitions and the memory O(n + chunk).  A row whose interacting run is thin against its
-    gap subtracts nearly equal H terms: the error relative to that run's
-    energy grows like eps * gap / run length.
+    cost is O(n log n + K) for K transitions and the memory O(n + chunk).
+    A row whose interacting run is thin against its gap subtracts nearly
+    equal H terms: the error relative to that run's energy grows like
+    eps * gap / run length.
     """
     order = np.argsort(x, kind="stable")
     cols, signs, first, ends, shift = _switch_ranges(*_bands(x[order], x, radius))

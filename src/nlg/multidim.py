@@ -2,17 +2,18 @@
 
 A d-dimensional non-local energy averages, over all line directions and
 offsets, the one-dimensional energies of the restrictions to those lines
-(with a factor 1/2 because each unordered line is hit twice):
+(with a factor 1/2 because sigma and -sigma give the same line):
 
     energy(u, R^d) = 1/2 * int_{S^(d-1)} int_{sigma-perp}
                      energy(u restricted to the line z + sigma*R) dz dsigma,
 
 and the same representation without the 1/2 holds for the local energy
-with an extra factor spherical_moment(d, p).  The catalog fields below
-expose exact level-crossing solutions along any line, so the section of
-a vertically segmented field is an exact StepFunction1D and the inner 1D
-energy is computed in closed form; only the two outer integrals carry
-discretization error.
+with an extra factor spherical_moment(d, p).  The d = 2 estimators walk
+each unordered line once, which applies the 1/2.  The catalog fields
+below expose exact level-crossing solutions along any line, so the
+section of a vertically segmented field is an exact StepFunction1D and
+the inner 1D energy is computed in closed form; only the two outer
+integrals carry discretization error.
 
 Both estimators here target the segmented field: the sectioning path
 computes the energy of the vertical segmentation exactly in the inner
@@ -506,10 +507,14 @@ def _offset_range(u: ScalarField, direction: Direction) -> tuple[float, float]:
 
 
 def _sectioning_pass(u, n_dirs, n_offsets, inner) -> float:
+    """Midpoint sum of ``inner`` over unordered lines, each weighing pi / lines.
+    theta and theta + pi give the same line reversed, so an even ``n_dirs``
+    walks only the first half of its direction grid on [0, 2*pi)."""
+    n_lines, arc = (n_dirs // 2, math.pi) if n_dirs % 2 == 0 else (n_dirs, 2.0 * math.pi)
     total = 0.0
-    w_dir = 2.0 * math.pi / n_dirs
-    for j in range(n_dirs):
-        theta = 2.0 * math.pi * (j + 0.5) / n_dirs
+    w_dir = math.pi / n_lines
+    for j in range(n_lines):
+        theta = arc * (j + 0.5) / n_lines
         direction = Direction.from_angle(theta)
         z_lo, z_hi = _offset_range(u, direction)
         w_z = (z_hi - z_lo) / n_offsets
@@ -547,9 +552,8 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
         domain = sec.energy_domain if sec.energy_domain is not None else FULL_LINE
         return step_energy(step, domain, params)
 
-    fine = 0.5 * _sectioning_pass(u, n_dirs, n_offsets, inner)
-    coarse = 0.5 * _sectioning_pass(u, max(n_dirs // 2, 2),
-                                    max(n_offsets // 2, 2), inner)
+    fine = _sectioning_pass(u, n_dirs, n_offsets, inner)
+    coarse = _sectioning_pass(u, max(n_dirs // 2, 2), max(n_offsets // 2, 2), inner)
     # the offset integrand has kinks, so the usual factor 1/3 of the
     # half-grid comparison is not reliable; report the raw difference
     return fine, abs(fine - coarse)
@@ -561,7 +565,8 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
     spherical_moment(2, p) times the field's local energy."""
     if u.dim != 2:
         raise UnsupportedDimension("sectioning quadrature is implemented for d = 2")
-    return _sectioning_pass(u, n_dirs, n_offsets, lambda sec: sec.local_energy(p))
+    # every line once is half of the integral over all directions
+    return 2.0 * _sectioning_pass(u, n_dirs, n_offsets, lambda sec: sec.local_energy(p))
 
 
 # ---------------------------------------------------------------------------

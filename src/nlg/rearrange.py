@@ -51,6 +51,11 @@ class BadBounds(ValueError):
 # vertical segmentation and truncation
 # ---------------------------------------------------------------------------
 
+def _on_level(v: float, k: int, delta: float) -> bool:
+    """Whether v counts as sitting on grid level k (see grid_floor_level)."""
+    return abs(v - k * delta) <= 1e-12 * max(abs(v), delta)
+
+
 def grid_floor_level(v: float, delta: float) -> int:
     """Largest integer k with k*delta <= v, robust to float rounding.
 
@@ -60,7 +65,7 @@ def grid_floor_level(v: float, delta: float) -> int:
     segmentation even when k*delta rounds.
     """
     k = round(v / delta)
-    if abs(v - k * delta) <= 1e-12 * max(abs(v), delta):
+    if _on_level(v, k, delta):
         return k
     k = math.floor(v / delta)
     if (k + 1) * delta <= v:
@@ -96,57 +101,43 @@ def _cells_to_step(edges: Sequence[float], values: Sequence[float],
 def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     """Exact vertical segmentation of a piecewise affine function.
 
-    Breakpoints are the solutions of u(x) = k*delta on each affine piece,
-    so consecutive cell values differ by exactly delta across every
-    crossing.
+    On a piece from (x0, y0) to (x1, y1) the levels crossed form one
+    arithmetic run of integers k, and level k is crossed where u(x) =
+    k*delta, at x0 + (k*delta - y0)/slope, so consecutive cell values
+    differ by exactly delta across every crossing.  A crossing that rounds
+    past x1 is placed on x1.  Each piece gives its start and its crossings
+    as raw cells; ``_cells_to_step`` drops the zero-width ones and merges
+    equal neighbours.
     """
-    edges: list[float] = [u.nodes[0][0]]
-    levels: list[int] = []
-    cur: int | None = None
-
-    def change_to(level: int, x: float):
-        nonlocal cur
-        if cur is None:
-            cur = level
-            return
-        if level == cur:
-            return
-        if x > edges[-1]:
-            edges.append(x)
-            levels.append(cur)
-        cur = level
-
-    for (x0, y0), (x1, y1) in zip(u.nodes, u.nodes[1:]):
+    floors = [grid_floor_level(y, delta) for _, y in u.nodes]
+    edges, levels = [], []
+    for (x0, y0), (x1, y1), k0, k1 in zip(u.nodes, u.nodes[1:], floors, floors[1:]):
         slope = (y1 - y0) / (x1 - x0)
-        k0 = grid_floor_level(y0, delta)
-        on_level = abs(k0 * delta - y0) <= 1e-12 * max(abs(y0), delta)
-        if slope < 0.0 and on_level:
-            k0 -= 1  # just right of the node the function sits below the level
-        change_to(k0, x0)
+        # every level strictly between the end floors is crossed; k1 is
+        # crossed if k1*delta < y1 (rising) or k1*delta > y1 (falling).  A
+        # rising crossing of k enters level k, a falling one leaves it.
         if slope > 0.0:
-            k = cur + 1
-            while k * delta < y1:
-                change_to(k, x0 + (k * delta - y0) / slope)
-                k += 1
+            ks = after = np.arange(k0 + 1, k1 + (k1 * delta < y1))
         elif slope < 0.0:
-            k = cur
-            while k * delta > y1:
-                change_to(k - 1, x0 + (k * delta - y0) / slope)
-                k -= 1
-    edges.append(u.nodes[-1][0])
-    levels.append(cur)
-
-    values = [k * delta for k in levels]
+            if _on_level(y0, k0, delta):
+                k0 -= 1  # just right of the node the function sits below the level
+            ks = np.arange(k0, k1 - (k1 * delta > y1), -1)
+            after = ks - 1
+        else:
+            ks = after = np.arange(0)
+        edges += [[x0], np.minimum(x0 + (ks * delta - y0) / slope, x1)]
+        levels += [[k0], after]
+    edges = np.concatenate(edges + [[u.nodes[-1][0]]])
+    values = np.concatenate(levels) * delta
     if not u.compact_support:
-        return _cells_to_step(edges, values, TailMode.DOMAIN_ONLY)
-    # compact support: fold the zero cells at both ends into the tails
-    while len(values) > 1 and values[0] == 0.0:
-        edges.pop(0)
-        values.pop(0)
-    while len(values) > 1 and values[-1] == 0.0:
-        edges.pop()
-        values.pop()
-    return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT)
+        return _cells_to_step(edges.tolist(), values.tolist(), TailMode.DOMAIN_ONLY)
+    # compact support: fold the zero cells at both ends into the tails,
+    # judging only cells of positive width, so that no zero-width cell
+    # shields a zero cell from the fold
+    kept = np.flatnonzero((values != 0.0) & (edges[1:] > edges[:-1]))
+    if kept.size:
+        edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
+    return _cells_to_step(edges.tolist(), values.tolist(), TailMode.COMPACT_SUPPORT)
 
 
 def vertical_segmentation(u, delta: float):

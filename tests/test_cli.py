@@ -97,6 +97,16 @@ def test_segment_roundtrip(capsys, tmp_path):
     assert step["values"] == [0.25, 0.5, 0.75, 0.5, 0.25]
 
 
+def test_segment_crossing_on_end_node(capsys, tmp_path):
+    # the last level crossing rounds one ulp past the end node
+    src = tmp_path / "ramp.json"
+    src.write_text(json.dumps({"nodes": [[0.06, -0.039], [0.638, 0.02600000000000001]],
+                               "compact_support": False}))
+    code, out, _ = run_cli(capsys, "segment", "--input", str(src), "--delta", "0.013")
+    assert code == 0
+    assert json.loads(out)["breakpoints"][-1] == 0.638
+
+
 def test_rearrange_discrete(capsys, tmp_path):
     src = tmp_path / "arr.json"
     src.write_text(json.dumps({"species": [2, 0, 1]}))

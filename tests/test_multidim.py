@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlg import (AffineRamp, Box, Direction, EnergyParams, RadialTent,
+from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent,
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_energy)
@@ -117,6 +117,49 @@ class TestSectioningEnergy:
         u3 = RadialTent((0.0, 0.0, 0.0), 1.0, 1.0)
         with pytest.raises(UnsupportedDimension):
             energy_by_sectioning(u3, EnergyParams(0.2, 2.0))
+
+    def test_matches_full_circle_midpoint_sum(self):
+        # the estimators walk each unordered line once; the reference walks
+        # every direction in [0, 2*pi), so even counts see each line twice
+        def full_circle(u, n_dirs, n_offsets, inner):
+            box = u.support_box()
+            total = 0.0
+            for j in range(n_dirs):
+                direction = Direction.from_angle(2.0 * math.pi * (j + 0.5) / n_dirs)
+                proj = [float(np.dot(direction.frame[0], (x, y)))
+                        for x in (box.lower[0], box.upper[0])
+                        for y in (box.lower[1], box.upper[1])]
+                w_z = (max(proj) - min(proj)) / n_offsets
+                for i in range(n_offsets):
+                    sec = section(u, direction, min(proj) + (i + 0.5) * w_z)
+                    if sec is not None:
+                        total += inner(sec) * w_z * 2.0 * math.pi / n_dirs
+            return total
+
+        params = EnergyParams(0.1, 1.5)
+
+        def energy(sec):
+            step = sec.step_segmentation(params.delta)
+            if step is None:
+                return 0.0
+            return step_energy(step, sec.energy_domain or FULL_LINE, params)
+
+        # peak 0.97 keeps the top of every section off the grid: a top on a
+        # level gives a top cell about sqrt(eps) wide, so a line and its
+        # reverse would differ by about 1e-8 relative
+        fields = (RadialTent((0.1, -0.2), 1.0, 0.97),
+                  AffineRamp((0.6, -0.3), Box((0.0, 0.0), (1.0, 1.5))))
+        for u in fields:
+            for n_dirs in (5, 6, 8):
+                est, err = energy_by_sectioning(u, params, n_dirs, 12)
+                fine = 0.5 * full_circle(u, n_dirs, 12, energy)
+                coarse = 0.5 * full_circle(u, n_dirs // 2, 6, energy)
+                assert math.isclose(est, fine, rel_tol=1e-12)
+                assert math.isclose(err, abs(fine - coarse), rel_tol=0.0,
+                                    abs_tol=1e-12 * fine)
+                local = local_energy_by_sectioning(u, 1.5, n_dirs, 12)
+                ref = full_circle(u, n_dirs, 12, lambda sec: sec.local_energy(1.5))
+                assert math.isclose(local, ref, rel_tol=1e-12)
 
     def test_error_estimate_honest(self):
         params = EnergyParams(0.25, 2.0)

@@ -22,6 +22,39 @@ E1 = EnemyList.band_complement(1)
 H3 = HostilityWeights((1.0, 0.5, 1.0 / 3.0))
 
 
+def _random_pwa(rng, delta: float, compact: bool) -> PiecewiseAffine1D:
+    """2-6 nodes: each value off the grid, on a level, 1-3 ulps off a
+    level, or equal to the previous one (a flat piece).
+
+    Two consecutive nodes on the same level get equal values: a piece
+    whose ends differ by ulps around one level is the known defect of
+    test_falling_piece_within_ulps_of_one_level.  Compact support keeps
+    level 0 exact, so that the end nodes are 0.
+    """
+    m = int(rng.integers(2, 7))
+    ys: list[float] = []
+    prev = None  # grid level of the previous node, if it is on or near one
+    for j in range(m):
+        end = compact and j in (0, m - 1)
+        kind = 0 if end else int(rng.integers(4))
+        level = 0 if end else int(rng.integers(-6, 7))
+        if kind == 3 and ys:
+            y, level = ys[-1], prev
+        elif kind == 2:
+            y, level = float(rng.uniform(-2.0, 2.0)), None
+        elif level == prev:
+            y = ys[-1]
+        else:
+            y = level * delta
+            if kind == 1 and not (compact and level == 0):
+                for _ in range(int(rng.integers(1, 4))):
+                    y = math.nextafter(y, float(rng.choice((-math.inf, math.inf))))
+        ys.append(y)
+        prev = level
+    xs = np.cumsum(rng.uniform(0.05, 0.5, m))
+    return PiecewiseAffine1D(tuple(zip(xs, ys)), compact_support=compact)
+
+
 class TestVerticalSegmentation:
     def test_scalar_floor(self):
         assert vertical_segmentation(2.5, 1.0) == 2.0
@@ -74,6 +107,56 @@ class TestVerticalSegmentation:
             xs = rng.uniform(-0.5, 2.5, 10_000)
             for x in xs:
                 assert s(x) == delta * grid_floor_level(tent(x), delta)
+        # random inputs: flat, rising and falling pieces, negative values,
+        # node values off the grid, on a level and within 3 ulps of one,
+        # both tail modes
+        for trial in range(400):
+            delta = float(rng.choice((0.5, 0.1, 1 / 3, 0.013, 0.07)))
+            u = _random_pwa(rng, delta, compact=trial % 2 == 0)
+            s = vertical_segmentation(u, delta)
+            if u.compact_support and s.values != (0.0,):
+                # zero cells at both ends belong to the tails
+                assert s.values[0] != 0.0 and s.values[-1] != 0.0
+            lo, hi = u.nodes[0][0], u.nodes[-1][0]
+            pad = 0.2 if u.compact_support else 0.0
+            for x in rng.uniform(lo - pad, hi + pad, 200):
+                if x not in s.breakpoints:
+                    assert s(x) == delta * grid_floor_level(u(x), delta)
+
+    def test_end_node_on_a_level_adds_no_cell(self):
+        # the crossing of the end node's level lands on or an ulp before
+        # the node; the strict tests k*delta < y1 and k*delta > y1 drop it
+        peak = PiecewiseAffine1D(((0.082, 0.0), (0.571, 1.0), (0.639, 0.0)))
+        assert vertical_segmentation(peak, 1 / 3).values == (1 / 3, 2 / 3, 1 / 3)
+        tent = PiecewiseAffine1D(((0.002, 0.0), (0.174, 0.5), (0.939, 0.0)))
+        s = vertical_segmentation(tent, 0.25)
+        assert s.breakpoints == (0.088, 0.5565)
+        assert s.values == (0.25,)
+
+    @pytest.mark.xfail(strict=True, reason="a falling piece that starts on a level "
+                       "steps down one even when its end snaps to the same level")
+    def test_falling_piece_within_ulps_of_one_level(self):
+        u = PiecewiseAffine1D(((0.0, -0.49999999999999994), (1.0, -0.5000000000000001)),
+                              compact_support=False)
+        s = vertical_segmentation(u, 0.1)
+        assert s(0.5) == 0.1 * grid_floor_level(u(0.5), 0.1)
+
+    def test_rising_crossing_rounding_past_the_end_stays_on_it(self):
+        # the last crossing computes to 0.6380000000000001, past the end node
+        ramp = PiecewiseAffine1D(((0.06, -0.039), (0.638, 0.02600000000000001)),
+                                 compact_support=False)
+        s = vertical_segmentation(ramp, 0.013)
+        assert s.breakpoints == (0.06, 0.17560000000000003, 0.2912,
+                                 0.40680000000000005, 0.5224, 0.638)
+        assert s.values == (-0.039, -0.026, -0.013, 0.0, 0.013)
+
+    def test_falling_crossing_rounding_past_the_end_stays_on_it(self):
+        # level 0 is crossed at the end node, where u is -1e-323
+        falling = PiecewiseAffine1D(((0.102, 0.07), (0.33, -1e-323)),
+                                    compact_support=False)
+        s = vertical_segmentation(falling, 0.07)
+        assert s.breakpoints == (0.102, 0.33)
+        assert s.values == (0.0,)
 
     def test_step_input_floors_values(self):
         u = StepFunction1D((0.0, 1.0, 2.0), (0.55, 1.9), TailMode.DOMAIN_ONLY)
