@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
-                   FULL_LINE, PiecewiseAffine1D, SchemaError, StepFunction1D,
-                   validate_and_build)
+                   PiecewiseAffine1D, SchemaError, StepFunction1D, validate_and_build)
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
 from .multidim import Box, RadialTent, energy_by_montecarlo, energy_by_sectioning
@@ -43,12 +42,10 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _domain_from_args(args, u) -> Interval:
-    if getattr(args, "domain", None) is not None:
-        return Interval(args.domain[0], args.domain[1])
-    if isinstance(u, StepFunction1D):
-        return u.domain
-    return FULL_LINE
+def _domain_from_args(args, u: StepFunction1D) -> Interval:
+    if args.domain is not None:
+        return Interval(*args.domain)
+    return u.domain
 
 
 def cmd_constants(args) -> int:
@@ -133,6 +130,7 @@ def cmd_fuzz(args) -> int:
     tol = 1e-12
     for n in range(1, args.n_max + 1):
         h_batch = np.stack([np.sort(rng.random(n))[::-1] for _ in range(args.trials)])
+        weights = HostilityWeights(tuple(h_batch[0]))
         for flat in np.ndindex(*([args.species_max] * n)):
             u = DiscreteArrangement(tuple(int(v) for v in flat))
             mu = monotone_rearrangement(u)
@@ -143,10 +141,10 @@ def cmd_fuzz(args) -> int:
             checked += args.trials
             violations += int(np.sum(hu < hm - tol))
             if n >= 2:
-                # gap formula against the two-evaluation difference
-                weights = HostilityWeights(tuple(h_batch[0]))
+                # gap formula against the two-evaluation difference; the
+                # first is total_hostility(weights, enemies, u) from cu
                 ru, _ = reduce_arrangement(u)
-                direct = total_hostility(weights, enemies, u) \
+                direct = float(np.dot(cu, np.asarray(weights.h))) \
                     - total_hostility(weights, enemies, ru)
                 gap = hostility_gap(weights, enemies, u)
                 checked += 1
@@ -180,9 +178,7 @@ def cmd_converge_recovery(args) -> int:
     delta = args.delta_start
     for _ in range(args.steps):
         params = EnergyParams(delta, args.p)
-        step = vertical_segmentation(u, delta)
-        domain = FULL_LINE if u.compact_support else u.support
-        lam = step_energy(step, domain, params)
+        lam = step_energy(vertical_segmentation(u, delta), params=params)
         limit = (2.0 / args.p) * staircase_constant(args.p).value * limit_scale
         rows.append((delta, lam, limit))
         delta *= args.delta_factor

@@ -26,6 +26,10 @@ half-line (the tail case of the closed form).  With the values sorted
 once, those switches come from the ends of one band of non-interacting
 values per column, and the sum costs O(n log n + K) for K switches,
 with K = O(n) on monotone and unimodal staircases, against n^2/2 pairs.
+A zero tail on the right is the last column of that sum, closed by the
+half-line past +inf, whose energy is 0; the pairs of a zero tail on the
+left are one vector term.  The step function alone decides its tails
+and its default domain (``StepFunction1D.domain``, :func:`step_cells`).
 
 Interaction uses the strict inequality |u(y)-u(x)| > delta.  Jumps equal
 to delta do NOT interact; that is what keeps staircases with consecutive
@@ -47,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _quad
-from .core import FULL_LINE, Interval, PiecewiseAffine1D, StepFunction1D, TailMode
+from .core import Interval, PiecewiseAffine1D, StepFunction1D, TailMode
 
 INTERACTION_GUARD = 1e-12
 
@@ -307,8 +311,14 @@ def _switch_ranges(lo, hi):
     return which % n + 1, np.sign(swept).astype(float), first, ends, start - first
 
 
-def _sum_by_parts(edges, x, radius, params) -> list[float]:
-    """Chunk subtotals of the pair energies over interacting bounded cells.
+def _pair_sum(edges, x, radius, params) -> float:
+    """Sum of pair energies over ordered pairs of interacting cells.
+
+    ``edges`` and ``x`` describe the cells as :func:`step_cells` returns
+    them, with ``x`` any per-cell label (values, or integer grid levels);
+    cells i and j interact where ``abs(x[i] - x[j]) > radius``, the one
+    predicate used by every check below.  Returns +inf when two adjacent
+    cells interact.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
@@ -328,12 +338,26 @@ def _sum_by_parts(edges, x, radius, params) -> list[float]:
     A row whose interacting run is thin against its gap subtracts nearly
     equal H terms: the error relative to that run's energy grows like
     eps * gap / run length.
+
+    A right zero tail is the last column like any other: the closing
+    half-line past its +inf edge has zero energy at every p.  A left zero
+    tail, an infinitely long row, pairs with the cells 2 .. n-1 in one
+    vector term instead; the right tail has its label, so it drops out.
+    Subtotals are accumulated with math.fsum.
     """
+    if np.any(np.abs(np.diff(x)) > radius):
+        return INF
+    parts = []
+    lens = np.diff(edges)
+    if edges[0] == -INF:
+        far = np.abs(x[2:] - x[0]) > radius
+        if far.any():
+            gap = edges[2:-1] - edges[1]
+            parts.append(float(np.sum(_pair_energies(gap[far], lens[2:][far], INF, params))))
+        edges, x, lens = edges[1:], x[1:], lens[1:]
     order = np.argsort(x, kind="stable")
     cols, signs, first, ends, shift = _switch_ranges(*_bands(x[order], x, radius))
     total = int(ends[-1]) if len(ends) else 0
-    lens = np.diff(edges)
-    parts = []
     for c0 in range(0, total, _SBP_CHUNK):
         c1 = min(c0 + _SBP_CHUNK, total)
         r = slice(np.searchsorted(ends, c0, "right"), np.searchsorted(ends, c1, "left") + 1)
@@ -344,46 +368,6 @@ def _sum_by_parts(edges, x, radius, params) -> list[float]:
         rows, b = rows[keep], b[keep]
         h = _pair_energies(edges[b] - edges[rows + 1], lens[rows], INF, params)
         parts.append(float(np.sum(h * np.repeat(signs[r], cnt)[keep])))
-    return parts
-
-
-def _pair_sum(edges, x, radius, params) -> float:
-    """Sum of pair energies over ordered pairs of interacting cells.
-
-    ``edges`` and ``x`` describe the cells as :func:`step_cells` returns
-    them, with ``x`` any per-cell label (values, or integer grid levels);
-    cells i and j interact where ``abs(x[i] - x[j]) > radius``, the one
-    predicate used by every check below.  Returns +inf when two adjacent
-    cells interact.
-
-    Bounded cells are summed by parts (:func:`_sum_by_parts`).  An
-    unbounded end cell (a zero tail) pairs with every bounded cell but the
-    adjacent one, in O(n); two tails never interact.  Subtotals are
-    accumulated with math.fsum.
-    """
-    n = len(x)
-    if n >= 2 and np.any(np.abs(np.diff(x)) > radius):
-        return INF
-    if n < 3:
-        return 0.0
-
-    c0 = 1 if edges[0] == -INF else 0
-    c1 = n - 1 if edges[-1] == INF else n
-    parts = []
-    if c1 - c0 >= 3:
-        parts += _sum_by_parts(edges[c0:c1 + 1], x[c0:c1], radius, params)
-
-    de = np.diff(edges)
-    tails = []  # (gaps, bounded cell lengths, label differences)
-    if c0 == 1:  # left tail against the bounded cells 2 .. c1-1
-        tails.append((edges[2:c1] - edges[1], de[2:c1], x[2:c1] - x[0]))
-    if c1 == n - 1:  # right tail against the bounded cells c0 .. n-3
-        tails.append((edges[-2] - edges[c0 + 1:n - 1], de[c0:n - 2],
-                      x[c0:n - 2] - x[-1]))
-    for gap, lens, diff in tails:
-        mask = np.abs(diff) > radius
-        if mask.any():
-            parts.append(float(np.sum(_pair_energies(gap[mask], lens[mask], INF, params))))
     return 2.0 * math.fsum(parts)
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _quad
-from .core import FULL_LINE, Interval, PiecewiseAffine1D, StepFunction1D, TailMode
+from .core import PiecewiseAffine1D, StepFunction1D, TailMode
 from .functional1d import EnergyParams, step_energy
 from .rearrange import _cells_to_step, grid_floor_level, vertical_segmentation
 
@@ -146,7 +146,6 @@ class AffineSection:
         self.t0 = t0
         self.t1 = t1
         self.lipschitz = abs(slope)
-        self.energy_domain = Interval(t0, t1)
 
     def __call__(self, t: float) -> float:
         return self.offset + self.slope * t
@@ -169,7 +168,6 @@ class RadialSection:
         self.radius = radius
         self.peak = peak
         self.lipschitz = peak / radius
-        self.energy_domain = None  # full line, compact support
 
     @property
     def half_width(self) -> float:
@@ -221,7 +219,6 @@ class PolySection:
         # pieces: (a, b, poly on (a,b)); contiguous, value 0 outside
         self.pieces = pieces
         self.lipschitz = lipschitz
-        self.energy_domain = None
 
     def __call__(self, t: float) -> float:
         for a, b, poly in self.pieces:
@@ -241,7 +238,9 @@ class PolySection:
         for a, b, poly in self.pieces:
             for k in range(1, max_level + 1):
                 shifted = poly - k * delta
-                roots = shifted.roots()
+                # on lines parallel to an axis the leading coefficient is
+                # float noise; solve the polynomial of the true degree
+                roots = shifted.trim(1e-12 * np.max(np.abs(shifted.coef))).roots()
                 for r in roots:
                     if abs(r.imag) < 1e-10 and a - 1e-12 <= r.real <= b + 1e-12:
                         crossings.append(float(np.clip(r.real, a, b)))
@@ -549,8 +548,7 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
         step = sec.step_segmentation(params.delta)
         if step is None:
             return 0.0
-        domain = sec.energy_domain if sec.energy_domain is not None else FULL_LINE
-        return step_energy(step, domain, params)
+        return step_energy(step, params=params)
 
     fine = _sectioning_pass(u, n_dirs, n_offsets, inner)
     coarse = _sectioning_pass(u, max(n_dirs // 2, 2), max(n_offsets // 2, 2), inner)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import EnergyParams, step_cells, _pair_sum
+from .functional1d import INTERACTION_GUARD, EnergyParams, step_cells, _pair_sum
 
 
 class WeightsTooShort(ValueError):
@@ -53,16 +53,16 @@ class BadBounds(ValueError):
 
 def _on_level(v: float, k: int, delta: float) -> bool:
     """Whether v counts as sitting on grid level k (see grid_floor_level)."""
-    return abs(v - k * delta) <= 1e-12 * max(abs(v), delta)
+    return abs(v - k * delta) <= INTERACTION_GUARD * max(abs(v), delta)
 
 
 def grid_floor_level(v: float, delta: float) -> int:
     """Largest integer k with k*delta <= v, robust to float rounding.
 
-    Values within a relative 1e-12 of a grid level count as sitting on it
-    (same guard as the interaction threshold), so functions with values
-    intended to be exact multiples of delta are fixed points of the
-    segmentation even when k*delta rounds.
+    Values within a relative INTERACTION_GUARD of a grid level count as
+    sitting on it (the guard of the interaction threshold), so functions
+    with values intended to be exact multiples of delta are fixed points
+    of the segmentation even when k*delta rounds.
     """
     k = round(v / delta)
     if _on_level(v, k, delta):
@@ -107,21 +107,27 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     differ by exactly delta across every crossing.  A crossing that rounds
     past x1 is placed on x1.  Each piece gives its start and its crossings
     as raw cells; ``_cells_to_step`` drops the zero-width ones and merges
-    equal neighbours.
+    equal neighbours.  Which levels a piece crosses is judged on its node
+    values snapped to their level (``_on_level``), so that a piece whose
+    ends sit within the guard of one level is flat there; the crossings
+    themselves use the raw values.
     """
-    floors = [grid_floor_level(y, delta) for _, y in u.nodes]
+    nodes = []  # (x, y, floor level k, y snapped to k*delta when on it)
+    for x, y in u.nodes:
+        k = grid_floor_level(y, delta)
+        nodes.append((x, y, k, k * delta if _on_level(y, k, delta) else y))
     edges, levels = [], []
-    for (x0, y0), (x1, y1), k0, k1 in zip(u.nodes, u.nodes[1:], floors, floors[1:]):
+    for (x0, y0, k0, s0), (x1, y1, k1, s1) in zip(nodes, nodes[1:]):
         slope = (y1 - y0) / (x1 - x0)
         # every level strictly between the end floors is crossed; k1 is
-        # crossed if k1*delta < y1 (rising) or k1*delta > y1 (falling).  A
+        # crossed if k1*delta < s1 (rising) or k1*delta > s1 (falling).  A
         # rising crossing of k enters level k, a falling one leaves it.
-        if slope > 0.0:
-            ks = after = np.arange(k0 + 1, k1 + (k1 * delta < y1))
-        elif slope < 0.0:
-            if _on_level(y0, k0, delta):
+        if s1 > s0:
+            ks = after = np.arange(k0 + 1, k1 + (k1 * delta < s1))
+        elif s1 < s0:
+            if s0 == k0 * delta:
                 k0 -= 1  # just right of the node the function sits below the level
-            ks = np.arange(k0, k1 - (k1 * delta > y1), -1)
+            ks = np.arange(k0, k1 - (k1 * delta > s1), -1)
             after = ks - 1
         else:
             ks = after = np.arange(0)

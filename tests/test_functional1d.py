@@ -263,7 +263,14 @@ def engine_cases(draw):
     tail = draw(st.sampled_from(list(TailMode)))
     u = StepFunction1D(tuple(bp), tuple(levels * delta), tail)
     params = EnergyParams(delta, draw(st.sampled_from([1.0, 1.5, 2.0])))
-    return u, params, levels if grid else None
+    domain = u.domain
+    if tail is TailMode.COMPACT_SUPPORT:
+        # the full line, or a half-line cut at a breakpoint, a cell's
+        # midpoint or one scale outside the support: one zero tail only
+        cuts = np.concatenate((bp, 0.5 * (bp[:-1] + bp[1:]), [bp[0] - scale, bp[-1] + scale]))
+        a = draw(st.sampled_from(cuts.tolist()))
+        domain = draw(st.sampled_from([domain, Interval(-math.inf, a), Interval(a, math.inf)]))
+    return u, params, levels if grid else None, domain
 
 
 class TestPairSumEngine:
@@ -271,11 +278,11 @@ class TestPairSumEngine:
     @given(case=engine_cases())
     def test_matches_pairwise_sum(self, chunk, case):
         # chunk sizes 1 and 7 put chunk seams inside every transition range
-        u, params, levels = case
+        u, params, levels, domain = case
         with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
-            got = step_energy(u, u.domain, params)
+            got = step_energy(u, domain, params)
             expected = pairwise_energy(
-                u, u.domain, lambda a, b: abs(b - a) > params.threshold, params)
+                u, domain, lambda a, b: abs(b - a) > params.threshold, params)
             assert math.isclose(got, expected, rel_tol=1e-12)  # inf == inf too
             if levels is None:
                 return  # off the grid: no hostility

@@ -55,27 +55,36 @@ class TestSections:
         assert sec(5.0) == 0.0
 
     def test_segmentation_commutes_with_sectioning(self, rng):
-        fields = [TENT,
-                  RadialTent((0.3, -0.2), 0.8, 1.4),
-                  TensorTent((0.0, 0.0), (1.0, 0.7), 1.2),
-                  AffineRamp((1.5, -0.5), UNIT_BOX)]
+        # the tensor tent also along the axes, where its sections' leading
+        # coefficients are float noise
+        fields = [(TENT, ()),
+                  (RadialTent((0.3, -0.2), 0.8, 1.4), ()),
+                  (TensorTent((0.0, 0.0), (1.0, 0.7), 1.2), (math.pi / 2, math.pi)),
+                  (AffineRamp((1.5, -0.5), UNIT_BOX), ())]
         delta = 0.22
-        for u in fields:
-            for _ in range(4):
-                d = Direction.from_angle(float(rng.uniform(0, 2 * math.pi)))
+        for u, axes in fields:
+            for theta in (*axes, *rng.uniform(0, 2 * math.pi, 4)):
+                d = Direction.from_angle(float(theta))
                 z = float(rng.uniform(-0.4, 0.4))
                 sec = section(u, d, z)
                 if sec is None:
                     continue
                 step = sec.step_segmentation(delta)
-                lo, hi = (sec.energy_domain.lo, sec.energy_domain.hi) \
-                    if sec.energy_domain is not None else (-2.5, 2.5)
+                domain = step.domain if step is not None else FULL_LINE
+                lo, hi = (domain.lo, domain.hi) if domain.bounded else (-2.5, 2.5)
                 ts = rng.uniform(lo, hi, 1000)
                 for t in ts:
                     pt = d.point((z,), float(t))
                     want = delta * grid_floor_level(float(u(pt)), delta)
                     got = step(float(t)) if step is not None else 0.0
                     assert got == pytest.approx(want, abs=1e-12)
+
+    def test_tensor_section_along_an_axis_is_finite(self):
+        u = TensorTent((0.0, 0.1), (1.0, 0.7), 1.0)
+        step = section(u, Direction.from_angle(math.pi / 2), 0.1).step_segmentation(0.1)
+        assert len(step.values) == 17
+        assert math.isclose(step_energy(step, step.domain, EnergyParams(0.1, 1.0)),
+                            2.3987673591161784, rel_tol=1e-12)
 
     def test_radial_section_local_energy(self):
         # through the center the profile is a 1D tent with slope peak/radius
@@ -142,7 +151,7 @@ class TestSectioningEnergy:
             step = sec.step_segmentation(params.delta)
             if step is None:
                 return 0.0
-            return step_energy(step, sec.energy_domain or FULL_LINE, params)
+            return step_energy(step, step.domain, params)
 
         # peak 0.97 keeps the top of every section off the grid: a top on a
         # level gives a top cell about sqrt(eps) wide, so a line and its

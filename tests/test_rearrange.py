@@ -26,31 +26,24 @@ def _random_pwa(rng, delta: float, compact: bool) -> PiecewiseAffine1D:
     """2-6 nodes: each value off the grid, on a level, 1-3 ulps off a
     level, or equal to the previous one (a flat piece).
 
-    Two consecutive nodes on the same level get equal values: a piece
-    whose ends differ by ulps around one level is the known defect of
-    test_falling_piece_within_ulps_of_one_level.  Compact support keeps
-    level 0 exact, so that the end nodes are 0.
+    Compact support keeps level 0 exact, so that the end nodes are 0.
     """
     m = int(rng.integers(2, 7))
     ys: list[float] = []
-    prev = None  # grid level of the previous node, if it is on or near one
     for j in range(m):
         end = compact and j in (0, m - 1)
         kind = 0 if end else int(rng.integers(4))
         level = 0 if end else int(rng.integers(-6, 7))
         if kind == 3 and ys:
-            y, level = ys[-1], prev
-        elif kind == 2:
-            y, level = float(rng.uniform(-2.0, 2.0)), None
-        elif level == prev:
             y = ys[-1]
+        elif kind == 2:
+            y = float(rng.uniform(-2.0, 2.0))
         else:
             y = level * delta
             if kind == 1 and not (compact and level == 0):
                 for _ in range(int(rng.integers(1, 4))):
                     y = math.nextafter(y, float(rng.choice((-math.inf, math.inf))))
         ys.append(y)
-        prev = level
     xs = np.cumsum(rng.uniform(0.05, 0.5, m))
     return PiecewiseAffine1D(tuple(zip(xs, ys)), compact_support=compact)
 
@@ -133,8 +126,6 @@ class TestVerticalSegmentation:
         assert s.breakpoints == (0.088, 0.5565)
         assert s.values == (0.25,)
 
-    @pytest.mark.xfail(strict=True, reason="a falling piece that starts on a level "
-                       "steps down one even when its end snaps to the same level")
     def test_falling_piece_within_ulps_of_one_level(self):
         u = PiecewiseAffine1D(((0.0, -0.49999999999999994), (1.0, -0.5000000000000001)),
                               compact_support=False)
