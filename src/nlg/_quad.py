@@ -19,7 +19,6 @@ Two small workhorses shared by the oracles and estimators:
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -58,16 +57,11 @@ _W3 = np.array([1.0, 4.0, 1.0]) / 6.0
 
 
 def _weights_25():
-    coarse = np.zeros((5, 5))
-    for i, wi in zip((0, 2, 4), _W3):
-        for j, wj in zip((0, 2, 4), _W3):
-            coarse[i, j] += wi * wj
-    fine = np.zeros((5, 5))
+    coarse, fine = np.zeros((5, 5)), np.zeros((5, 5))
+    coarse[::2, ::2] = np.outer(_W3, _W3)
     for di in (0, 2):
         for dj in (0, 2):
-            for i, wi in zip((0, 1, 2), _W3):
-                for j, wj in zip((0, 1, 2), _W3):
-                    fine[di + i, dj + j] += 0.25 * wi * wj
+            fine[di:di + 3, dj:dj + 3] += np.outer(0.25 * _W3, _W3)
     return coarse.ravel(), fine.ravel()
 
 

@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
-                   PiecewiseAffine1D, SchemaError, StepFunction1D, validate_and_build)
+                   PiecewiseAffine1D, StepFunction1D, validate_and_build)
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
-from .multidim import Box, RadialTent, energy_by_montecarlo, energy_by_sectioning
+from .multidim import RadialTent, energy_by_montecarlo, energy_by_sectioning
 from .rearrange import (hostile_gap_counts, hostility_gap, monotone_rearrangement,
                         monotone_rearrangement_step, reduce_arrangement,
                         total_hostility, vertical_segmentation)
@@ -117,10 +117,6 @@ def cmd_hostility(args) -> int:
     return 0
 
 
-def _random_nonincreasing(rng, length: int) -> HostilityWeights:
-    return HostilityWeights(tuple(np.sort(rng.random(length))[::-1]))
-
-
 def cmd_fuzz(args) -> int:
     """Rearrangement property suite: sorting minimizes, gaps match, M and R commute."""
     rng = np.random.default_rng(args.seed)
@@ -159,20 +155,15 @@ def cmd_fuzz(args) -> int:
     return 0 if violations == 0 else 1
 
 
-_TENT = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), compact_support=True)
-_RAMP = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False)
-
-
-def _recovery_shape(name: str) -> PiecewiseAffine1D:
-    if name == "tent":
-        return _TENT
-    if name == "ramp":
-        return _RAMP
-    raise SchemaError(f"unknown shape {name!r}")
+_SHAPES = {"tent": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
+           "ramp": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False)}
 
 
 def cmd_converge_recovery(args) -> int:
-    u = _recovery_shape(args.shape)
+    if not (args.delta_start > 0.0 and 0.0 < args.delta_factor < 1.0):
+        print("error: need --delta-start > 0 and 0 < --delta-factor < 1", file=sys.stderr)
+        return 2
+    u = _SHAPES[args.shape]
     limit_scale = local_energy(u, args.p)
     rows = []
     delta = args.delta_start
@@ -204,12 +195,13 @@ def cmd_converge_sectioning(args) -> int:
     u = RadialTent((0.0, 0.0), 1.0, 1.0)
     box = u.support_box()
     limit = gamma_limit_constant(2, args.p).value * u.local_energy(args.p)
-    print("delta,sectioning_estimate,mc_estimate,mc_stderr,limit")
+    rows = []
     for delta in args.delta:
         params = EnergyParams(delta, args.p)
         sect, _ = energy_by_sectioning(u, params, args.dirs, args.offsets)
         mc, stderr = energy_by_montecarlo(u, params, box, args.mc_samples, args.seed)
-        print(",".join([_fmt(delta), _fmt(sect), _fmt(mc), _fmt(stderr), _fmt(limit)]))
+        rows.append(",".join([_fmt(delta), _fmt(sect), _fmt(mc), _fmt(stderr), _fmt(limit)]))
+    print("\n".join(["delta,sectioning_estimate,mc_estimate,mc_stderr,limit", *rows]))
     return 0
 
 
@@ -264,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge-recovery", help="segmented recovery family "
                                                  "energies along a delta schedule")
-    p.add_argument("--shape", choices=["tent", "ramp"], required=True)
+    p.add_argument("--shape", choices=list(_SHAPES), required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--delta-start", type=float, required=True)
     p.add_argument("--delta-factor", type=float, required=True)
@@ -289,10 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

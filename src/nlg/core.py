@@ -194,10 +194,8 @@ class PiecewiseAffine1D:
     @property
     def lipschitz(self) -> float:
         """Largest slope magnitude; finite by construction."""
-        best = 0.0
-        for (x0, y0), (x1, y1) in zip(self.nodes, self.nodes[1:]):
-            best = max(best, abs((y1 - y0) / (x1 - x0)))
-        return best
+        return max(abs((y1 - y0) / (x1 - x0))
+                   for (x0, y0), (x1, y1) in zip(self.nodes, self.nodes[1:]))
 
     @property
     def support(self) -> Interval:

@@ -543,23 +543,14 @@ def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams,
     parts = []
     for j in range(len(vals)):
         a, b = edges[j], edges[j + 1]
-        if a == -INF:
-            x0 = edges[j + 1]
+        if a == -INF or b == INF:
+            # a tail, mapped from t in (0, 1) to the distance (1 - t)/t from its end
+            end, side = (b, -1.0) if a == -INF else (a, 1.0)
 
-            def g(t, x0=x0):
+            def g(t, end=end, side=side):
                 if t <= 0.0:
                     return 0.0
-                x = x0 - (1.0 - t) / t
-                return pointwise_hostility(u, x, params) / (t * t)
-
-            parts.append(_quad.adaptive_simpson(g, 0.0, 1.0 - 1e-9, tol))
-        elif b == INF:
-            xn = edges[j]
-
-            def g(t, xn=xn):
-                if t <= 0.0:
-                    return 0.0
-                x = xn + (1.0 - t) / t
+                x = end + side * ((1.0 - t) / t)
                 return pointwise_hostility(u, x, params) / (t * t)
 
             parts.append(_quad.adaptive_simpson(g, 0.0, 1.0 - 1e-9, tol))

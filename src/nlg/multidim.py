@@ -34,7 +34,8 @@ import numpy as np
 from . import _quad
 from .core import PiecewiseAffine1D, StepFunction1D, TailMode
 from .functional1d import EnergyParams, step_energy
-from .rearrange import _cells_to_step, grid_floor_level, vertical_segmentation
+from .rearrange import (_cells_to_step, _level_runs, _on_level, grid_floor_level,
+                        vertical_segmentation)
 
 
 class UnsupportedDimension(ValueError):
@@ -189,7 +190,7 @@ class RadialSection:
         if top <= 0.0:
             return None
         n_levels = grid_floor_level(top, delta)
-        if n_levels * delta == top:
+        if _on_level(top, n_levels, delta):
             n_levels -= 1  # the top level set would be a single point
         if n_levels < 1:
             return None
@@ -211,52 +212,78 @@ class RadialSection:
             lambda s: (s * s / (rho2 + s * s)) ** (p / 2.0), 0.0, T, 1e-12 * T + 1e-300)
 
 
-class PolySection:
-    """Piecewise polynomial section (tensor-product fields)."""
+def _horner(coef: np.ndarray, t) -> np.ndarray:
+    """Row i of ``coef`` (lowest degree first) evaluated at ``t[..., i]``."""
+    v = coef[:, -1]
+    for c in coef[:, -2::-1].T:
+        v = v * t + c
+    return v
 
-    def __init__(self, pieces: list[tuple[float, float, np.polynomial.Polynomial]],
-                 lipschitz: float):
-        # pieces: (a, b, poly on (a,b)); contiguous, value 0 outside
-        self.pieces = pieces
+
+def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise, the smallest float in (lo, hi] at which ``past`` holds, for
+    a predicate monotone there and true at hi, searched on the floats' ordered
+    integer keys down to adjacent floats.  Each round probes 2**s - 1 evenly
+    spaced keys per bracket, about 1024 in all (a bisection from 1024 entries
+    on): numpy's fixed cost per round dominates on a section's few entries."""
+    def key(x):  # float <-> order-preserving int64 key, both ways
+        return x.view(np.int64) ^ ((x.view(np.int64) >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+    base = key(np.asarray(lo, dtype=np.float64))
+    # the answer is key base + a + w, with w >= 1; unsigned, so no overflow
+    a = np.zeros(len(base), dtype=np.uint64)
+    w = (key(np.asarray(hi, dtype=np.float64)) - base).view(np.uint64)
+    s = max(1, (1024 // max(len(base), 1)).bit_length() - 1)
+    j = np.arange(1, 1 << s, dtype=np.uint64)[:, None]
+    for _ in range(-(-int(w.max(initial=0)).bit_length() // s)):
+        step = (w + np.uint64((1 << s) - 1)) >> np.uint64(s)  # ceil(w / 2**s)
+        off = step * j
+        now = (off >= w) | past(key(base + (a + off).view(np.int64)).view(np.float64))
+        below = (~now).sum(axis=0).astype(np.uint64)
+        a, w = a + below * step, np.minimum(step, w - below * step)
+    return key(base + (a + w).view(np.int64)).view(np.float64)
+
+
+class PolySection:
+    """Piecewise polynomial section (tensor-product fields): row i of
+    ``coef``, lowest degree first, on [cuts[i], cuts[i+1]]; 0 outside."""
+
+    def __init__(self, cuts: np.ndarray, coef: np.ndarray, lipschitz: float):
+        self.cuts = cuts
+        self.coef = coef
+        self.slope = coef[:, 1:] * np.arange(1, coef.shape[1])  # derivative rows
         self.lipschitz = lipschitz
 
     def __call__(self, t: float) -> float:
-        for a, b, poly in self.pieces:
-            if a <= t <= b:
-                return max(float(poly(t)), 0.0)
-        return 0.0
+        if not self.cuts[0] <= t <= self.cuts[-1]:
+            return 0.0
+        i = max(int(np.searchsorted(self.cuts, t)) - 1, 0)
+        return max(float(_horner(self.coef[i:i + 1], t)[0]), 0.0)
 
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
-        crossings: list[float] = []
-        lo = min(a for a, _, _ in self.pieces)
-        hi = max(b for _, b, _ in self.pieces)
-        top = 0.0
-        for a, b, poly in self.pieces:
-            ts = np.linspace(a, b, 8)
-            top = max(top, float(np.max(poly(ts))))
-        max_level = grid_floor_level(top, delta) + 1
-        for a, b, poly in self.pieces:
-            for k in range(1, max_level + 1):
-                shifted = poly - k * delta
-                # on lines parallel to an axis the leading coefficient is
-                # float noise; solve the polynomial of the true degree
-                roots = shifted.trim(1e-12 * np.max(np.abs(shifted.coef))).roots()
-                for r in roots:
-                    if abs(r.imag) < 1e-10 and a - 1e-12 <= r.real <= b + 1e-12:
-                        crossings.append(float(np.clip(r.real, a, b)))
-        edges = sorted(set([lo, hi] + crossings))
-        values = []
-        for a, b in zip(edges, edges[1:]):
-            mid = 0.5 * (a + b)
-            values.append(grid_floor_level(self(mid), delta) * delta)
-        return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT)
+        a, b, coef, slope = self.cuts[:-1], self.cuts[1:], self.coef, self.slope
+        # a product of nonnegative affine factors is log-concave, so a piece
+        # is monotone on both sides of at most one interior maximum
+        i = np.flatnonzero((_horner(slope, a) > 0.0) & (_horner(slope, b) < 0.0))
+        tops = _first_past(lambda t, s=slope[i]: _horner(s, t) < 0.0, a[i], b[i])
+        xs = np.sort(np.concatenate((self.cuts, tops)))
+        owner = np.searchsorted(a, xs, side="right") - 1
+        ys = np.maximum(_horner(coef[owner], xs), 0.0)
+        rise = ys[1:] > ys[:-1]
+
+        def crossings(j, values):
+            c, up = coef[owner[j]], rise[j]
+            return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
+
+        step = _level_runs(xs, ys, delta, crossings, compact_support=True)
+        return step if step is not None and any(step.values) else None
 
     def local_energy(self, p: float) -> float:
         total = 0.0
-        for a, b, poly in self.pieces:
-            dp = poly.deriv()
-            total += _quad.adaptive_simpson(lambda t: abs(float(dp(t))) ** p,
-                                            a, b, 1e-10 * (b - a) + 1e-300)
+        for i, (a, b) in enumerate(zip(self.cuts, self.cuts[1:])):
+            total += _quad.adaptive_simpson(
+                lambda t: abs(float(_horner(self.slope[i:i + 1], t)[0])) ** p,
+                a, b, 1e-10 * (b - a) + 1e-300)
         return total
 
 
@@ -305,9 +332,7 @@ class AffineRamp:
                 if not lo <= zi <= hi:
                     return None
                 continue
-            a, b = (lo - zi) / si, (hi - zi) / si
-            if a > b:
-                a, b = b, a
+            a, b = sorted(((lo - zi) / si, (hi - zi) / si))
             t0, t1 = max(t0, a), min(t1, b)
         if not t0 < t1:
             return None
@@ -431,9 +456,8 @@ class TensorTent:
         c = np.asarray(self.center)
         w = np.asarray(self.halfwidths)
         t0, t1 = -math.inf, math.inf
-        kinks: list[float] = []
         const_factor = 1.0
-        lines = []  # per nonconstant axis: factor(t) = 1 - |z_i + s_i t - c_i| / w_i
+        lines = []  # (axis, kink) per nonconstant axis: factor 1 - |z_i + s_i t - c_i| / w_i
         for i in range(self.dim):
             if s[i] == 0.0:
                 f = max(0.0, 1.0 - abs(z[i] - c[i]) / w[i])
@@ -441,30 +465,22 @@ class TensorTent:
                     return None
                 const_factor *= f
                 continue
-            ta = (c[i] - w[i] - z[i]) / s[i]
-            tb = (c[i] + w[i] - z[i]) / s[i]
-            if ta > tb:
-                ta, tb = tb, ta
+            ta, tb = sorted(((c[i] - w[i] - z[i]) / s[i], (c[i] + w[i] - z[i]) / s[i]))
             t0, t1 = max(t0, ta), min(t1, tb)
-            kinks.append((c[i] - z[i]) / s[i])
-            lines.append((i, ta, tb))
-        if not lines:
-            return None  # line parallel to every axis cannot happen for |sigma|=1
-        if not t0 < t1:
+            lines.append((i, (c[i] - z[i]) / s[i]))
+        if not lines or not t0 < t1:
             return None
-        cuts = sorted({t0, t1} | {k for k in kinks if t0 < k < t1})
-        pieces = []
+        cuts = sorted({t0, t1} | {k for _, k in lines if t0 < k < t1})
+        coef = []
         for a, b in zip(cuts, cuts[1:]):
             mid = 0.5 * (a + b)
-            poly = np.polynomial.Polynomial([self.peak * const_factor])
-            for i, _, _ in lines:
-                x_mid = z[i] + s[i] * mid
-                sign = 1.0 if x_mid >= c[i] else -1.0
+            row = np.array([self.peak * const_factor])
+            for i, _ in lines:
+                sign = 1.0 if z[i] + s[i] * mid >= c[i] else -1.0
                 # 1 - sign*(z_i + s_i t - c_i)/w_i as a polynomial in t
-                poly = poly * np.polynomial.Polynomial(
-                    [1.0 - sign * (z[i] - c[i]) / w[i], -sign * s[i] / w[i]])
-            pieces.append((a, b, poly))
-        return PolySection(pieces, self.lipschitz)
+                row = np.convolve(row, [1.0 - sign * (z[i] - c[i]) / w[i], -sign * s[i] / w[i]])
+            coef.append(row)
+        return PolySection(np.array(cuts), np.array(coef), self.lipschitz)
 
 
 ScalarField = AffineRamp | RadialTent | TensorTent

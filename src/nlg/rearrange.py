@@ -18,7 +18,7 @@ independent oracle for the sorting statements.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,9 +51,11 @@ class BadBounds(ValueError):
 # vertical segmentation and truncation
 # ---------------------------------------------------------------------------
 
-def _on_level(v: float, k: int, delta: float) -> bool:
-    """Whether v counts as sitting on grid level k (see grid_floor_level)."""
-    return abs(v - k * delta) <= INTERACTION_GUARD * max(abs(v), delta)
+def _on_level(v, k, delta: float):
+    """Whether v sits on grid level k (see grid_floor_level), elementwise; the
+    guard's max(|v|, delta) is an or, so scalar calls skip numpy's cost."""
+    d = abs(v - k * delta)
+    return (d <= INTERACTION_GUARD * abs(v)) | (d <= INTERACTION_GUARD * delta)
 
 
 def grid_floor_level(v: float, delta: float) -> int:
@@ -98,52 +100,60 @@ def _cells_to_step(edges: Sequence[float], values: Sequence[float],
     return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
 
 
-def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
-    """Exact vertical segmentation of a piecewise affine function.
+def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
+                compact_support: bool) -> StepFunction1D | None:
+    """Exact vertical segmentation of a continuous function that is monotone
+    between consecutive nodes ``(xs, ys)``.  The levels a piece from (x0, y0)
+    to (x1, y1) crosses form one arithmetic run of integers k, judged on node
+    values snapped to their level (``_on_level``).  ``crossings(piece,
+    values)``, called once for all pieces, places each crossing of a level
+    value k*delta in (x0, x1]; one that rounds past x1 is placed on x1.  Each
+    piece gives its start and its crossings as raw cells, which
+    ``_cells_to_step`` merges into the step."""
+    edges, values = _level_cells(xs, ys, delta, crossings)
+    if compact_support:
+        # fold the zero cells at both ends into the tails, judging only cells
+        # of positive width, so that no zero-width cell shields a zero cell
+        kept = np.flatnonzero((values != 0.0) & (edges[1:] > edges[:-1]))
+        if kept.size:
+            edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
+    return _cells_to_step(edges.tolist(), values.tolist(), TailMode.COMPACT_SUPPORT
+                          if compact_support else TailMode.DOMAIN_ONLY)
 
-    On a piece from (x0, y0) to (x1, y1) the levels crossed form one
-    arithmetic run of integers k, and level k is crossed where u(x) =
-    k*delta, at x0 + (k*delta - y0)/slope, so consecutive cell values
-    differ by exactly delta across every crossing.  A crossing that rounds
-    past x1 is placed on x1.  Each piece gives its start and its crossings
-    as raw cells; ``_cells_to_step`` drops the zero-width ones and merges
-    equal neighbours.  Which levels a piece crosses is judged on its node
-    values snapped to their level (``_on_level``), so that a piece whose
-    ends sit within the guard of one level is flat there; the crossings
-    themselves use the raw values.
-    """
-    nodes = []  # (x, y, floor level k, y snapped to k*delta when on it)
-    for x, y in u.nodes:
-        k = grid_floor_level(y, delta)
-        nodes.append((x, y, k, k * delta if _on_level(y, k, delta) else y))
-    edges, levels = [], []
-    for (x0, y0, k0, s0), (x1, y1, k1, s1) in zip(nodes, nodes[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        # every level strictly between the end floors is crossed; k1 is
-        # crossed if k1*delta < s1 (rising) or k1*delta > s1 (falling).  A
-        # rising crossing of k enters level k, a falling one leaves it.
-        if s1 > s0:
-            ks = after = np.arange(k0 + 1, k1 + (k1 * delta < s1))
-        elif s1 < s0:
-            if s0 == k0 * delta:
-                k0 -= 1  # just right of the node the function sits below the level
-            ks = np.arange(k0, k1 - (k1 * delta > s1), -1)
-            after = ks - 1
-        else:
-            ks = after = np.arange(0)
-        edges += [[x0], np.minimum(x0 + (ks * delta - y0) / slope, x1)]
-        levels += [[k0], after]
-    edges = np.concatenate(edges + [[u.nodes[-1][0]]])
-    values = np.concatenate(levels) * delta
-    if not u.compact_support:
-        return _cells_to_step(edges.tolist(), values.tolist(), TailMode.DOMAIN_ONLY)
-    # compact support: fold the zero cells at both ends into the tails,
-    # judging only cells of positive width, so that no zero-width cell
-    # shields a zero cell from the fold
-    kept = np.flatnonzero((values != 0.0) & (edges[1:] > edges[:-1]))
-    if kept.size:
-        edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
-    return _cells_to_step(edges.tolist(), values.tolist(), TailMode.COMPACT_SUPPORT)
+
+def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
+    """Raw cells of ``_level_runs``, apart so its temporaries die on return."""
+    k = np.array([grid_floor_level(y, delta) for y in ys.tolist()], dtype=np.int64)
+    s = np.where(_on_level(ys, k, delta), k * delta, ys)
+    k0, k1, s0, s1 = k[:-1], k[1:], s[:-1], s[1:]
+    rise, fall = s1 > s0, s1 < s0
+    # just right of a falling piece's start on a level the function sits
+    # below it; every level strictly between the end floors is crossed,
+    # and k1 if k1*delta < s1 (rising) or k1*delta > s1 (falling)
+    start = k0 - (fall & (s0 == k0 * delta))
+    counts = np.where(rise, k1 + (k1 * delta < s1) - k0 - 1,
+                      np.where(fall, start - k1 + (k1 * delta > s1), 0))
+    # a piece's run is its start cell, then crossing g (over all pieces) of
+    # level start + rise + step*(g - offset) as cell g + piece + 1, entered if
+    # rising, left if falling; in place where cheap (fresh arrays page-fault)
+    step, offset = np.where(rise, 1, -1), np.cumsum(counts) - counts
+    piece = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(piece.size)
+    crossed = np.repeat(start + rise - step * offset, counts) + np.repeat(step, counts) * at
+    at += piece + 1
+    edges, levels = np.repeat(xs, np.append(counts + 1, 1)), np.repeat(start, counts + 1)
+    cuts = crossings(piece, crossed * delta)
+    edges[at] = np.minimum(cuts, np.repeat(xs[1:], counts), out=cuts)
+    levels[at] = np.subtract(crossed, np.repeat(fall, counts), out=crossed)
+    return edges, levels * delta
+
+
+def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
+    """Exact vertical segmentation of a piecewise affine function."""
+    xs, ys = np.array(u.nodes).T.copy()
+    slope = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+    return _level_runs(xs, ys, delta, lambda i, v: xs[i] + (v - ys[i]) / slope[i],
+                       u.compact_support)
 
 
 def vertical_segmentation(u, delta: float):
@@ -258,7 +268,7 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
     delta = params.delta
     edges, vals = step_cells(u, domain)
     levels = np.round(vals / delta)
-    bad = np.abs(vals - levels * delta) > 1e-9 * delta
+    bad = ~_on_level(vals, levels, delta)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")

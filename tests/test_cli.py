@@ -202,6 +202,28 @@ def test_converge_sectioning_small(capsys):
     assert math.isclose(lim, math.pi ** 2 / 4.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("args", [
+    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+     "--delta-factor", "1", "--steps", "3"),
+    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+     "--delta-factor", "0", "--steps", "3"),
+    ("converge-recovery", "--shape", "ramp", "--p", "1", "--delta-start", "-0.1",
+     "--delta-factor", "0.5", "--steps", "3"),
+    ("lambda", "--delta", "0.1", "--p", "0.5"),
+    ("lambda", "--delta", "0.1", "--p", "1", "--domain", "-5", "5"),
+    ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "1",
+     "--offsets", "8", "--mc-samples", "100"),
+], ids=["delta-factor-1", "delta-factor-0", "negative-delta-start", "p-below-1",
+        "domain-outside-domain-only-step", "one-direction"])
+def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
+    if args[0] == "lambda":
+        args = args[:1] + ("--input", staircase_file) + args[1:]
+    code, out, err = run_cli(capsys, *args)
+    assert code != 0
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_unknown_flag_is_error():
     proc = subprocess.run([sys.executable, "-m", "nlg.cli", "constants",
                            "--p", "1", "--bogus"], capture_output=True)

@@ -55,36 +55,64 @@ class TestSections:
         assert sec(5.0) == 0.0
 
     def test_segmentation_commutes_with_sectioning(self, rng):
-        # the tensor tent also along the axes, where its sections' leading
-        # coefficients are float noise
-        fields = [(TENT, ()),
-                  (RadialTent((0.3, -0.2), 0.8, 1.4), ()),
-                  (TensorTent((0.0, 0.0), (1.0, 0.7), 1.2), (math.pi / 2, math.pi)),
-                  (AffineRamp((1.5, -0.5), UNIT_BOX), ())]
-        delta = 0.22
-        for u, axes in fields:
-            for theta in (*axes, *rng.uniform(0, 2 * math.pi, 4)):
-                d = Direction.from_angle(float(theta))
-                z = float(rng.uniform(-0.4, 0.4))
-                sec = section(u, d, z)
-                if sec is None:
-                    continue
-                step = sec.step_segmentation(delta)
-                domain = step.domain if step is not None else FULL_LINE
-                lo, hi = (domain.lo, domain.hi) if domain.bounded else (-2.5, 2.5)
-                ts = rng.uniform(lo, hi, 1000)
-                for t in ts:
-                    pt = d.point((z,), float(t))
-                    want = delta * grid_floor_level(float(u(pt)), delta)
-                    got = step(float(t)) if step is not None else 0.0
-                    assert got == pytest.approx(want, abs=1e-12)
+        # the tensor tent also along and next to the axes, where its
+        # sections' leading coefficients are float noise or nearly so
+        fields = [(TENT, (), (0.22,)),
+                  (RadialTent((0.3, -0.2), 0.8, 1.4), (), (0.22,)),
+                  (TensorTent((0.0, 0.0), (1.0, 0.7), 1.2),
+                   (math.pi / 2, math.pi, math.pi / 2 + 1e-9), (0.22, 0.01)),
+                  (AffineRamp((1.5, -0.5), UNIT_BOX), (), (0.22,))]
+        for u, axes, deltas in fields:
+            for delta in deltas:
+                for theta in (*axes, *rng.uniform(0, 2 * math.pi, 4)):
+                    d = Direction.from_angle(float(theta))
+                    z = float(rng.uniform(-0.4, 0.4))
+                    sec = section(u, d, z)
+                    if sec is None:
+                        continue
+                    step = sec.step_segmentation(delta)
+                    domain = step.domain if step is not None else FULL_LINE
+                    lo, hi = (domain.lo, domain.hi) if domain.bounded else (-2.5, 2.5)
+                    ts = rng.uniform(lo, hi, 1000)
+                    for t in ts:
+                        pt = d.point((z,), float(t))
+                        want = delta * grid_floor_level(float(u(pt)), delta)
+                        got = step(float(t)) if step is not None else 0.0
+                        assert got == pytest.approx(want, abs=1e-12)
 
     def test_tensor_section_along_an_axis_is_finite(self):
         u = TensorTent((0.0, 0.1), (1.0, 0.7), 1.0)
         step = section(u, Direction.from_angle(math.pi / 2), 0.1).step_segmentation(0.1)
-        assert len(step.values) == 17
+        assert len(step.values) == 15
         assert math.isclose(step_energy(step, step.domain, EnergyParams(0.1, 1.0)),
                             2.3987673591161784, rel_tol=1e-12)
+
+    def test_near_axis_tensor_crossings_are_exact(self):
+        # every interior breakpoint lies within 1e-15 of the level crossing
+        # of the exact field on the same float line, evaluated at 50 digits
+        mp = pytest.importorskip("mpmath")
+        u = TensorTent((0.05, -0.1), (1.0, 0.7), 1.0)
+        delta = 0.1
+
+        def exact(z_point, sigma, t):
+            value = mp.mpf(u.peak)
+            for x, s, c, w in zip(z_point, sigma, u.center, u.halfwidths):
+                x = mp.mpf(x) + mp.mpf(s) * mp.mpf(t)
+                value *= max(mp.mpf(0), 1 - abs(x - mp.mpf(c)) / mp.mpf(w))
+            return value
+
+        for theta in (1e-9, math.pi / 2 + 1e-9, math.pi - 1e-9):
+            d = Direction.from_angle(theta)
+            for z in (-0.3, 0.1):
+                z_point = d.point((z,))
+                step = u.section_along(d.sigma, z_point).step_segmentation(delta)
+                edges = step.breakpoints
+                for e, left, right in zip(edges[1:-1], step.values, step.values[1:]):
+                    with mp.workdps(50):
+                        below, above = (exact(z_point, d.sigma, t) - mp.mpf(max(left, right))
+                                        for t in (e - 1e-15, e + 1e-15))
+                        # rising crossings enter the level, falling ones leave it
+                        assert (below < 0 <= above) if right > left else (above < 0 <= below)
 
     def test_radial_section_local_energy(self):
         # through the center the profile is a 1D tent with slope peak/radius
@@ -240,13 +268,14 @@ def test_degenerate_box_rejected():
 
 
 def test_three_dimensional_section_commutes(rng):
-    u3 = RadialTent((0.1, -0.2, 0.05), 0.9, 1.1)
     d = Direction.from_vector((0.3, -1.0, 0.5))
     delta = 0.2
-    sec = section(u3, d, (0.15, -0.1))
-    step = sec.step_segmentation(delta)
-    for t in rng.uniform(-2.0, 2.0, 500):
-        pt = d.point((0.15, -0.1), float(t))
-        want = delta * grid_floor_level(float(u3(pt)), delta)
-        got = step(float(t)) if step is not None else 0.0
-        assert got == pytest.approx(want, abs=1e-12)
+    for u3 in (RadialTent((0.1, -0.2, 0.05), 0.9, 1.1),
+               TensorTent((0.1, -0.2, 0.05), (0.9, 0.6, 1.2), 1.1)):
+        sec = section(u3, d, (0.15, -0.1))
+        step = sec.step_segmentation(delta)
+        for t in rng.uniform(-2.0, 2.0, 500):
+            pt = d.point((0.15, -0.1), float(t))
+            want = delta * grid_floor_level(float(u3(pt)), delta)
+            got = step(float(t)) if step is not None else 0.0
+            assert got == pytest.approx(want, abs=1e-12)

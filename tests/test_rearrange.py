@@ -295,6 +295,15 @@ class TestStepHostility:
         with pytest.raises(ValuesNotOnGrid):
             step_hostility(u, u.support, 1, EnergyParams(0.2, 1.0))
 
+    def test_values_within_an_absolute_tolerance_rejected(self):
+        # 1e-11 off level 1 is outside the relative guard under which
+        # step_energy counts a value as on its level, so the two would
+        # disagree here if step_hostility accepted it
+        u = StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.2 + 1e-11, 0.2, 0.0),
+                           TailMode.DOMAIN_ONLY)
+        with pytest.raises(ValuesNotOnGrid, match="at cell 0 "):
+            step_hostility(u, u.support, 1, EnergyParams(0.2, 1.0))
+
     def test_semidiscrete_rearrangement_never_increases(self, rng):
         delta = 0.25
         for i in range(150):
