@@ -24,6 +24,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class SchemaError(ValueError):
     """A serialized description violates the schema or an invariant."""
@@ -302,6 +304,11 @@ class EnemyList:
         if self.kind is _EnemyKind.BAND_SQUARE_COMPLEMENT:
             return not (self.a <= i <= self.b and self.a <= j <= self.b)
         return (i, j) in self.pairs
+
+    def table(self, values: Sequence[int]) -> np.ndarray:
+        """Boolean matrix ``T[a, b] = hostile(values[a], values[b])``."""
+        return np.array([[self.hostile(a, b) for b in values] for a in values],
+                        dtype=bool).reshape(len(values), len(values))
 
     def to_json(self) -> dict:
         if self.kind is _EnemyKind.BAND_COMPLEMENT:

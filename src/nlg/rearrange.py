@@ -11,8 +11,10 @@ Two parallel settings share this module:
 The load-bearing facts, each of which has an exhaustive or randomized
 test, are that sorting an arrangement never increases its total
 hostility, and that vertical segmentation plus truncation never increase
-the non-local energy.  The brute-force minimizer at the bottom is the
-independent oracle for the sorting statements.
+the non-local energy.  The discrete operations take one arrangement or
+an ``(m, n)`` integer array of arrangements, one per row.  The scalar
+``total_hostility`` and the brute-force minimizer at the bottom are the
+independent oracles for the sorting statements.
 """
 
 from __future__ import annotations
@@ -195,9 +197,44 @@ def clamp_values(u: StepFunction1D, lo: float, hi: float) -> StepFunction1D:
 # monotone rearrangement
 # ---------------------------------------------------------------------------
 
-def monotone_rearrangement(u: DiscreteArrangement) -> DiscreteArrangement:
-    """Nondecreasing rearrangement; level-set cardinalities are preserved."""
-    return DiscreteArrangement(tuple(sorted(u.species)))
+def _as_rows(u) -> np.ndarray:
+    """An arrangement as a one-row array, or an ``(m, n)`` integer array as
+    it is: the discrete operations below take either and treat the
+    arrangement as the one-row case."""
+    if isinstance(u, DiscreteArrangement):
+        return np.array([u.species])  # int64, or object for huge species
+    rows = np.asarray(u)
+    if rows.ndim != 2 or rows.shape[1] < 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"need a DiscreteArrangement or an (m, n) integer array "
+                         f"with n >= 1, got shape {rows.shape} of {rows.dtype}")
+    return rows
+
+
+def _ranks(enemies: EnemyList, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank array of the rows and the hostility table of the ranks."""
+    values, ranks = np.unique(rows, return_inverse=True)
+    return ranks.reshape(rows.shape), enemies.table(values.tolist())
+
+
+def _hostile(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise hostility of two rank arrays (one flat gather)."""
+    return table.ravel().take(left * len(table) + right)
+
+
+def _one_or_rows(u, rows: np.ndarray):
+    """Result rows as they came in: one arrangement or an array."""
+    if isinstance(u, DiscreteArrangement):
+        return DiscreteArrangement(tuple(rows[0].tolist()))
+    return rows
+
+
+def monotone_rearrangement(u):
+    """Nondecreasing rearrangement; level-set cardinalities are preserved.
+
+    Takes a :class:`DiscreteArrangement` or an ``(m, n)`` integer array
+    whose rows are arrangements, and returns the same kind.
+    """
+    return _one_or_rows(u, np.sort(_as_rows(u), axis=1))
 
 
 def monotone_rearrangement_step(u: StepFunction1D, domain: Interval) -> StepFunction1D:
@@ -224,32 +261,49 @@ def monotone_rearrangement_step(u: StepFunction1D, domain: Interval) -> StepFunc
 # hostility functionals
 # ---------------------------------------------------------------------------
 
-def hostile_gap_counts(enemies: EnemyList, u: DiscreteArrangement) -> np.ndarray:
+def _gap_counts(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """counts[r, d] = hostile pairs x <= y with y - x = d in rank row r."""
+    m, n = ranks.shape
+    counts = np.empty((m, n))
+    for d in range(n):
+        counts[:, d] = np.count_nonzero(_hostile(table, ranks[:, :n - d], ranks[:, d:]),
+                                        axis=1)
+    return counts
+
+
+def hostile_gap_counts(enemies: EnemyList, u) -> np.ndarray:
     """counts[d] = number of pairs x <= y with y - x = d and hostile species.
 
     The total hostility is the dot product of this vector with the
     weights, which lets property suites reuse one enumeration across many
-    weight vectors.
+    weight vectors.  An ``(m, n)`` integer array of arrangements gives an
+    ``(m, n)`` array, one row of counts per row; an arrangement gives its
+    one row.
     """
-    spe = u.species
-    n = len(spe)
-    counts = np.zeros(n)
-    for x in range(n):
-        ux = spe[x]
-        for y in range(x, n):
-            if enemies.hostile(ux, spe[y]):
-                counts[y - x] += 1.0
-    return counts
+    rows = _as_rows(u)
+    counts = _gap_counts(*_ranks(enemies, rows))
+    return counts[0] if isinstance(u, DiscreteArrangement) else counts
 
 
 def total_hostility(weights: HostilityWeights, enemies: EnemyList,
                     u: DiscreteArrangement) -> float:
-    """Sum of h(y - x) over hostile pairs x <= y (self-pairs contribute h(0))."""
-    n = len(u)
+    """Sum of h(y - x) over hostile pairs x <= y (self-pairs contribute h(0)).
+
+    A scalar double loop over one arrangement: the oracle that the array
+    forms of the functions around it are tested against.
+    """
+    spe = u.species
+    n = len(spe)
     if len(weights) < n:
         raise WeightsTooShort(f"need weights for gaps 0..{n - 1}, got {len(weights)}")
-    counts = hostile_gap_counts(enemies, u)
-    return float(np.dot(counts, np.asarray(weights.h[:n])))
+    h = weights.h
+    acc = 0.0
+    for x in range(n):
+        sx = spe[x]
+        for y in range(x, n):
+            if enemies.hostile(sx, spe[y]):
+                acc += h[y - x]
+    return acc
 
 
 def step_hostility(u: StepFunction1D, domain: Interval, k: int,
@@ -280,44 +334,66 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
 # reduction and gap formulas
 # ---------------------------------------------------------------------------
 
-def reduce_arrangement(u: DiscreteArrangement) -> tuple[DiscreteArrangement, int]:
+def _rightmost_max(rows: np.ndarray) -> np.ndarray:
+    """0-based position of each row's rightmost maximum."""
+    if rows.shape[1] < 2:
+        raise TooShort("reduction needs at least two positions")
+    return rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
+
+
+def reduce_arrangement(u):
     """Remove the rightmost occurrence of the highest species.
 
     Returns the shortened arrangement and the removed position (1-based,
     matching the gap formulas).  The rightmost tie-break is what makes
-    reduction commute with monotone rearrangement.
+    reduction commute with monotone rearrangement.  An ``(m, n)`` integer
+    array gives the ``(m, n - 1)`` array of reduced rows and the ``(m,)``
+    array of positions.
     """
-    spe = u.species
-    if len(spe) < 2:
-        raise TooShort("reduction needs at least two positions")
-    mu = max(spe)
-    m0 = len(spe) - 1 - spe[::-1].index(mu)
-    return DiscreteArrangement(spe[:m0] + spe[m0 + 1:]), m0 + 1
+    rows = _as_rows(u)
+    m0 = _rightmost_max(rows)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[np.arange(len(rows)), m0] = False
+    reduced = rows[keep].reshape(len(rows), -1)
+    if isinstance(u, DiscreteArrangement):
+        return _one_or_rows(u, reduced), int(m0[0]) + 1
+    return reduced, m0 + 1
 
 
-def hostility_gap(weights: HostilityWeights, enemies: EnemyList,
-                  u: DiscreteArrangement) -> float:
+def hostility_gap(weights: HostilityWeights, enemies: EnemyList, u):
     """Hostility decrease caused by one reduction, by the direct formula.
 
     Equals total_hostility(u) - total_hostility(reduce(u)): the removed
-    position drops all its own interactions, while hostile pairs that
-    straddled it get one position closer.
+    position m0 drops all its own interactions, while each hostile pair
+    i < m0 < j that straddled it gets one position closer, from gap g to
+    g - 1.  Both are counted by gap and dotted with the weights.  An
+    ``(m, n)`` integer array gives the ``(m,)`` array of gaps.
     """
-    spe = u.species
-    n = len(spe)
+    rows = _as_rows(u)
+    m, n = rows.shape
     if n < 2:
         raise TooShort("hostility gap needs at least two positions")
     if len(weights) < n:
         raise WeightsTooShort(f"need weights for gaps 0..{n - 1}, got {len(weights)}")
-    h = weights.h
-    mu = max(spe)
-    m0 = n - 1 - spe[::-1].index(mu)
-    own = [h[abs(m0 - i)] for i in range(n) if enemies.hostile(spe[i], spe[m0])]
-    squeeze = [h[j - i - 1] - h[j - i]
-               for i in range(m0)
-               for j in range(m0 + 1, n)
-               if enemies.hostile(spe[i], spe[j])]
-    return math.fsum(own) - math.fsum(squeeze)
+    h = np.asarray(weights.h[:n])
+    ranks, table = _ranks(enemies, rows)
+    m0 = _rightmost_max(rows)[:, None]
+    at = np.arange(n)
+    # own[r, d]: hostile partners of the removed position at distance d
+    partner = _hostile(table, ranks, np.take_along_axis(ranks, m0, axis=1))
+    slot = np.arange(m)[:, None] * n + np.abs(at - m0)
+    own = np.bincount(slot.ravel(), weights=partner.ravel(), minlength=m * n)
+    # straddle[r, g]: hostile pairs i < m0 < i + g, for g = 2 .. n - 1
+    straddle = np.zeros((m, n))
+    for g in range(2, n):
+        i = at[:n - g]
+        across = (i < m0) & (i + g > m0)
+        straddle[:, g] = np.count_nonzero(
+            _hostile(table, ranks[:, :n - g], ranks[:, g:]) & across, axis=1)
+    # row sums, not BLAS, so that a row's gap does not depend on its batch
+    gap = (own.reshape(m, n) * h).sum(axis=1) \
+        - (straddle[:, 2:] * (h[1:-1] - h[2:])).sum(axis=1)
+    return float(gap[0]) if isinstance(u, DiscreteArrangement) else gap
 
 
 def left_right_gap(weights: HostilityWeights, left: Iterable[int],

@@ -3,8 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import nlg.cli
 from nlg.cli import main
 
 
@@ -164,6 +166,41 @@ def test_fuzz_flat_weights_tie_handling(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", "3", "--species-max", "3",
                            "--k", "2", "--trials", "3", "--seed", "123")
     assert code == 0 and out.strip().splitlines()[1].endswith(",0")
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-1"),
+                                        ("--n-max", "0"), ("--species-max", "0")])
+def test_fuzz_rejects_counts_below_one(capsys, flag, value):
+    args = {"--n-max": "3", "--species-max": "2", "--trials": "2", flag: value}
+    code, out, err = run_cli(capsys, "fuzz", *[a for kv in args.items() for a in kv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_max,species,trials,k", [
+    (4, 3, 10, 1), (5, 1, 3, 1), (3, 4, 1, 2), (1, 5, 2, 3), (6, 2, 1, 1)])
+def test_fuzz_checked_count(capsys, n_max, species, trials, k):
+    code, out, _ = run_cli(capsys, "fuzz", "--n-max", str(n_max), "--species-max",
+                           str(species), "--k", str(k), "--trials", str(trials))
+    want = sum(species ** n * (trials + 2 * (n >= 2)) for n in range(1, n_max + 1))
+    assert code == 0 and out.splitlines()[1] == f"{want},0"
+
+
+def _roll_rows(fn):
+    return lambda u: np.roll(fn(u), 1, axis=1)
+
+
+def _scale_gap(fn):
+    return lambda *a: fn(*a) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name,breaker", [("monotone_rearrangement", _roll_rows),
+                                          ("hostility_gap", _scale_gap)])
+def test_fuzz_catches_broken_operations(capsys, monkeypatch, name, breaker):
+    monkeypatch.setattr(nlg.cli, name, breaker(getattr(nlg.cli, name)))
+    code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max", "3",
+                           "--k", "1", "--trials", "3", "--seed", "5")
+    assert code == 1 and int(out.splitlines()[1].split(",")[1]) > 0
 
 
 def test_converge_recovery_ramp(capsys):

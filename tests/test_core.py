@@ -56,6 +56,17 @@ def test_band_lists():
             assert sq.hostile(i, j) == sq.hostile(j, i)
 
 
+def test_enemy_table_matches_predicate():
+    values = [-3, 0, 1, 2, 7]
+    for e in (EnemyList.band_complement(2), EnemyList.band_square(0, 2),
+              EnemyList.band_square_complement(0, 2),
+              EnemyList.explicit([(-3, 7), (7, -3), (0, 0)])):
+        table = e.table(values)
+        assert table.dtype == bool and table.shape == (5, 5)
+        assert table.tolist() == [[e.hostile(a, b) for b in values] for a in values]
+    assert EnemyList.band_complement(1).table([]).shape == (0, 0)
+
+
 def test_step_function_validation():
     with pytest.raises(SchemaError):
         StepFunction1D((0.0,), ())

@@ -378,6 +378,94 @@ class TestHostilityGap:
                         hostility_gap(h, enemies, mu) - 1e-12
 
 
+# each enemy list with the species its random rows draw from
+ROW_CASES = [
+    (EnemyList.band_complement(1), range(-2, 4)),
+    (EnemyList.band_complement(2), range(-2, 4)),
+    (EnemyList.band_square(0, 2), range(-2, 4)),
+    (EnemyList.band_square_complement(0, 2), range(-2, 4)),
+    (EnemyList.explicit([(-3, 7), (7, -3), (0, 7), (7, 0), (0, 0)]), (-3, 0, 7)),
+]
+
+
+class TestRowArrays:
+    """The (m, n) array forms against the scalar oracle and the one-row form."""
+
+    @pytest.fixture(params=range(len(ROW_CASES)),
+                    ids=["band1", "band2", "square", "square-complement", "explicit"])
+    def case(self, request, rng):
+        enemies, species = ROW_CASES[request.param]
+        return enemies, [rng.choice(np.array(species), (int(rng.integers(1, 9)), n))
+                         for n in range(1, 7)]
+
+    def test_counts_dot_weights_is_total_hostility(self, case, rng):
+        enemies, batches = case
+        for rows in batches:
+            h = random_nonincreasing_weights(rng, rows.shape[1], lo=-0.5)
+            totals = hostile_gap_counts(enemies, rows) @ np.asarray(h.h)
+            for row, got in zip(rows, totals):
+                want = total_hostility(h, enemies, DiscreteArrangement(tuple(row.tolist())))
+                assert abs(got - want) <= 1e-12
+
+    def test_gap_is_difference_of_totals(self, case, rng):
+        enemies, batches = case
+        for rows in batches[1:]:
+            h = random_nonincreasing_weights(rng, rows.shape[1], lo=-0.5)
+            gaps = hostility_gap(h, enemies, rows)
+            assert gaps.shape == (len(rows),)
+            for row, got in zip(rows, gaps):
+                u = DiscreteArrangement(tuple(row.tolist()))
+                want = total_hostility(h, enemies, u) \
+                    - total_hostility(h, enemies, reduce_arrangement(u)[0])
+                assert abs(got - want) <= 1e-12
+
+    def test_rows_match_one_row_results(self, case, rng):
+        enemies, batches = case
+        for rows in batches:
+            n = rows.shape[1]
+            h = random_nonincreasing_weights(rng, n)
+            counts = hostile_gap_counts(enemies, rows)
+            sorted_rows = monotone_rearrangement(rows)
+            assert sorted_rows.shape == rows.shape
+            if n >= 2:
+                reduced, positions = reduce_arrangement(rows)
+                assert reduced.shape == (len(rows), n - 1)
+                gaps = hostility_gap(h, enemies, rows)
+            for r, row in enumerate(rows):
+                u = DiscreteArrangement(tuple(row.tolist()))
+                assert monotone_rearrangement(u).species == tuple(sorted_rows[r].tolist())
+                one = hostile_gap_counts(enemies, u)
+                assert one.shape == (n,) and np.array_equal(one, counts[r])
+                if n >= 2:
+                    ru, pos = reduce_arrangement(u)
+                    assert ru.species == tuple(reduced[r].tolist())
+                    assert pos == positions[r]
+                    assert hostility_gap(h, enemies, u) == gaps[r]
+
+    def test_rightmost_maximum_rows(self):
+        reduced, positions = reduce_arrangement(np.array([[1, 3, 2, 3], [3, 0, 0, 0],
+                                                          [2, 2, 2, 2]]))
+        assert reduced.tolist() == [[1, 3, 2], [0, 0, 0], [2, 2, 2]]
+        assert positions.tolist() == [4, 1, 4]
+
+    def test_sparse_and_huge_species(self):
+        u = DiscreteArrangement((2 ** 70, -5, 2 ** 70 + 1))
+        assert monotone_rearrangement(u).species == (-5, 2 ** 70, 2 ** 70 + 1)
+        assert reduce_arrangement(u) == (DiscreteArrangement((2 ** 70, -5)), 3)
+        assert hostile_gap_counts(E1, u).tolist() == [0.0, 2.0, 0.0]
+
+    def test_bad_rows(self):
+        for bad in (np.array([1, 2]), np.zeros((2, 3)), np.zeros((2, 0), dtype=int)):
+            with pytest.raises(ValueError):
+                hostile_gap_counts(E1, bad)
+        with pytest.raises(TooShort):
+            reduce_arrangement(np.zeros((3, 1), dtype=int))
+        with pytest.raises(TooShort):
+            hostility_gap(H3, E1, np.zeros((3, 1), dtype=int))
+        with pytest.raises(WeightsTooShort):
+            hostility_gap(H3, E1, np.zeros((3, 4), dtype=int))
+
+
 class TestLeftRightGap:
     def test_empty_sets(self):
         assert left_right_gap(H3, set(), set()) == 1.0
