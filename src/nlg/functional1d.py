@@ -244,7 +244,8 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
     return edges, np.array(vals[j0:j1])
 
 
-# transitions expanded at a time by the pair-sum engine; bounds its scratch
+# transitions expanded at a time by the pair-sum engine, and the length of
+# the pieces of a function's transitions summed apart; bounds its scratch
 # memory independently of the number of cells and of interacting pairs
 _SBP_CHUNK = 1 << 14
 
@@ -286,53 +287,103 @@ def _bands(s, y, radius):
     return out
 
 
-def _switch_ranges(lo, hi):
+def _switch_ranges(lo, hi, ends):
     """The rows whose interaction switches at each column, as flat ranges.
 
-    ``[lo[b], hi[b])`` is the band of column b; column n closes with the
-    band [0, n).  Adjacent cells do not interact, so consecutive bands
-    overlap, and the rows that switch between columns b-1 and b are the
-    ones each band end sweeps over: the lower end moving right (or the
-    upper end moving left) switches rows on, the other way off.  The
-    nonempty swept ranges are laid end to end as one flat sequence of
-    transitions.  Returns ``(cols, signs, first, ends, shift)``: each range
-    belongs to column ``cols``, switches by ``signs`` (+1.0 or -1.0) and
-    covers flat positions ``[first, ends)``; a flat position plus
+    ``[lo[c], hi[c])`` is the band of cell c.  Each function's cells are
+    consecutive, both as cells and as sorted labels, and end before the
+    increasing ``ends``; its last column closes with the band of all its
+    cells.  Adjacent cells do not interact, so consecutive bands overlap,
+    and the rows that switch between columns c and c+1 are the ones each
+    band end sweeps over: the lower end moving right (or the upper end
+    moving left) switches rows on, the other way off.  The nonempty swept
+    ranges are laid end to end as one flat sequence of transitions,
+    function by function.  Returns ``(cells, signs, first, ends, shift)``: each range
+    switches at the right edge of cell ``cells`` by ``signs`` (+1.0 or
+    -1.0) and covers flat positions ``[first, ends)``; a flat position plus
     ``shift`` is its sorted index.
     """
     n = len(lo)
-    lc, hc = np.concatenate((lo[1:], [0])), np.concatenate((hi[1:], [n]))
-    swept = np.concatenate((lc - lo, hi - hc))  # signed: > 0 switches on
+    size = np.diff(ends, prepend=0)
+    lc, hc = np.append(lo[1:], 0), np.append(hi[1:], 0)
+    lc[ends - 1], hc[ends - 1] = ends - size, ends
+    # a function's lower ends, then its upper ends, each in cell order
+    lower = np.arange(n) + np.repeat(ends - size, size)
+    upper = lower + np.repeat(size, size)
+    swept, start, cells = (np.empty(2 * n, dtype=lo.dtype) for _ in range(3))
+    swept[lower], swept[upper] = lc - lo, hi - hc  # signed: > 0 switches on
+    start[lower], start[upper] = np.minimum(lo, lc), np.minimum(hi, hc)
+    cells[lower] = cells[upper] = np.arange(n)
     which = np.flatnonzero(swept)
-    start = np.concatenate((np.minimum(lo, lc), np.minimum(hi, hc)))[which]
-    swept = swept[which]
+    swept, start, cells = swept[which], start[which], cells[which]
     ends = np.cumsum(np.abs(swept))
     first = ends - np.abs(swept)
-    return which % n + 1, np.sign(swept).astype(float), first, ends, start - first
+    return cells, np.sign(swept).astype(float), first, ends, start - first
 
 
-def _pair_sum(edges, x, radius, params) -> float:
-    """Sum of pair energies over ordered pairs of interacting cells.
+def _ragged_arange(counts):
+    """0, 1, .., counts[0]-1, 0, 1, .., counts[1]-1, ..."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    ``edges`` and ``x`` describe the cells as :func:`step_cells` returns
-    them, with ``x`` any per-cell label (values, or integer grid levels);
-    cells i and j interact where ``abs(x[i] - x[j]) > radius``, the one
-    predicate used by every check below.  Returns +inf when two adjacent
-    cells interact.
+
+def _segment_sums(v, counts):
+    """``np.sum`` of each of the consecutive segments of ``v`` with the
+    given lengths, rounded bit for bit like a lone ``np.sum`` of it.
+
+    Below its block size of 128, numpy sums a row in eight interleaved
+    lanes over the longest prefix whose length is a multiple of 8, then
+    adds the rest one by one.  So the short segments are laid out as rows
+    of 8q + 7 floats, their lane part zero-padded to q blocks and their
+    rest zero-padded to 7, and summed in one call: zeros change no partial
+    sum.  Segments of 128 or more are summed one by one.
+    """
+    if len(counts) == 1:
+        return np.array([np.sum(v)])
+    out = np.zeros(len(counts))
+    short = counts < 128
+    n = counts[short]
+    lanes = np.repeat(n - n % 8, n)
+    q8 = int(lanes.max(initial=0))
+    t = _ragged_arange(n)
+    rows = np.zeros((len(n), q8 + 7))
+    rows[np.repeat(np.arange(len(n)), n), np.where(t < lanes, t, t - lanes + q8)] = \
+        v[np.repeat(short, counts)]
+    out[short] = rows.sum(axis=1)
+    bounds = np.cumsum(counts) - counts
+    for i in np.flatnonzero(~short).tolist():
+        out[i] = np.sum(v[bounds[i]:bounds[i] + counts[i]])
+    return out
+
+
+def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
+    """Sums of pair energies over ordered pairs of interacting cells, one
+    per step function of a batch.
+
+    ``counts[f]`` is the number of cells of function f, and the functions
+    are laid end to end: ``counts[f] + 1`` entries of ``edges`` and
+    ``counts[f]`` labels ``x`` each, as :func:`step_cells` returns them.
+    A label is any per-cell number (values, or integer grid levels); with
+    more than one function the labels must be integers.  Cells i and j of
+    one function interact where ``abs(x[i] - x[j]) > radius``, the one
+    predicate used by every check below.  A function with two interacting
+    adjacent cells sums to +inf.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
     half-line right of edge b (``_pair_energies(gap, len, inf)``) and
-    I(i, j) the interaction indicator, Abel summation along row i gives
+    I(i, j) the interaction indicator, Abel summation along row i of a
+    function of n cells gives
 
         sum_{j >= i+2} I(i, j) (H(i, j) - H(i, j+1))
             = sum_{b = i+2}^{n} (I(i, b) - I(i, b-1)) H(i, b),
 
     with I(i, n) = 0.  The differences are nonzero only where row i
-    switches on or off.  Over the labels sorted once, the non-interacting
+    switches on or off.  The labels are sorted once, on the keys
+    ``function * G + label`` with G past every label difference, so that
+    no band leaks into another function; over them the non-interacting
     rows of each column form one band (:func:`_bands`), and with no two
     adjacent cells interacting, the rows that switch are two sorted-index
-    ranges per column (:func:`_switch_ranges`).  They are expanded
+    ranges per column (:func:`_switch_ranges`).  They are expanded about
     ``_SBP_CHUNK`` transitions at a time, keeping rows i <= b-2, so the
     cost is O(n log n + K) for K transitions and the memory O(n + chunk).
     A row whose interacting run is thin against its gap subtracts nearly
@@ -343,32 +394,90 @@ def _pair_sum(edges, x, radius, params) -> float:
     half-line past its +inf edge has zero energy at every p.  A left zero
     tail, an infinitely long row, pairs with the cells 2 .. n-1 in one
     vector term instead; the right tail has its label, so it drops out.
-    Subtotals are accumulated with math.fsum.
+    Each function's transitions are summed in pieces of ``_SBP_CHUNK``,
+    each piece and the tail term like a lone ``np.sum``
+    (:func:`_segment_sums`), and the pieces of a function with math.fsum:
+    a function's energy does not depend on the rest of its batch.
     """
-    if np.any(np.abs(np.diff(x)) > radius):
-        return INF
-    parts = []
-    lens = np.diff(edges)
-    if edges[0] == -INF:
-        far = np.abs(x[2:] - x[0]) > radius
-        if far.any():
-            gap = edges[2:-1] - edges[1]
-            parts.append(float(np.sum(_pair_energies(gap[far], lens[2:][far], INF, params))))
-        edges, x, lens = edges[1:], x[1:], lens[1:]
-    order = np.argsort(x, kind="stable")
-    cols, signs, first, ends, shift = _switch_ranges(*_bands(x[order], x, radius))
-    total = int(ends[-1]) if len(ends) else 0
-    for c0 in range(0, total, _SBP_CHUNK):
-        c1 = min(c0 + _SBP_CHUNK, total)
-        r = slice(np.searchsorted(ends, c0, "right"), np.searchsorted(ends, c1, "left") + 1)
-        cnt = np.minimum(ends[r], c1) - np.maximum(first[r], c0)
-        rows = order[np.arange(c0, c1) + np.repeat(shift[r], cnt)]
-        b = np.repeat(cols[r], cnt)
-        keep = rows <= b - 2
-        rows, b = rows[keep], b[keep]
-        h = _pair_energies(edges[b] - edges[rows + 1], lens[rows], INF, params)
-        parts.append(float(np.sum(h * np.repeat(signs[r], cnt)[keep])))
-    return 2.0 * math.fsum(parts)
+    counts = np.asarray(counts, dtype=np.intp)
+    x = np.asarray(x, dtype=float)
+    nf = len(counts)
+    # function f diverges if a jump lies among its adjacent pairs [s, e - 1)
+    e = np.cumsum(counts)
+    s = e - counts
+    jump = np.flatnonzero(np.abs(np.diff(x)) > radius)
+    div = np.searchsorted(jump, np.maximum(e - 1, s)) > np.searchsorted(jump, s)
+    if div.all():
+        return np.full(nf, INF)
+    f = np.arange(nf)
+    left, right = np.delete(edges, e + f), np.delete(edges, s + f)  # per cell
+    lens = right - left
+    part_f, part_v = [], []
+    ok = f[(counts > 0) & ~div]
+    tail_f = ok[left[s[ok]] == -INF]  # the functions with a left zero tail
+    tail = s[tail_f]
+    if tail.size:
+        m = np.maximum(counts[tail_f] - 2, 0)
+        row = np.repeat(tail, m)
+        col = row + 2 + _ragged_arange(m)
+        far = np.abs(x[col] - x[row]) > radius
+        row, col = row[far], col[far]
+        part_f.append(tail_f)
+        part_v.append(_segment_sums(
+            _pair_energies(left[col] - right[row], lens[col], INF, params),
+            np.bincount(np.searchsorted(tail, row), minlength=tail.size)))
+    # the by-parts sum runs over the other cells of the finite functions
+    drop = np.concatenate((tail, np.repeat(s[div], counts[div]) + _ragged_arange(counts[div])))
+    if drop.size:
+        keep = np.ones(len(x), dtype=bool)
+        keep[drop] = False
+        x, right, lens = x[keep], right[keep], lens[keep]
+        counts = np.where(div, 0, counts)
+        counts[tail_f] -= 1
+    if len(x):
+        e = np.cumsum(counts)
+        keys = x + np.repeat(f * (x.max() - x.min() + radius + 1.0), counts)
+        order = np.argsort(keys, kind="stable")
+        lo, hi = np.empty_like(order), np.empty_like(order)
+        sk = keys[order]
+        lo[order], hi[order] = _bands(sk, sk, radius)  # sorted queries: faster
+        cells, signs, first, ends, shift = _switch_ranges(lo, hi, e[counts > 0])
+        # each function's transitions in pieces of _SBP_CHUNK, and the
+        # pieces in groups of those starting in one _SBP_CHUNK window
+        ranges = np.searchsorted(np.searchsorted(e, cells, "right"), np.arange(nf + 1))
+        t0 = np.append(0, ends)[ranges]
+        pieces = -(-np.diff(t0) // _SBP_CHUNK)
+        p0 = np.repeat(t0[:-1], pieces) + _SBP_CHUNK * _ragged_arange(pieces)
+        p1 = np.minimum(p0 + _SBP_CHUNK, np.repeat(t0[1:], pieces))
+        sums = np.zeros(len(p0))
+        groups = (np.flatnonzero(np.diff(p0 // _SBP_CHUNK)) + 1).tolist()
+        for a, b in zip([0, *groups], [*groups, len(p0)] if len(p0) else []):
+            c0, c1 = int(p0[a]), int(p1[b - 1])
+            r = slice(np.searchsorted(ends, c0, "right"), np.searchsorted(ends, c1, "left") + 1)
+            cnt = np.minimum(ends[r], c1) - np.maximum(first[r], c0)
+            rows = order[np.arange(c0, c1) + np.repeat(shift[r], cnt)]
+            c = np.repeat(cells[r], cnt)
+            keep = rows < c
+            rows, c = rows[keep], c[keep]
+            h = _pair_energies(right[c] - right[rows], lens[rows], INF, params)
+            h *= np.repeat(signs[r], cnt)[keep]
+            if b - a == 1:  # a whole group of a long function
+                sums[a] = np.sum(h)
+                continue
+            piece = np.repeat(np.arange(b - a), p1[a:b] - p0[a:b])[keep]
+            sums[a:b] = _segment_sums(h, np.bincount(piece, minlength=b - a))
+        part_f.append(np.repeat(np.arange(nf), pieces))
+        part_v.append(sums)
+    if not part_f:
+        return np.where(div, INF, 0.0)
+    part_f, part_v = np.concatenate(part_f), np.concatenate(part_v)
+    # math.fsum of one or two parts is their float sum
+    n_parts = np.bincount(part_f, minlength=nf)
+    few = n_parts[part_f] <= 2
+    total = np.bincount(part_f[few], weights=part_v[few], minlength=nf).astype(float)
+    for i in np.flatnonzero(n_parts > 2).tolist():
+        total[i] = math.fsum(part_v[part_f == i])
+    return np.where(div, INF, 2.0 * total)
 
 
 def step_energy(u: StepFunction1D, domain: Interval | None = None,
@@ -387,7 +496,7 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     if domain is None:
         domain = u.domain
     edges, vals = step_cells(u, domain)
-    return _pair_sum(edges, vals, params.threshold, params)
+    return float(_pair_sum(edges, vals, [len(vals)], params.threshold, params)[0])
 
 
 def interaction_pairs(u: StepFunction1D, domain: Interval,

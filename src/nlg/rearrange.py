@@ -60,23 +60,23 @@ def _on_level(v, k, delta: float):
     return (d <= INTERACTION_GUARD * abs(v)) | (d <= INTERACTION_GUARD * delta)
 
 
-def grid_floor_level(v: float, delta: float) -> int:
-    """Largest integer k with k*delta <= v, robust to float rounding.
+def grid_floor_level(v, delta: float):
+    """Largest integer k with k*delta <= v, robust to float rounding;
+    elementwise on an array (int64), an int for a number.
 
     Values within a relative INTERACTION_GUARD of a grid level count as
     sitting on it (the guard of the interaction threshold), so functions
     with values intended to be exact multiples of delta are fixed points
     of the segmentation even when k*delta rounds.
     """
-    k = round(v / delta)
-    if _on_level(v, k, delta):
-        return k
-    k = math.floor(v / delta)
-    if (k + 1) * delta <= v:
-        k += 1
-    elif k * delta > v:
-        k -= 1
-    return k
+    q = np.divide(v, delta)
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"grid levels need finite values, got {v}")
+    near = np.rint(q)
+    k = np.floor(q)
+    k = k + ((k + 1.0) * delta <= v) - (k * delta > v)
+    k = np.where(_on_level(v, near, delta), near, k).astype(np.int64)
+    return k if np.ndim(v) else int(k)
 
 
 def _cells_to_step(edges: Sequence[float], values: Sequence[float],
@@ -125,7 +125,7 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
 
 def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
     """Raw cells of ``_level_runs``, apart so its temporaries die on return."""
-    k = np.array([grid_floor_level(y, delta) for y in ys.tolist()], dtype=np.int64)
+    k = grid_floor_level(ys, delta)
     s = np.where(_on_level(ys, k, delta), k * delta, ys)
     k0, k1, s0, s1 = k[:-1], k[1:], s[:-1], s[1:]
     rise, fall = s1 > s0, s1 < s0
@@ -171,7 +171,7 @@ def vertical_segmentation(u, delta: float):
     if isinstance(u, PiecewiseAffine1D):
         return _segment_pwa(u, delta)
     if isinstance(u, StepFunction1D):
-        values = [grid_floor_level(v, delta) * delta for v in u.values]
+        values = (grid_floor_level(np.array(u.values), delta) * delta).tolist()
         return _cells_to_step(u.breakpoints, values, u.tail_mode)
     if callable(u):
         return lambda x: grid_floor_level(u(x), delta) * delta
@@ -327,7 +327,7 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")
     # integer levels: |d| >= k+1 is |d| > k
-    return _pair_sum(edges, levels, k, params)
+    return float(_pair_sum(edges, levels, [len(levels)], k, params)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,17 @@ def test_converge_sectioning_small(capsys):
     assert math.isclose(lim, math.pi ** 2 / 4.0, rel_tol=1e-12)
 
 
+def test_converge_sectioning_small_delta_is_finite(capsys):
+    code, out, _ = run_cli(capsys, "converge-sectioning", "--p", "1", "--delta", "1e-4",
+                           "5e-5", "--dirs", "4", "--offsets", "8",
+                           "--mc-samples", "100000", "--seed", "1")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == [1e-4, 5e-5]
+    for _, sect, mc, se, _ in rows:
+        assert math.isfinite(sect) and abs(sect - mc) < 5.0 * se
+
+
 @pytest.mark.parametrize("args", [
     ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
      "--delta-factor", "1", "--steps", "3"),

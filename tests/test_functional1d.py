@@ -13,7 +13,8 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  pair_cell_quadrature, pointwise_hostility, step_cells,
                  step_energy, step_hostility, vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
-                              OverlappingIntervals, UnsupportedCombination, _bands)
+                              OverlappingIntervals, UnsupportedCombination, _bands,
+                              _pair_sum, _segment_sums)
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -334,6 +335,82 @@ class TestPairSumEngine:
             inside = np.abs(s[None, :] - x[:, None]) <= r
             k = np.arange(len(s))
             assert np.array_equal(inside, (k >= lo[:, None]) & (k < hi[:, None]))
+
+
+def grid_steps(rng, n_funcs, delta):
+    """Random delta-grid step functions of 1 to 40 cells, compact or
+    domain-only, jumps of up to one level; cells of 1 and 2 often."""
+    out = []
+    for _ in range(n_funcs):
+        n = int(rng.choice([1, 2, 3, 8, 40]))
+        bp = np.cumsum(rng.uniform(0.05, 1.0, n + 1))
+        levels = np.cumsum(rng.integers(-1, 2, n)) + int(rng.integers(-2, 3))
+        tail = TailMode.COMPACT_SUPPORT if rng.random() < 0.5 else TailMode.DOMAIN_ONLY
+        out.append(StepFunction1D(tuple(bp), tuple(levels * delta), tail))
+    return out
+
+
+def batch_of(steps, delta):
+    """The cells of ``steps`` laid end to end, with integer levels."""
+    cells = [step_cells(u, u.domain) for u in steps]
+    return (np.concatenate([e for e, _ in cells]) if cells else np.zeros(0),
+            np.concatenate([np.rint(v / delta) for _, v in cells]) if cells else np.zeros(0),
+            [len(v) for _, v in cells])
+
+
+class TestBatchedPairSum:
+    def test_matches_one_function_sums(self):
+        rng = np.random.default_rng(11)
+        delta = 0.1
+        for trial in range(40):
+            steps = grid_steps(rng, int(rng.integers(1, 9)), delta)
+            params = EnergyParams(delta, float(rng.choice([1.0, 1.5, 2.0])))
+            edges, levels, counts = batch_of(steps, delta)
+            want = [step_energy(u, u.domain, params) for u in steps]
+            assert _pair_sum(edges, levels, counts, 1, params) == \
+                pytest.approx(want, rel=1e-15, abs=0.0)
+            for k in (1, 2):
+                got = _pair_sum(edges, levels, counts, k, params)
+                for u, g in zip(steps, got):
+                    if u.tail_mode is TailMode.DOMAIN_ONLY:  # hostility needs a bounded domain
+                        assert g == pytest.approx(step_hostility(u, u.domain, k, params),
+                                                  rel=1e-15, abs=0.0)
+
+    def test_only_the_divergent_function_is_inf(self):
+        delta = 0.1
+        steps = [StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.1, 0.2, 0.1)),
+                 StepFunction1D((0.0, 1.0, 2.0), (0.1, 0.4)),       # jump of 3 levels
+                 StepFunction1D((0.0, 1.0, 2.0, 3.5), (0.0, 0.1, 0.2), TailMode.DOMAIN_ONLY)]
+        got = _pair_sum(*batch_of(steps, delta), 1, EnergyParams(delta, 1.0))
+        assert got[1] == math.inf
+        for i in (0, 2):
+            assert 0.0 < got[i] < math.inf and got[i] == step_energy(steps[i], steps[i].domain,
+                                                                   EnergyParams(delta, 1.0))
+
+    def test_empty_batch(self):
+        got = _pair_sum(np.zeros(0), np.zeros(0), [], 1, EnergyParams(0.1, 1.0))
+        assert got.shape == (0,)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 8), at=st.integers(0, 7),
+           p=st.sampled_from([1.0, 1.5, 2.0]), k=st.integers(1, 2))
+    def test_energy_does_not_depend_on_batch_neighbours(self, seed, size, at, p, k):
+        delta = 0.25
+        steps = grid_steps(np.random.default_rng(seed), size, delta)
+        params = EnergyParams(delta, p)
+        batch = _pair_sum(*batch_of(steps, delta), k, params)
+        alone = _pair_sum(*batch_of(steps[at % size:][:1], delta), k, params)
+        assert batch[at % size] == alone[0]
+
+    def test_segment_sums_round_like_numpy(self):
+        # numpy's pairwise sum changes its grouping at lengths 8, 128 and up
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            counts = rng.choice([0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300],
+                                size=int(rng.integers(1, 20)))
+            v = rng.normal(size=counts.sum()) * 10.0 ** rng.uniform(-8, 8, counts.sum())
+            starts = np.cumsum(counts) - counts
+            want = [np.sum(v[a:a + c]) for a, c in zip(starts, counts)]
+            assert _segment_sums(v, counts).tolist() == want
 
 
 class TestEnergyQuadrature:

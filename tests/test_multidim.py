@@ -6,8 +6,10 @@ import pytest
 from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent,
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
-                 local_energy_field, section, spherical_moment, step_energy)
-from nlg.multidim import (DegenerateBox, UnsupportedDimension, UnsupportedField)
+                 local_energy_field, section, spherical_moment, step_cells, step_energy)
+from nlg.functional1d import _pair_sum
+from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
+                          UnsupportedField, _radial_cells, _section_cells, _top_levels)
 from nlg.rearrange import grid_floor_level
 
 TENT = RadialTent((0.0, 0.0), 1.0, 1.0)
@@ -114,6 +116,53 @@ class TestSections:
                         # rising crossings enter the level, falling ones leave it
                         assert (below < 0 <= above) if right > left else (above < 0 <= below)
 
+    def test_radial_cells_match_step_segmentation(self):
+        # all sections at once against each alone, and against the closed
+        # form level by level; the last rho puts a top one ulp off level 3
+        r, peak = 1.0, 1.0
+        for delta in (0.3, 0.1, 0.07, 1e-3):
+            rho = np.concatenate((np.linspace(0.0, r, 23, endpoint=False),
+                                  [np.nextafter(0.7, k) for k in (0.0, 1.0)], [0.7]))
+            t_center = np.linspace(-0.4, 0.3, len(rho))
+            top = _top_levels(rho, r, peak, delta)
+            keep = top >= 1
+            edges, levels = _radial_cells(t_center[keep], rho[keep], top[keep], r, peak, delta)
+            sections = np.split(np.arange(len(levels)), np.cumsum(2 * top[keep] + 1)[:-1])
+            for j, (i, cells) in enumerate(zip(np.flatnonzero(keep), sections)):
+                step = RadialSection(float(t_center[i]), float(rho[i]), r, peak) \
+                    .step_segmentation(delta)
+                e = edges[cells[0] + j + np.arange(len(cells) + 1)]  # one more edge a section
+                assert step.breakpoints == tuple(e[1:-1].tolist())
+                assert step.values == tuple((levels[cells][1:-1] * delta).tolist())
+                n = top[i]
+                half = [math.sqrt(max((r * (1.0 - k * delta / peak)) ** 2 - rho[i] ** 2, 0.0))
+                        for k in range(1, n + 1)]
+                assert step.breakpoints == tuple([t_center[i] - h for h in half]
+                                                 + [t_center[i] + h for h in half[::-1]])
+            for i in np.flatnonzero(~keep):
+                assert RadialSection(0.0, float(rho[i]), r, peak).step_segmentation(delta) is None
+
+    def test_section_cells_match_sections(self):
+        # the cells a sectioning pass sums are those of section() on each line
+        for u in (TENT, RadialTent((0.1, -0.2), 0.8, 1.3),
+                  TensorTent((0.05, -0.1), (1.0, 0.7), 1.2)):
+            for theta in (0.3, math.pi / 2, 2.9):
+                d = Direction.from_angle(theta)
+                zs = np.linspace(-1.1, 1.1, 13)
+                want = []
+                for z in zs.tolist():
+                    sec = section(u, d, z)
+                    step = None if sec is None else sec.step_segmentation(0.1)
+                    if step is not None:
+                        e, v = step_cells(step, step.domain)
+                        want.append((e.tolist(), np.rint(v / 0.1).tolist()))
+                got = []
+                for edges, levels, counts in _section_cells(u, d, zs, 0.1):
+                    at = np.cumsum(counts) - counts
+                    for i, (a, c) in enumerate(zip(at, counts)):
+                        got.append((edges[a + i:a + i + c + 1].tolist(), levels[a:a + c].tolist()))
+                assert got == want
+
     def test_radial_section_local_energy(self):
         # through the center the profile is a 1D tent with slope peak/radius
         sec = section(TENT, Direction.from_angle(0.0), 0.0)
@@ -197,6 +246,23 @@ class TestSectioningEnergy:
                 local = local_energy_by_sectioning(u, 1.5, n_dirs, 12)
                 ref = full_circle(u, n_dirs, 12, lambda sec: sec.local_energy(1.5))
                 assert math.isclose(local, ref, rel_tol=1e-12)
+
+    def test_small_delta_stays_finite(self):
+        # k*delta near 1 rounds by more than delta * 1e-12 below delta ~ 1e-4;
+        # integer levels keep adjacent cells apart however k*delta rounds
+        for delta in (6.25e-5, 3e-5):
+            est, err = energy_by_sectioning(TENT, EnergyParams(delta, 1.0), 4, 8)
+            assert math.isfinite(est) and math.isfinite(err) and est > 0.0
+        # the central section, a 1D tent of variation 2, falls to 4 log 2
+        central = []
+        for delta in (6.25e-5, 3e-5, 1e-5):
+            rho = np.zeros(1)
+            top = _top_levels(rho, 1.0, 1.0, delta)
+            edges, levels = _radial_cells(np.zeros(1), rho, top, 1.0, 1.0, delta)
+            central.append(_pair_sum(edges, levels, [len(levels)], 1,
+                                     EnergyParams(delta, 1.0))[0])
+        assert central == pytest.approx([2.77348, 2.77307, 2.77277], abs=6e-6)
+        assert central[0] > central[1] > central[2] > 4.0 * math.log(2.0)
 
     def test_error_estimate_honest(self):
         params = EnergyParams(0.25, 2.0)

@@ -71,6 +71,11 @@ class TestVerticalSegmentation:
             k = grid_floor_level(v, delta)
             assert k * delta <= v < (k + 1) * delta
 
+    def test_grid_floor_rejects_non_finite(self):
+        for v in (math.nan, math.inf, np.array([0.5, -math.inf])):
+            with pytest.raises(ValueError):
+                grid_floor_level(v, 0.1)
+
     def test_grid_step_is_fixed_point(self, rng):
         # up to merging of equal-valued neighbours: pointwise identical,
         # and a second application changes nothing
