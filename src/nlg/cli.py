@@ -176,6 +176,9 @@ def cmd_converge_recovery(args) -> int:
     if not (args.delta_start > 0.0 and 0.0 < args.delta_factor < 1.0):
         print("error: need --delta-start > 0 and 0 < --delta-factor < 1", file=sys.stderr)
         return 2
+    if args.steps < 1:
+        print("error: need --steps >= 1", file=sys.stderr)
+        return 2
     u = _SHAPES[args.shape]
     limit_scale = local_energy(u, args.p)
     rows = []

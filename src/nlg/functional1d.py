@@ -330,29 +330,11 @@ def _segment_sums(v, counts):
     """``np.sum`` of each of the consecutive segments of ``v`` with the
     given lengths, rounded bit for bit like a lone ``np.sum`` of it.
 
-    Below its block size of 128, numpy sums a row in eight interleaved
-    lanes over the longest prefix whose length is a multiple of 8, then
-    adds the rest one by one.  So the short segments are laid out as rows
-    of 8q + 7 floats, their lane part zero-padded to q blocks and their
-    rest zero-padded to 7, and summed in one call: zeros change no partial
-    sum.  Segments of 128 or more are summed one by one.
+    ``np.add.reduceat`` adds a segment's first entry to numpy's pairwise
+    sum of the rest, so each segment is led by an inserted 0.0.
     """
-    if len(counts) == 1:
-        return np.array([np.sum(v)])
-    out = np.zeros(len(counts))
-    short = counts < 128
-    n = counts[short]
-    lanes = np.repeat(n - n % 8, n)
-    q8 = int(lanes.max(initial=0))
-    t = _ragged_arange(n)
-    rows = np.zeros((len(n), q8 + 7))
-    rows[np.repeat(np.arange(len(n)), n), np.where(t < lanes, t, t - lanes + q8)] = \
-        v[np.repeat(short, counts)]
-    out[short] = rows.sum(axis=1)
-    bounds = np.cumsum(counts) - counts
-    for i in np.flatnonzero(~short).tolist():
-        out[i] = np.sum(v[bounds[i]:bounds[i] + counts[i]])
-    return out
+    starts = counts.cumsum() - counts
+    return np.add.reduceat(np.insert(v, starts, 0.0), starts + np.arange(len(counts)))
 
 
 def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
@@ -394,10 +376,10 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     half-line past its +inf edge has zero energy at every p.  A left zero
     tail, an infinitely long row, pairs with the cells 2 .. n-1 in one
     vector term instead; the right tail has its label, so it drops out.
-    Each function's transitions are summed in pieces of ``_SBP_CHUNK``,
-    each piece and the tail term like a lone ``np.sum``
-    (:func:`_segment_sums`), and the pieces of a function with math.fsum:
-    a function's energy does not depend on the rest of its batch.
+    Each function's transitions are cut into pieces of ``_SBP_CHUNK`` from
+    its first one, every piece and every tail term is summed like a lone
+    ``np.sum`` (:func:`_segment_sums`), and a function's pieces are added
+    with math.fsum, so its energy does not depend on the rest of its batch.
     """
     counts = np.asarray(counts, dtype=np.intp)
     x = np.asarray(x, dtype=float)
@@ -461,11 +443,8 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             rows, c = rows[keep], c[keep]
             h = _pair_energies(right[c] - right[rows], lens[rows], INF, params)
             h *= np.repeat(signs[r], cnt)[keep]
-            if b - a == 1:  # a whole group of a long function
-                sums[a] = np.sum(h)
-                continue
-            piece = np.repeat(np.arange(b - a), p1[a:b] - p0[a:b])[keep]
-            sums[a:b] = _segment_sums(h, np.bincount(piece, minlength=b - a))
+            # pieces are nonempty, so their kept counts are one reduceat
+            sums[a:b] = _segment_sums(h, np.add.reduceat(keep, p0[a:b] - c0, dtype=np.intp))
         part_f.append(np.repeat(np.arange(nf), pieces))
         part_v.append(sums)
     if not part_f:

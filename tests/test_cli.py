@@ -257,12 +257,14 @@ def test_converge_sectioning_small_delta_is_finite(capsys):
      "--delta-factor", "0", "--steps", "3"),
     ("converge-recovery", "--shape", "ramp", "--p", "1", "--delta-start", "-0.1",
      "--delta-factor", "0.5", "--steps", "3"),
+    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+     "--delta-factor", "0.5", "--steps", "0"),
     ("lambda", "--delta", "0.1", "--p", "0.5"),
     ("lambda", "--delta", "0.1", "--p", "1", "--domain", "-5", "5"),
     ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "1",
      "--offsets", "8", "--mc-samples", "100"),
-], ids=["delta-factor-1", "delta-factor-0", "negative-delta-start", "p-below-1",
-        "domain-outside-domain-only-step", "one-direction"])
+], ids=["delta-factor-1", "delta-factor-0", "negative-delta-start", "zero-steps",
+        "p-below-1", "domain-outside-domain-only-step", "one-direction"])
 def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
     if args[0] == "lambda":
         args = args[:1] + ("--input", staircase_file) + args[1:]

@@ -403,14 +403,28 @@ class TestBatchedPairSum:
 
     def test_segment_sums_round_like_numpy(self):
         # numpy's pairwise sum changes its grouping at lengths 8, 128 and up
+        def check(v, counts):
+            counts = np.asarray(counts, dtype=np.intp)
+            starts = np.cumsum(counts) - counts
+            want = np.array([np.sum(v[a:a + c]) for a, c in zip(starts, counts)])
+            # bit patterns, so that the sign of a zero counts too
+            assert _segment_sums(v, counts).view(np.int64).tolist() == \
+                want.view(np.int64).tolist()
+
         rng = np.random.default_rng(5)
         for _ in range(30):
             counts = rng.choice([0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300],
                                 size=int(rng.integers(1, 20)))
-            v = rng.normal(size=counts.sum()) * 10.0 ** rng.uniform(-8, 8, counts.sum())
-            starts = np.cumsum(counts) - counts
-            want = [np.sum(v[a:a + c]) for a, c in zip(starts, counts)]
-            assert _segment_sums(v, counts).tolist() == want
+            check(rng.normal(size=counts.sum()) * 10.0 ** rng.uniform(-8, 8, counts.sum()),
+                  counts)
+        check(np.zeros(0), [0, 0, 0])  # every segment empty
+        for n in (0, 1, 9, 300, 8191, 8192, 8193, 16383, 16384, 16385):
+            check(rng.normal(size=n), [n])  # one segment: a lone function's piece
+        check(rng.normal(size=42), [0, 0, 8, 17, 0, 17, 0, 0])  # empty at both ends
+        counts = [8191, 8192, 8193, 16383, 16384, 16385, 3]
+        check(rng.normal(size=sum(counts)) * 10.0 ** rng.uniform(-8, 8, sum(counts)), counts)
+        check(np.full(4, -0.0), [1, 1, 0, 1, 1])  # segments of a single -0.0
+        check(np.array([-0.0, -0.0, 1.0, -0.0]), [2, 2])
 
 
 class TestEnergyQuadrature:
