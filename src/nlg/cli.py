@@ -180,23 +180,20 @@ def cmd_converge_recovery(args) -> int:
         print("error: need --steps >= 1", file=sys.stderr)
         return 2
     u = _SHAPES[args.shape]
-    limit_scale = local_energy(u, args.p)
+    limit = (2.0 / args.p) * staircase_constant(args.p).value * local_energy(u, args.p)
     rows = []
     delta = args.delta_start
     for _ in range(args.steps):
         params = EnergyParams(delta, args.p)
-        lam = step_energy(vertical_segmentation(u, delta), params=params)
-        limit = (2.0 / args.p) * staircase_constant(args.p).value * limit_scale
-        rows.append((delta, lam, limit))
+        rows.append((delta, step_energy(vertical_segmentation(u, delta), params=params)))
         delta *= args.delta_factor
     print("delta,lambda,limit,ratio")
-    for delta, lam, limit in rows:
+    for delta, lam in rows:
         print(",".join([_fmt(delta), _fmt(lam), _fmt(limit), _fmt(lam / limit)]))
     if len(rows) >= 2:
         # Richardson extrapolation assuming error linear in delta
         f = args.delta_factor
         lam_ext = (rows[-1][1] - f * rows[-2][1]) / (1.0 - f)
-        limit = rows[-1][2]
         print(",".join([_fmt(0.0), _fmt(lam_ext), _fmt(limit), _fmt(lam_ext / limit)]))
     return 0
 

@@ -79,27 +79,20 @@ def grid_floor_level(v, delta: float):
     return k if np.ndim(v) else int(k)
 
 
-def _cells_to_step(edges: Sequence[float], values: Sequence[float],
+def _cells_to_step(edges: np.ndarray, values: np.ndarray,
                    tail_mode: TailMode) -> StepFunction1D | None:
     """Step function from raw cells, dropping zero-width cells and merging
-    equal-valued neighbours; None when no cell has positive width."""
-    out_e: list[float] = []
-    out_v: list[float] = []
-    last = None
-    for a, b, v in zip(edges, edges[1:], values):
-        if a == b:
-            continue
-        if v == last:
-            out_e[-1] = b
-            continue
-        if not out_e:
-            out_e.append(a)
-        out_e.append(b)
-        out_v.append(v)
-        last = v
-    if not out_v:
+    runs of equal-valued neighbours; None when no cell has positive width.
+    A run keeps its first value and ends at its last cell's right edge."""
+    kept = np.flatnonzero(edges[1:] != edges[:-1])
+    if not kept.size:
         return None
-    return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
+    values = values[kept]
+    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), kept.size - 1)
+    breakpoints = np.append(edges[kept[0]], edges[kept[ends] + 1])
+    values = values[np.append(0, ends[:-1] + 1)]
+    del kept, ends  # freed before .tolist(), which sets the peak at 10^6 cells
+    return StepFunction1D(breakpoints.tolist(), values.tolist(), tail_mode)
 
 
 def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
@@ -119,7 +112,7 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
         kept = np.flatnonzero((values != 0.0) & (edges[1:] > edges[:-1]))
         if kept.size:
             edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
-    return _cells_to_step(edges.tolist(), values.tolist(), TailMode.COMPACT_SUPPORT
+    return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT
                           if compact_support else TailMode.DOMAIN_ONLY)
 
 
@@ -171,8 +164,8 @@ def vertical_segmentation(u, delta: float):
     if isinstance(u, PiecewiseAffine1D):
         return _segment_pwa(u, delta)
     if isinstance(u, StepFunction1D):
-        values = (grid_floor_level(np.array(u.values), delta) * delta).tolist()
-        return _cells_to_step(u.breakpoints, values, u.tail_mode)
+        values = grid_floor_level(np.array(u.values), delta) * delta
+        return _cells_to_step(np.array(u.breakpoints), values, u.tail_mode)
     if callable(u):
         return lambda x: grid_floor_level(u(x), delta) * delta
     return grid_floor_level(float(u), delta) * delta
@@ -189,8 +182,11 @@ def clamp_values(u: StepFunction1D, lo: float, hi: float) -> StepFunction1D:
         raise BadBounds(f"need lo <= hi, got ({lo}, {hi})")
     if u.tail_mode is TailMode.COMPACT_SUPPORT and not lo <= 0.0 <= hi:
         raise BadBounds("bounds must bracket 0 for a compactly supported function")
-    values = [min(max(v, lo), hi) for v in u.values]
-    return _cells_to_step(u.breakpoints, values, u.tail_mode)
+    # min(max(v, lo), hi) elementwise: an equal bound keeps v, and its sign
+    values = np.array(u.values)
+    values = np.where(lo > values, lo, values)
+    return _cells_to_step(np.array(u.breakpoints), np.where(hi < values, hi, values),
+                          u.tail_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +242,12 @@ def monotone_rearrangement_step(u: StepFunction1D, domain: Interval) -> StepFunc
     if not domain.bounded:
         raise ValueError("monotone rearrangement needs a bounded domain")
     edges, vals = step_cells(u, domain)
-    lengths = np.diff(edges)
     order = np.argsort(vals, kind="stable")
-    new_edges = [domain.lo]
-    acc = domain.lo
-    for i in order[:-1]:
-        acc += float(lengths[i])
-        new_edges.append(acc)
-    new_edges.append(domain.hi)  # exact right endpoint, no accumulation drift
-    return _cells_to_step(new_edges, [float(vals[i]) for i in order], TailMode.DOMAIN_ONLY)
+    # lengths added left to right; a sum that rounds onto or past domain.hi
+    # is held there, so the few-ulp cell it would leave behind is dropped
+    laid = np.append(domain.lo, np.diff(edges)[order[:-1]]).cumsum()
+    new_edges = np.append(np.minimum(laid, domain.hi), domain.hi)
+    return _cells_to_step(new_edges, vals[order], TailMode.DOMAIN_ONLY)
 
 
 # ---------------------------------------------------------------------------

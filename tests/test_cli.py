@@ -130,6 +130,22 @@ def test_rearrange_step(capsys, tmp_path):
     assert got["breakpoints"] == [0.0, 0.7, 1.0]
 
 
+def test_rearrange_step_last_cell_few_ulps_wide(capsys, tmp_path):
+    src = tmp_path / "step.json"
+    src.write_text(json.dumps({
+        "breakpoints": [3.0, 4.014414394323118, 5.461675714544933, 7.547482011407145,
+                        7.744011785271194, 9.327561179041531, 10.260726622112166,
+                        13.099999999999998, 13.1],
+        "values": [2, 2, 0, 2, 0, 1, 0, 5],
+        "tail_mode": "domain_only"}))
+    code, out, _ = run_cli(capsys, "rearrange", "--input", str(src),
+                           "--domain", "3", "13.1")
+    assert code == 0
+    got = json.loads(out)
+    assert got["values"] == [0.0, 1.0, 2.0]
+    assert got["breakpoints"][0] == 3.0 and got["breakpoints"][-1] == 13.1
+
+
 def test_hostility(capsys, tmp_path):
     (tmp_path / "arr.json").write_text(json.dumps({"species": [0, 2, 0]}))
     (tmp_path / "h.json").write_text(json.dumps({"h": [1.0, 0.5, 1 / 3]}))

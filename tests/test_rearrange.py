@@ -12,8 +12,8 @@ from nlg import (DiscreteArrangement, EnemyList, EnergyParams, HostilityWeights,
                  reduce_arrangement, step_cells, step_energy, step_hostility,
                  total_hostility, vertical_segmentation)
 from nlg.rearrange import (BadBounds, TooManyPermutations, TooShort,
-                           ValuesNotOnGrid, WeightsTooShort, grid_floor_level,
-                           hostile_gap_counts)
+                           ValuesNotOnGrid, WeightsTooShort, _cells_to_step,
+                           grid_floor_level, hostile_gap_counts)
 
 from conftest import (UNIT, pairwise_energy, random_grid_step,
                       random_nonincreasing_weights, random_step)
@@ -46,6 +46,61 @@ def _random_pwa(rng, delta: float, compact: bool) -> PiecewiseAffine1D:
         ys.append(y)
     xs = np.cumsum(rng.uniform(0.05, 0.5, m))
     return PiecewiseAffine1D(tuple(zip(xs, ys)), compact_support=compact)
+
+
+def _cells_to_step_loop(edges, values, tail_mode):
+    """Scalar oracle of ``_cells_to_step``: one pass over the cells."""
+    out_e: list[float] = []
+    out_v: list[float] = []
+    last = None
+    for a, b, v in zip(edges, edges[1:], values):
+        if a == b:
+            continue
+        if v == last:
+            out_e[-1] = b
+            continue
+        if not out_e:
+            out_e.append(a)
+        out_e.append(b)
+        out_v.append(v)
+        last = v
+    if not out_v:
+        return None
+    return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
+
+
+def _bits(step):
+    """A step function as comparable bits: zeros of opposite sign differ."""
+    if step is None:
+        return None
+    return (step.breakpoints, np.signbit(step.breakpoints).tolist(),
+            step.values, np.signbit(step.values).tolist(), step.tail_mode)
+
+
+class TestCellsToStep:
+    def test_matches_scalar_loop_bit_for_bit(self, rng):
+        pool = np.array([-1.5, -0.0, 0.0, 0.25, 1.0])
+        for i in range(3000):
+            n = int(rng.integers(1, 10))
+            # zero widths come in runs; +-0.0 sit among edges and values
+            edges = rng.choice(pool) + np.cumsum(
+                np.concatenate(([0.0], rng.choice([0.0, 0.0, 0.5, 1.0], n))))
+            signed = rng.random(n + 1) < 0.3
+            edges[signed] = rng.choice([0.0, -0.0], int(signed.sum()))
+            edges = np.maximum.accumulate(edges)
+            if i % 9 == 0:  # no cell of positive width: None
+                edges[:] = edges[0]
+            values = rng.choice([-0.0, 0.0, 1.0, 1.0, -2.5], n)
+            tail = (TailMode.COMPACT_SUPPORT, TailMode.DOMAIN_ONLY)[i % 2]
+            want = _cells_to_step_loop(edges.tolist(), values.tolist(), tail)
+            got = _cells_to_step(edges, values, tail)
+            assert _bits(got) == _bits(want), (edges, values)
+
+    def test_run_keeps_first_value_and_last_right_edge(self):
+        got = _cells_to_step(np.array([-0.0, 0.0, 1.0, 1.0, 2.0]),
+                             np.array([5.0, -0.0, 3.0, 0.0]), TailMode.DOMAIN_ONLY)
+        assert _bits(got) == _bits(StepFunction1D((0.0, 2.0), (-0.0,),
+                                                  TailMode.DOMAIN_ONLY))
 
 
 class TestVerticalSegmentation:
@@ -223,6 +278,23 @@ class TestMonotoneRearrangement:
                     ma = sum(ea[i + 1] - ea[i] for i, v in enumerate(va) if v == level)
                     mb = sum(eb[i + 1] - eb[i] for i, v in enumerate(vb) if v == level)
                     assert math.isclose(ma, mb, rel_tol=0, abs_tol=1e-12)
+
+    def test_last_cell_few_ulps_wide(self):
+        # the lengths laid out before the largest value round past domain.hi
+        u = StepFunction1D((3.0, 4.014414394323118, 5.461675714544933, 7.547482011407145,
+                            7.744011785271194, 9.327561179041531, 10.260726622112166,
+                            13.099999999999998, 13.1),
+                           (2, 2, 0, 2, 0, 1, 0, 5), TailMode.DOMAIN_ONLY)
+        domain = Interval(3, 13.1)
+        mu = monotone_rearrangement_step(u, domain)
+        assert mu.breakpoints[0] == 3.0 and mu.breakpoints[-1] == 13.1
+        assert mu.values == (0.0, 1.0, 2.0)  # the one-ulp cell of 5 is dropped
+        ea, va = step_cells(u, domain)
+        eb, vb = step_cells(mu, domain)
+        for level in (0.0, 1.0, 2.0, 5.0):
+            ma = math.fsum(np.diff(ea)[va == level])
+            mb = math.fsum(np.diff(eb)[vb == level])
+            assert math.isclose(ma, mb, rel_tol=0, abs_tol=1e-12)
 
     def test_discrete_idempotent(self, rng):
         for _ in range(50):
