@@ -43,7 +43,6 @@ of delta, for which the guard changes nothing mathematically.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -223,7 +222,8 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
 
     Returns ``(edges, values)`` with ``len(edges) == len(values) + 1``;
     the outer edges may be infinite for a compactly supported function on
-    an unbounded domain.
+    an unbounded domain.  ``edges`` is a new array; ``values`` may be a
+    read-only view of ``u.values``.
     """
     bp, vals = u.breakpoints, u.values
     if u.tail_mode is TailMode.DOMAIN_ONLY:
@@ -232,16 +232,14 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
                 f"domain ({domain.lo}, {domain.hi}) exceeds the function's "
                 f"support ({bp[0]}, {bp[-1]})")
     else:  # the zero tails are cells too
-        bp = (-INF, *bp, INF)
-        vals = (0.0, *vals, 0.0)
+        bp = np.concatenate(([-INF], bp, [INF]))
+        vals = np.concatenate(([0.0], vals, [0.0]))
     # breakpoints increase strictly, so the cells meeting the open domain
     # are one run j0 .. j1-1, and only its two outer edges need clipping
-    j0 = bisect.bisect_right(bp, domain.lo) - 1
-    j1 = bisect.bisect_left(bp, domain.hi)
-    edges = np.array(bp[j0:j1 + 1])
-    edges[0] = max(bp[j0], domain.lo)
-    edges[-1] = min(bp[j1], domain.hi)
-    return edges, np.array(vals[j0:j1])
+    j0 = int(np.searchsorted(bp, domain.lo, "right")) - 1
+    j1 = int(np.searchsorted(bp, domain.hi, "left"))
+    edges = np.concatenate(([max(bp[j0], domain.lo)], bp[j0 + 1:j1], [min(bp[j1], domain.hi)]))
+    return edges, vals[j0:j1]
 
 
 # transitions expanded at a time by the pair-sum engine, and the length of
@@ -567,11 +565,8 @@ def local_energy(u: PiecewiseAffine1D | StepFunction1D, p: float,
             raise UnsupportedCombination(
                 "step functions have infinite |u'|^p energy for p > 1; "
                 "pass extended=True for the +inf convention")
-        jumps = [abs(b - a) for a, b in zip(u.values, u.values[1:])]
-        if u.tail_mode is TailMode.COMPACT_SUPPORT:
-            jumps.append(abs(u.values[0]))
-            jumps.append(abs(u.values[-1]))
-        return math.fsum(jumps)
+        pad = int(u.tail_mode is TailMode.COMPACT_SUPPORT)  # the zero tails are cells too
+        return math.fsum(np.abs(np.diff(np.pad(u.values, pad))))
     raise UnsupportedCombination(f"unsupported input type {type(u).__name__}")
 
 
@@ -592,8 +587,7 @@ def pointwise_hostility(u: StepFunction1D, x: float, params: EnergyParams) -> fl
     if x in u.breakpoints:
         raise BreakpointQuery(f"x={x} is a breakpoint")
     edges, vals = step_cells(u, domain)
-    i = bisect.bisect_right(edges.tolist(), x) - 1
-    i = min(max(i, 0), len(vals) - 1)
+    i = min(max(int(np.searchsorted(edges, x, "right")) - 1, 0), len(vals) - 1)
     ux = vals[i]
     thr = params.threshold
     delta, p = params.delta, params.p

@@ -189,8 +189,7 @@ class RadialSection:
             return None
         edges, levels = _radial_cells(np.array([self.t_center]), rho, top,
                                       self.radius, self.peak, delta)
-        return StepFunction1D(edges[1:-1].tolist(), (levels[1:-1] * delta).tolist(),
-                              TailMode.COMPACT_SUPPORT)
+        return StepFunction1D(edges[1:-1], levels[1:-1] * delta, TailMode.COMPACT_SUPPORT)
 
     def local_energy(self, p: float) -> float:
         T = self.half_width
@@ -298,7 +297,7 @@ class PolySection:
             return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
 
         step = _level_runs(xs, ys, delta, crossings, compact_support=True)
-        return step if step is not None and any(step.values) else None
+        return step if step is not None and step.values.any() else None
 
     def local_energy(self, p: float) -> float:
         total = 0.0

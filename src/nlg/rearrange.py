@@ -90,9 +90,7 @@ def _cells_to_step(edges: np.ndarray, values: np.ndarray,
     values = values[kept]
     ends = np.append(np.flatnonzero(values[1:] != values[:-1]), kept.size - 1)
     breakpoints = np.append(edges[kept[0]], edges[kept[ends] + 1])
-    values = values[np.append(0, ends[:-1] + 1)]
-    del kept, ends  # freed before .tolist(), which sets the peak at 10^6 cells
-    return StepFunction1D(breakpoints.tolist(), values.tolist(), tail_mode)
+    return StepFunction1D(breakpoints, values[np.append(0, ends[:-1] + 1)], tail_mode)
 
 
 def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
@@ -164,8 +162,8 @@ def vertical_segmentation(u, delta: float):
     if isinstance(u, PiecewiseAffine1D):
         return _segment_pwa(u, delta)
     if isinstance(u, StepFunction1D):
-        values = grid_floor_level(np.array(u.values), delta) * delta
-        return _cells_to_step(np.array(u.breakpoints), values, u.tail_mode)
+        return _cells_to_step(u.breakpoints, grid_floor_level(u.values, delta) * delta,
+                              u.tail_mode)
     if callable(u):
         return lambda x: grid_floor_level(u(x), delta) * delta
     return grid_floor_level(float(u), delta) * delta
@@ -183,10 +181,8 @@ def clamp_values(u: StepFunction1D, lo: float, hi: float) -> StepFunction1D:
     if u.tail_mode is TailMode.COMPACT_SUPPORT and not lo <= 0.0 <= hi:
         raise BadBounds("bounds must bracket 0 for a compactly supported function")
     # min(max(v, lo), hi) elementwise: an equal bound keeps v, and its sign
-    values = np.array(u.values)
-    values = np.where(lo > values, lo, values)
-    return _cells_to_step(np.array(u.breakpoints), np.where(hi < values, hi, values),
-                          u.tail_mode)
+    values = np.where(lo > u.values, lo, u.values)
+    return _cells_to_step(u.breakpoints, np.where(hi < values, hi, values), u.tail_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,32 @@ def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
     assert out == ""
 
 
+_STEP = {"breakpoints": [0, 1, 2], "values": [1, 2], "tail_mode": "compact_support"}
+_PWA = {"nodes": [[0, 0], [1, 1]], "compact_support": False}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({**_STEP, "values": [1, None]}, "values"),
+    ({**_STEP, "values": [1, [2]]}, "values"),
+    ({**_STEP, "breakpoints": 5}, "breakpoints"),
+    ({**_PWA, "nodes": 5}, "nodes"),
+    ({**_PWA, "nodes": [[0, 0], [1, None]]}, "nodes"),
+    ({"h": [1, None]}, "h"),
+    ({"species": 5}, "species"),
+    ({"species": [1, None]}, "species"),
+    ({"band_complement": None}, "band_complement"),
+    ({"band_square": 5}, "band_square"),
+    ({"band_square_complement": [1]}, "band_square_complement"),
+    ({"explicit": 5}, "explicit"),
+])
+def test_malformed_json_is_one_error_line(capsys, tmp_path, doc, field):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "rearrange", "--input", str(tmp_path / "doc.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(field) in err and "nan" not in err
+
+
 def test_unknown_flag_is_error():
     proc = subprocess.run([sys.executable, "-m", "nlg.cli", "constants",
                            "--p", "1", "--bogus"], capture_output=True)

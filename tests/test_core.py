@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +79,51 @@ def test_step_function_validation():
     dom = StepFunction1D((0.0, 1.0), (3.0,), TailMode.DOMAIN_ONLY)
     with pytest.raises(ValueError):
         dom(2.0)
+
+
+def test_step_holds_read_only_float64_copies():
+    bp, vals = np.array([0.0, 1.0, 2.0]), np.array([3, 4])
+    u = StepFunction1D(bp, vals)
+    assert u.breakpoints.dtype == u.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        u.values[0] = 9.0
+    with pytest.raises(ValueError):
+        u.breakpoints[0] = -1.0
+    bp[1], vals[0] = 0.5, 7
+    assert u.breakpoints.tolist() == [0.0, 1.0, 2.0] and u.values.tolist() == [3.0, 4.0]
+
+
+def test_step_equality_by_value():
+    u = StepFunction1D((0.0, 1.0), (0.0,))
+    assert u == StepFunction1D(np.array([0.0, 1.0]), [-0.0])
+    assert u != StepFunction1D((0.0, 1.0), (0.0,), TailMode.DOMAIN_ONLY)
+    assert u != StepFunction1D((0.0, 1.0), (0.5,))
+    assert u != StepFunction1D((0.0, 1.0, 2.0), (0.0, 0.0))
+    assert u != (0.0, 1.0)
+    with pytest.raises(TypeError):
+        hash(u)
+
+
+def test_step_scalars_are_python_floats():
+    u = StepFunction1D((0.0, 1.0, 2.0), (3.0, 4.0), TailMode.DOMAIN_ONLY)
+    assert type(u(0.5)) is float and type(u(2.0)) is float
+    assert type(u.support.lo) is float and type(u.support.hi) is float
+    assert type(u.domain.lo) is float
+
+
+@pytest.mark.parametrize("bp,index", [((0.0, 1.0, 1.0, 2.0), 2), ((0.0, 2.0, 1.0, 3.0), 2),
+                                      ((1.0, 0.0), 1), ((0.0, 1.0, 2.0, 2.0), 3)])
+def test_nonmonotone_breakpoints_index(bp, index):
+    with pytest.raises(NonMonotoneBreakpoints) as exc:
+        StepFunction1D(bp, (0.0,) * (len(bp) - 1))
+    assert exc.value.index == index
+
+
+def test_nonfinite_messages_print_plain_floats():
+    with pytest.raises(SchemaError, match=r"^values must be finite; got inf at index 1$"):
+        StepFunction1D((0.0, 1.0, 2.0), (0.0, math.inf))
+    with pytest.raises(SchemaError, match=r"^breakpoints must be finite; got -inf at index 0$"):
+        StepFunction1D(np.array([-math.inf, 1.0]), (0.0,))
 
 
 def test_pwa_validation_and_eval():

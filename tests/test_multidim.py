@@ -132,13 +132,13 @@ class TestSections:
                 step = RadialSection(float(t_center[i]), float(rho[i]), r, peak) \
                     .step_segmentation(delta)
                 e = edges[cells[0] + j + np.arange(len(cells) + 1)]  # one more edge a section
-                assert step.breakpoints == tuple(e[1:-1].tolist())
-                assert step.values == tuple((levels[cells][1:-1] * delta).tolist())
+                assert step.breakpoints.tolist() == e[1:-1].tolist()
+                assert step.values.tolist() == (levels[cells][1:-1] * delta).tolist()
                 n = top[i]
                 half = [math.sqrt(max((r * (1.0 - k * delta / peak)) ** 2 - rho[i] ** 2, 0.0))
                         for k in range(1, n + 1)]
-                assert step.breakpoints == tuple([t_center[i] - h for h in half]
-                                                 + [t_center[i] + h for h in half[::-1]])
+                assert step.breakpoints.tolist() == ([t_center[i] - h for h in half]
+                                                     + [t_center[i] + h for h in half[::-1]])
             for i in np.flatnonzero(~keep):
                 assert RadialSection(0.0, float(rho[i]), r, peak).step_segmentation(delta) is None
 
