@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,6 +56,16 @@ def _require_finite(values: Sequence[float], what: str) -> None:
     if not finite.all():
         i = int(np.argmin(finite))
         raise SchemaError(f"{what} must be finite; got {float(values[i])!r} at index {i}")
+
+
+def _integers(values: Iterable, field: str) -> list[int]:
+    """``values`` as ints; a bool (JSON's true and false) or a non-integer
+    is a SchemaError naming ``field``."""
+    for v in values:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) \
+                or not float(v).is_integer():
+            raise SchemaError(f"field {field!r} must hold integers; got {v!r}")
+    return [int(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -240,12 +251,7 @@ class DiscreteArrangement:
     def __post_init__(self):
         if len(self.species) < 1:
             raise SchemaError("an arrangement needs at least one entry")
-        spe = []
-        for i, s in enumerate(self.species):
-            if isinstance(s, bool) or int(s) != s:
-                raise SchemaError(f"species must be integers; got {s!r} at index {i}")
-            spe.append(int(s))
-        object.__setattr__(self, "species", tuple(spe))
+        object.__setattr__(self, "species", tuple(_integers(self.species, "species")))
 
     def __len__(self) -> int:
         return len(self.species)
@@ -279,25 +285,28 @@ class EnemyList:
 
     @classmethod
     def band_complement(cls, k: int) -> "EnemyList":
-        if int(k) != k or k < 1:
+        (k,) = _integers([k], "band_complement")
+        if k < 1:
             raise SchemaError(f"band_complement needs a positive integer, got {k!r}")
-        return cls(_EnemyKind.BAND_COMPLEMENT, a=int(k))
+        return cls(_EnemyKind.BAND_COMPLEMENT, a=k)
 
     @classmethod
     def band_square(cls, lo: int, hi: int) -> "EnemyList":
+        lo, hi = _integers((lo, hi), "band_square")
         if lo > hi:
             raise SchemaError(f"band_square needs lo <= hi, got ({lo}, {hi})")
-        return cls(_EnemyKind.BAND_SQUARE, a=int(lo), b=int(hi))
+        return cls(_EnemyKind.BAND_SQUARE, a=lo, b=hi)
 
     @classmethod
     def band_square_complement(cls, lo: int, hi: int) -> "EnemyList":
+        lo, hi = _integers((lo, hi), "band_square_complement")
         if lo > hi:
             raise SchemaError(f"band_square_complement needs lo <= hi, got ({lo}, {hi})")
-        return cls(_EnemyKind.BAND_SQUARE_COMPLEMENT, a=int(lo), b=int(hi))
+        return cls(_EnemyKind.BAND_SQUARE_COMPLEMENT, a=lo, b=hi)
 
     @classmethod
     def explicit(cls, pairs: Iterable[Sequence[int]]) -> "EnemyList":
-        seq = [(int(i), int(j)) for i, j in pairs]
+        seq = [tuple(_integers((i, j), "explicit")) for i, j in pairs]
         as_set = frozenset(seq)
         for idx, (i, j) in enumerate(seq):
             if (j, i) not in as_set:
@@ -350,7 +359,7 @@ class HostilityWeights:
         return {"h": list(self.h)}
 
 
-_NUMBER_TYPES = {int, float, bool}  # what json.load gives for a JSON number (or true/false)
+_NUMBER_TYPES = {int, float}  # what json.load gives for a JSON number; true/false are not
 
 
 def _is_numbers(v, length: int | None = None) -> bool:

@@ -248,75 +248,94 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
 _SBP_CHUNK = 1 << 14
 
 
-def _first_true(sp, y, pred):
-    """Per ``y``, the smallest index k of the sentinel-padded sorted labels
-    ``sp`` with ``pred(sp[k], y)``, for a predicate that is monotone in
-    ``sp[k]``, false at ``sp[0] = -inf`` and true at ``sp[-1] = +inf``."""
-    lo = np.zeros(len(y), dtype=np.intp)  # pred false here
-    hi = np.full(len(y), len(sp) - 1)     # pred true here
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        t = pred(sp[mid], y)
-        hi = np.where(t, mid, hi)
-        lo = np.where(t, lo, mid)
-    return hi
+def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise, the smallest float in (lo, hi] at which ``past`` holds, for
+    a predicate monotone there and true at hi, searched on the floats' ordered
+    integer keys down to adjacent floats.  Each round probes 2**s - 1 evenly
+    spaced keys per bracket, about 1024 in all (a bisection from 1024 entries
+    on): numpy's fixed cost per round dominates on a few entries."""
+    def key(x):  # float <-> order-preserving int64 key, both ways
+        return x.view(np.int64) ^ ((x.view(np.int64) >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+    base = key(np.asarray(lo, dtype=np.float64))
+    # the answer is key base + a + w, with w >= 1; unsigned, so no overflow
+    a = np.zeros(len(base), dtype=np.uint64)
+    w = (key(np.asarray(hi, dtype=np.float64)) - base).view(np.uint64)
+    s = max(1, (1024 // max(len(base), 1)).bit_length() - 1)
+    j = np.arange(1, 1 << s, dtype=np.uint64)[:, None]
+    for _ in range(-(-int(w.max(initial=0)).bit_length() // s)):
+        step = (w + np.uint64((1 << s) - 1)) >> np.uint64(s)  # ceil(w / 2**s)
+        off = step * j
+        now = (off >= w) | past(key(base + (a + off).view(np.int64)).view(np.float64))
+        below = (~now).sum(axis=0).astype(np.uint64)
+        a, w = a + below * step, np.minimum(step, w - below * step)
+    return key(base + (a + w).view(np.int64)).view(np.float64)
 
 
 def _bands(s, y, radius):
     """Sorted-index ranges ``[lo, hi)`` of the labels within ``radius``.
 
-    ``s`` is sorted; entry b covers the k with ``abs(s[k] - y[b]) <=
-    radius``, evaluated in floating point exactly like every other
-    interaction test.  ``searchsorted`` at ``y -+ radius`` is almost always
-    exact; the float difference is monotone in ``s[k]``, so checking the
-    two neighbours of each boundary on the padded array finds the rare
-    off ones, which a bisection then places.
+    ``s`` is sorted and nonempty; entry b covers the k with ``abs(s[k] -
+    y[b]) <= radius``, evaluated in floating point exactly like every
+    other interaction test.  ``searchsorted`` at ``y -+ radius`` is almost
+    always exact; the float difference is monotone in ``s[k]``, so checking
+    the labels on both sides of each boundary finds the rare off ones.
+    Such a boundary is the count of labels below the first float past it.
     """
-    sp = np.concatenate(([-INF], s, [INF]))  # sp[k + 1] = s[k]
+    n = len(s)
     out = []
-    for pred, guess in ((lambda v, y: v - y >= -radius,   # true from lo on
+    for past, guess in ((lambda v, y: v - y >= -radius,   # true from lo on
                          np.searchsorted(s, y - radius, "left")),
                         (lambda v, y: v - y > radius,     # true from hi on
                          np.searchsorted(s, y + radius, "right"))):
-        bad = pred(sp[guess], y) | ~pred(sp[guess + 1], y)
+        bad = (guess > 0) & past(s[guess - 1], y) | (guess < n) & ~past(s[guess % n], y)
         if bad.any():
-            guess[bad] = _first_true(sp, y[bad], pred) - 1
+            lim = np.full(bad.sum(), INF)
+            at = _first_past(lambda v, y=y[bad]: past(v, y), -lim, lim)
+            guess[bad] = np.searchsorted(s, at)
         out.append(guess)
     return out
 
 
-def _switch_ranges(lo, hi, ends):
-    """The rows whose interaction switches at each column, as flat ranges.
+def _switch_ranges(x, counts, radius):
+    """The rows whose interaction switches at each column, as one table
+    of sorted-index ranges.
 
-    ``[lo[c], hi[c])`` is the band of cell c.  Each function's cells are
-    consecutive, both as cells and as sorted labels, and end before the
-    increasing ``ends``; its last column closes with the band of all its
-    cells.  Adjacent cells do not interact, so consecutive bands overlap,
-    and the rows that switch between columns c and c+1 are the ones each
-    band end sweeps over: the lower end moving right (or the upper end
-    moving left) switches rows on, the other way off.  The nonempty swept
-    ranges are laid end to end as one flat sequence of transitions,
-    function by function.  Returns ``(cells, signs, first, ends, shift)``: each range
-    switches at the right edge of cell ``cells`` by ``signs`` (+1.0 or
-    -1.0) and covers flat positions ``[first, ends)``; a flat position plus
-    ``shift`` is its sorted index.
+    The labels ``x`` of the functions laid end to end (``counts`` cells
+    each) are sorted once, on the keys ``function * G + label`` with G past
+    every label difference, so that no band leaks into another function,
+    and each function's labels fill the sorted indices of its cells.
+    Cell c's band ``[lo[c], hi[c])`` holds its non-interacting rows
+    (:func:`_bands`); a function's last column closes with the band of all
+    its cells.  Adjacent cells do not interact, so consecutive bands
+    overlap, and the rows that switch between columns c and c+1 are the
+    ones each band end sweeps over: the lower end moving right (or the
+    upper end moving left) switches rows on, the other way off.
+
+    Returns ``(order, cells, swept, start)``: sorted index k is cell
+    ``order[k]``, and slot j switches the ``abs(swept[j])`` rows from
+    sorted index ``start[j]`` on at the right edge of cell ``cells[j]``, on
+    where ``swept[j] > 0`` and off where it is negative.  A function with
+    cells ``[s, e)`` has slots ``[2s, 2e)``: its lower ends in cell order,
+    then its upper ends, with the zero-length ones in place.
     """
-    n = len(lo)
-    size = np.diff(ends, prepend=0)
-    lc, hc = np.append(lo[1:], 0), np.append(hi[1:], 0)
-    lc[ends - 1], hc[ends - 1] = ends - size, ends
-    # a function's lower ends, then its upper ends, each in cell order
-    lower = np.arange(n) + np.repeat(ends - size, size)
-    upper = lower + np.repeat(size, size)
-    swept, start, cells = (np.empty(2 * n, dtype=lo.dtype) for _ in range(3))
-    swept[lower], swept[upper] = lc - lo, hi - hc  # signed: > 0 switches on
-    start[lower], start[upper] = np.minimum(lo, lc), np.minimum(hi, hc)
-    cells[lower] = cells[upper] = np.arange(n)
-    which = np.flatnonzero(swept)
-    swept, start, cells = swept[which], start[which], cells[which]
-    ends = np.cumsum(np.abs(swept))
-    first = ends - np.abs(swept)
-    return cells, np.sign(swept).astype(float), first, ends, start - first
+    keys = x + np.repeat(np.arange(len(counts)) * (x.max() - x.min() + radius + 1.0), counts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    lo, hi = np.empty_like(order), np.empty_like(order)
+    lo[order], hi[order] = _bands(keys, keys, radius)  # sorted queries: faster
+    del keys
+    ends, size = np.cumsum(counts)[counts > 0], counts[counts > 0]
+    slot = np.arange(len(x)) + np.repeat(ends - size, size)  # the lower ends' slots
+    swept, start, cells = (np.empty(2 * len(x), dtype=order.dtype) for _ in range(3))
+    for band, close, sign in ((lo, ends - size, 1), (hi, ends, -1)):
+        nxt = np.append(band[1:], 0)
+        nxt[ends - 1] = close
+        swept[slot] = sign * (nxt - band)  # signed: > 0 switches on
+        start[slot] = np.minimum(band, nxt, out=nxt)
+        cells[slot] = np.arange(len(x))
+        slot += np.repeat(size, size)  # the upper ends' slots
+    return order, cells, swept, start
 
 
 def _ragged_arange(counts):
@@ -415,32 +434,31 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
         counts = np.where(div, 0, counts)
         counts[tail_f] -= 1
     if len(x):
-        e = np.cumsum(counts)
-        keys = x + np.repeat(f * (x.max() - x.min() + radius + 1.0), counts)
-        order = np.argsort(keys, kind="stable")
-        lo, hi = np.empty_like(order), np.empty_like(order)
-        sk = keys[order]
-        lo[order], hi[order] = _bands(sk, sk, radius)  # sorted queries: faster
-        cells, signs, first, ends, shift = _switch_ranges(lo, hi, e[counts > 0])
+        order, cells, swept, start = _switch_ranges(x, counts, radius)
+        # slot j covers the flat transitions [ends[j], ends[j + 1]), and
+        # function f's run from slot 2 * s[f]
+        ends = np.concatenate(([0], np.cumsum(np.abs(swept))))
+        t0 = ends[2 * np.append(0, np.cumsum(counts))]
         # each function's transitions in pieces of _SBP_CHUNK, and the
         # pieces in groups of those starting in one _SBP_CHUNK window
-        ranges = np.searchsorted(np.searchsorted(e, cells, "right"), np.arange(nf + 1))
-        t0 = np.append(0, ends)[ranges]
         pieces = -(-np.diff(t0) // _SBP_CHUNK)
         p0 = np.repeat(t0[:-1], pieces) + _SBP_CHUNK * _ragged_arange(pieces)
         p1 = np.minimum(p0 + _SBP_CHUNK, np.repeat(t0[1:], pieces))
         sums = np.zeros(len(p0))
-        groups = (np.flatnonzero(np.diff(p0 // _SBP_CHUNK)) + 1).tolist()
-        for a, b in zip([0, *groups], [*groups, len(p0)] if len(p0) else []):
-            c0, c1 = int(p0[a]), int(p1[b - 1])
-            r = slice(np.searchsorted(ends, c0, "right"), np.searchsorted(ends, c1, "left") + 1)
-            cnt = np.minimum(ends[r], c1) - np.maximum(first[r], c0)
-            rows = order[np.arange(c0, c1) + np.repeat(shift[r], cnt)]
-            c = np.repeat(cells[r], cnt)
+        g0 = np.flatnonzero(np.diff(p0 // _SBP_CHUNK, prepend=-1))
+        g1 = np.append(g0, len(p0))[1:]
+        c0, c1 = p0[g0], p1[g1 - 1]
+        # the slots a group's window [c0, c1) meets, zero-length ones between
+        j0, j1 = np.searchsorted(ends, c0, "right") - 1, np.searchsorted(ends, c1, "left")
+        for a, b, c0, c1, j0, j1 in zip(*(v.tolist() for v in (g0, g1, c0, c1, j0, j1))):
+            first = ends[j0:j1]
+            cnt = np.minimum(ends[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
+            rows = order[np.arange(c0, c1) + np.repeat(start[j0:j1] - first, cnt)]
+            c = np.repeat(cells[j0:j1], cnt)
             keep = rows < c
             rows, c = rows[keep], c[keep]
             h = _pair_energies(right[c] - right[rows], lens[rows], INF, params)
-            h *= np.repeat(signs[r], cnt)[keep]
+            h *= np.repeat(np.sign(swept[j0:j1]), cnt)[keep]
             # pieces are nonempty, so their kept counts are one reduceat
             sums[a:b] = _segment_sums(h, np.add.reduceat(keep, p0[a:b] - c0, dtype=np.intp))
         part_f.append(np.repeat(np.arange(nf), pieces))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _quad
 from .core import PiecewiseAffine1D, StepFunction1D, TailMode
-from .functional1d import INF, EnergyParams, _pair_sum, _ragged_arange, step_cells
+from .functional1d import INF, EnergyParams, _first_past, _pair_sum, _ragged_arange, step_cells
 from .functional1d import step_energy  # noqa: F401 -- perfbench's tracer rebinds it here
 from .rearrange import _level_runs, _on_level, grid_floor_level, vertical_segmentation
 
@@ -239,30 +239,6 @@ def _horner(coef: np.ndarray, t) -> np.ndarray:
     for c in coef[:, -2::-1].T:
         v = v * t + c
     return v
-
-
-def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise, the smallest float in (lo, hi] at which ``past`` holds, for
-    a predicate monotone there and true at hi, searched on the floats' ordered
-    integer keys down to adjacent floats.  Each round probes 2**s - 1 evenly
-    spaced keys per bracket, about 1024 in all (a bisection from 1024 entries
-    on): numpy's fixed cost per round dominates on a section's few entries."""
-    def key(x):  # float <-> order-preserving int64 key, both ways
-        return x.view(np.int64) ^ ((x.view(np.int64) >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
-
-    base = key(np.asarray(lo, dtype=np.float64))
-    # the answer is key base + a + w, with w >= 1; unsigned, so no overflow
-    a = np.zeros(len(base), dtype=np.uint64)
-    w = (key(np.asarray(hi, dtype=np.float64)) - base).view(np.uint64)
-    s = max(1, (1024 // max(len(base), 1)).bit_length() - 1)
-    j = np.arange(1, 1 << s, dtype=np.uint64)[:, None]
-    for _ in range(-(-int(w.max(initial=0)).bit_length() // s)):
-        step = (w + np.uint64((1 << s) - 1)) >> np.uint64(s)  # ceil(w / 2**s)
-        off = step * j
-        now = (off >= w) | past(key(base + (a + off).view(np.int64)).view(np.float64))
-        below = (~now).sum(axis=0).astype(np.uint64)
-        a, w = a + below * step, np.minimum(step, w - below * step)
-    return key(base + (a + w).view(np.int64)).view(np.float64)
 
 
 class PolySection:

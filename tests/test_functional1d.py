@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -321,7 +322,10 @@ class TestPairSumEngine:
         # labels one ulp around y -+ r, where searchsorted at the rounded
         # y -+ r may be off and the fix-up must place the boundary
         rng = np.random.default_rng(7)
-        for y0, r in ((1000.0, 0.1), (1.0, 1.0), (-3.7, 0.3 * (1 + 1e-12)), (0.0, 1e-300)):
+        # across zero, at large magnitudes, and with r below half an ulp of y
+        for y0, r in ((1000.0, 0.1), (1.0, 1.0), (-3.7, 0.3 * (1 + 1e-12)), (0.0, 1e-300),
+                      (3.3e5, 1e-6 * (1 + 1e-12)), (-2.5e-8, 1e-6 * (1 + 1e-12)),
+                      (1e-300, 7e-9), (5e15, 0.1)):
             near = []
             for v in (y0 - r, y0 + r, y0):
                 for _ in range(4):
@@ -391,15 +395,46 @@ class TestBatchedPairSum:
         got = _pair_sum(np.zeros(0), np.zeros(0), [], 1, EnergyParams(0.1, 1.0))
         assert got.shape == (0,)
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 8), at=st.integers(0, 7),
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 8), at=st.integers(0, 8),
            p=st.sampled_from([1.0, 1.5, 2.0]), k=st.integers(1, 2))
     def test_energy_does_not_depend_on_batch_neighbours(self, seed, size, at, p, k):
+        # chunk sizes 1 and 7 put group seams inside and between functions;
+        # a divergent function (a jump of k + 1 levels) keeps no cells, and
+        # one-cell functions keep no transitions, before their neighbours'
         delta = 0.25
-        steps = grid_steps(np.random.default_rng(seed), size, delta)
+        rng = np.random.default_rng(seed)
+        steps = grid_steps(rng, size, delta)
+        bad = int(rng.integers(size + 1))
+        jump = (k + 1) * delta
+        steps.insert(bad, StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.0, jump, jump)))
         params = EnergyParams(delta, p)
-        batch = _pair_sum(*batch_of(steps, delta), k, params)
-        alone = _pair_sum(*batch_of(steps[at % size:][:1], delta), k, params)
-        assert batch[at % size] == alone[0]
+        at %= size + 1
+        for chunk in (1, 7, functional1d._SBP_CHUNK):
+            with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
+                batch = _pair_sum(*batch_of(steps, delta), k, params)
+                alone = _pair_sum(*batch_of(steps[at:at + 1], delta), k, params)
+            assert batch[bad] == math.inf
+            assert batch[at] == alone[0]
+
+    @pytest.mark.parametrize("shape", [
+        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),  # 10^5 cells
+        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))],          # 2 * 10^5 cells
+        ids=["ramp", "tent"])
+    def test_integer_level_scratch_memory(self, shape):
+        # the segmented ramp and tent at delta = 1e-5 on integer levels: the
+        # traced peak of the pair sum stays within 200 bytes per cell
+        delta = 1e-5
+        u = vertical_segmentation(shape, delta)
+        edges, vals = step_cells(u, u.domain)
+        levels = np.rint(vals / delta)
+        tracemalloc.start()
+        try:
+            energy = _pair_sum(edges, levels, [len(levels)], 1, EnergyParams(delta, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < energy[0] < math.inf
+        assert peak <= 200 * len(levels)
 
     def test_segment_sums_round_like_numpy(self):
         # numpy's pairwise sum changes its grouping at lengths 8, 128 and up
