@@ -301,13 +301,13 @@ _PWA = {"nodes": [[0, 0], [1, 1]], "compact_support": False}
     ({**_PWA, "nodes": 5}, "nodes"),
     ({**_PWA, "nodes": [[0, 0], [1, None]]}, "nodes"),
     ({"h": [1, None]}, "h"),
-    ({**_STEP, "values": [1, True]}, "values"),  # true is no number
     ({"species": 5}, "species"),
     ({"species": [1, None]}, "species"),
     ({"band_complement": None}, "band_complement"),
     ({"band_square": 5}, "band_square"),
     ({"band_square_complement": [1]}, "band_square_complement"),
     ({"explicit": 5}, "explicit"),
+    ({**_STEP, "values": [1, True]}, "values"),  # true is no number
     # species are integers: no truncation, and JSON true/false are no numbers here
     ({"explicit": [[1.5, 1.5]]}, "explicit"),
     ({"band_square": [0.5, 2.7]}, "band_square"),
