@@ -25,11 +25,12 @@ import numpy as np
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float, max_depth: int = 48) -> float:
-    """Adaptive Simpson integral of ``f`` over [a, b], absolute tolerance."""
+                     tol: float) -> float:
+    """Adaptive Simpson integral of ``f`` over [a, b], absolute tolerance,
+    halving at most 48 times."""
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 48)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

@@ -78,7 +78,7 @@ def spherical_moment(d: int, p: float) -> LimitConstant:
     return LimitConstant(value, Provenance.CLOSED_FORM)
 
 
-def spherical_moment_quadrature(d: int, p: float, tol: float = 1e-11) -> LimitConstant:
+def spherical_moment_quadrature(d: int, p: float) -> LimitConstant:
     """Direct spherical quadrature oracle for :func:`spherical_moment`.
 
     d = 2: the circle integral of |cos(theta)|^p, computed as
@@ -89,10 +89,10 @@ def spherical_moment_quadrature(d: int, p: float, tol: float = 1e-11) -> LimitCo
         raise BadExponent(f"p must be >= 1, got {p}")
     if d == 2:
         value = 4.0 * _quad.adaptive_simpson(
-            lambda t: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, tol)
+            lambda t: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)
     elif d == 3:
         value = 2.0 * math.pi * _quad.adaptive_simpson(
-            lambda t: abs(math.cos(t)) ** p * math.sin(t), 0.0, math.pi, tol)
+            lambda t: abs(math.cos(t)) ** p * math.sin(t), 0.0, math.pi, 1e-11)
     else:
         raise BadDimension(f"quadrature oracle covers d in {{2, 3}}, got {d}")
     return LimitConstant(value, Provenance.QUADRATURE)

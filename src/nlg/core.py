@@ -400,7 +400,8 @@ def validate_and_build(raw: dict):
             raise SchemaError(f"unknown tail_mode {raw['tail_mode']!r}") from None
         return StepFunction1D(_numbers(raw, "breakpoints"), _numbers(raw, "values"), mode)
     if keys == {"nodes", "compact_support"}:
-        return PiecewiseAffine1D(_pairs(raw, "nodes"), bool(raw["compact_support"]))
+        return PiecewiseAffine1D(_pairs(raw, "nodes"), _field(
+            raw, "compact_support", lambda v: type(v) is bool, "true or false"))
     if keys == {"species"}:
         return DiscreteArrangement(_numbers(raw, "species"))
     if keys == {"band_complement"}:

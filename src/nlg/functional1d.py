@@ -86,6 +86,11 @@ class ToleranceNotReached(RuntimeError):
         super().__init__(f"achieved {estimate} +- {error_estimate}")
 
 
+def _check_delta(delta: float):
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Threshold delta > 0 and kernel exponent p >= 1."""
@@ -94,8 +99,7 @@ class EnergyParams:
     p: float = 1.0
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _check_delta(self.delta)
         if not self.p >= 1.0:
             raise ValueError(f"p must be >= 1, got {self.p}")
 
@@ -154,9 +158,9 @@ def _pair_energies(gap, len1, len2, params: EnergyParams):
     return delta ** p / (p * (p - 1.0)) * np.maximum(brk, 0.0)
 
 
-def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams,
-                         rel_tol: float = 1e-9) -> float:
-    """Adaptive tensor-quadrature oracle for :func:`pair_cell_energy`.
+def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> float:
+    """Adaptive tensor-quadrature oracle for :func:`pair_cell_energy`, to
+    a relative tolerance of 1e-9.
 
     Bounded pairs are integrated directly.  An unbounded side is truncated
     where the remaining tail (computed by 1D quadrature of the elementary
@@ -192,7 +196,7 @@ def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams,
     core_hi = b2 if math.isfinite(b2) else a2 + span
     core_lo = a1 if math.isfinite(a1) else b1 - span
     pilot = _quad._simpson_cell(kernel, core_lo, b1, a2, core_hi)
-    abs_tol = max(rel_tol * abs(pilot), 1e-300)
+    abs_tol = max(1e-9 * abs(pilot), 1e-300)
 
     if b2 == INF:
         cut_hi = a2 + span
@@ -624,9 +628,9 @@ def pointwise_hostility(u: StepFunction1D, x: float, params: EnergyParams) -> fl
     return math.fsum(parts)
 
 
-def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams,
-                                  rel_tol: float = 1e-6) -> float:
-    """Quadrature of the pointwise hostility over the whole domain.
+def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams) -> float:
+    """Quadrature of the pointwise hostility over the whole domain, to a
+    relative tolerance of 1e-6.
 
     Used to check the identity "integral of the pointwise hostility equals
     the energy" against :func:`step_energy`; both sides are computed by
@@ -639,7 +643,7 @@ def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams,
     if not math.isfinite(scale):
         raise UnsupportedCombination("divergent energy; the identity is +inf = +inf")
     n_pieces = len(vals)
-    tol = max(scale, 1e-12) * rel_tol / max(n_pieces, 1)
+    tol = max(scale, 1e-12) * 1e-6 / max(n_pieces, 1)
     parts = []
     for j in range(len(vals)):
         a, b = edges[j], edges[j + 1]

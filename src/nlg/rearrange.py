@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import INTERACTION_GUARD, EnergyParams, step_cells, _pair_sum
+from .functional1d import INTERACTION_GUARD, EnergyParams, _check_delta, _pair_sum, step_cells
 
 
 class WeightsTooShort(ValueError):
@@ -69,9 +69,10 @@ def grid_floor_level(v, delta: float):
     with values intended to be exact multiples of delta are fixed points
     of the segmentation even when k*delta rounds.
     """
+    _check_delta(delta)
     q = np.divide(v, delta)
-    if not np.all(np.isfinite(q)):
-        raise ValueError(f"grid levels need finite values, got {v}")
+    if not np.all(np.abs(q) < 2.0 ** 53):  # float levels are exact integers below 2**53
+        raise ValueError(f"grid levels need |v/delta| < 2**53, got v = {v}, delta = {delta}")
     near = np.rint(q)
     k = np.floor(q)
     k = k + ((k + 1.0) * delta <= v) - (k * delta > v)
@@ -157,8 +158,7 @@ def vertical_segmentation(u, delta: float):
     in place; for a plain number or callable the floored number/callable
     is returned.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     if isinstance(u, PiecewiseAffine1D):
         return _segment_pwa(u, delta)
     if isinstance(u, StepFunction1D):
@@ -176,7 +176,7 @@ def clamp_values(u: StepFunction1D, lo: float, hi: float) -> StepFunction1D:
     the zero tails are part of the function and must stay fixed under the
     clamp.
     """
-    if lo > hi:
+    if not lo <= hi:  # NaN fails too
         raise BadBounds(f"need lo <= hi, got ({lo}, {hi})")
     if u.tail_mode is TailMode.COMPACT_SUPPORT and not lo <= 0.0 <= hi:
         raise BadBounds("bounds must bracket 0 for a compactly supported function")

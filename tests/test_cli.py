@@ -109,6 +109,17 @@ def test_segment_crossing_on_end_node(capsys, tmp_path):
     assert json.loads(out)["breakpoints"][-1] == 0.638
 
 
+@pytest.mark.parametrize("delta", ["inf", "1e-300"])
+def test_segment_bad_delta_is_one_error_line(capsys, tmp_path, delta):
+    src = tmp_path / "tent.json"
+    src.write_text(json.dumps({"nodes": [[0, 0], [1, 1], [2, 0]],
+                               "compact_support": True}))
+    code, out, err = run_cli(capsys, "segment", "--input", str(src), "--delta", delta)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "delta" in err and "repeats" not in err
+
+
 def test_rearrange_discrete(capsys, tmp_path):
     src = tmp_path / "arr.json"
     src.write_text(json.dumps({"species": [2, 0, 1]}))
@@ -314,6 +325,12 @@ _PWA = {"nodes": [[0, 0], [1, 1]], "compact_support": False}
     ({"band_complement": True}, "band_complement"),
     ({"band_square_complement": [True, 2]}, "band_square_complement"),
     ({"species": [1, math.inf]}, "species"),  # JSON Infinity: no int, no crash
+    # compact_support is a JSON boolean, not any truthy or falsy value
+    ({**_PWA, "compact_support": "false"}, "compact_support"),
+    ({**_PWA, "compact_support": "no"}, "compact_support"),
+    ({**_PWA, "compact_support": None}, "compact_support"),
+    ({**_PWA, "compact_support": 0}, "compact_support"),
+    ({**_PWA, "compact_support": []}, "compact_support"),
 ])
 def test_malformed_json_is_one_error_line(capsys, tmp_path, doc, field):
     (tmp_path / "doc.json").write_text(json.dumps(doc))

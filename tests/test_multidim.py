@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_cells, step_energy)
+from nlg import multidim
 from nlg.functional1d import _pair_sum
 from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
                           UnsupportedField, _radial_cells, _section_cells, _top_levels)
@@ -33,6 +35,17 @@ class TestDirection:
     def test_bad_frame_rejected(self):
         with pytest.raises(ValueError):
             Direction((1.0, 0.0), ((1.0, 0.0),))
+
+    def test_zero_and_nan_vectors_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 RuntimeWarning on the way
+            for v in ((0.0, 0.0), (0.0, 0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0)):
+                with pytest.raises(ValueError, match="nonzero finite vector"):
+                    Direction.from_vector(v)
+        with pytest.raises(ValueError, match="unit vector"):
+            Direction((math.nan, math.nan), ((0.0, 1.0),))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Direction((1.0, 0.0), ((math.nan, 1.0),))
 
 
 class TestSections:
@@ -315,6 +328,66 @@ class TestMonteCarlo:
         params = EnergyParams(0.4, 2.0)
         est, se = energy_by_montecarlo(u3, params, u3.support_box(), 200_000, 9)
         assert est > 0.0 and se > 0.0 and se < est
+
+    CASES = [
+        (TENT, EnergyParams(0.25, 2.0), Box((-1.7, -1.3), (1.4, 1.6))),
+        (RadialTent((0.0, 0.0, 0.0), 1.0, 1.0), EnergyParams(0.4, 2.0), None),
+        (TensorTent((0.0, 0.1), (1.0, 0.7), 1.0), EnergyParams(0.1, 1.5), None),
+    ]
+
+    @pytest.mark.parametrize("u,params,box", CASES)
+    def test_hit_counts_match_weight_array(self, monkeypatch, u, params, box):
+        box = box or u.support_box()
+        monkeypatch.setattr(multidim, "_MC_CHUNK", 1000)
+        for seed in (0, 7, 123):
+            for n in (1, 999, 2500):
+                got = energy_by_montecarlo(u, params, box, n, seed)
+                want = _weight_array_montecarlo(u, params, box, n, seed, 1000)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_hit_counts_match_weight_array_at_full_chunks(self):
+        box = Box((-1.7, -1.3), (1.4, 1.6))
+        params, n = EnergyParams(0.25, 2.0), multidim._MC_CHUNK + 777
+        got = energy_by_montecarlo(TENT, params, box, n, 4)
+        want = _weight_array_montecarlo(TENT, params, box, n, 4, multidim._MC_CHUNK)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def _weight_array_montecarlo(u, params, box, n_samples, seed, chunk):
+    """Monte Carlo with one float weight per sample (0, or 1 + partner
+    outside the box if the pair interacts) and every partner box-tested:
+    the reference for energy_by_montecarlo's two hit counts per chunk."""
+    d, delta, p = u.dim, params.delta, params.p
+    lower, upper = np.asarray(box.lower), np.asarray(box.upper)
+    r_min = delta / u.lipschitz
+    sphere = 2.0 * math.pi if d == 2 else 4.0 * math.pi
+    scale = box.volume * sphere * u.lipschitz ** p / p
+    total = total_sq = 0.0
+    done = chunk_index = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+        x = lower + rng.random((m, d)) * (upper - lower)
+        if d == 2:
+            phi = rng.random(m) * (2.0 * math.pi)
+            omega = np.column_stack([np.cos(phi), np.sin(phi)])
+        else:
+            zc = 2.0 * rng.random(m) - 1.0
+            phi = rng.random(m) * (2.0 * math.pi)
+            sc = np.sqrt(np.clip(1.0 - zc * zc, 0.0, None))
+            omega = np.column_stack([sc * np.cos(phi), sc * np.sin(phi), zc])
+        r = r_min * (1.0 - rng.random(m)) ** (-1.0 / p)
+        y = x + r[:, None] * omega
+        interact = np.abs(np.floor(u.evaluate(y) / delta) - np.floor(u.evaluate(x) / delta)) >= 2.0
+        outside = np.any((y < lower) | (y > upper), axis=1)
+        w = np.where(interact, 1.0 + outside.astype(float), 0.0)
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w * w))
+        done += m
+        chunk_index += 1
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return scale * mean, scale * math.sqrt(var / n_samples)
 
 
 def test_delta_sweep_approaches_limit():

@@ -131,6 +131,23 @@ class TestVerticalSegmentation:
             with pytest.raises(ValueError):
                 grid_floor_level(v, 0.1)
 
+    def test_grid_floor_levels_below_2_53(self):
+        # levels are exact integers only below 2**53; past it int64 wrapped
+        assert grid_floor_level(2.0 ** 53 - 1.0, 1.0) == 2 ** 53 - 1
+        for v, delta in ((1.0, 1e-300), (-(2.0 ** 53), 1.0), (np.array([0.5, 2.0 ** 52]), 0.5)):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                grid_floor_level(v, delta)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -0.5])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        tent = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
+        step = StepFunction1D((0.0, 1.0, 2.0), (0.3, 0.7))
+        for u in (tent, step, 0.3, lambda x: x):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                vertical_segmentation(u, delta)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            grid_floor_level(0.3, delta)
+
     def test_grid_step_is_fixed_point(self, rng):
         # up to merging of equal-valued neighbours: pointwise identical,
         # and a second application changes nothing
@@ -240,6 +257,13 @@ class TestClampValues:
         compact = StepFunction1D((0.0, 1.0), (0.5,))
         with pytest.raises(BadBounds):
             clamp_values(compact, 0.2, 1.0)
+
+    def test_nan_bounds_rejected(self):
+        for u in (StepFunction1D((0.0, 1.0), (0.5,), TailMode.DOMAIN_ONLY),
+                  StepFunction1D((0.0, 1.0), (0.5,))):
+            for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+                with pytest.raises(BadBounds, match="lo <= hi"):
+                    clamp_values(u, lo, hi)
 
     def test_energy_never_increases(self, rng):
         for _ in range(60):
