@@ -9,7 +9,8 @@ Two small workhorses shared by the oracles and estimators:
   rectangle.  Each cell carries a 5x5 grid evaluated in one vectorized
   call; the 3x3 Simpson rule on the even nodes against the composite
   Simpson rule on the four quadrants gives the value and its error
-  estimate.  Refinement marks the smallest set of cells holding half of
+  estimate.  The cells live in one ``(4, n)`` array with rows x0, x1,
+  y0, y1.  Refinement marks the smallest set of cells holding half of
   the total error (so progress is guaranteed even along discontinuity
   curves), splitting skewed cells along their long axis only.  Cells can
   be skipped wholesale through a predicate, which is how callers excise
@@ -48,34 +49,22 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
             + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
 
 
-# 5x5 tensor grid on [0,1]^2; the even nodes carry the coarse 3x3 Simpson
-# rule, all nodes the 2x2-composite Simpson rule.
+# 5x5 tensor grid on [0,1]^2.  The fine weights are the 2x2-composite
+# Simpson rule on all nodes, the coarse weights the 3x3 Simpson rule on
+# the even nodes.
 _NODES5 = np.linspace(0.0, 1.0, 5)
-_GX5, _GY5 = np.meshgrid(_NODES5, _NODES5, indexing="ij")
-_GX5 = _GX5.ravel()
-_GY5 = _GY5.ravel()
-_W3 = np.array([1.0, 4.0, 1.0]) / 6.0
+_GX5, _GY5 = (g.ravel() for g in np.meshgrid(_NODES5, _NODES5, indexing="ij"))
+_FINE_1D = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+_COARSE_1D = np.array([1.0, 0.0, 4.0, 0.0, 1.0]) / 6.0
+_W_FINE = np.outer(_FINE_1D, _FINE_1D).ravel()
+_W_COARSE = np.outer(_COARSE_1D, _COARSE_1D).ravel()
 
-
-def _weights_25():
-    coarse, fine = np.zeros((5, 5)), np.zeros((5, 5))
-    coarse[::2, ::2] = np.outer(_W3, _W3)
-    for di in (0, 2):
-        for dj in (0, 2):
-            fine[di:di + 3, dj:dj + 3] += np.outer(0.25 * _W3, _W3)
-    return coarse.ravel(), fine.ravel()
-
-
-_W_COARSE, _W_FINE = _weights_25()
-
-
-def _simpson_cell(f, x0, x1, y0, y1):
-    """Plain 3x3 Simpson estimate on one cell (pilot use only)."""
-    xs = x0 + np.repeat(_NODES5[::2], 3) * (x1 - x0)
-    ys = y0 + np.tile(_NODES5[::2], 3) * (y1 - y0)
-    vals = np.asarray(f(xs, ys), dtype=float)
-    w = np.outer(_W3, _W3).ravel()
-    return float(vals @ w) * (x1 - x0) * (y1 - y0)
+# Children of a split cell, as the rows of (x0, x1, y0, y1) moved to the
+# midpoint of their axis: quadrants for square cells, halves along the
+# long axis for wide and tall ones.
+_QUADRANTS = ((1, 3), (0, 3), (1, 2), (0, 2))
+_HALVES_X = ((1,), (0,))
+_HALVES_Y = ((3,), (2,))
 
 
 class BudgetExhausted(Exception):
@@ -87,17 +76,36 @@ class BudgetExhausted(Exception):
         super().__init__(f"cell budget exhausted; estimate {value} +- {error_estimate}")
 
 
-def _evaluate_cells(f, x0, x1, y0, y1):
-    """Vectorized coarse/fine values and error estimates for cell arrays."""
+def _evaluate_cells(f, cells):
+    """Fine and coarse Simpson values of the cells in a ``(4, n)`` array
+    with rows x0, x1, y0, y1."""
+    x0, x1, y0, y1 = cells
     wx = x1 - x0
     wy = y1 - y0
     xs = x0[:, None] + _GX5[None, :] * wx[:, None]
     ys = y0[:, None] + _GY5[None, :] * wy[:, None]
     vals = np.asarray(f(xs.ravel(), ys.ravel()), dtype=float).reshape(xs.shape)
     area = wx * wy
-    fine = (vals @ _W_FINE) * area
-    coarse = (vals @ _W_COARSE) * area
-    return fine, np.abs(fine - coarse)
+    return (vals @ _W_FINE) * area, (vals @ _W_COARSE) * area
+
+
+def _split(marked):
+    """Children of the marked cells: square cells' quadrants first, then
+    the halves of wide cells, then those of tall cells."""
+    wx = marked[1] - marked[0]
+    wy = marked[3] - marked[2]
+    wide = wx > 1.8 * wy
+    tall = wy > 1.8 * wx
+    children = []
+    for sel, moves in ((~(wide | tall), _QUADRANTS), (wide, _HALVES_X), (tall, _HALVES_Y)):
+        parents = marked.compress(sel, axis=1)
+        mid = 0.5 * (parents[0::2] + parents[1::2])
+        for rows in moves:
+            child = parents.copy()
+            for r in rows:
+                child[r] = mid[r // 2]
+            children.append(child)
+    return np.concatenate(children, axis=1)
 
 
 def adaptive_cells_2d(f, x0: float, x1: float, y0: float, y1: float,
@@ -106,36 +114,32 @@ def adaptive_cells_2d(f, x0: float, x1: float, y0: float, y1: float,
                       initial: int = 4) -> tuple[float, float]:
     """Globally adaptive integral of ``f`` over [x0,x1]x[y0,y1].
 
-    ``f`` must accept flat numpy arrays.  ``skip(cx0, cx1, cy0, cy1)``
-    (vectorized over cell arrays) marks cells whose integral is exactly
-    zero; they are dropped without evaluation.  Returns
-    ``(value, error_estimate)``; raises :class:`BudgetExhausted` if the
-    estimate cannot be pushed below ``tol`` within ``max_cells`` cell
-    evaluations.
+    ``f`` must accept flat numpy arrays, empty ones included.
+    ``skip(cx0, cx1, cy0, cy1)`` (vectorized over cell arrays) marks cells
+    whose integral is exactly zero; they are dropped without evaluation.
+    Returns ``(value, error_estimate)``; raises :class:`BudgetExhausted`
+    if the estimate cannot be pushed below ``tol`` within ``max_cells``
+    cell evaluations.
     """
+    def evaluate(cells):
+        if skip is not None:
+            cells = cells.compress(~skip(*cells), axis=1)
+        fine, coarse = _evaluate_cells(f, cells)
+        return cells, fine, np.abs(fine - coarse)
+
     xs = np.linspace(x0, x1, initial + 1)
     ys = np.linspace(y0, y1, initial + 1)
-    cx0, cy0 = [a.ravel() for a in np.meshgrid(xs[:-1], ys[:-1], indexing="ij")]
-    cx1, cy1 = [a.ravel() for a in np.meshgrid(xs[1:], ys[1:], indexing="ij")]
-
-    def drop_skipped(a0, a1, b0, b1):
-        if skip is None:
-            return a0, a1, b0, b1
-        keep = ~skip(a0, a1, b0, b1)
-        return a0[keep], a1[keep], b0[keep], b1[keep]
-
-    cx0, cx1, cy0, cy1 = drop_skipped(cx0, cx1, cy0, cy1)
-    if len(cx0) == 0:
-        return 0.0, 0.0
-    val, err = _evaluate_cells(f, cx0, cx1, cy0, cy1)
-    n_evals = len(cx0)
+    cells, val, err = evaluate(np.array([
+        np.repeat(xs[:-1], initial), np.repeat(xs[1:], initial),
+        np.tile(ys[:-1], initial), np.tile(ys[1:], initial)]))
+    n_evals = cells.shape[1]
 
     while True:
         total = float(np.sum(val))
         total_err = float(np.sum(err))
         refinable = err > 0.0
         if min_size > 0.0:
-            refinable &= np.maximum(cx1 - cx0, cy1 - cy0) > min_size
+            refinable &= np.maximum(cells[1] - cells[0], cells[3] - cells[2]) > min_size
         if total_err <= tol or not np.any(refinable):
             return total, total_err
         if n_evals >= max_cells:
@@ -150,40 +154,9 @@ def adaptive_cells_2d(f, x0: float, x1: float, y0: float, y1: float,
         if not np.any(marked):
             marked = refinable & (err == np.max(err[refinable]))
 
-        mx0, mx1, my0, my1 = cx0[marked], cx1[marked], cy0[marked], cy1[marked]
-        wx = mx1 - mx0
-        wy = my1 - my0
-        xm = 0.5 * (mx0 + mx1)
-        ym = 0.5 * (my0 + my1)
-        # skewed cells split along the long axis only
-        wide = wx > 1.8 * wy
-        tall = wy > 1.8 * wx
-        square = ~(wide | tall)
-        parts = []
-        for sel, boxes in (
-            (square, [(mx0, xm, my0, ym), (xm, mx1, my0, ym),
-                      (mx0, xm, ym, my1), (xm, mx1, ym, my1)]),
-            (wide, [(mx0, xm, my0, my1), (xm, mx1, my0, my1)]),
-            (tall, [(mx0, mx1, my0, ym), (mx0, mx1, ym, my1)]),
-        ):
-            if not np.any(sel):
-                continue
-            for a0, a1, b0, b1 in boxes:
-                parts.append((a0[sel], a1[sel], b0[sel], b1[sel]))
-        nx0 = np.concatenate([p[0] for p in parts])
-        nx1 = np.concatenate([p[1] for p in parts])
-        ny0 = np.concatenate([p[2] for p in parts])
-        ny1 = np.concatenate([p[3] for p in parts])
-        nx0, nx1, ny0, ny1 = drop_skipped(nx0, nx1, ny0, ny1)
-        if len(nx0):
-            nval, nerr = _evaluate_cells(f, nx0, nx1, ny0, ny1)
-            n_evals += len(nx0)
-        else:
-            nval = nerr = np.empty(0)
+        new, nval, nerr = evaluate(_split(cells.compress(marked, axis=1)))
+        n_evals += new.shape[1]
         keep = ~marked
-        cx0 = np.concatenate([cx0[keep], nx0])
-        cx1 = np.concatenate([cx1[keep], nx1])
-        cy0 = np.concatenate([cy0[keep], ny0])
-        cy1 = np.concatenate([cy1[keep], ny1])
+        cells = np.concatenate([cells.compress(keep, axis=1), new], axis=1)
         val = np.concatenate([val[keep], nval])
         err = np.concatenate([err[keep], nerr])

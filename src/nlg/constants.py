@@ -19,7 +19,7 @@ from . import _quad
 
 
 class BadExponent(ValueError):
-    """Exponent p below 1."""
+    """Exponent p below 1, or not finite."""
 
 
 class BadDimension(ValueError):
@@ -48,8 +48,8 @@ def staircase_constant(p: float) -> LimitConstant:
     scale and in particular has no cancellation for p near 1, where the
     value tends continuously to log 2.
     """
-    if not p >= 1.0:
-        raise BadExponent(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise BadExponent(f"p must be finite and >= 1, got {p}")
     if p == 1.0:
         return LimitConstant(math.log(2.0), Provenance.CLOSED_FORM)
     q = p - 1.0
@@ -69,8 +69,8 @@ def spherical_moment(d: int, p: float) -> LimitConstant:
     """
     if int(d) != d or d < 1:
         raise BadDimension(f"d must be a positive integer, got {d!r}")
-    if not p >= 1.0:
-        raise BadExponent(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise BadExponent(f"p must be finite and >= 1, got {p}")
     if d == 1:
         return LimitConstant(2.0, Provenance.CLOSED_FORM)
     value = (2.0 * math.pi ** ((d - 1) / 2.0)
@@ -85,8 +85,8 @@ def spherical_moment_quadrature(d: int, p: float) -> LimitConstant:
     4 * integral over (0,1) of (1 - t^2)^((p-1)/2) via t = sin(theta).
     d = 3: polar integral 2*pi * integral of |cos(phi)|^p sin(phi).
     """
-    if not p >= 1.0:
-        raise BadExponent(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise BadExponent(f"p must be finite and >= 1, got {p}")
     if d == 2:
         value = 4.0 * _quad.adaptive_simpson(
             lambda t: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)

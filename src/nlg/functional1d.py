@@ -91,17 +91,21 @@ def _check_delta(delta: float):
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
+def _check_p(p: float):
+    if not 1.0 <= p < INF:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
 @dataclass(frozen=True)
 class EnergyParams:
-    """Threshold delta > 0 and kernel exponent p >= 1."""
+    """Finite threshold delta > 0 and finite kernel exponent p >= 1."""
 
     delta: float
     p: float = 1.0
 
     def __post_init__(self):
         _check_delta(self.delta)
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        _check_p(self.p)
 
     @property
     def threshold(self) -> float:
@@ -181,40 +185,33 @@ def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> fl
     def kernel(xs, ys):
         return delta ** p * np.abs(ys - xs) ** (-1.0 - p)
 
-    # inner antiderivative in y: integral over (Y, inf) of the kernel.
-    def y_tail(x, cut):
-        return delta ** p / p * (cut - x) ** (-p)
-
-    def x_tail(y, cut):
-        return delta ** p / p * (y - cut) ** (-p)
-
     span = (a2 - b1) + (b1 - a1 if math.isfinite(a1) else 0.0) \
         + (b2 - a2 if math.isfinite(b2) else 0.0) + 1.0
-    tail = 0.0
-    cut_lo, cut_hi = a1, b2
     # pilot scale from the bounded core (or a unit box ahead of the cuts)
     core_hi = b2 if math.isfinite(b2) else a2 + span
     core_lo = a1 if math.isfinite(a1) else b1 - span
-    pilot = _quad._simpson_cell(kernel, core_lo, b1, a2, core_hi)
-    abs_tol = max(1e-9 * abs(pilot), 1e-300)
+    _, pilot = _quad._evaluate_cells(kernel, np.array([[core_lo], [b1], [a2], [core_hi]]))
+    abs_tol = max(1e-9 * abs(float(pilot[0])), 1e-300)
 
+    def grown_cut(cut, anchor, lo, hi):
+        """Move ``cut`` away from ``anchor`` until the kernel's mass beyond
+        it, over s in (lo, hi), is negligible; returns the cut and that
+        tail (the inner antiderivative delta^p/p |cut - s|^-p, integrated
+        in 1D)."""
+        while (tail := _quad.adaptive_simpson(
+                lambda s: delta ** p / p * abs(cut - s) ** (-p), lo, hi,
+                abs_tol * 1e-3)) > 0.05 * abs_tol:
+            cut = anchor + (cut - anchor) * 4.0
+        return cut, tail
+
+    cut_lo, cut_hi = a1, b2
+    tail_hi = tail_lo = 0.0
     if b2 == INF:
-        cut_hi = a2 + span
-        while _quad.adaptive_simpson(lambda x: y_tail(x, cut_hi), core_lo, b1,
-                                     abs_tol * 1e-3) > 0.05 * abs_tol:
-            cut_hi = a2 + (cut_hi - a2) * 4.0
-        tail += _quad.adaptive_simpson(lambda x: y_tail(x, cut_hi), core_lo, b1,
-                                       abs_tol * 1e-3)
+        cut_hi, tail_hi = grown_cut(a2 + span, a2, core_lo, b1)
     if a1 == -INF:
-        cut_lo = b1 - span
-        while _quad.adaptive_simpson(lambda y: x_tail(y, cut_lo), a2, cut_hi,
-                                     abs_tol * 1e-3) > 0.05 * abs_tol:
-            cut_lo = b1 - (b1 - cut_lo) * 4.0
-        tail += _quad.adaptive_simpson(lambda y: x_tail(y, cut_lo), a2, cut_hi,
-                                       abs_tol * 1e-3)
-
+        cut_lo, tail_lo = grown_cut(b1 - span, b1, a2, cut_hi)
     value, _ = _quad.adaptive_cells_2d(kernel, cut_lo, b1, a2, cut_hi, abs_tol)
-    return value + tail
+    return value + (tail_hi + tail_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +569,7 @@ def local_energy(u: PiecewiseAffine1D | StepFunction1D, p: float,
     Step functions have infinite local energy for p > 1 (they are not
     Sobolev); pass ``extended=True`` to get +inf instead of an error.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if isinstance(u, PiecewiseAffine1D):
         total = 0.0
         for (x0, y0), (x1, y1) in zip(u.nodes, u.nodes[1:]):
@@ -677,8 +673,7 @@ def affine_interpolation_energy(samples: Sequence[tuple[float, float]],
     sum |u(x_{i+1}) - u(x_i)|^p * s^(1-p); on dyadically refined grids
     this is nondecreasing and converges to the local energy of u.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if len(samples) < 2:
         raise NonUniformGrid("need at least two samples")
     xs = np.asarray([s[0] for s in samples], dtype=float)

@@ -120,6 +120,18 @@ def test_segment_bad_delta_is_one_error_line(capsys, tmp_path, delta):
     assert "delta" in err and "repeats" not in err
 
 
+@pytest.mark.parametrize("command", ["lambda", "constants"])
+def test_infinite_p_is_one_error_line(capsys, tmp_path, command):
+    src = tmp_path / "tent.json"
+    src.write_text(json.dumps({"nodes": [[0, 0], [1, 1], [2, 0]],
+                               "compact_support": True}))
+    args = {"lambda": ["lambda", "--input", str(src), "--delta", "0.25", "--segment"],
+            "constants": ["constants"]}[command]
+    code, out, err = run_cli(capsys, *args, "--p", "inf")
+    assert code == 1 and out == ""
+    assert err.startswith("error: p must be finite") and len(err.splitlines()) == 1
+
+
 def test_rearrange_discrete(capsys, tmp_path):
     src = tmp_path / "arr.json"
     src.write_text(json.dumps({"species": [2, 0, 1]}))

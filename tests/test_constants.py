@@ -32,6 +32,17 @@ def test_staircase_constant_bad_exponent():
         staircase_constant(0.5)
 
 
+@pytest.mark.parametrize("constant", [
+    staircase_constant,
+    lambda p: spherical_moment(1, p),
+    lambda p: spherical_moment(2, p),
+    lambda p: spherical_moment_quadrature(2, p),
+], ids=["staircase", "moment_d1", "moment_d2", "moment_quadrature_d2"])
+def test_infinite_exponent_is_a_bad_exponent(constant):
+    with pytest.raises(BadExponent, match="p must be finite"):
+        constant(math.inf)
+
+
 def test_spherical_moment_dimension_one():
     for p in (1.0, 1.7, 3.0):
         lc = spherical_moment(1, p)

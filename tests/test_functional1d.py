@@ -506,6 +506,21 @@ class TestLocalEnergy:
         assert local_energy(u, 2.0, extended=True) == math.inf
 
 
+class TestExponentMustBeFinite:
+    def test_energy_params(self):
+        with pytest.raises(ValueError, match="p must be finite"):
+            EnergyParams(0.25, math.inf)
+
+    def test_local_energy(self):
+        tent = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
+        with pytest.raises(ValueError, match="p must be finite"):
+            local_energy(tent, math.inf)
+
+    def test_affine_interpolation_energy(self):
+        with pytest.raises(ValueError, match="p must be finite"):
+            affine_interpolation_energy([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)], math.inf)
+
+
 class TestPointwiseHostility:
     def test_constant_zero(self):
         u = StepFunction1D((0.0, 1.0, 2.0), (0.3, 0.3), TailMode.DOMAIN_ONLY)

@@ -199,6 +199,28 @@ class TestLocalEnergyField:
         expected = int_dt2 * int_t2 + int_t2 * int_dt2
         assert math.isclose(local_energy_field(u, 2.0), expected, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("u", [TensorTent((0.0, 0.0), (1.0, 1.0), 1.0),
+                                   TensorTent((0.05, -0.1), (1.0, 0.7), 1.2)])
+    def test_tensor_tent_matches_factorized_p2_and_mpmath(self, u):
+        mp = pytest.importorskip("mpmath")
+        (w0, w1), peak = u.halfwidths, u.peak
+        # p = 2: int f'^2 int g^2 + int f^2 int g'^2, with int f'^2 = 2/w0
+        # and int f^2 = 2 w0 / 3 for the unit tent f of halfwidth w0
+        exact = peak ** 2 * ((2.0 / w0) * (2.0 * w1 / 3.0) + (2.0 * w0 / 3.0) * (2.0 / w1))
+        got = u.local_energy(2.0)
+        assert type(got) is float
+        assert abs(got - exact) <= 1e-14 * exact
+        mp.mp.dps = 20
+        for p in (1.0, 1.5, 3.0):
+            # one quadrant, in the tent factors a = f_y and b = f_x
+            quadrant = mp.quad(lambda a, b: mp.hypot(a / w0, b / w1) ** p, [0, 1], [0, 1])
+            ref = float(4 * w0 * w1 * mp.mpf(peak) ** p * quadrant)
+            assert abs(u.local_energy(p) - ref) <= 1e-11 * ref
+
+    def test_infinite_exponent_rejected(self):
+        with pytest.raises(ValueError, match="p must be finite"):
+            local_energy_field(TENT, math.inf)
+
     def test_local_energy_sectioning_identity(self):
         for p in (1.0, 2.0):
             lhs = local_energy_by_sectioning(TENT, p, 48, 192)
@@ -397,6 +419,20 @@ def test_delta_sweep_approaches_limit():
         est, _ = energy_by_sectioning(TENT, EnergyParams(delta, 2.0), 32, 128)
         dists.append(abs(est - limit))
     assert dists[0] > dists[1] > dists[2]
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: TensorTent((0.0, 0.0), (math.inf, 1.0), 1.0), "halfwidth"),
+    (lambda: TensorTent((0.0, 0.0), (1.0, 1.0), math.inf), "peak"),
+    (lambda: RadialTent((0.0, 0.0), 1.0, math.inf), "peak"),
+    (lambda: RadialTent((0.0, 0.0), math.inf, 1.0), "radius"),
+    (lambda: AffineRamp((math.nan, 1.0), UNIT_BOX), "gradient"),
+    (lambda: AffineRamp((1.0, -math.inf), UNIT_BOX), "gradient"),
+], ids=["tensor_halfwidth", "tensor_peak", "radial_peak", "radial_radius",
+        "ramp_nan_gradient", "ramp_inf_gradient"])
+def test_field_parameters_must_be_finite(make, name):
+    with pytest.raises(UnsupportedField, match=name):
+        make()
 
 
 def test_degenerate_box_rejected():
