@@ -28,6 +28,8 @@ energies converge to the limit constant times the local energy).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +58,11 @@ class UnsupportedField(ValueError):
 def _check_positive(name: str, v: float):
     if not 0.0 < v < INF:
         raise UnsupportedField(f"{name} must be positive and finite, got {v}")
+
+
+def _check_finite(name: str, vs: tuple[float, ...]):
+    if not all(map(math.isfinite, vs)):
+        raise UnsupportedField(f"{name} must be finite, got {vs}")
 
 
 @dataclass(frozen=True)
@@ -305,8 +312,7 @@ class AffineRamp:
         object.__setattr__(self, "gradient", tuple(float(g) for g in self.gradient))
         if len(self.gradient) != self.box.dim:
             raise UnsupportedField("gradient dimension does not match the box")
-        if not all(map(math.isfinite, self.gradient)):
-            raise UnsupportedField(f"gradient must be finite, got {self.gradient}")
+        _check_finite("gradient", self.gradient)
 
     @property
     def dim(self) -> int:
@@ -355,6 +361,7 @@ class RadialTent:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        _check_finite("center", self.center)
         _check_positive("radius", self.radius)
         _check_positive("peak", self.peak)
 
@@ -368,8 +375,19 @@ class RadialTent:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
-        return self.peak * np.clip(1.0 - dist / self.radius, 0.0, None)
+        # |x - c| summed column by column in axis order, as
+        # np.linalg.norm(axis=-1) sums it, without its (n, d) temporaries
+        dist = np.zeros(pts.shape[:-1])
+        for i, c in enumerate(self.center):
+            t = pts[..., i] - c
+            t *= t
+            dist += t
+        np.sqrt(dist, out=dist)
+        dist /= self.radius
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, None, out=dist)
+        dist *= self.peak
+        return dist
 
     def __call__(self, point: Sequence[float]) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float))[0])
@@ -406,6 +424,7 @@ class TensorTent:
         object.__setattr__(self, "halfwidths", tuple(float(w) for w in self.halfwidths))
         if len(self.center) != len(self.halfwidths):
             raise UnsupportedField("center/halfwidths dimension mismatch")
+        _check_finite("center", self.center)
         _check_positive("peak", self.peak)
         for w in self.halfwidths:
             _check_positive("halfwidth", w)
@@ -657,6 +676,17 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
 _MC_CHUNK = 1 << 19
 
 
+def _cpus() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box,
                          n_samples: int, seed: int) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate of the segmented field's energy.
@@ -670,8 +700,11 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
     one point inside the box, since the box must contain the support).
 
     Streams are counter-based per fixed-size chunk (Philox keyed by
-    (seed, chunk index)), so the result is reproducible bit for bit for a
-    given seed regardless of evaluation order or parallel scheduling.
+    (seed, chunk index)), and a chunk yields two integer hit counts, so
+    the result is reproducible bit for bit for a given seed whatever the
+    order the chunks run in.  The chunks are shared out among one thread
+    per core (the calling thread is one of them), at most one per chunk.
+    ``n_samples`` must be an integer >= 1 and ``seed`` one in [0, 2**64).
     """
     d = u.dim
     if d not in (2, 3):
@@ -680,46 +713,118 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
         raise UnsupportedField("Monte Carlo needs a compactly supported field")
     if bounding_box.dim != d:
         raise DegenerateBox("bounding box dimension does not match the field")
+    for lo, hi in zip(bounding_box.lower, bounding_box.upper):
+        if not math.isfinite(hi - lo):
+            raise DegenerateBox(f"bounding box side ({lo}, {hi}) must be finite")
     if not bounding_box.contains_box(u.support_box()):
         raise DegenerateBox("bounding box must contain the support of the field")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not (_is_int(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
-    delta, p = params.delta, params.p
     lip = u.lipschitz
-    r_min = delta / lip
+    r_min = params.delta / lip
     lower = np.asarray(bounding_box.lower)
     upper = np.asarray(bounding_box.upper)
-    sides = upper - lower
+    n_chunks = -(-n_samples // _MC_CHUNK)
+    n_workers = min(_cpus(), n_chunks)
+    sums = [None] * n_workers
+    stop = threading.Event()  # set when a worker fails or is interrupted
+
+    def work(worker: int):
+        # chunks worker, worker + n_workers, ...: exact integer sums of the
+        # weights and their squares, where a hit weighs 1, or 2 if counted twice
+        try:
+            total = total_sq = 0
+            for i in range(worker, n_chunks, n_workers):
+                if stop.is_set():
+                    return
+                m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
+                hits, twice = _montecarlo_chunk(u, params, r_min, lower, upper,
+                                                np.array([seed, i], dtype=np.uint64), m)
+                total += hits + twice
+                total_sq += hits + 3 * twice
+            sums[worker] = total, total_sq
+        except BaseException as exc:  # re-raised in the calling thread
+            sums[worker] = exc
+            stop.set()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)  # raises nothing: a failure is kept in sums[0]
+    for t in threads:
+        t.join()
+    for s in sums:
+        if isinstance(s, BaseException):
+            raise s
+    total = sum(s[0] for s in sums)
+    total_sq = sum(s[1] for s in sums)
+
     sphere = 2.0 * math.pi if d == 2 else 4.0 * math.pi
-    scale = bounding_box.volume * sphere * lip ** p / p
-
-    total = total_sq = 0
-    for chunk_index, start in enumerate(range(0, n_samples, _MC_CHUNK)):
-        m = min(_MC_CHUNK, n_samples - start)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-        x = lower + rng.random((m, d)) * sides
-        if d == 2:
-            phi = rng.random(m) * (2.0 * math.pi)
-            omega = np.column_stack([np.cos(phi), np.sin(phi)])
-        else:
-            zc = 2.0 * rng.random(m) - 1.0
-            phi = rng.random(m) * (2.0 * math.pi)
-            sc = np.sqrt(np.clip(1.0 - zc * zc, 0.0, None))
-            omega = np.column_stack([sc * np.cos(phi), sc * np.sin(phi), zc])
-        r = r_min * (1.0 - rng.random(m)) ** (-1.0 / p)
-        y = x + r[:, None] * omega
-        kx = np.floor(u.evaluate(x) / delta)
-        ky = np.floor(u.evaluate(y) / delta)
-        y = y[np.abs(ky - kx) >= 2.0]  # partners of the interacting pairs
-        hits = len(y)
-        twice = int(np.count_nonzero(np.any((y < lower) | (y > upper), axis=1)))
-        # a hit weighs 1, or 2 if counted twice: exact integer sums of w and w^2
-        total += hits + twice
-        total_sq += hits + 3 * twice
-
+    scale = bounding_box.volume * sphere * lip ** params.p / params.p
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     estimate = scale * mean
     stderr = scale * math.sqrt(var / n_samples)
     return estimate, stderr
+
+
+def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower: np.ndarray,
+                      upper: np.ndarray, key: np.ndarray, m: int) -> tuple[int, int]:
+    """One chunk of ``m`` samples drawn from the Philox stream ``key``:
+    ``(hits, twice)``, the interacting pairs and those of them whose partner
+    leaves the box.  The partners are written over the points once the
+    points' levels are known, so few arrays of ``m`` rows are alive at once."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = rng.random((m, len(lower)))
+    x *= upper - lower
+    x += lower
+    kx = _floor_levels(u, x, params.delta)
+    outside = _move_to_partners(rng, x, r_min, params.p, lower, upper)
+    ky = _floor_levels(u, x, params.delta)
+    ky -= kx
+    hit = np.abs(ky, out=ky) >= 2.0
+    return int(np.count_nonzero(hit)), int(np.count_nonzero(hit & outside))
+
+
+def _floor_levels(u: ScalarField, points: np.ndarray, delta: float) -> np.ndarray:
+    k = u.evaluate(points)
+    k /= delta
+    return np.floor(k, out=k)
+
+
+def _move_to_partners(rng: np.random.Generator, x: np.ndarray, r_min: float, p: float,
+                      lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Draw each point's partner y = x + r * omega and write it over x, one
+    axis at a time: omega uniform on the unit sphere (d = 2 or 3), r from the
+    density proportional to r^(-1-p) on [r_min, infinity).  Returns the mask
+    of partners outside the box [lower, upper]."""
+    m, d = x.shape
+    if d == 3:
+        zc = rng.random(m)
+        zc *= 2.0
+        zc -= 1.0
+    phi = rng.random(m)
+    phi *= 2.0 * math.pi
+    r = rng.random(m)
+    np.subtract(1.0, r, out=r)
+    r **= -1.0 / p
+    r *= r_min
+    omega = [np.cos(phi), np.sin(phi, out=phi)]
+    if d == 3:
+        sc = zc * zc  # sin of the polar angle, sqrt(1 - zc^2)
+        np.subtract(1.0, sc, out=sc)
+        np.sqrt(np.clip(sc, 0.0, None, out=sc), out=sc)
+        omega[0] *= sc
+        omega[1] *= sc
+        omega.append(zc)
+    outside = np.zeros(m, dtype=bool)
+    for i, w in enumerate(omega):
+        w *= r
+        y = x[:, i]
+        y += w
+        outside |= y < lower[i]
+        outside |= y > upper[i]
+    return outside

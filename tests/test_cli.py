@@ -302,8 +302,10 @@ def test_converge_sectioning_small_delta_is_finite(capsys):
     ("lambda", "--delta", "0.1", "--p", "1", "--domain", "-5", "5"),
     ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "1",
      "--offsets", "8", "--mc-samples", "100"),
+    ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "4",
+     "--offsets", "8", "--mc-samples", "100", "--seed", "-1"),
 ], ids=["delta-factor-1", "delta-factor-0", "negative-delta-start", "zero-steps",
-        "p-below-1", "domain-outside-domain-only-step", "one-direction"])
+        "p-below-1", "domain-outside-domain-only-step", "one-direction", "negative-seed"])
 def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
     if args[0] == "lambda":
         args = args[:1] + ("--input", staircase_file) + args[1:]

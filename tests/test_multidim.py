@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,15 +361,102 @@ class TestMonteCarlo:
         (TensorTent((0.0, 0.1), (1.0, 0.7), 1.0), EnergyParams(0.1, 1.5), None),
     ]
 
+    @pytest.fixture
+    def fast_thread_switches(self):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        yield
+        sys.setswitchinterval(switch)
+
     @pytest.mark.parametrize("u,params,box", CASES)
-    def test_hit_counts_match_weight_array(self, monkeypatch, u, params, box):
+    def test_hit_counts_match_weight_array(self, monkeypatch, fast_thread_switches,
+                                           u, params, box):
+        # 10_500 samples are 11 chunks, shared unevenly by 2 or 3 workers
         box = box or u.support_box()
         monkeypatch.setattr(multidim, "_MC_CHUNK", 1000)
+        worker_counts = sorted({multidim._cpus(), 1, 2, 3})
         for seed in (0, 7, 123):
-            for n in (1, 999, 2500):
-                got = energy_by_montecarlo(u, params, box, n, seed)
+            for n in (1, 999, 2500, 10_500):
                 want = _weight_array_montecarlo(u, params, box, n, seed, 1000)
-                assert list(map(float.hex, got)) == list(map(float.hex, want))
+                for workers in worker_counts:
+                    monkeypatch.setattr(multidim, "_cpus", lambda w=workers: w)
+                    got = energy_by_montecarlo(u, params, box, n, seed)
+                    assert list(map(float.hex, got)) == list(map(float.hex, want)), workers
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # chunk 3 of 40 runs on the second of two workers, in its own thread;
+        # the calling thread, held in chunk 0 until then, stops soon after
+        monkeypatch.setattr(multidim, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(multidim, "_cpus", lambda: 2)
+        chunk = multidim._montecarlo_chunk
+        started, failed, in_caller = [], threading.Event(), {}
+
+        def failing(*args):
+            started.append(int(args[5][1]))
+            in_caller[started[-1]] = threading.current_thread() is threading.main_thread()
+            if started[-1] == 3:
+                failed.set()
+                raise MemoryError("chunk 3")
+            if started[-1] == 0:
+                failed.wait(10.0)
+                time.sleep(0.05)
+            return chunk(*args)
+
+        monkeypatch.setattr(multidim, "_montecarlo_chunk", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk 3"):
+            energy_by_montecarlo(TENT, EnergyParams(0.25, 2.0), TENT.support_box(), 40_000, 0)
+        assert threading.active_count() == threads
+        assert {0, 1, 3} <= set(started) <= {0, 1, 2, 3}
+        assert in_caller[0] and not in_caller[1] and not in_caller[3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_scratch_memory(self, monkeypatch, workers):
+        # the benchmark's field: the traced peak stays within 64 bytes per
+        # sample in flight, one chunk per worker
+        monkeypatch.setattr(multidim, "_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            est, _ = energy_by_montecarlo(TENT, EnergyParams(0.1, 1.0), TENT.support_box(),
+                                          2 * multidim._MC_CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est > 0.0
+        assert peak <= 64 * workers * multidim._MC_CHUNK
+
+    @pytest.mark.parametrize("box", [Box((-2.0, -2.0), (math.inf, 2.0)),
+                                     Box((-math.inf, -2.0), (2.0, 2.0))],
+                             ids=["inf_upper", "inf_lower"])
+    def test_box_must_be_finite(self, box):
+        with pytest.raises(DegenerateBox, match="must be finite"):
+            energy_by_montecarlo(TENT, EnergyParams(0.25, 1.0), box, 10_000, 0)
+
+    @pytest.mark.parametrize("n_samples, seed, name", [
+        (True, 0, "n_samples"), (1000.0, 0, "n_samples"), (0, 0, "n_samples"),
+        (1000, -1, "seed"), (1000, 2 ** 64, "seed"), (1000, 2 ** 70, "seed"),
+        (1000, False, "seed"), (1000, 1.0, "seed"),
+    ], ids=["n_bool", "n_float", "n_zero", "seed_negative", "seed_2_64", "seed_2_70",
+            "seed_bool", "seed_float"])
+    def test_count_arguments_are_integers_in_range(self, n_samples, seed, name):
+        with pytest.raises(ValueError, match=name):
+            energy_by_montecarlo(TENT, EnergyParams(0.25, 1.0), TENT.support_box(),
+                                 n_samples, seed)
+
+    def test_seeds_up_to_2_64_key_their_own_streams(self):
+        # a seed above 2**63 used to reach Philox through a float cast, which
+        # gave 2**63 + 1 the stream of 2**63 and overflowed at 2**64 - 1
+        params, box = EnergyParams(0.25, 1.0), TENT.support_box()
+        got = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1):
+                got[seed] = energy_by_montecarlo(TENT, params, box, 3000, seed)
+                want = _weight_array_montecarlo(TENT, params, box, 3000, seed, 3000)
+                assert list(map(float.hex, got[seed])) == list(map(float.hex, want))
+            assert got[2 ** 64 - 1] == energy_by_montecarlo(
+                TENT, params, box, np.int64(3000), np.uint64(2 ** 64 - 1))
+        assert len(set(got.values())) == 4
 
     def test_hit_counts_match_weight_array_at_full_chunks(self):
         box = Box((-1.7, -1.3), (1.4, 1.6))
@@ -388,7 +479,8 @@ def _weight_array_montecarlo(u, params, box, n_samples, seed, chunk):
     done = chunk_index = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+        key = np.array([seed, chunk_index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         x = lower + rng.random((m, d)) * (upper - lower)
         if d == 2:
             phi = rng.random(m) * (2.0 * math.pi)
@@ -428,8 +520,10 @@ def test_delta_sweep_approaches_limit():
     (lambda: RadialTent((0.0, 0.0), math.inf, 1.0), "radius"),
     (lambda: AffineRamp((math.nan, 1.0), UNIT_BOX), "gradient"),
     (lambda: AffineRamp((1.0, -math.inf), UNIT_BOX), "gradient"),
+    (lambda: RadialTent((math.nan, 0.0), 1.0, 1.0), "center"),
+    (lambda: TensorTent((0.0, math.inf), (1.0, 1.0), 1.0), "center"),
 ], ids=["tensor_halfwidth", "tensor_peak", "radial_peak", "radial_radius",
-        "ramp_nan_gradient", "ramp_inf_gradient"])
+        "ramp_nan_gradient", "ramp_inf_gradient", "radial_nan_center", "tensor_inf_center"])
 def test_field_parameters_must_be_finite(make, name):
     with pytest.raises(UnsupportedField, match=name):
         make()
