@@ -1,18 +1,21 @@
-"""Internal adaptive quadrature engines.
+"""Internal adaptive quadrature engine, in one and two dimensions.
 
-Two small workhorses shared by the oracles and estimators:
+One globally adaptive rule shared by the oracles and estimators.  A
+region's cells live in one array: intervals as rows lo, hi, index in 1D,
+rectangles as rows x0, x1, y0, y1 in 2D.  Each cell is evaluated on five
+nodes per axis, all cells in one vectorized call of the integrand; the
+composite Simpson rule on all nodes gives the value, and its difference
+from the Simpson rule on the even nodes the error estimate.  Refinement
+(:func:`_refine`, one loop for both dimensions) marks the smallest set
+of cells holding half of the total error, so progress is guaranteed even
+along discontinuity curves, and splits them: intervals into halves,
+square cells into quadrants and skewed cells along their long axis only.
 
-* :func:`adaptive_simpson` -- classic 1D adaptive Simpson with Richardson
-  error control, robust to mild endpoint singularities through geometric
-  refinement.
-* :func:`adaptive_cells_2d` -- globally adaptive tensor-product rule on a
-  rectangle.  Each cell carries a 5x5 grid evaluated in one vectorized
-  call; the 3x3 Simpson rule on the even nodes against the composite
-  Simpson rule on the four quadrants gives the value and its error
-  estimate.  The cells live in one ``(4, n)`` array with rows x0, x1,
-  y0, y1.  Refinement marks the smallest set of cells holding half of
-  the total error (so progress is guaranteed even along discontinuity
-  curves), splitting skewed cells along their long axis only.  Cells can
+* :func:`adaptive_intervals_1d` -- the sum of many integrals at once,
+  each interval passing its index to the integrand.  An interval with one
+  infinite end is integrated in t in (0, 1] through s = end -+ (1 - t)/t,
+  with the integrand taken as 0 at t = 0.
+* :func:`adaptive_cells_2d` -- the integral over a rectangle.  Cells can
   be skipped wholesale through a predicate, which is how callers excise
   the diagonal band where a kernel would be singular but the integrand
   is known to vanish.
@@ -20,34 +23,7 @@ Two small workhorses shared by the oracles and estimators:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float) -> float:
-    """Adaptive Simpson integral of ``f`` over [a, b], absolute tolerance,
-    halving at most 48 times."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 48)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        return left + right
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
 
 # 5x5 tensor grid on [0,1]^2.  The fine weights are the 2x2-composite
 # Simpson rule on all nodes, the coarse weights the 3x3 Simpson rule on
@@ -66,14 +42,100 @@ _QUADRANTS = ((1, 3), (0, 3), (1, 2), (0, 2))
 _HALVES_X = ((1,), (0,))
 _HALVES_Y = ((3,), (2,))
 
+# interval evaluations allowed to one call of adaptive_intervals_1d
+_MAX_INTERVALS = 400_000
+
 
 class BudgetExhausted(Exception):
-    """Raised by :func:`adaptive_cells_2d` when the cell budget runs out."""
+    """Raised by the adaptive rules when the cell budget runs out."""
 
     def __init__(self, value: float, error_estimate: float):
         self.value = value
         self.error_estimate = error_estimate
         super().__init__(f"cell budget exhausted; estimate {value} +- {error_estimate}")
+
+
+def _refine(evaluate, split, cells, tol, max_cells, splittable=None):
+    """The refinement loop of both rules.  ``evaluate(cells)`` returns the
+    cells it keeps with their values and error estimates, ``split(marked)``
+    the children of the marked cells, and ``splittable(cells)`` (optional)
+    the cells large enough to split.  Returns ``(value, error_estimate)``;
+    raises :class:`BudgetExhausted` once ``max_cells`` cells have been
+    evaluated without reaching ``tol``."""
+    cells, val, err = evaluate(cells)
+    n_evals = cells.shape[1]
+
+    while True:
+        total = float(np.sum(val))
+        total_err = float(np.sum(err))
+        refinable = err > 0.0
+        if splittable is not None:
+            refinable &= splittable(cells)
+        if total_err <= tol or not np.any(refinable):
+            return total, total_err
+        if n_evals >= max_cells:
+            raise BudgetExhausted(total, total_err)
+        # mark the smallest error-sorted prefix holding half the total error
+        order = np.argsort(err)[::-1]
+        sorted_err = err[order]
+        k = int(np.searchsorted(np.cumsum(sorted_err), 0.5 * total_err)) + 1
+        marked = np.zeros(len(err), dtype=bool)
+        marked[order[:k]] = True
+        marked &= refinable
+        if not np.any(marked):
+            marked = refinable & (err == np.max(err[refinable]))
+
+        new, nval, nerr = evaluate(split(cells.compress(marked, axis=1)))
+        n_evals += new.shape[1]
+        keep = ~marked
+        cells = np.concatenate([cells.compress(keep, axis=1), new], axis=1)
+        val = np.concatenate([val[keep], nval])
+        err = np.concatenate([err[keep], nerr])
+
+
+def _halves(marked):
+    """Children of the marked intervals: the left halves, then the right."""
+    mid = 0.5 * (marked[0] + marked[1])
+    return np.concatenate(([marked[0], mid, marked[2]], [mid, marked[1], marked[2]]), axis=1)
+
+
+def adaptive_intervals_1d(f, lo, hi, tol: float) -> tuple[float, float]:
+    """Globally adaptive sum over i of the integrals of ``f(s, i)`` over
+    s in (lo[i], hi[i]).
+
+    ``f`` maps flat numpy arrays ``s`` and integer ``i`` of one shape,
+    empty ones included, to the values at those nodes.  ``lo`` and ``hi``
+    are scalars or arrays of one length; at most one end of an interval
+    may be infinite.
+    Returns ``(value, error_estimate)``; raises :class:`BudgetExhausted`
+    if the estimate cannot be pushed below ``tol`` within
+    ``_MAX_INTERVALS`` interval evaluations.
+    """
+    lo, hi = np.atleast_1d(*np.broadcast_arrays(lo, hi))
+    side = (hi == np.inf).astype(float) - (lo == -np.inf)
+    end = np.where(side > 0.0, lo, hi)
+
+    def in_t(t, i):
+        """``f`` with the half-lines' intervals in t, s = end + side (1 - t)/t,
+        and 0 at their infinite end t = 0 (where ``f`` sees t = 1 instead)."""
+        sd = side[i]
+        x = np.where((sd == 0.0) | (t == 0.0), 1.0, t)
+        s = np.where(sd == 0.0, t, end[i] + sd * ((1.0 - x) / x))
+        return np.where((sd != 0.0) & (t == 0.0), 0.0, f(s, i) / (x * x))
+
+    integrand = in_t if np.any(side) else f
+
+    def evaluate(cells):  # fine and coarse Simpson values as in _evaluate_cells
+        lo, hi, idx = cells
+        w = hi - lo
+        t = lo[:, None] + _NODES5[None, :] * w[:, None]
+        vals = integrand(t.ravel(), np.repeat(idx.astype(np.intp), 5)).reshape(t.shape)
+        fine = (vals @ _FINE_1D) * w
+        return cells, fine, np.abs(fine - (vals @ _COARSE_1D) * w)
+
+    cells = np.array([np.where(side == 0.0, lo, 0.0), np.where(side == 0.0, hi, 1.0),
+                      np.arange(len(lo))])
+    return _refine(evaluate, _halves, cells, tol, _MAX_INTERVALS)
 
 
 def _evaluate_cells(f, cells):
@@ -127,36 +189,11 @@ def adaptive_cells_2d(f, x0: float, x1: float, y0: float, y1: float,
         fine, coarse = _evaluate_cells(f, cells)
         return cells, fine, np.abs(fine - coarse)
 
+    def splittable(cells):
+        return np.maximum(cells[1] - cells[0], cells[3] - cells[2]) > min_size
+
     xs = np.linspace(x0, x1, initial + 1)
     ys = np.linspace(y0, y1, initial + 1)
-    cells, val, err = evaluate(np.array([
-        np.repeat(xs[:-1], initial), np.repeat(xs[1:], initial),
-        np.tile(ys[:-1], initial), np.tile(ys[1:], initial)]))
-    n_evals = cells.shape[1]
-
-    while True:
-        total = float(np.sum(val))
-        total_err = float(np.sum(err))
-        refinable = err > 0.0
-        if min_size > 0.0:
-            refinable &= np.maximum(cells[1] - cells[0], cells[3] - cells[2]) > min_size
-        if total_err <= tol or not np.any(refinable):
-            return total, total_err
-        if n_evals >= max_cells:
-            raise BudgetExhausted(total, total_err)
-        # mark the smallest error-sorted prefix holding half the total error
-        order = np.argsort(err)[::-1]
-        sorted_err = err[order]
-        k = int(np.searchsorted(np.cumsum(sorted_err), 0.5 * total_err)) + 1
-        marked = np.zeros(len(err), dtype=bool)
-        marked[order[:k]] = True
-        marked &= refinable
-        if not np.any(marked):
-            marked = refinable & (err == np.max(err[refinable]))
-
-        new, nval, nerr = evaluate(_split(cells.compress(marked, axis=1)))
-        n_evals += new.shape[1]
-        keep = ~marked
-        cells = np.concatenate([cells.compress(keep, axis=1), new], axis=1)
-        val = np.concatenate([val[keep], nval])
-        err = np.concatenate([err[keep], nerr])
+    cells = np.array([np.repeat(xs[:-1], initial), np.repeat(xs[1:], initial),
+                      np.tile(ys[:-1], initial), np.tile(ys[1:], initial)])
+    return _refine(evaluate, _split, cells, tol, max_cells, splittable)

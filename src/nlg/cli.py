@@ -19,7 +19,8 @@ from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, validate_and_build)
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
-from .multidim import RadialTent, energy_by_montecarlo, energy_by_sectioning
+from .multidim import (RadialTent, _check_montecarlo_counts, energy_by_montecarlo,
+                       energy_by_sectioning)
 from .rearrange import (hostile_gap_counts, hostility_gap, monotone_rearrangement,
                         monotone_rearrangement_step, reduce_arrangement,
                         total_hostility, vertical_segmentation)
@@ -205,6 +206,7 @@ def cmd_converge_sectioning(args) -> int:
     if args.shape != "radial-tent":
         print(f"error: unknown shape {args.shape!r}", file=sys.stderr)
         return 2
+    _check_montecarlo_counts(args.mc_samples, args.seed)  # before any sectioning pass
     u = RadialTent((0.0, 0.0), 1.0, 1.0)
     box = u.support_box()
     limit = gamma_limit_constant(2, args.p).value * u.local_energy(args.p)

@@ -15,6 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _quad
 
 
@@ -88,11 +90,11 @@ def spherical_moment_quadrature(d: int, p: float) -> LimitConstant:
     if not 1.0 <= p < math.inf:
         raise BadExponent(f"p must be finite and >= 1, got {p}")
     if d == 2:
-        value = 4.0 * _quad.adaptive_simpson(
-            lambda t: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)
+        value = 4.0 * _quad.adaptive_intervals_1d(
+            lambda t, i: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)[0]
     elif d == 3:
-        value = 2.0 * math.pi * _quad.adaptive_simpson(
-            lambda t: abs(math.cos(t)) ** p * math.sin(t), 0.0, math.pi, 1e-11)
+        value = 2.0 * math.pi * _quad.adaptive_intervals_1d(
+            lambda t, i: np.abs(np.cos(t)) ** p * np.sin(t), 0.0, math.pi, 1e-11)[0]
     else:
         raise BadDimension(f"quadrature oracle covers d in {{2, 3}}, got {d}")
     return LimitConstant(value, Provenance.QUADRATURE)

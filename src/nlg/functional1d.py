@@ -166,10 +166,10 @@ def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> fl
     """Adaptive tensor-quadrature oracle for :func:`pair_cell_energy`, to
     a relative tolerance of 1e-9.
 
-    Bounded pairs are integrated directly.  An unbounded side is truncated
-    where the remaining tail (computed by 1D quadrature of the elementary
-    inner antiderivative, not by the closed form under test) drops below
-    the tolerance, and that tail value is added back.
+    Bounded pairs are integrated directly.  An unbounded side is cut one
+    span past the core, and the kernel's mass beyond the cut is added back
+    as a 1D integral over the other cell, in full, of the elementary inner
+    antiderivative delta^p/p |cut - s|^-p (not the closed form under test).
     """
     a1, b1, a2, b2 = i1.lo, i1.hi, i2.lo, i2.hi
     if (a2, b2) < (a1, b1):
@@ -187,31 +187,22 @@ def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> fl
 
     span = (a2 - b1) + (b1 - a1 if math.isfinite(a1) else 0.0) \
         + (b2 - a2 if math.isfinite(b2) else 0.0) + 1.0
-    # pilot scale from the bounded core (or a unit box ahead of the cuts)
-    core_hi = b2 if math.isfinite(b2) else a2 + span
-    core_lo = a1 if math.isfinite(a1) else b1 - span
-    _, pilot = _quad._evaluate_cells(kernel, np.array([[core_lo], [b1], [a2], [core_hi]]))
+    # an unbounded side is cut one span past the other cell, and the pilot
+    # value of the box that is left sets the tolerance
+    cut_hi = b2 if math.isfinite(b2) else a2 + span
+    cut_lo = a1 if math.isfinite(a1) else b1 - span
+    _, pilot = _quad._evaluate_cells(kernel, np.array([[cut_lo], [b1], [a2], [cut_hi]]))
     abs_tol = max(1e-9 * abs(float(pilot[0])), 1e-300)
-
-    def grown_cut(cut, anchor, lo, hi):
-        """Move ``cut`` away from ``anchor`` until the kernel's mass beyond
-        it, over s in (lo, hi), is negligible; returns the cut and that
-        tail (the inner antiderivative delta^p/p |cut - s|^-p, integrated
-        in 1D)."""
-        while (tail := _quad.adaptive_simpson(
-                lambda s: delta ** p / p * abs(cut - s) ** (-p), lo, hi,
-                abs_tol * 1e-3)) > 0.05 * abs_tol:
-            cut = anchor + (cut - anchor) * 4.0
-        return cut, tail
-
-    cut_lo, cut_hi = a1, b2
-    tail_hi = tail_lo = 0.0
-    if b2 == INF:
-        cut_hi, tail_hi = grown_cut(a2 + span, a2, core_lo, b1)
-    if a1 == -INF:
-        cut_lo, tail_lo = grown_cut(b1 - span, b1, a2, cut_hi)
     value, _ = _quad.adaptive_cells_2d(kernel, cut_lo, b1, a2, cut_hi, abs_tol)
-    return value + (tail_hi + tail_lo)
+    if a1 == -INF or b2 == INF:
+        # the tails x in (a1, b1) against y > cut_hi, and y in (a2, cut_hi)
+        # against x < cut_lo; a bounded side's tail is empty
+        cut = np.array([cut_hi, cut_lo])
+        tail, _ = _quad.adaptive_intervals_1d(
+            lambda s, i: delta ** p / p * np.abs(cut[i] - s) ** -p, [a1 if b2 == INF else b1, a2],
+            [b1, cut_hi if a1 == -INF else a2], abs_tol * 1e-3)
+        value += tail
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -630,35 +621,19 @@ def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams) -> fl
 
     Used to check the identity "integral of the pointwise hostility equals
     the energy" against :func:`step_energy`; both sides are computed by
-    entirely different code paths.  Breakpoints are nudged inward by a
-    relative 1e-9 when sampled (the integrand is defined off a null set).
+    entirely different code paths.  All cells and tails are integrated in
+    one call, each nudged inward off its breakpoints by 1e-9 times its
+    length, at most 1e-9 (the integrand is defined off a null set).
     """
     domain = u.domain
     edges, vals = step_cells(u, domain)
     scale = abs(step_energy(u, domain, params))
     if not math.isfinite(scale):
         raise UnsupportedCombination("divergent energy; the identity is +inf = +inf")
-    n_pieces = len(vals)
-    tol = max(scale, 1e-12) * 1e-6 / max(n_pieces, 1)
-    parts = []
-    for j in range(len(vals)):
-        a, b = edges[j], edges[j + 1]
-        if a == -INF or b == INF:
-            # a tail, mapped from t in (0, 1) to the distance (1 - t)/t from its end
-            end, side = (b, -1.0) if a == -INF else (a, 1.0)
-
-            def g(t, end=end, side=side):
-                if t <= 0.0:
-                    return 0.0
-                x = end + side * ((1.0 - t) / t)
-                return pointwise_hostility(u, x, params) / (t * t)
-
-            parts.append(_quad.adaptive_simpson(g, 0.0, 1.0 - 1e-9, tol))
-        else:
-            eps = (b - a) * 1e-9
-            parts.append(_quad.adaptive_simpson(
-                lambda x: pointwise_hostility(u, x, params), a + eps, b - eps, tol))
-    return math.fsum(parts)
+    eps = np.minimum(np.diff(edges), 1.0) * 1e-9
+    hostility = np.vectorize(lambda x: pointwise_hostility(u, x, params), otypes=[float])
+    return _quad.adaptive_intervals_1d(lambda x, i: hostility(x), edges[:-1] + eps,
+                                       edges[1:] - eps, max(scale, 1e-12) * 1e-6)[0]
 
 
 # ---------------------------------------------------------------------------

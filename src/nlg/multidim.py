@@ -60,6 +60,12 @@ def _check_positive(name: str, v: float):
         raise UnsupportedField(f"{name} must be positive and finite, got {v}")
 
 
+def _check_finite_sides(name: str, box: Box):
+    for lo, hi in zip(box.lower, box.upper):
+        if not math.isfinite(hi - lo):
+            raise DegenerateBox(f"{name} side ({lo}, {hi}) must be finite")
+
+
 def _check_finite(name: str, vs: tuple[float, ...]):
     if not all(map(math.isfinite, vs)):
         raise UnsupportedField(f"{name} must be finite, got {vs}")
@@ -206,15 +212,33 @@ class RadialSection:
         return StepFunction1D(edges[1:-1], levels[1:-1] * delta, TailMode.COMPACT_SUPPORT)
 
     def local_energy(self, p: float) -> float:
-        T = self.half_width
-        if T == 0.0:
-            return 0.0
-        scale = (self.peak / self.radius) ** p
-        if self.rho == 0.0:
-            return scale * 2.0 * T
-        rho2 = self.rho * self.rho
-        return 2.0 * scale * _quad.adaptive_simpson(
-            lambda s: (s * s / (rho2 + s * s)) ** (p / 2.0), 0.0, T, 1e-12 * T + 1e-300)
+        return _radial_local_energy(np.array([self.rho]), self.radius, self.peak, p)
+
+
+def _radial_lines(u: RadialTent, sigma: Sequence[float], points: np.ndarray):
+    """``(along, rho)`` of the lines through the rows of ``points`` along
+    ``sigma``: the center of ``u`` sits at t = -along on a line, at distance
+    rho from it.  The sums run in axis order, for one line as for many."""
+    along = norm2 = 0.0
+    for w, s in zip((points - np.asarray(u.center)).T, sigma):
+        along = along + w * s
+        norm2 = norm2 + w * w
+    return along, np.sqrt(np.maximum(norm2 - along * along, 0.0))
+
+
+def _radial_local_energy(rho: np.ndarray, radius: float, peak: float, p: float) -> float:
+    """The summed local energies of radial sections at distances ``rho``,
+    2 (peak/r)^p times the integral of (s^2 / (rho^2 + s^2))^(p/2) over s
+    in (0, T), T = sqrt(r^2 - rho^2), to an absolute tolerance of 1e-12 T
+    each; the integrand is 1 on a section through the center."""
+    rho = rho[rho < radius]
+    half = np.sqrt(radius * radius - rho * rho)
+    off = rho > 0.0
+    rho2 = rho[off] * rho[off]
+    value, _ = _quad.adaptive_intervals_1d(
+        lambda s, i: (s * s / (rho2[i] + s * s)) ** (p / 2.0), 0.0, half[off],
+        1e-12 * np.sum(half) + 1e-300)
+    return 2.0 * (peak / radius) ** p * (value + float(np.sum(half[~off])))
 
 
 def _top_levels(rho: np.ndarray, radius: float, peak: float, delta: float) -> np.ndarray:
@@ -289,12 +313,9 @@ class PolySection:
         return step if step is not None and step.values.any() else None
 
     def local_energy(self, p: float) -> float:
-        total = 0.0
-        for i, (a, b) in enumerate(zip(self.cuts, self.cuts[1:])):
-            total += _quad.adaptive_simpson(
-                lambda t: abs(float(_horner(self.slope[i:i + 1], t)[0])) ** p,
-                a, b, 1e-10 * (b - a) + 1e-300)
-        return total
+        a, b = self.cuts[:-1], self.cuts[1:]
+        return _quad.adaptive_intervals_1d(lambda t, i: np.abs(_horner(self.slope[i], t)) ** p,
+                                           a, b, 1e-10 * float(np.sum(b - a)) + 1e-300)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +423,8 @@ class RadialTent:
         return (self.peak / self.radius) ** p * ball
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        w = (np.asarray(z_point, dtype=float) - np.asarray(self.center)).tolist()
-        along = norm2 = 0.0  # summed in order, as _section_cells does for d = 2
-        for wi, si in zip(w, sigma):
-            along += wi * si
-            norm2 += wi * wi
-        rho = math.sqrt(max(norm2 - along * along, 0.0))
-        return RadialSection(-along, rho, self.radius, self.peak)
+        along, rho = _radial_lines(self, sigma, np.asarray(z_point, dtype=float)[None])
+        return RadialSection(-float(along[0]), float(rho[0]), self.radius, self.peak)
 
 
 @dataclass(frozen=True)
@@ -575,11 +591,7 @@ def _section_cells(u: ScalarField, direction: Direction, zs: np.ndarray, delta: 
                 edges, values = step_cells(step, step.domain)
                 yield edges, np.rint(values / delta), np.array([len(values)])
         return
-    # the line through z * frame, as RadialTent.section_along places it
-    w = zs[:, None] * np.asarray(direction.frame[0]) - np.asarray(u.center)
-    s = direction.sigma
-    along = w[:, 0] * s[0] + w[:, 1] * s[1]
-    rho = np.sqrt(np.maximum(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] - along * along, 0.0))
+    along, rho = _radial_lines(u, direction.sigma, np.outer(zs, direction.frame[0]))
     top = _top_levels(rho, u.radius, u.peak, delta)
     keep = top >= 1
     along, rho, top = along[keep], rho[keep], top[keep]
@@ -628,6 +640,12 @@ def _sectioning_pass(u: ScalarField, params: EnergyParams, n_dirs: int,
     return total
 
 
+def _check_sectioning(u: ScalarField):
+    if u.dim != 2:
+        raise UnsupportedDimension("sectioning quadrature is implemented for d = 2")
+    _check_finite_sides("support box", u.support_box())
+
+
 def energy_by_sectioning(u: ScalarField, params: EnergyParams,
                          n_dirs: int = 64, n_offsets: int = 256
                          ) -> tuple[float, float]:
@@ -640,8 +658,7 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
     difference from a second pass on the half-resolution grid, with no
     Richardson factor.  Returns (estimate, error_estimate).
     """
-    if u.dim != 2:
-        raise UnsupportedDimension("sectioning quadrature is implemented for d = 2")
+    _check_sectioning(u)
     if n_dirs < 2 or n_offsets < 2:
         raise ValueError("need at least 2 directions and offsets")
     fine = _sectioning_pass(u, params, n_dirs, n_offsets)
@@ -654,16 +671,17 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
 def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
                                n_offsets: int = 256) -> float:
     """Outer average of the sections' local energies; equals
-    spherical_moment(2, p) times the field's local energy."""
-    if u.dim != 2:
-        raise UnsupportedDimension("sectioning quadrature is implemented for d = 2")
+    spherical_moment(2, p) times the field's local energy.  Radial sections
+    are integrated all offsets of a direction at once."""
+    _check_sectioning(u)
     total = 0.0
     for direction, zs, w_z, w_dir in _line_grid(u, n_dirs, n_offsets):
-        acc = 0.0
-        for z in zs.tolist():
-            sec = section(u, direction, z)
-            if sec is not None:
-                acc += sec.local_energy(p)
+        if isinstance(u, RadialTent):
+            _, rho = _radial_lines(u, direction.sigma, np.outer(zs, direction.frame[0]))
+            acc = _radial_local_energy(rho, u.radius, u.peak, p)
+        else:
+            secs = (section(u, direction, z) for z in zs.tolist())
+            acc = sum(sec.local_energy(p) for sec in secs if sec is not None)
         total += acc * w_z * w_dir
     # every line once is half of the integral over all directions
     return 2.0 * total
@@ -685,6 +703,15 @@ def _cpus() -> int:
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_montecarlo_counts(n_samples, seed):
+    """Raise ``ValueError`` unless ``n_samples`` is an integer >= 1 and
+    ``seed`` one in [0, 2**64), as :func:`energy_by_montecarlo` needs."""
+    if not (_is_int(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box,
@@ -713,15 +740,10 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
         raise UnsupportedField("Monte Carlo needs a compactly supported field")
     if bounding_box.dim != d:
         raise DegenerateBox("bounding box dimension does not match the field")
-    for lo, hi in zip(bounding_box.lower, bounding_box.upper):
-        if not math.isfinite(hi - lo):
-            raise DegenerateBox(f"bounding box side ({lo}, {hi}) must be finite")
+    _check_finite_sides("bounding box", bounding_box)
     if not bounding_box.contains_box(u.support_box()):
         raise DegenerateBox("bounding box must contain the support of the field")
-    if not (_is_int(n_samples) and n_samples >= 1):
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    if not (_is_int(seed) and 0 <= seed < 1 << 64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_montecarlo_counts(n_samples, seed)
 
     lip = u.lipschitz
     r_min = params.delta / lip

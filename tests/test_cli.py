@@ -315,6 +315,19 @@ def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed"),
+                                               ("--mc-samples", "0", "n_samples")])
+def test_montecarlo_flags_checked_before_sectioning(capsys, monkeypatch, flag, value, name):
+    calls = []
+    monkeypatch.setattr(nlg.cli, "energy_by_sectioning",
+                        lambda *args: calls.append(args) or (1.0, 0.0))
+    code, out, err = run_cli(capsys, "converge-sectioning", "--delta", "0.4", "--p", "2",
+                             "--dirs", "4", "--offsets", "8", flag, value)
+    assert code == 1 and out == "" and calls == []
+    assert err.startswith(f"error: {name} must be an integer")
+    assert len(err.splitlines()) == 1
+
+
 _STEP = {"breakpoints": [0, 1, 2], "values": [1, 2], "tail_mode": "compact_support"}
 _PWA = {"nodes": [[0, 0], [1, 1]], "compact_support": False}
 

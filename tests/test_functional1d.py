@@ -59,6 +59,18 @@ class TestPairCellEnergy:
         got = pair_cell_quadrature(Interval(0, 1), Interval(2, math.inf), P2)
         assert math.isclose(got, 0.25, rel_tol=1e-7)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_quadrature_oracle_two_half_lines(self, p):
+        # the far tail of either half-line is a 1D integral over the whole
+        # of the other, so the corner beyond both cuts is counted
+        for gap in (0.3, 0.5264, 2.0, 7.0, 40.0):
+            for delta, b1 in ((1.0, 1.0), (0.4, -3.0)):
+                i1, i2 = Interval(-math.inf, b1), Interval(b1 + gap, math.inf)
+                params = EnergyParams(delta, p)
+                cf = pair_cell_energy(i1, i2, params)
+                assert math.isclose(cf, pair_cell_quadrature(i1, i2, params), rel_tol=1e-9)
+                assert math.isclose(cf, pair_cell_quadrature(i2, i1, params), rel_tol=1e-9)
+
     def test_oracle_matches_closed_form(self, rng):
         for _ in range(25):
             a1 = rng.uniform(-2, 2)

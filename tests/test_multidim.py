@@ -243,6 +243,19 @@ class TestSectioningEnergy:
         with pytest.raises(UnsupportedDimension):
             energy_by_sectioning(u3, EnergyParams(0.2, 2.0))
 
+    @pytest.mark.parametrize("box", [Box((0.0, 0.0), (math.inf, 1.0)),
+                                     Box((0.0, -math.inf), (1.0, 1.0))],
+                             ids=["inf_upper", "inf_lower"])
+    def test_support_box_must_be_finite(self, box):
+        ramp = AffineRamp((1.0, 1.0), box)
+        side = r"\(0\.0, inf\)" if box.upper[0] == math.inf else r"\(-inf, 1\.0\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any arithmetic on the box
+            with pytest.raises(DegenerateBox, match=rf"^support box side {side} must be finite$"):
+                energy_by_sectioning(ramp, EnergyParams(0.25, 1.0), 4, 8)
+            with pytest.raises(DegenerateBox, match=rf"^support box side {side} must be finite$"):
+                local_energy_by_sectioning(ramp, 1.0, 4, 8)
+
     def test_matches_full_circle_midpoint_sum(self):
         # the estimators walk each unordered line once; the reference walks
         # every direction in [0, 2*pi), so even counts see each line twice

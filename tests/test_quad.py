@@ -1,10 +1,11 @@
-"""The 2D cell rule of nlg._quad against its earlier four-array form.
+"""The adaptive rules of nlg._quad.
 
-``_four_array_cells_2d`` below is the engine as it was when it carried
+``_four_array_cells_2d`` below is the 2D engine as it was when it carried
 x0, x1, y0, y1 as four parallel arrays and split each marked cell box by
 box.  It stays here as the reference: the one-array engine must return
 the same ``(value, error)`` bit for bit, and run out of budget with the
-same estimate.
+same estimate.  The 1D rule is checked against known integrals, and
+through the radial sections' local energies against their closed forms.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from nlg import _quad
+from nlg.multidim import RadialSection
 
 
 def _old_weights():
@@ -222,3 +224,71 @@ def test_budget_exhausted_estimate_matches_four_array_engine():
     assert _hex((got.value.value, got.value.error_estimate)) == \
         _hex((want.value.value, want.value.error_estimate))
     assert math.isfinite(got.value.value)
+
+
+def _inv_sqrt(t, i):
+    return np.divide(1.0, np.sqrt(t), out=np.zeros_like(t), where=t > 0.0)
+
+
+@pytest.mark.parametrize("f, lo, hi, want", [
+    (_inv_sqrt, 0.0, 1.0, 2.0),
+    (lambda s, i: s ** -2.0, 1.0, math.inf, 1.0),
+    (lambda s, i: s ** -2.0, -math.inf, -1.0, 1.0),
+    (lambda s, i: np.exp(-s * s), -math.inf, 0.0, 0.5 * math.sqrt(math.pi)),
+], ids=["endpoint_singularity", "right_half_line", "left_half_line", "gaussian_half_line"])
+def test_intervals_1d_known_integrals(f, lo, hi, want):
+    value, err = _quad.adaptive_intervals_1d(f, lo, hi, 1e-12)
+    assert type(value) is float and err <= 1e-12
+    assert abs(value - want) <= 1e-12
+
+
+def test_intervals_1d_sums_integrands_by_index():
+    # i = 0: s on (0, 1); i = 1: sin on (0, pi); i = 2: e^-s on (2, inf);
+    # i = 3: 1/sqrt(-s) on (-4, 0), singular at its right end
+    lo = np.array([0.0, 0.0, 2.0, -4.0])
+    hi = np.array([1.0, math.pi, math.inf, 0.0])
+
+    def f(s, i):
+        out = np.empty_like(s)
+        for k, g in enumerate((lambda x: x, np.sin, lambda x: np.exp(-x),
+                               lambda x: _inv_sqrt(-x, None))):
+            out[i == k] = g(s[i == k])
+        return out
+
+    value, err = _quad.adaptive_intervals_1d(f, lo, hi, 1e-11)
+    assert err <= 1e-11
+    assert abs(value - (0.5 + 2.0 + math.exp(-2.0) + 4.0)) <= 1e-11
+    for k in range(4):  # each alone, with the same integrand
+        alone, _ = _quad.adaptive_intervals_1d(lambda s, i: f(s, i + k), lo[k], hi[k], 1e-12)
+        assert abs(alone - (0.5, 2.0, math.exp(-2.0), 4.0)[k]) <= 1e-12
+
+
+def test_intervals_1d_empty_is_zero():
+    def f(s, i):
+        assert len(s) == len(i) == 0
+        return s
+
+    assert _hex(_quad.adaptive_intervals_1d(f, np.empty(0), np.empty(0), 1e-9)) == _hex((0.0, 0.0))
+
+
+def test_intervals_1d_budget_exhausted_carries_the_estimate(monkeypatch):
+    monkeypatch.setattr(_quad, "_MAX_INTERVALS", 40)
+    with pytest.raises(_quad.BudgetExhausted) as got:
+        _quad.adaptive_intervals_1d(_inv_sqrt, 0.0, 1.0, 1e-14)
+    est, err = got.value.value, got.value.error_estimate
+    assert 1e-14 < err < 1e-2
+    assert abs(est - 2.0) <= 3.0 * err
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_radial_section_local_energy_matches_closed_form(p):
+    # 2 (peak/r)^p times the integral over |s| < T of (s^2/(rho^2 + s^2))^(p/2):
+    # p = 1: r - rho; p = 2: T - rho atan(T/rho)
+    r, peak = 1.3, 0.7
+    for rho in np.geomspace(1e-6, 0.999, 40) * r:
+        rho = float(rho)
+        T = math.sqrt(r * r - rho * rho)
+        scale = 2.0 * (peak / r) ** p
+        want = scale * ((r - rho) if p == 1.0 else T - rho * math.atan(T / rho))
+        got = RadialSection(0.3, rho, r, peak).local_energy(p)
+        assert abs(got - want) <= 1e-12 * T * scale
