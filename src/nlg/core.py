@@ -137,14 +137,36 @@ class StepFunction1D:
         if len(vals) != len(bp) - 1:
             raise SchemaError(f"expected {len(bp) - 1} values for {len(bp)} breakpoints, "
                               f"got {len(vals)}")
-        _require_finite(bp, "breakpoints")
-        _require_finite(vals, "values")
         increasing = bp[1:] > bp[:-1]
-        if not increasing.all():
+        if np.count_nonzero(increasing) < len(increasing):
+            _require_finite(bp, "breakpoints")
+            _require_finite(vals, "values")
             raise NonMonotoneBreakpoints(int(np.argmin(increasing)) + 1)
+        self._hold(bp, vals)
+
+    @classmethod
+    def _of_own_arrays(cls, breakpoints: np.ndarray, values: np.ndarray,
+                       tail_mode: TailMode) -> "StepFunction1D":
+        """A step function on a builder's fresh float64 arrays, which no one
+        else writes, with breakpoints it has put in strictly increasing
+        order: no copies and no order check."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "tail_mode", tail_mode)
+        step._hold(breakpoints, values)
+        return step
+
+    def _hold(self, bp: np.ndarray, vals: np.ndarray) -> None:
+        """Check that the values and the strictly increasing breakpoints are
+        finite (the latter at their ends) and keep both, read-only; the
+        first bad index only on failure."""
+        if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])) \
+                or np.count_nonzero(np.isfinite(vals)) < len(vals):
+            _require_finite(bp, "breakpoints")
+            _require_finite(vals, "values")
         if not isinstance(self.tail_mode, TailMode):
             raise SchemaError(f"bad tail_mode {self.tail_mode!r}")
-        bp.flags.writeable = vals.flags.writeable = False
+        bp.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 

@@ -163,13 +163,14 @@ def _pair_energies(gap, len1, len2, params: EnergyParams):
 
 
 def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> float:
-    """Adaptive tensor-quadrature oracle for :func:`pair_cell_energy`, to
-    a relative tolerance of 1e-9.
+    """Adaptive quadrature oracle for :func:`pair_cell_energy`, to a
+    relative tolerance of 1e-9.
 
-    Bounded pairs are integrated directly.  An unbounded side is cut one
-    span past the core, and the kernel's mass beyond the cut is added back
-    as a 1D integral over the other cell, in full, of the elementary inner
-    antiderivative delta^p/p |cut - s|^-p (not the closed form under test).
+    With (a1, b1) the left cell and (a2, b2) the right one, the inner
+    integral over y is the elementary antiderivative of the kernel,
+    delta^p/p ((a2 - x)^-p - (b2 - x)^-p), and the outer one over x, a
+    half-line included, is adaptive quadrature; neither is the closed form
+    under test.
     """
     a1, b1, a2, b2 = i1.lo, i1.hi, i2.lo, i2.hi
     if (a2, b2) < (a1, b1):
@@ -182,26 +183,16 @@ def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> fl
     if p == 1.0 and a1 == -INF and b2 == INF:
         return INF
 
-    def kernel(xs, ys):
-        return delta ** p * np.abs(ys - xs) ** (-1.0 - p)
+    def inner(x, i):
+        return delta ** p / p * ((a2 - x) ** -p - (b2 - x) ** -p)
 
-    span = (a2 - b1) + (b1 - a1 if math.isfinite(a1) else 0.0) \
-        + (b2 - a2 if math.isfinite(b2) else 0.0) + 1.0
-    # an unbounded side is cut one span past the other cell, and the pilot
-    # value of the box that is left sets the tolerance
-    cut_hi = b2 if math.isfinite(b2) else a2 + span
-    cut_lo = a1 if math.isfinite(a1) else b1 - span
-    _, pilot = _quad._evaluate_cells(kernel, np.array([[cut_lo], [b1], [a2], [cut_hi]]))
-    abs_tol = max(1e-9 * abs(float(pilot[0])), 1e-300)
-    value, _ = _quad.adaptive_cells_2d(kernel, cut_lo, b1, a2, cut_hi, abs_tol)
-    if a1 == -INF or b2 == INF:
-        # the tails x in (a1, b1) against y > cut_hi, and y in (a2, cut_hi)
-        # against x < cut_lo; a bounded side's tail is empty
-        cut = np.array([cut_hi, cut_lo])
-        tail, _ = _quad.adaptive_intervals_1d(
-            lambda s, i: delta ** p / p * np.abs(cut[i] - s) ** -p, [a1 if b2 == INF else b1, a2],
-            [b1, cut_hi if a1 == -INF else a2], abs_tol * 1e-3)
-        value += tail
+    # the inner integral is largest at x = b1, and with the shorter of the
+    # gap and the left cell it sets the first tolerance; one looser than
+    # 1e-9 of the value reached is run once more at that
+    tol = max(1e-9 * float(inner(b1, 0)) * min(a2 - b1, b1 - a1), 1e-300)
+    value = _quad.adaptive_intervals_1d(inner, a1, b1, tol)[0]
+    if tol > 1e-9 * value:
+        value = _quad.adaptive_intervals_1d(inner, a1, b1, max(1e-9 * value, 1e-300))[0]
     return value
 
 
@@ -214,24 +205,29 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
 
     Returns ``(edges, values)`` with ``len(edges) == len(values) + 1``;
     the outer edges may be infinite for a compactly supported function on
-    an unbounded domain.  ``edges`` is a new array; ``values`` may be a
-    read-only view of ``u.values``.
+    an unbounded domain.  Either may be a read-only view of the step's own
+    arrays.
     """
     bp, vals = u.breakpoints, u.values
-    if u.tail_mode is TailMode.DOMAIN_ONLY:
-        if not u.support.contains(domain):
-            raise DomainMismatch(
-                f"domain ({domain.lo}, {domain.hi}) exceeds the function's "
-                f"support ({bp[0]}, {bp[-1]})")
-    else:  # the zero tails are cells too
-        bp = np.concatenate(([-INF], bp, [INF]))
-        vals = np.concatenate(([0.0], vals, [0.0]))
+    if u.tail_mode is TailMode.DOMAIN_ONLY and not u.support.contains(domain):
+        raise DomainMismatch(
+            f"domain ({domain.lo}, {domain.hi}) exceeds the function's "
+            f"support ({bp[0]}, {bp[-1]})")
     # breakpoints increase strictly, so the cells meeting the open domain
-    # are one run j0 .. j1-1, and only its two outer edges need clipping
+    # are one run j0 .. j1-1, with cells -1 and len(vals) the zero tails of
+    # a compact step, and only the run's two outer edges need clipping
+    n = len(bp)
     j0 = int(np.searchsorted(bp, domain.lo, "right")) - 1
     j1 = int(np.searchsorted(bp, domain.hi, "left"))
-    edges = np.concatenate(([max(bp[j0], domain.lo)], bp[j0 + 1:j1], [min(bp[j1], domain.hi)]))
-    return edges, vals[j0:j1]
+    if j0 >= 0 and j1 < n and bp[j0] == domain.lo and bp[j1] == domain.hi:
+        edges = bp[j0:j1 + 1]
+    else:
+        edges = np.concatenate(([max(bp[j0], domain.lo) if j0 >= 0 else domain.lo],
+                                bp[j0 + 1:j1], [min(bp[j1], domain.hi) if j1 < n else domain.hi]))
+    values = vals[max(j0, 0):j1]
+    if j0 < 0 or j1 == n:
+        values = np.concatenate(([0.0] * (j0 < 0), values, [0.0] * (j1 == n)))
+    return edges, values
 
 
 # transitions expanded at a time by the pair-sum engine, and the length of
@@ -393,11 +389,16 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.intp)
     x = np.asarray(x, dtype=float)
     nf = len(counts)
-    # function f diverges if a jump lies among its adjacent pairs [s, e - 1)
+    # function f diverges if a jump lies among its adjacent pairs [s, e - 1);
+    # with the pairs between functions cleared, one or-reduction from each
+    # start of a function with two cells or more
     e = np.cumsum(counts)
     s = e - counts
-    jump = np.flatnonzero(np.abs(np.diff(x)) > radius)
-    div = np.searchsorted(jump, np.maximum(e - 1, s)) > np.searchsorted(jump, s)
+    gap = np.diff(x)
+    jump = np.abs(gap, out=gap) > radius
+    jump[e[(e > 0) & (e < len(x))] - 1] = False
+    div = counts > 1
+    div[div] = np.logical_or.reduceat(jump, s[div])
     if div.all():
         return np.full(nf, INF)
     f = np.arange(nf)

@@ -60,6 +60,17 @@ def _on_level(v, k, delta: float):
     return (d <= INTERACTION_GUARD * abs(v)) | (d <= INTERACTION_GUARD * delta)
 
 
+def _level_candidates(v, delta: float):
+    """The two levels grid_floor_level chooses from, as floats: the nearest
+    one, and the largest k with k*delta <= v."""
+    _check_delta(delta)
+    q = np.divide(v, delta)
+    if not (np.abs(q) < 2.0 ** 53).all():  # float levels are exact integers below 2**53
+        raise ValueError(f"grid levels need |v/delta| < 2**53, got v = {v}, delta = {delta}")
+    k = np.floor(q)
+    return np.rint(q), k + ((k + 1.0) * delta <= v) - (k * delta > v)
+
+
 def grid_floor_level(v, delta: float):
     """Largest integer k with k*delta <= v, robust to float rounding;
     elementwise on an array (int64), an int for a number.
@@ -69,13 +80,7 @@ def grid_floor_level(v, delta: float):
     with values intended to be exact multiples of delta are fixed points
     of the segmentation even when k*delta rounds.
     """
-    _check_delta(delta)
-    q = np.divide(v, delta)
-    if not np.all(np.abs(q) < 2.0 ** 53):  # float levels are exact integers below 2**53
-        raise ValueError(f"grid levels need |v/delta| < 2**53, got v = {v}, delta = {delta}")
-    near = np.rint(q)
-    k = np.floor(q)
-    k = k + ((k + 1.0) * delta <= v) - (k * delta > v)
+    near, k = _level_candidates(v, delta)
     k = np.where(_on_level(v, near, delta), near, k).astype(np.int64)
     return k if np.ndim(v) else int(k)
 
@@ -84,14 +89,32 @@ def _cells_to_step(edges: np.ndarray, values: np.ndarray,
                    tail_mode: TailMode) -> StepFunction1D | None:
     """Step function from raw cells, dropping zero-width cells and merging
     runs of equal-valued neighbours; None when no cell has positive width.
-    A run keeps its first value and ends at its last cell's right edge."""
-    kept = np.flatnonzero(edges[1:] != edges[:-1])
-    if not kept.size:
-        return None
-    values = values[kept]
-    ends = np.append(np.flatnonzero(values[1:] != values[:-1]), kept.size - 1)
-    breakpoints = np.append(edges[kept[0]], edges[kept[ends] + 1])
-    return StepFunction1D(breakpoints, values[np.append(0, ends[:-1] + 1)], tail_mode)
+    A run keeps its first value and ends at its last cell's right edge.
+    Where every cell has positive width the step holds ``edges`` and
+    ``values``, or their copies without the merged entries, so they must be
+    arrays that no one writes later; otherwise it is built like public
+    construction, whose checks then see edges out of order."""
+    ordered = np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
+    if not ordered:
+        wide = edges[1:] != edges[:-1]
+        if not np.count_nonzero(wide):
+            return None
+        # the first wide cell's left edge, then every wide cell's right edge
+        at = np.concatenate(([False], wide))
+        at[np.argmax(wide)] = True
+        edges, values = edges[at], values[wide]
+    # a run ends at its last cell's right edge and keeps its first value
+    joined = (values[1:] == values[:-1]).nonzero()[0] + 1
+    if joined.size:
+        edges, values = np.delete(edges, joined), np.delete(values, joined)
+    if ordered:
+        return StepFunction1D._of_own_arrays(edges, values, tail_mode)
+    return StepFunction1D(edges, values, tail_mode)
+
+
+# cells or crossings computed at a time by the level-run engine, so that
+# the arithmetic on them stays in cache
+_CHUNK = 1 << 15
 
 
 def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
@@ -100,54 +123,94 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
     between consecutive nodes ``(xs, ys)``.  The levels a piece from (x0, y0)
     to (x1, y1) crosses form one arithmetic run of integers k, judged on node
     values snapped to their level (``_on_level``).  ``crossings(piece,
-    values)``, called once for all pieces, places each crossing of a level
-    value k*delta in (x0, x1]; one that rounds past x1 is placed on x1.  Each
-    piece gives its start and its crossings as raw cells, which
-    ``_cells_to_step`` merges into the step."""
+    values)``, called once for all pieces with the crossings in piece
+    order, returns a new array placing each crossing of a level value
+    k*delta in [x0, x1]; it must not write to ``values``.  Each piece gives
+    its start and its crossings as raw cells, which ``_cells_to_step``
+    merges into the step."""
     edges, values = _level_cells(xs, ys, delta, crossings)
     if compact_support:
         # fold the zero cells at both ends into the tails, judging only cells
         # of positive width, so that no zero-width cell shields a zero cell
-        kept = np.flatnonzero((values != 0.0) & (edges[1:] > edges[:-1]))
-        if kept.size:
-            edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
+        kept = values != 0.0
+        kept &= edges[1:] > edges[:-1]
+        a = int(np.argmax(kept))
+        if kept[a]:
+            b = len(kept) - int(np.argmax(kept[::-1]))
+            edges, values = edges[a:b + 1], values[a:b]
     return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT
                           if compact_support else TailMode.DOMAIN_ONLY)
 
 
 def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
     """Raw cells of ``_level_runs``, apart so its temporaries die on return."""
-    k = grid_floor_level(ys, delta)
-    s = np.where(_on_level(ys, k, delta), k * delta, ys)
-    k0, k1, s0, s1 = k[:-1], k[1:], s[:-1], s[1:]
-    rise, fall = s1 > s0, s1 < s0
-    # just right of a falling piece's start on a level the function sits
-    # below it; every level strictly between the end floors is crossed,
-    # and k1 if k1*delta < s1 (rising) or k1*delta > s1 (falling)
-    start = k0 - (fall & (s0 == k0 * delta))
-    counts = np.where(rise, k1 + (k1 * delta < s1) - k0 - 1,
-                      np.where(fall, start - k1 + (k1 * delta > s1), 0))
-    # a piece's run is its start cell, then crossing g (over all pieces) of
-    # level start + rise + step*(g - offset) as cell g + piece + 1, entered if
-    # rising, left if falling; in place where cheap (fresh arrays page-fault)
-    step, offset = np.where(rise, 1, -1), np.cumsum(counts) - counts
-    piece = np.repeat(np.arange(len(counts)), counts)
-    at = np.arange(piece.size)
-    crossed = np.repeat(start + rise - step * offset, counts) + np.repeat(step, counts) * at
-    at += piece + 1
-    edges, levels = np.repeat(xs, np.append(counts + 1, 1)), np.repeat(start, counts + 1)
-    cuts = crossings(piece, crossed * delta)
-    edges[at] = np.minimum(cuts, np.repeat(xs[1:], counts), out=cuts)
-    levels[at] = np.subtract(crossed, np.repeat(fall, counts), out=crossed)
-    return edges, levels * delta
+    # grid_floor_level, with both of its candidates tested in one call: k
+    # is the nearest level if the node sits on it, else the floor
+    near, floor = _level_candidates(ys, delta)
+    on = _on_level(ys, np.array((near, floor)), delta)
+    k = np.where(on[0], near, floor).astype(np.int64)
+    on = on[0] | on[1]  # on level k
+    # k*delta is at or below a node, strictly below it off its level, and hi
+    # is the lowest level at or above it; k + hi orders the nodes like their
+    # snapped values, nodes inside one cell tied (no piece there crosses)
+    hi = k + ~on
+    rank = k + hi
+    step = np.sign(rank[1:] - rank[:-1], dtype=float)  # 1 rising, -1 falling, 0 flat
+    fall = step < 0.0
+    # a piece starts on the level just right of its start node, one below
+    # it if the piece falls from it; a rising piece crosses the levels
+    # k0+1 .. hi1-1, a falling one hi0-1 .. k1+1
+    start = k[:-1] - (fall & on[:-1])
+    counts = np.maximum(np.maximum(hi[1:] - k[:-1], hi[:-1] - k[1:]) - 1, 0)
+    # cell c of piece i, from slot first[i] on, sits on level start[i] +
+    # step[i]*(c - first[i]); exact, as the levels are integers below 2**53.
+    # A chunk of cells at a time, with its piece's numbers broadcast where
+    # it lies in one piece
+    size = counts + 1
+    first = size.cumsum() - size
+    values = np.empty(size.sum())
+    for a in range(0, len(values), _CHUNK):
+        cell = np.arange(a, min(a + _CHUNK, len(values)), dtype=float)
+        i = first.searchsorted(cell[[0, -1]], "right") - 1
+        i = i[0] if i[0] == i[1] else first.searchsorted(cell, "right") - 1
+        cell -= first[i]
+        cell *= step[i]
+        cell += start[i]
+        np.multiply(cell, delta, out=values[a:a + len(cell)])
+    # crossing j of a piece lies on the value of its cell j + 1 (rising) or
+    # cell j (falling): all cells but the first of a rising piece, the
+    # last of a falling one and the one of a flat one
+    skip = np.zeros(len(values), dtype=bool)
+    skip[first + fall * counts] = True
+    cut = crossings(np.arange(len(counts)).repeat(counts), values[~skip])
+    # each piece's start cell begins at its node, and the last cell ends at
+    # the last node; every other edge is a crossing
+    edges = np.empty(len(values) + 1)
+    node = np.zeros(len(edges), dtype=bool)
+    node[first] = node[-1] = True
+    edges[node] = xs
+    edges[~node] = cut
+    return edges, values
 
 
 def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     """Exact vertical segmentation of a piecewise affine function."""
-    xs, ys = np.array(u.nodes).T.copy()
+    xs, ys = np.array(u.nodes).T
     slope = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
-    return _level_runs(xs, ys, delta, lambda i, v: xs[i] + (v - ys[i]) / slope[i],
-                       u.compact_support)
+
+    def crossings(piece, values):  # xs[i] + (v - ys[i]) / slope[i], at most xs[i + 1]
+        cut = np.empty_like(values)
+        for a in range(0, len(cut), _CHUNK):
+            i, c = piece[a:a + _CHUNK], cut[a:a + _CHUNK]
+            if i[0] == i[-1]:  # pieces are in order: a chunk of one piece broadcasts
+                i = i[0]
+            np.subtract(values[a:a + _CHUNK], ys[i], out=c)
+            c /= slope[i]
+            c += xs[i]
+            np.minimum(c, xs[i + 1], out=c)
+        return cut
+
+    return _level_runs(xs, ys, delta, crossings, u.compact_support)
 
 
 def vertical_segmentation(u, delta: float):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ def test_nonfinite_messages_print_plain_floats():
         StepFunction1D((0.0, 1.0, 2.0), (0.0, math.inf))
     with pytest.raises(SchemaError, match=r"^breakpoints must be finite; got -inf at index 0$"):
         StepFunction1D(np.array([-math.inf, 1.0]), (0.0,))
+
+
+@pytest.mark.parametrize("bp,vals,tail,error,message", [
+    (((0.0, 1.0), (1.0, 2.0)), (0.0,), TailMode.DOMAIN_ONLY, SchemaError,
+     "breakpoints and values must be flat lists"),
+    ((0.0, 1.0), ((0.0,),), TailMode.DOMAIN_ONLY, SchemaError,
+     "breakpoints and values must be flat lists"),
+    ((0.0,), (), TailMode.DOMAIN_ONLY, SchemaError,
+     "a step function needs at least two breakpoints"),
+    ((0.0, 1.0, 2.0), (1.0,), TailMode.DOMAIN_ONLY, SchemaError,
+     "expected 2 values for 3 breakpoints, got 1"),
+    ((0.0, math.nan, 2.0), (1.0, 2.0), TailMode.DOMAIN_ONLY, SchemaError,
+     "breakpoints must be finite; got nan at index 1"),
+    # finiteness is reported before order, and breakpoints before values
+    ((0.0, 2.0, 1.0, math.inf), (math.nan, 2.0, 3.0), TailMode.DOMAIN_ONLY, SchemaError,
+     "breakpoints must be finite; got inf at index 3"),
+    ((0.0, 2.0, 1.0), (1.0, -math.inf), TailMode.DOMAIN_ONLY, SchemaError,
+     "values must be finite; got -inf at index 1"),
+    ((0.0, 1.0, 1.0, 0.5), (1.0, 2.0, 3.0), TailMode.DOMAIN_ONLY, NonMonotoneBreakpoints,
+     "breakpoints must be strictly increasing; violated at index 2"),
+    ((1.0, 0.0), (1.0,), "compact", NonMonotoneBreakpoints,
+     "breakpoints must be strictly increasing; violated at index 1"),
+    ((0.0, 1.0), (1.0,), "compact", SchemaError, "bad tail_mode 'compact'"),
+])
+def test_step_construction_messages(bp, vals, tail, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        StepFunction1D(bp, vals, tail)
 
 
 def test_pwa_validation_and_eval():

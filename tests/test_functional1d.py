@@ -61,12 +61,29 @@ class TestPairCellEnergy:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_quadrature_oracle_two_half_lines(self, p):
-        # the far tail of either half-line is a 1D integral over the whole
-        # of the other, so the corner beyond both cuts is counted
+        # the outer integral runs over a whole half-line, and so does the
+        # inner one, in closed form
         for gap in (0.3, 0.5264, 2.0, 7.0, 40.0):
             for delta, b1 in ((1.0, 1.0), (0.4, -3.0)):
                 i1, i2 = Interval(-math.inf, b1), Interval(b1 + gap, math.inf)
                 params = EnergyParams(delta, p)
+                cf = pair_cell_energy(i1, i2, params)
+                assert math.isclose(cf, pair_cell_quadrature(i1, i2, params), rel_tol=1e-9)
+                assert math.isclose(cf, pair_cell_quadrature(i2, i1, params), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 40.0])
+    def test_quadrature_oracle_small_gap(self, p):
+        # a gap of 0.01 against cells of length 2-3, bounded and with one
+        # side unbounded: the integrand peaks at the gap's scale, and at
+        # p = 40 falls off within a fortieth of it, so that the first
+        # tolerance is too loose and the rerun against the value is needed
+        params = EnergyParams(0.7, p)
+        for l1, l2 in ((2.0, 3.0), (3.0, 2.0), (2.5, 2.5)):
+            b1 = -1.0 + l1
+            a2 = b1 + 0.01
+            for i1, i2 in ((Interval(-1.0, b1), Interval(a2, a2 + l2)),
+                           (Interval(-1.0, b1), Interval(a2, math.inf)),
+                           (Interval(-math.inf, b1), Interval(a2, a2 + l2))):
                 cf = pair_cell_energy(i1, i2, params)
                 assert math.isclose(cf, pair_cell_quadrature(i1, i2, params), rel_tol=1e-9)
                 assert math.isclose(cf, pair_cell_quadrature(i2, i1, params), rel_tol=1e-9)
@@ -84,6 +101,26 @@ class TestPairCellEnergy:
                 cf = pair_cell_energy(i1, i2, params)
                 assert math.isclose(cf, pair_cell_quadrature(i1, i2, params),
                                     rel_tol=1e-6)
+
+
+def test_step_cells_clip_the_run_to_the_domain():
+    # the cells meeting the domain, the outer two clipped; a compact step's
+    # zero tails are cells too; on the step's own range, its own arrays
+    u = StepFunction1D((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+    for domain, edges, values in (
+            (Interval(0.5, 2.5), [0.5, 1.0, 2.0, 2.5], [1.0, 2.0, 3.0]),
+            (Interval(1.0, 2.0), [1.0, 2.0], [2.0]),
+            (Interval(-1.0, 0.5), [-1.0, 0.0, 0.5], [0.0, 1.0]),
+            (Interval(2.5, math.inf), [2.5, 3.0, math.inf], [3.0, 0.0]),
+            (Interval(3.5, 4.0), [3.5, 4.0], [0.0]),
+            (Interval(-math.inf, math.inf), [-math.inf, 0.0, 1.0, 2.0, 3.0, math.inf],
+             [0.0, 1.0, 2.0, 3.0, 0.0])):
+        got_edges, got_values = step_cells(u, domain)
+        assert (got_edges.tolist(), got_values.tolist()) == (edges, values), domain
+    dom = StepFunction1D((0.0, 1.0, 2.0), (1.0, 2.0), TailMode.DOMAIN_ONLY)
+    edges, values = step_cells(dom, dom.support)
+    assert np.shares_memory(edges, dom.breakpoints) and np.shares_memory(values, dom.values)
+    assert edges.tolist() == [0.0, 1.0, 2.0] and values.tolist() == [1.0, 2.0]
 
 
 class TestStepEnergy:

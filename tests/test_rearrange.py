@@ -1,19 +1,23 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nlg import (DiscreteArrangement, EnemyList, EnergyParams, HostilityWeights,
-                 Interval, PiecewiseAffine1D, StepFunction1D, TailMode,
+from nlg import (Direction, DiscreteArrangement, EnemyList, EnergyParams,
+                 HostilityWeights, Interval, PiecewiseAffine1D, SchemaError, StepFunction1D,
+                 TailMode, TensorTent, multidim, section,
                  brute_force_min_hostility, clamp_values, hostility_gap,
                  left_right_gap, monotone_rearrangement,
                  monotone_rearrangement_step, multiset_permutations,
                  reduce_arrangement, step_cells, step_energy, step_hostility,
                  total_hostility, vertical_segmentation)
+from nlg.core import NonMonotoneBreakpoints
 from nlg.rearrange import (BadBounds, TooManyPermutations, TooShort,
                            ValuesNotOnGrid, WeightsTooShort, _cells_to_step,
-                           grid_floor_level, hostile_gap_counts)
+                           _on_level, grid_floor_level, hostile_gap_counts)
 
 from conftest import (UNIT, pairwise_energy, random_grid_step,
                       random_nonincreasing_weights, random_step)
@@ -69,6 +73,62 @@ def _cells_to_step_loop(edges, values, tail_mode):
     return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
 
 
+def _level_runs_loop(xs, ys, delta, place, compact):
+    """Scalar oracle of the level-run engine (``_level_runs``): one pass
+    over the pieces, each one's start cell and crossings in a Python loop,
+    merged by ``_cells_to_step_loop``.  ``place(pieces, values)`` gives the
+    crossing of each level value in its piece; one past the piece's end is
+    put on it."""
+    k = [grid_floor_level(y, delta) for y in ys]
+    s = [kk * delta if _on_level(y, kk, delta) else y for y, kk in zip(ys, k)]
+    runs = []  # each piece's start level and its (crossed level, next level)
+    for i in range(len(xs) - 1):
+        k0, k1, s0, s1 = k[i], k[i + 1], s[i], s[i + 1]
+        if s1 > s0:  # up through every level above k0 and below the end
+            runs.append((k0, [(lev, lev) for lev in range(k0 + 1, k1 + (k1 * delta < s1))]))
+        elif s1 < s0:  # from a start on a level, the piece sits below it
+            start = k0 - (s0 == k0 * delta)
+            runs.append((start, [(lev, lev - 1)
+                                 for lev in range(start, k1 - (k1 * delta > s1), -1)]))
+        else:
+            runs.append((k0, []))
+    cuts = iter(place([i for i, (_, cross) in enumerate(runs) for _ in cross],
+                      [lev * delta for _, cross in runs for lev, _ in cross]))
+    edges, levels = [], []
+    for i, (start, cross) in enumerate(runs):
+        edges.append(xs[i])
+        levels.append(start)
+        for _, lev in cross:
+            cut = next(cuts)
+            edges.append(cut if cut < xs[i + 1] else xs[i + 1])
+            levels.append(lev)
+    edges.append(xs[-1])
+    values = [lev * delta for lev in levels]
+    if compact:  # zero cells of positive width at both ends join the tails
+        kept = [j for j, v in enumerate(values) if v != 0.0 and edges[j + 1] > edges[j]]
+        if kept:
+            edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
+    return _cells_to_step_loop(edges, values, TailMode.COMPACT_SUPPORT if compact
+                               else TailMode.DOMAIN_ONLY)
+
+
+def _segment_loop(u: PiecewiseAffine1D, delta: float):
+    """Scalar oracle of ``vertical_segmentation`` on a piecewise affine
+    function, each crossing placed by xs[i] + (v - ys[i]) / slope[i]."""
+    xs, ys = [x for x, _ in u.nodes], [y for _, y in u.nodes]
+    slope = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(u.nodes, u.nodes[1:])]
+    return _level_runs_loop(xs, ys, delta, lambda pieces, values: [
+        xs[i] + (v - ys[i]) / slope[i] for i, v in zip(pieces, values)], u.compact_support)
+
+
+def _hex(step):
+    """A step function as the hex strings of its floats, to compare bit for bit."""
+    if step is None:
+        return None
+    return ([v.hex() for v in step.breakpoints.tolist()],
+            [v.hex() for v in step.values.tolist()], step.tail_mode)
+
+
 def _bits(step):
     """A step function as comparable bits: zeros of opposite sign differ."""
     if step is None:
@@ -95,6 +155,22 @@ class TestCellsToStep:
             want = _cells_to_step_loop(edges.tolist(), values.tolist(), tail)
             got = _cells_to_step(edges, values, tail)
             assert _bits(got) == _bits(want), (edges, values)
+
+    def test_fails_like_public_construction(self):
+        # edges out of order, also once a zero-width cell is dropped, and
+        # values that are not finite
+        for edges, values, error, message in (
+                ([0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 3.0], NonMonotoneBreakpoints,
+                 "breakpoints must be strictly increasing; violated at index 2"),
+                ([0.0, 1.0, 1.0, 0.5], [1.0, 2.0, 3.0], NonMonotoneBreakpoints,
+                 "breakpoints must be strictly increasing; violated at index 2"),
+                ([0.0, 1.0, 2.0], [1.0, math.inf], SchemaError,
+                 "values must be finite; got inf at index 1")):
+            with pytest.raises(error, match="^" + re.escape(message) + "$"):
+                _cells_to_step(np.array(edges), np.array(values), TailMode.DOMAIN_ONLY)
+        u = StepFunction1D((0.0, 1.0), (0.5,), TailMode.DOMAIN_ONLY)
+        with pytest.raises(SchemaError, match="^values must be finite; got -inf at index 0$"):
+            clamp_values(u, -math.inf, -math.inf)
 
     def test_run_keeps_first_value_and_last_right_edge(self):
         got = _cells_to_step(np.array([-0.0, 0.0, 1.0, 1.0, 2.0]),
@@ -192,6 +268,64 @@ class TestVerticalSegmentation:
             for x in rng.uniform(lo - pad, hi + pad, 200):
                 if x not in s.breakpoints:
                     assert s(x) == delta * grid_floor_level(u(x), delta)
+
+    def test_matches_scalar_piece_loop_bit_for_bit(self, rng):
+        # random inputs (flat pieces, nodes off the grid, on a level and
+        # within 3 ulps of one, both tail modes), then the ramp and the tent
+        for trial in range(3000):
+            delta = float(rng.choice((0.5, 0.1, 1 / 3, 0.013, 0.07)))
+            u = _random_pwa(rng, delta, compact=trial % 2 == 0)
+            assert _hex(vertical_segmentation(u, delta)) == _hex(_segment_loop(u, delta)), \
+                (u, delta)
+        for u in (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),
+                  PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))):
+            for delta in (1e-2, 1e-3, 1e-4):
+                assert _hex(vertical_segmentation(u, delta)) == _hex(_segment_loop(u, delta))
+        # steep pieces whose last crossing computes to an ulp past the end
+        # node (0.44700000000000006 and 0.8600000000000001)
+        for nodes in (((0.162, -20.0), (0.447, 0.0010000000000024703)),
+                      ((0.32, 12.0), (0.86, 0.0009999999999976655))):
+            u = PiecewiseAffine1D(nodes, compact_support=False)
+            assert _hex(vertical_segmentation(u, 1e-3)) == _hex(_segment_loop(u, 1e-3))
+
+    def test_tensor_tent_sections_match_scalar_piece_loop(self, rng, monkeypatch):
+        # the oracle places the crossings with the section's own callback
+        runs = []
+
+        def level_runs(xs, ys, delta, crossings, compact_support):
+            step = engine(xs, ys, delta, crossings, compact_support)
+            runs.append((xs.tolist(), ys.tolist(), delta, crossings, compact_support, step))
+            return step
+
+        engine = multidim._level_runs
+        monkeypatch.setattr(multidim, "_level_runs", level_runs)
+        for _ in range(300):
+            tent = TensorTent(tuple(rng.uniform(-0.3, 0.3, 2)), tuple(rng.uniform(0.3, 1.5, 2)),
+                              float(rng.uniform(0.5, 2.0)))
+            theta = float(rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi))))
+            sec = section(tent, Direction.from_angle(theta), float(rng.uniform(-1.2, 1.2)))
+            if sec is not None:
+                sec.step_segmentation(float(rng.choice((0.1, 0.05, 0.01))))
+        assert len(runs) > 200
+        for xs, ys, delta, crossings, compact, step in runs:
+            want = _level_runs_loop(xs, ys, delta, lambda pieces, values: crossings(
+                np.array(pieces, dtype=np.intp), np.array(values, dtype=float)).tolist(), compact)
+            assert _hex(step) == _hex(want), (xs, ys, delta)
+
+    @pytest.mark.parametrize("shape", [
+        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),  # 10^5 cells
+        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))],          # 2 * 10^5 cells
+        ids=["ramp", "tent"])
+    def test_segmentation_scratch_memory(self, shape):
+        # at delta = 1e-5 the traced peak of the segmentation, its result
+        # included, stays within 40 bytes per cell
+        tracemalloc.start()
+        try:
+            u = vertical_segmentation(shape, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * len(u.values)
 
     def test_end_node_on_a_level_adds_no_cell(self):
         # the crossing of the end node's level lands on or an ulp before
