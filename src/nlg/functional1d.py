@@ -238,25 +238,22 @@ _SBP_CHUNK = 1 << 14
 
 def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Elementwise, the smallest float in (lo, hi] at which ``past`` holds, for
-    a predicate monotone there and true at hi, searched on the floats' ordered
-    integer keys down to adjacent floats.  Each round probes 2**s - 1 evenly
-    spaced keys per bracket, about 1024 in all (a bisection from 1024 entries
-    on): numpy's fixed cost per round dominates on a few entries."""
+    a predicate monotone there and true at hi, found by bisection on the
+    floats' ordered integer keys down to adjacent floats.  Each round
+    probes every bracket once, so an entry's answer depends on its own
+    bracket only, also where rounding makes ``past`` non-monotone at the ulp
+    level; a finished bracket stays put."""
     def key(x):  # float <-> order-preserving int64 key, both ways
         return x.view(np.int64) ^ ((x.view(np.int64) >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
 
     base = key(np.asarray(lo, dtype=np.float64))
-    # the answer is key base + a + w, with w >= 1; unsigned, so no overflow
+    # the answer is key base + a + w; unsigned, so no overflow
     a = np.zeros(len(base), dtype=np.uint64)
     w = (key(np.asarray(hi, dtype=np.float64)) - base).view(np.uint64)
-    s = max(1, (1024 // max(len(base), 1)).bit_length() - 1)
-    j = np.arange(1, 1 << s, dtype=np.uint64)[:, None]
-    for _ in range(-(-int(w.max(initial=0)).bit_length() // s)):
-        step = (w + np.uint64((1 << s) - 1)) >> np.uint64(s)  # ceil(w / 2**s)
-        off = step * j
-        now = (off >= w) | past(key(base + (a + off).view(np.int64)).view(np.float64))
-        below = (~now).sum(axis=0).astype(np.uint64)
-        a, w = a + below * step, np.minimum(step, w - below * step)
+    for _ in range(int(w.max(initial=0)).bit_length()):
+        step = (w + np.uint64(1)) >> np.uint64(1)  # ceil(w / 2)
+        below = ~past(key(base + (a + step).view(np.int64)).view(np.float64))
+        a, w = np.where(below, a + step, a), np.where(below, w - step, step)
     return key(base + (a + w).view(np.int64)).view(np.float64)
 
 

@@ -13,9 +13,11 @@ each unordered line once, which applies the 1/2.  The catalog fields
 below expose exact level-crossing solutions along any line, so the
 section of a vertically segmented field is an exact StepFunction1D and
 the inner 1D energy is computed in closed form; only the two outer
-integrals carry discretization error.  A sectioning pass hands the
-sections' cells to the pair sum as integer levels, many sections per
-call (radial sections built for all offsets of a direction at once).
+integrals carry discretization error.  There is one way to build
+sections: a field's ``_sections`` takes every line of a sectioning pass
+as arrays, and the section classes hold many lines, whose cells they
+build in blocks; a lone section is the one-line case.  A pass hands each
+block's cells to the pair sum as integer levels, many lines per call.
 
 Both estimators here target the segmented field: the sectioning path
 computes the energy of the vertical segmentation exactly in the inner
@@ -36,11 +38,11 @@ from typing import Sequence
 import numpy as np
 
 from . import _quad
-from .core import PiecewiseAffine1D, StepFunction1D, TailMode
-from .functional1d import (INF, EnergyParams, _check_p, _first_past, _pair_sum, _ragged_arange,
-                           step_cells)
+from .core import StepFunction1D, TailMode
+from .functional1d import INF, EnergyParams, _check_p, _first_past, _pair_sum, _ragged_arange
 from .functional1d import step_energy  # noqa: F401 -- perfbench's tracer rebinds it here
-from .rearrange import _level_runs, _on_level, grid_floor_level, vertical_segmentation
+from .rearrange import _level_cells, _on_level, _pwa_crossings, grid_floor_level
+from .rearrange import vertical_segmentation  # noqa: F401 -- perfbench's tracer rebinds it here
 
 
 class UnsupportedDimension(ValueError):
@@ -64,6 +66,10 @@ def _check_finite_sides(name: str, box: Box):
     for lo, hi in zip(box.lower, box.upper):
         if not math.isfinite(hi - lo):
             raise DegenerateBox(f"{name} side ({lo}, {hi}) must be finite")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_finite(name: str, vs: tuple[float, ...]):
@@ -152,20 +158,81 @@ class Direction:
 
     def point(self, z: Sequence[float], t: float = 0.0) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        pt = t * np.asarray(self.sigma)
-        for zi, f in zip(zs, self.frame):
-            pt = pt + zi * np.asarray(f)
-        return pt
+        if zs.shape != (len(self.frame),):
+            raise ValueError(f"z must have {len(self.frame)} components, got {zs.tolist()}")
+        return t * np.asarray(self.sigma) + zs @ np.asarray(self.frame)
 
 
 # ---------------------------------------------------------------------------
-# 1D sections
+# 1D sections, one line at a time or all lines of a pass at once
 # ---------------------------------------------------------------------------
+
+# cells summed by one pair-sum call of a sectioning pass, and built at a
+# time; bounds the pass's memory at small delta
+_SECTION_CELLS = 1 << 14
+
+
+def _spans(sizes: np.ndarray):
+    """Consecutive ranges ``(a, b)`` of lines with ``sizes`` cells, about
+    ``_SECTION_CELLS`` cells each: a range ends with the line that reaches it."""
+    cuts = (np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _SECTION_CELLS)) + 1).tolist()
+    return zip([0, *cuts], [*cuts, len(sizes)] if len(sizes) else [])
+
+
+def _line_runs(edges, values, first, join, compact: bool):
+    """The raw cells of lines laid end to end from ``_level_cells`` (piece i
+    starting at cell ``first[i]``), with the pieces ``join`` between them,
+    merged line by line as ``_level_runs`` merges one function: cells
+    of zero width dropped, runs of equal values joined.  Returns ``(lines,
+    edges, values, counts)``: the lines left with a cell, their cells laid
+    end to end, one more edge a line.  A compact line starts and ends on
+    level 0, as a section does at the edge of a field's support; its zero
+    runs at both ends become its tails out to -+inf, and without a nonzero
+    cell it is left out."""
+    joins = first[join]  # the cells between lines
+    line = np.searchsorted(joins, np.arange(len(values)), "right")
+    keep = edges[1:] > edges[:-1]
+    keep[joins] = False
+    if compact:
+        keep &= np.bincount(line, keep & (values != 0.0), len(joins) + 1)[line] > 0
+    cell = np.flatnonzero(keep)
+    head = np.diff(line[cell], prepend=-1) != 0  # a line's first cell
+    run = head | (np.diff(values[cell], prepend=np.nan) != 0.0)
+    edge = np.zeros(len(edges), dtype=bool)  # a line's left end, a run's right end
+    edge[cell[head]] = edge[cell[np.roll(run, -1)] + 1] = True  # run[0] is True
+    lines, counts = np.unique(line[cell[run]], return_counts=True)
+    edges = edges[edge]
+    if compact:
+        end = np.cumsum(counts + 1)
+        edges[end - counts - 1], edges[end - 1] = -INF, INF
+    return lines, edges, values[cell[run]], counts
+
+
+def _node_cells(xs, ys, nodes: np.ndarray, delta: float, crossings, compact: bool):
+    """Cell blocks ``(lines, edges, levels, counts)`` of the segmented
+    sections whose nodes ``(xs, ys)`` are laid end to end, ``nodes[i]`` for
+    line i, each section monotone between its consecutive nodes: one
+    ``_level_cells`` call a block of about ``_SECTION_CELLS`` cells, with
+    ``crossings`` taking pieces numbered in ``xs`` (see ``_level_runs``).
+    Integer levels; lines without a cell are left out."""
+    first = np.append(0, np.cumsum(nodes))  # line i's first node, and the end
+    steps = np.abs(np.diff(grid_floor_level(ys, delta))) + 1
+    steps[first[1:-1] - 1] = 0  # the joins between lines
+    for a, b in _spans(np.add.reduceat(np.append(steps, 0), first[:-1])):
+        lo, hi = first[a], first[b]
+        join = np.isin(np.arange(lo + 1, hi), first[a + 1:b])  # the piece before a line
+        lines, edges, values, counts = _line_runs(*_level_cells(
+            xs[lo:hi], ys[lo:hi], delta, lambda i, v: crossings(i + lo, v), join), join, compact)
+        if len(lines):
+            yield a + lines, edges, np.rint(values / delta), counts
+
 
 class AffineSection:
-    """Restriction of an affine field to a line chord; domain-only."""
+    """Restriction of an affine field to a line chord (t0, t1), where it is
+    offset + slope*t; domain-only.  The section of one line holds floats,
+    the sections of many lines hold arrays of them."""
 
-    def __init__(self, offset: float, slope: float, t0: float, t1: float):
+    def __init__(self, offset, slope, t0, t1):
         self.offset = offset
         self.slope = slope
         self.t0 = t0
@@ -175,18 +242,43 @@ class AffineSection:
         return self.offset + self.slope * t
 
     def local_energy(self, p: float) -> float:
-        return abs(self.slope) ** p * (self.t1 - self.t0)
+        energies = np.abs(self.slope) ** p * np.subtract(self.t1, self.t0)
+        return float(np.cumsum(np.append(0.0, energies))[-1])  # 0.0 + e0 + e1 + ...
 
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
-        pwa = PiecewiseAffine1D(((self.t0, self(self.t0)), (self.t1, self(self.t1))),
-                                compact_support=False)
-        return vertical_segmentation(pwa, delta)
+        for _, edges, levels, _ in self._cells(delta):  # one block, or none: None
+            return StepFunction1D(edges, levels * delta, TailMode.DOMAIN_ONLY)
+
+    def _cells(self, delta: float):
+        """Cell blocks of the segmentations, each the one of the domain-only
+        piecewise affine function from (t0, u(t0)) to (t1, u(t1))."""
+        offset, slope, t0, t1 = map(np.atleast_1d, (self.offset, self.slope, self.t0, self.t1))
+        y0, y1 = offset + slope * t0, offset + slope * t1
+        xs, ys = np.column_stack((t0, t1)).ravel(), np.column_stack((y0, y1)).ravel()
+        rate = np.repeat((y1 - y0) / (t1 - t0), 2)[:-1]  # a join's is never used
+        return _node_cells(xs, ys, np.full(len(t0), 2), delta,
+                           lambda i, v: _pwa_crossings(xs, ys, rate, i, v), compact=False)
+
+
+def _chords(lo, hi, sigma, points):
+    """``(lines, s, z, t0, t1)``: the lines along ``sigma[i]`` through
+    ``points[i]`` that cross the box [lo, hi], as rows, and the ends t0 < t1
+    of their chords in it."""
+    s, z = np.atleast_2d(sigma), np.atleast_2d(points)
+    flat = s == 0.0  # an axis the line runs across does not bound its chord
+    ta, tb = (lo - z) / np.where(flat, 1.0, s), (hi - z) / np.where(flat, 1.0, s)
+    t0 = np.where(flat, -INF, np.minimum(ta, tb)).max(axis=1)
+    t1 = np.where(flat, INF, np.maximum(ta, tb)).min(axis=1)
+    lines = np.flatnonzero((t0 < t1) & (~flat | ((lo <= z) & (z <= hi))).all(axis=1))
+    return lines, s[lines], z[lines], t0[lines], t1[lines]
 
 
 class RadialSection:
-    """Restriction of a radial tent to a line: a bump of height peak*(1 - rho/r)."""
+    """Restriction of a radial tent to a line: a bump of height peak*(1 - rho/r)
+    centred at t_center.  The section of one line holds floats, the sections
+    of many lines hold arrays of ``t_center`` and ``rho``."""
 
-    def __init__(self, t_center: float, rho: float, radius: float, peak: float):
+    def __init__(self, t_center, rho, radius: float, peak: float):
         self.t_center = t_center
         self.rho = rho
         self.radius = radius
@@ -203,42 +295,46 @@ class RadialSection:
         return self.peak * max(0.0, 1.0 - dist / self.radius)
 
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
-        rho = np.array([self.rho])
-        top = _top_levels(rho, self.radius, self.peak, delta)
-        if top[0] < 1:
-            return None
-        edges, levels = _radial_cells(np.array([self.t_center]), rho, top,
-                                      self.radius, self.peak, delta)
-        return StepFunction1D(edges[1:-1], levels[1:-1] * delta, TailMode.COMPACT_SUPPORT)
+        for _, edges, levels, _ in self._cells(delta):  # one block, or none: None
+            return StepFunction1D(edges[1:-1], levels[1:-1] * delta, TailMode.COMPACT_SUPPORT)
 
     def local_energy(self, p: float) -> float:
-        return _radial_local_energy(np.array([self.rho]), self.radius, self.peak, p)
+        """2 (peak/r)^p times the integral of (s^2 / (rho^2 + s^2))^(p/2)
+        over s in (0, T), T = sqrt(r^2 - rho^2), summed over the sections to
+        an absolute tolerance of 1e-12 T each; the integrand is 1 on a
+        section through the center."""
+        radius, rho = self.radius, np.atleast_1d(self.rho)
+        rho = rho[rho < radius]
+        half = np.sqrt(radius * radius - rho * rho)
+        off = rho > 0.0
+        rho2 = rho[off] * rho[off]
+        value, _ = _quad.adaptive_intervals_1d(
+            lambda s, i: (s * s / (rho2[i] + s * s)) ** (p / 2.0), 0.0, half[off],
+            1e-12 * np.sum(half) + 1e-300)
+        return 2.0 * (self.peak / radius) ** p * (value + float(np.sum(half[~off])))
+
+    def _cells(self, delta: float):
+        """Cell blocks from the closed form; sections below level 1 are left out."""
+        t_center, rho = np.atleast_1d(self.t_center), np.atleast_1d(self.rho)
+        top = _top_levels(rho, self.radius, self.peak, delta)
+        lines = np.flatnonzero(top >= 1)
+        t_center, rho, top = t_center[lines], rho[lines], top[lines]
+        for a, b in _spans(2 * top + 1):
+            edges, levels = _radial_cells(t_center[a:b], rho[a:b], top[a:b],
+                                          self.radius, self.peak, delta)
+            yield lines[a:b], edges, levels, 2 * top[a:b] + 1
 
 
-def _radial_lines(u: RadialTent, sigma: Sequence[float], points: np.ndarray):
-    """``(along, rho)`` of the lines through the rows of ``points`` along
-    ``sigma``: the center of ``u`` sits at t = -along on a line, at distance
-    rho from it.  The sums run in axis order, for one line as for many."""
+def _radial_lines(u: RadialTent, sigma, points: np.ndarray):
+    """``(along, rho)`` of the lines along ``sigma`` (one vector, or one a
+    line) through the rows of ``points``: the center of ``u`` sits at t =
+    -along on a line, at distance rho from it.  The sums run in axis order,
+    for one line as for many."""
     along = norm2 = 0.0
-    for w, s in zip((points - np.asarray(u.center)).T, sigma):
+    for w, s in zip((points - np.asarray(u.center)).T, np.asarray(sigma).T):
         along = along + w * s
         norm2 = norm2 + w * w
     return along, np.sqrt(np.maximum(norm2 - along * along, 0.0))
-
-
-def _radial_local_energy(rho: np.ndarray, radius: float, peak: float, p: float) -> float:
-    """The summed local energies of radial sections at distances ``rho``,
-    2 (peak/r)^p times the integral of (s^2 / (rho^2 + s^2))^(p/2) over s
-    in (0, T), T = sqrt(r^2 - rho^2), to an absolute tolerance of 1e-12 T
-    each; the integrand is 1 on a section through the center."""
-    rho = rho[rho < radius]
-    half = np.sqrt(radius * radius - rho * rho)
-    off = rho > 0.0
-    rho2 = rho[off] * rho[off]
-    value, _ = _quad.adaptive_intervals_1d(
-        lambda s, i: (s * s / (rho2[i] + s * s)) ** (p / 2.0), 0.0, half[off],
-        1e-12 * np.sum(half) + 1e-300)
-    return 2.0 * (peak / radius) ** p * (value + float(np.sum(half[~off])))
 
 
 def _top_levels(rho: np.ndarray, radius: float, peak: float, delta: float) -> np.ndarray:
@@ -281,12 +377,14 @@ def _horner(coef: np.ndarray, t) -> np.ndarray:
 
 class PolySection:
     """Piecewise polynomial section (tensor-product fields): row i of
-    ``coef``, lowest degree first, on [cuts[i], cuts[i+1]]; 0 outside."""
+    ``coef``, lowest degree first, on [cuts[i], cuts[i+1]]; 0 outside.  The
+    sections of many lines lie end to end, line j with ``pieces[j]`` rows
+    on ``pieces[j] + 1`` cuts; one line's has ``pieces == [len(coef)]``."""
 
-    def __init__(self, cuts: np.ndarray, coef: np.ndarray):
+    def __init__(self, cuts: np.ndarray, coef: np.ndarray, pieces: np.ndarray):
         self.cuts = cuts
         self.coef = coef
-        self.slope = coef[:, 1:] * np.arange(1, coef.shape[1])  # derivative rows
+        self.pieces = pieces
 
     def __call__(self, t: float) -> float:
         if not self.cuts[0] <= t <= self.cuts[-1]:
@@ -294,14 +392,38 @@ class PolySection:
         i = max(int(np.searchsorted(self.cuts, t)) - 1, 0)
         return max(float(_horner(self.coef[i:i + 1], t)[0]), 0.0)
 
+    def _piece_ends(self):
+        """Each piece's first cut, its ends and its derivative row."""
+        at = np.arange(len(self.coef)) + np.repeat(np.arange(len(self.pieces)), self.pieces)
+        slope = self.coef[:, 1:] * np.arange(1, self.coef.shape[1])
+        return at, self.cuts[at], self.cuts[at + 1], slope
+
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
-        a, b, coef, slope = self.cuts[:-1], self.cuts[1:], self.coef, self.slope
-        # a product of nonnegative affine factors is log-concave, so a piece
-        # is monotone on both sides of at most one interior maximum
-        i = np.flatnonzero((_horner(slope, a) > 0.0) & (_horner(slope, b) < 0.0))
-        tops = _first_past(lambda t, s=slope[i]: _horner(s, t) < 0.0, a[i], b[i])
-        xs = np.sort(np.concatenate((self.cuts, tops)))
-        owner = np.searchsorted(a, xs, side="right") - 1
+        for _, edges, levels, _ in self._cells(delta):  # one block, or none: None
+            return StepFunction1D(edges[1:-1], levels[1:-1] * delta, TailMode.COMPACT_SUPPORT)
+
+    def local_energy(self, p: float) -> float:
+        """The summed local energies, all pieces in one quadrature call."""
+        _, a, b, slope = self._piece_ends()
+        return _quad.adaptive_intervals_1d(lambda t, i: np.abs(_horner(slope[i], t)) ** p,
+                                           a, b, 1e-10 * float(np.sum(b - a)) + 1e-300)[0]
+
+    def _cells(self, delta: float):
+        """Cell blocks of the segmentations.  A product of nonnegative affine
+        factors is log-concave, so a piece is monotone on both sides of at
+        most one interior maximum: one search finds every top, and the tops
+        split the pieces into monotone ones."""
+        coef, pieces = self.coef, self.pieces
+        at, a, b, slope = self._piece_ends()
+        top = (_horner(slope, a) > 0.0) & (_horner(slope, b) < 0.0)
+        tops = _first_past(lambda t, s=slope[top]: _horner(s, t) < 0.0, a[top], b[top])
+        # the nodes: the cuts, each top after its piece's first cut
+        line = np.repeat(np.arange(len(pieces)), pieces + 1)
+        owner = np.arange(len(line)) - line  # the piece a cut starts
+        owner[np.cumsum(pieces + 1) - 1] -= 1  # or, a line's last cut, ends
+        at = at[top] + 1
+        xs, owner, line = (np.insert(v, at, x) for v, x in
+                           ((self.cuts, tops), (owner, np.flatnonzero(top)), (line, line[at])))
         ys = np.maximum(_horner(coef[owner], xs), 0.0)
         rise = ys[1:] > ys[:-1]
 
@@ -309,13 +431,8 @@ class PolySection:
             c, up = coef[owner[j]], rise[j]
             return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
 
-        step = _level_runs(xs, ys, delta, crossings, compact_support=True)
-        return step if step is not None and step.values.any() else None
-
-    def local_energy(self, p: float) -> float:
-        a, b = self.cuts[:-1], self.cuts[1:]
-        return _quad.adaptive_intervals_1d(lambda t, i: np.abs(_horner(self.slope[i], t)) ** p,
-                                           a, b, 1e-10 * float(np.sum(b - a)) + 1e-300)[0]
+        return _node_cells(xs, ys, np.bincount(line, minlength=len(pieces)), delta, crossings,
+                           compact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +473,17 @@ class AffineRamp:
         return self.lipschitz ** p * self.box.volume
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        s = np.asarray(sigma)
-        z = np.asarray(z_point, dtype=float)
-        t0, t1 = -math.inf, math.inf
-        for lo, hi, zi, si in zip(self.box.lower, self.box.upper, z, s):
-            if si == 0.0:
-                if not lo <= zi <= hi:
-                    return None
-                continue
-            a, b = sorted(((lo - zi) / si, (hi - zi) / si))
-            t0, t1 = max(t0, a), min(t1, b)
-        if not t0 < t1:
-            return None
-        g = np.asarray(self.gradient)
-        return AffineSection(float(np.dot(g, z)), float(np.dot(g, s)), t0, t1)
+        lines, sec = self._sections(sigma, np.asarray(z_point, dtype=float))
+        chord = (sec.offset, sec.slope, sec.t0, sec.t1)
+        return AffineSection(*(float(v[0]) for v in chord)) if len(lines) else None
+
+    def _sections(self, sigma: np.ndarray, points: np.ndarray):
+        """The lines along ``sigma[i]`` through ``points[i]`` that cross the
+        box, and their sections."""
+        lo, hi = np.asarray(self.box.lower), np.asarray(self.box.upper)
+        lines, s, z, t0, t1 = _chords(lo, hi, sigma, points)
+        g = np.asarray(self.gradient)  # np.vecdot sums like np.dot(g, z), line by line
+        return lines, AffineSection(np.vecdot(z, g), np.vecdot(s, g), t0, t1)
 
 
 @dataclass(frozen=True)
@@ -425,6 +539,11 @@ class RadialTent:
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
         along, rho = _radial_lines(self, sigma, np.asarray(z_point, dtype=float)[None])
         return RadialSection(-float(along[0]), float(rho[0]), self.radius, self.peak)
+
+    def _sections(self, sigma: np.ndarray, points: np.ndarray):
+        """The lines along ``sigma[i]`` through ``points[i]``, and their sections."""
+        along, rho = _radial_lines(self, sigma, points)
+        return np.arange(len(rho)), RadialSection(-along, rho, self.radius, self.peak)
 
 
 @dataclass(frozen=True)
@@ -487,36 +606,30 @@ class TensorTent:
         return raw * float(self.peak) ** p
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        s = np.asarray(sigma)
-        z = np.asarray(z_point, dtype=float)
-        c = np.asarray(self.center)
-        w = np.asarray(self.halfwidths)
-        t0, t1 = -math.inf, math.inf
-        const_factor = 1.0
-        lines = []  # (axis, kink) per nonconstant axis: factor 1 - |z_i + s_i t - c_i| / w_i
-        for i in range(self.dim):
-            if s[i] == 0.0:
-                f = max(0.0, 1.0 - abs(z[i] - c[i]) / w[i])
-                if f == 0.0:
-                    return None
-                const_factor *= f
-                continue
-            ta, tb = sorted(((c[i] - w[i] - z[i]) / s[i], (c[i] + w[i] - z[i]) / s[i]))
-            t0, t1 = max(t0, ta), min(t1, tb)
-            lines.append((i, (c[i] - z[i]) / s[i]))
-        if not lines or not t0 < t1:
-            return None
-        cuts = sorted({t0, t1} | {k for _, k in lines if t0 < k < t1})
-        coef = []
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            row = np.array([self.peak * const_factor])
-            for i, _ in lines:
-                sign = 1.0 if z[i] + s[i] * mid >= c[i] else -1.0
-                # 1 - sign*(z_i + s_i t - c_i)/w_i as a polynomial in t
-                row = np.convolve(row, [1.0 - sign * (z[i] - c[i]) / w[i], -sign * s[i] / w[i]])
-            coef.append(row)
-        return PolySection(np.array(cuts), np.array(coef))
+        lines, sec = self._sections(sigma, np.asarray(z_point, dtype=float))
+        return sec if len(lines) else None
+
+    def _sections(self, sigma: np.ndarray, points: np.ndarray):
+        """The lines along ``sigma[i]`` through ``points[i]`` that meet the
+        support, and their sections: on each line, the support's ends and the
+        kinks between them cut it into pieces of degree d."""
+        c, w = np.asarray(self.center), np.asarray(self.halfwidths)
+        lines, s, z, t0, t1 = _chords(c - w, c + w, sigma, points)
+        kink = (c - z) / np.where(s == 0.0, 1.0, s)
+        inside = (s != 0.0) & (t0[:, None] < kink) & (kink < t1[:, None])
+        cand = np.sort(np.column_stack((t0, t1, np.where(inside, kink, INF))), axis=1)
+        new = np.isfinite(cand)
+        new[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+        cuts, pieces = cand[new], new.sum(axis=1) - 1
+        line = np.repeat(np.arange(len(lines)), pieces)
+        s, z, at = s[line], z[line], np.arange(len(line)) + line  # at: a piece's first cut
+        sign = np.where(z + s * (0.5 * (cuts[at] + cuts[at + 1]))[:, None] >= c, 1.0, -1.0)
+        coef = np.full((len(line), 1), self.peak)
+        # times 1 - sign_i*(z_i + s_i t - c_i)/w_i, axis by axis, as a polynomial in t
+        for alpha, beta in zip((1.0 - sign * (z - c) / w).T, (-sign * s / w).T):
+            coef = (np.pad(coef * alpha[:, None], ((0, 0), (0, 1)))
+                    + np.pad(coef * beta[:, None], ((0, 0), (1, 0))))
+        return lines, PolySection(cuts, coef, pieces)
 
 
 ScalarField = AffineRamp | RadialTent | TensorTent
@@ -529,10 +642,7 @@ def section(u: ScalarField, direction: Direction, z: Sequence[float] | float):
     Returns a section object (callable, with the exact ``step_segmentation``
     and ``local_energy``), or None if the line misses the domain.
     """
-    if isinstance(z, (int, float)):
-        z = (float(z),)
-    z_point = direction.point(z)
-    return u.section_along(direction.sigma, z_point)
+    return u.section_along(direction.sigma, direction.point(z))
 
 
 def local_energy_field(u: ScalarField, p: float) -> float:
@@ -547,103 +657,55 @@ def local_energy_field(u: ScalarField, p: float) -> float:
 # sectioning estimators (d = 2)
 # ---------------------------------------------------------------------------
 
-def _offset_range(u: ScalarField, direction: Direction) -> tuple[float, float]:
-    box = u.support_box()
-    f = np.asarray(direction.frame[0])
-    corners = np.array([[box.lower[0], box.lower[1]], [box.lower[0], box.upper[1]],
-                        [box.upper[0], box.lower[1]], [box.upper[0], box.upper[1]]])
-    proj = corners @ f
-    return float(np.min(proj)), float(np.max(proj))
-
-
 def _line_grid(u: ScalarField, n_dirs: int, n_offsets: int):
-    """The midpoint grid of unordered lines, one direction at a time:
-    ``(direction, offsets, w_z, w_dir)``, each line weighing w_z * w_dir, with
-    w_dir = pi / lines.  theta and theta + pi give the same line reversed, so
-    an even ``n_dirs`` walks only the first half of its direction grid on
-    [0, 2*pi)."""
+    """The midpoint grid of unordered lines as arrays ``(sigma, points, w_z,
+    w_dir)``: line i runs along ``sigma[i]`` through ``points[i]``, the
+    ``n_offsets`` lines of a direction in a row, and a line of direction j
+    weighs w_z[j] * w_dir, with w_dir = pi / directions.  theta and theta +
+    pi give the same line reversed, so an even ``n_dirs`` walks only the
+    first half of its direction grid on [0, 2*pi)."""
     n_lines, arc = (n_dirs // 2, math.pi) if n_dirs % 2 == 0 else (n_dirs, 2.0 * math.pi)
-    w_dir = math.pi / n_lines
-    for j in range(n_lines):
-        direction = Direction.from_angle(arc * (j + 0.5) / n_lines)
-        z_lo, z_hi = _offset_range(u, direction)
-        w_z = (z_hi - z_lo) / n_offsets
-        yield direction, z_lo + (np.arange(n_offsets) + 0.5) * w_z, w_z, w_dir
-
-
-# cells summed by one pair-sum call of a sectioning pass, and built at a
-# time along a direction; bounds the pass's memory at small delta
-_SECTION_CELLS = 1 << 14
-
-
-def _section_cells(u: ScalarField, direction: Direction, zs: np.ndarray, delta: float):
-    """The nonempty segmented sections of ``u`` on the lines of one direction
-    at offsets ``zs``, in order, as blocks ``(edges, levels, counts)`` of
-    sections laid end to end with integer levels, a block about
-    ``_SECTION_CELLS`` cells or one section.  Radial sections are built from
-    their closed form, all offsets at once; other fields give the cells of
-    each section's ``step_segmentation``."""
-    if not isinstance(u, RadialTent):
-        for z in zs.tolist():
-            sec = section(u, direction, z)
-            step = None if sec is None else sec.step_segmentation(delta)
-            if step is not None:
-                edges, values = step_cells(step, step.domain)
-                yield edges, np.rint(values / delta), np.array([len(values)])
-        return
-    along, rho = _radial_lines(u, direction.sigma, np.outer(zs, direction.frame[0]))
-    top = _top_levels(rho, u.radius, u.peak, delta)
-    keep = top >= 1
-    along, rho, top = along[keep], rho[keep], top[keep]
-    counts = 2 * top + 1
-    block = (np.cumsum(counts) - counts) // _SECTION_CELLS
-    cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
-    for a, b in zip([0, *cuts], [*cuts, len(top)] if len(top) else []):
-        edges, levels = _radial_cells(-along[a:b], rho[a:b], top[a:b],
-                                      u.radius, u.peak, delta)
-        yield edges, levels, counts[a:b]
-
-
-def _batches(blocks):
-    """Consecutive ``(owner, edges, levels, counts)`` blocks, grouped into
-    lists of at most ``_SECTION_CELLS`` cells, or of one larger block."""
-    batch, cells = [], 0
-    for block in blocks:
-        if batch and cells + len(block[2]) > _SECTION_CELLS:
-            yield batch
-            batch, cells = [], 0
-        batch.append(block)
-        cells += len(block[2])
-    if batch:
-        yield batch
+    dirs = [Direction.from_angle(arc * (j + 0.5) / n_lines) for j in range(n_lines)]
+    box = u.support_box()  # the offsets span the projections of its corners
+    corners = np.stack(np.meshgrid(*zip(box.lower, box.upper), indexing="ij"), -1).reshape(-1, 2)
+    proj = np.array([corners @ np.asarray(d.frame[0]) for d in dirs])
+    z_lo, z_hi = proj.min(axis=1), proj.max(axis=1)
+    w_z = (z_hi - z_lo) / n_offsets
+    zs = z_lo[:, None] + (np.arange(n_offsets) + 0.5) * w_z[:, None]
+    points = zs[:, :, None] * np.array([d.frame[0] for d in dirs])[:, None, :]
+    sigma = np.repeat([d.sigma for d in dirs], n_offsets, axis=0)
+    return sigma, points.reshape(-1, 2), w_z, math.pi / n_lines
 
 
 def _sectioning_pass(u: ScalarField, params: EnergyParams, n_dirs: int,
                      n_offsets: int) -> float:
     """Midpoint sum of the sections' exact energies over the line grid.  The
-    sections are summed in batches of about ``_SECTION_CELLS`` cells, one
-    pair sum each; each direction then adds its energies in offset order."""
-    lines = list(_line_grid(u, n_dirs, n_offsets))
-    energies = [[] for _ in lines]
-    blocks = ((j, *block) for j, (direction, zs, _, _) in enumerate(lines)
-              for block in _section_cells(u, direction, zs, params.delta))
-    for batch in _batches(blocks):
-        owner, edges, levels, counts = zip(*batch)
-        e = _pair_sum(np.concatenate(edges), np.concatenate(levels),
-                      np.concatenate(counts), 1, params)
-        for j, part in zip(owner, np.split(e, np.cumsum([len(c) for c in counts])[:-1])):
-            energies[j].append(part)
-    total = 0.0
-    for (_, _, w_z, w_dir), e in zip(lines, energies):
-        acc = float(np.cumsum(np.concatenate(e))[-1]) if e else 0.0  # 0.0 + e0 + e1 + ...
-        total += acc * w_z * w_dir
-    return total
+    field's sections of every line of the pass build their cells as arrays
+    (``_cells``), in blocks of about ``_SECTION_CELLS`` cells that may span
+    directions: ``(lines, edges, levels, counts)``, the nonempty lines'
+    cells laid end to end with integer levels, one more edge a line, and
+    ``lines`` indexing the sections.  A block is one pair sum; each
+    direction then adds its energies in offset order."""
+    sigma, points, w_z, w_dir = _line_grid(u, n_dirs, n_offsets)
+    energies = np.zeros(len(points))
+    lines, sections = u._sections(sigma, points)
+    for i, edges, levels, counts in sections._cells(params.delta):
+        energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
+    # 0.0 + e0 + e1 + ... in offset order, where an empty line adds 0.0, and
+    # then over the directions in order
+    acc = np.cumsum(energies.reshape(len(w_z), -1), axis=1)[:, -1]
+    return float(np.cumsum(acc * w_z * w_dir)[-1])
 
 
-def _check_sectioning(u: ScalarField):
+def _check_sectioning(u: ScalarField, n_dirs, n_offsets):
+    """Raise unless ``u`` is a d = 2 field with a finite support box and
+    ``n_dirs`` and ``n_offsets`` are integers >= 2."""
     if u.dim != 2:
         raise UnsupportedDimension("sectioning quadrature is implemented for d = 2")
     _check_finite_sides("support box", u.support_box())
+    for name, n in (("n_dirs", n_dirs), ("n_offsets", n_offsets)):
+        if not (_is_int(n) and n >= 2):
+            raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
 
 
 def energy_by_sectioning(u: ScalarField, params: EnergyParams,
@@ -658,9 +720,7 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
     difference from a second pass on the half-resolution grid, with no
     Richardson factor.  Returns (estimate, error_estimate).
     """
-    _check_sectioning(u)
-    if n_dirs < 2 or n_offsets < 2:
-        raise ValueError("need at least 2 directions and offsets")
+    _check_sectioning(u, n_dirs, n_offsets)
     fine = _sectioning_pass(u, params, n_dirs, n_offsets)
     coarse = _sectioning_pass(u, params, max(n_dirs // 2, 2), max(n_offsets // 2, 2))
     # the offset integrand has kinks, so the usual factor 1/3 of the
@@ -671,20 +731,14 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
 def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
                                n_offsets: int = 256) -> float:
     """Outer average of the sections' local energies; equals
-    spherical_moment(2, p) times the field's local energy.  Radial sections
-    are integrated all offsets of a direction at once."""
-    _check_sectioning(u)
-    total = 0.0
-    for direction, zs, w_z, w_dir in _line_grid(u, n_dirs, n_offsets):
-        if isinstance(u, RadialTent):
-            _, rho = _radial_lines(u, direction.sigma, np.outer(zs, direction.frame[0]))
-            acc = _radial_local_energy(rho, u.radius, u.peak, p)
-        else:
-            secs = (section(u, direction, z) for z in zs.tolist())
-            acc = sum(sec.local_energy(p) for sec in secs if sec is not None)
-        total += acc * w_z * w_dir
+    spherical_moment(2, p) times the field's local energy.  The sections of
+    a direction are integrated together, in one quadrature call."""
+    _check_sectioning(u, n_dirs, n_offsets)
+    sigma, points, w_z, w_dir = _line_grid(u, n_dirs, n_offsets)
+    acc = np.array([u._sections(s, z)[1].local_energy(p) for s, z in
+                    zip(np.split(sigma, len(w_z)), np.split(points, len(w_z)))])
     # every line once is half of the integral over all directions
-    return 2.0 * total
+    return 2.0 * float(np.cumsum(acc * w_z * w_dir)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +753,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_montecarlo_counts(n_samples, seed):

@@ -128,7 +128,7 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
     k*delta in [x0, x1]; it must not write to ``values``.  Each piece gives
     its start and its crossings as raw cells, which ``_cells_to_step``
     merges into the step."""
-    edges, values = _level_cells(xs, ys, delta, crossings)
+    edges, values, _ = _level_cells(xs, ys, delta, crossings)
     if compact_support:
         # fold the zero cells at both ends into the tails, judging only cells
         # of positive width, so that no zero-width cell shields a zero cell
@@ -142,8 +142,12 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
                           if compact_support else TailMode.DOMAIN_ONLY)
 
 
-def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
-    """Raw cells of ``_level_runs``, apart so its temporaries die on return."""
+def _level_cells(xs, ys, delta, crossings, join=False):
+    """Raw cells of ``_level_runs``, apart so its temporaries die on return:
+    ``(edges, values, first)``, piece i's start cell at ``first[i]``.  The
+    pieces where ``join`` holds cross no level: they join functions laid end
+    to end, and their start cells, from one's last node to the next one's
+    first, belong to neither."""
     # grid_floor_level, with both of its candidates tested in one call: k
     # is the nearest level if the node sits on it, else the floor
     near, floor = _level_candidates(ys, delta)
@@ -162,6 +166,7 @@ def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
     # k0+1 .. hi1-1, a falling one hi0-1 .. k1+1
     start = k[:-1] - (fall & on[:-1])
     counts = np.maximum(np.maximum(hi[1:] - k[:-1], hi[:-1] - k[1:]) - 1, 0)
+    counts[join] = 0  # none where join is False
     # cell c of piece i, from slot first[i] on, sits on level start[i] +
     # step[i]*(c - first[i]); exact, as the levels are integers below 2**53.
     # A chunk of cells at a time, with its piece's numbers broadcast where
@@ -190,27 +195,31 @@ def _level_cells(xs, ys, delta, crossings) -> tuple[np.ndarray, np.ndarray]:
     node[first] = node[-1] = True
     edges[node] = xs
     edges[~node] = cut
-    return edges, values
+    return edges, values, first
 
 
 def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     """Exact vertical segmentation of a piecewise affine function."""
     xs, ys = np.array(u.nodes).T
     slope = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+    return _level_runs(xs, ys, delta, lambda i, v: _pwa_crossings(xs, ys, slope, i, v),
+                       u.compact_support)
 
-    def crossings(piece, values):  # xs[i] + (v - ys[i]) / slope[i], at most xs[i + 1]
-        cut = np.empty_like(values)
-        for a in range(0, len(cut), _CHUNK):
-            i, c = piece[a:a + _CHUNK], cut[a:a + _CHUNK]
-            if i[0] == i[-1]:  # pieces are in order: a chunk of one piece broadcasts
-                i = i[0]
-            np.subtract(values[a:a + _CHUNK], ys[i], out=c)
-            c /= slope[i]
-            c += xs[i]
-            np.minimum(c, xs[i + 1], out=c)
-        return cut
 
-    return _level_runs(xs, ys, delta, crossings, u.compact_support)
+def _pwa_crossings(xs, ys, slope, piece, values):
+    """The crossings callback of ``_level_runs`` for affine pieces from the
+    nodes ``(xs, ys)`` with slopes ``slope``: xs[i] + (v - ys[i]) / slope[i],
+    at most xs[i + 1]."""
+    cut = np.empty_like(values)
+    for a in range(0, len(cut), _CHUNK):
+        i, c = piece[a:a + _CHUNK], cut[a:a + _CHUNK]
+        if i[0] == i[-1]:  # pieces are in order: a chunk of one piece broadcasts
+            i = i[0]
+        np.subtract(values[a:a + _CHUNK], ys[i], out=c)
+        c /= slope[i]
+        c += xs[i]
+        np.minimum(c, xs[i + 1], out=c)
+    return cut
 
 
 def vertical_segmentation(u, delta: float):

@@ -15,7 +15,7 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  step_energy, step_hostility, vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
                               OverlappingIntervals, UnsupportedCombination, _bands,
-                              _pair_sum, _segment_sums)
+                              _first_past, _pair_sum, _segment_sums)
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -121,6 +121,24 @@ def test_step_cells_clip_the_run_to_the_domain():
     edges, values = step_cells(dom, dom.support)
     assert np.shares_memory(edges, dom.breakpoints) and np.shares_memory(values, dom.values)
     assert edges.tolist() == [0.0, 1.0, 2.0] and values.tolist() == [1.0, 2.0]
+
+
+def test_first_past_answer_does_not_depend_on_the_batch():
+    # a rising quadratic near its flat top: Horner's rounding makes the
+    # crossing predicate flip back and forth near the crossing, so a search
+    # whose probes depended on the batch size found another float in a batch
+    coef = np.array([2.0032934551130004, -0.5520114340447455, -3.2997662271054664])
+    value, lo, hi = 2.026379683223117, -0.5836440214325374, -0.08364402143253741
+
+    def past(t):
+        return (coef[2] * t + coef[1]) * t + coef[0] >= value
+
+    alone = _first_past(past, np.array([lo]), np.array([hi]))
+    assert lo < alone[0] <= hi
+    near = np.linspace(alone[0] - 2e-8, alone[0] + 2e-8, 100_001)
+    assert np.count_nonzero(np.diff(past(near))) > 2  # not monotone
+    batch = _first_past(past, np.full(1000, lo), np.full(1000, hi))
+    assert batch.tolist() == alone.tolist() * 1000
 
 
 class TestStepEnergy:

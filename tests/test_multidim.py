@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -12,14 +13,85 @@ from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_cells, step_energy)
-from nlg import multidim
-from nlg.functional1d import _pair_sum
+from nlg import PiecewiseAffine1D, multidim, vertical_segmentation
+from nlg.functional1d import _first_past, _pair_sum
 from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
-                          UnsupportedField, _radial_cells, _section_cells, _top_levels)
-from nlg.rearrange import grid_floor_level
+                          UnsupportedField, _radial_cells, _top_levels)
+from nlg.rearrange import _level_runs, grid_floor_level
 
 TENT = RadialTent((0.0, 0.0), 1.0, 1.0)
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
+
+
+def _pass_cells(u, sigma, points, delta):
+    """The cells a sectioning pass sums, line by line: {line: (edges,
+    levels)} for the lines along sigma[i] through points[i] with a cell."""
+    lines, sections = u._sections(sigma, points)
+    got = {}
+    for i, edges, levels, counts in sections._cells(delta):
+        at = np.cumsum(counts) - counts
+        for j, a, c, k in zip(lines[i], at, counts, range(len(counts))):
+            got[int(j)] = (edges[a + k:a + k + c + 1], levels[a:a + c])
+    return got
+
+
+def _horner(coef, t):
+    v = coef[:, -1]
+    for c in coef[:, -2::-1].T:
+        v = v * t + c
+    return v
+
+
+def _scalar_tensor_section(u, sigma, z_point):
+    """Scalar reference for a tensor tent's section, built one line and one
+    piece at a time: ``(cuts, coef)``, or None off the support."""
+    s, z = np.asarray(sigma), np.asarray(z_point, dtype=float)
+    c, w = np.asarray(u.center), np.asarray(u.halfwidths)
+    t0, t1 = -math.inf, math.inf
+    const_factor = 1.0
+    lines = []  # (axis, kink) per nonconstant axis: factor 1 - |z_i + s_i t - c_i| / w_i
+    for i in range(u.dim):
+        if s[i] == 0.0:
+            f = max(0.0, 1.0 - abs(z[i] - c[i]) / w[i])
+            if f == 0.0:
+                return None
+            const_factor *= f
+            continue
+        ta, tb = sorted(((c[i] - w[i] - z[i]) / s[i], (c[i] + w[i] - z[i]) / s[i]))
+        t0, t1 = max(t0, ta), min(t1, tb)
+        lines.append((i, (c[i] - z[i]) / s[i]))
+    if not lines or not t0 < t1:
+        return None
+    cuts = sorted({t0, t1} | {k for _, k in lines if t0 < k < t1})
+    coef = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        row = np.array([u.peak * const_factor])
+        for i, _ in lines:
+            sign = 1.0 if z[i] + s[i] * mid >= c[i] else -1.0
+            row = np.convolve(row, [1.0 - sign * (z[i] - c[i]) / w[i], -sign * s[i] / w[i]])
+        coef.append(row)
+    return np.array(cuts), np.array(coef)
+
+
+def _scalar_poly_step(cuts, coef, delta):
+    """Scalar reference for the segmentation of one such section alone, by
+    the one-function level-run engine ``_level_runs``."""
+    a, b = cuts[:-1], cuts[1:]
+    slope = coef[:, 1:] * np.arange(1, coef.shape[1])
+    i = np.flatnonzero((_horner(slope, a) > 0.0) & (_horner(slope, b) < 0.0))
+    tops = _first_past(lambda t, s=slope[i]: _horner(s, t) < 0.0, a[i], b[i])
+    xs = np.sort(np.concatenate((cuts, tops)))
+    owner = np.searchsorted(a, xs, side="right") - 1
+    ys = np.maximum(_horner(coef[owner], xs), 0.0)
+    rise = ys[1:] > ys[:-1]
+
+    def crossings(j, values):
+        c, up = coef[owner[j]], rise[j]
+        return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
+
+    step = _level_runs(xs, ys, delta, crossings, compact_support=True)
+    return step if step is not None and step.values.any() else None
 
 
 class TestDirection:
@@ -35,6 +107,17 @@ class TestDirection:
         vecs = [np.asarray(d.sigma)] + [np.asarray(f) for f in d.frame]
         gram = np.array([[np.dot(a, b) for b in vecs] for a in vecs])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+    def test_offset_has_one_component_per_frame_vector(self):
+        # an offset of the wrong length is an error, not the line at z[0]
+        d = Direction.from_angle(0.3)
+        for z in ((0.1, 5.0), (), np.zeros((1, 1))):
+            with pytest.raises(ValueError, match=r"^z must have 1 components, got "):
+                section(RadialTent((0.0, 0.0), 1.0, 1.0), d, z)
+        d3 = Direction.from_vector((0.3, -1.0, 0.5))
+        with pytest.raises(ValueError, match=r"^z must have 2 components, got \[0\.1\]$"):
+            d3.point(0.1)
+        assert d.point(0.2).tolist() == d.point((0.2,)).tolist() == d.point([0.2]).tolist()
 
     def test_bad_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -159,26 +242,78 @@ class TestSections:
             for i in np.flatnonzero(~keep):
                 assert RadialSection(0.0, float(rho[i]), r, peak).step_segmentation(delta) is None
 
-    def test_section_cells_match_sections(self):
-        # the cells a sectioning pass sums are those of section() on each line
-        for u in (TENT, RadialTent((0.1, -0.2), 0.8, 1.3),
-                  TensorTent((0.05, -0.1), (1.0, 0.7), 1.2)):
-            for theta in (0.3, math.pi / 2, 2.9):
-                d = Direction.from_angle(theta)
+    def test_section_cells_match_sections(self, monkeypatch):
+        # the cells a sectioning pass sums are those of section() on each
+        # line, built alone; a pass's lines span several directions, and
+        # blocks of about 50 cells cut a direction into many
+        for u, block in itertools.product(
+                (TENT, RadialTent((0.1, -0.2), 0.8, 1.3),
+                 TensorTent((0.05, -0.1), (1.0, 0.7), 1.2),
+                 AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))),
+                (multidim._SECTION_CELLS, 50)):
+            monkeypatch.setattr(multidim, "_SECTION_CELLS", block)
+            for delta in (0.1, 0.013):
+                dirs = [Direction.from_angle(theta)
+                        for theta in (0.3, math.pi / 2, 2.9, 1e-9, math.pi / 2 + 1e-9)]
                 zs = np.linspace(-1.1, 1.1, 13)
-                want = []
-                for z in zs.tolist():
+                sigma = np.repeat([d.sigma for d in dirs], len(zs), axis=0)
+                points = np.concatenate([np.outer(zs, d.frame[0]) for d in dirs])
+                got = _pass_cells(u, sigma, points, delta)
+                for k, (d, z) in enumerate((d, z) for d in dirs for z in zs.tolist()):
                     sec = section(u, d, z)
-                    step = None if sec is None else sec.step_segmentation(0.1)
-                    if step is not None:
-                        e, v = step_cells(step, step.domain)
-                        want.append((e.tolist(), np.rint(v / 0.1).tolist()))
-                got = []
-                for edges, levels, counts in _section_cells(u, d, zs, 0.1):
-                    at = np.cumsum(counts) - counts
-                    for i, (a, c) in enumerate(zip(at, counts)):
-                        got.append((edges[a + i:a + i + c + 1].tolist(), levels[a:a + c].tolist()))
-                assert got == want
+                    step = None if sec is None else sec.step_segmentation(delta)
+                    if step is None:
+                        assert k not in got
+                        continue
+                    e, v = step_cells(step, step.domain)
+                    assert got[k][0].tolist() == e.tolist()
+                    assert got[k][1].tolist() == np.rint(v / delta).tolist()
+
+    @pytest.mark.parametrize("u", [TensorTent((0.0, 0.0), (1.0, 1.0), 1.0),
+                                   TensorTent((0.05, -0.1), (1.0, 0.7), 1.2),
+                                   TensorTent((0.3, -0.2), (0.4, 1.3), 0.8)])
+    def test_tensor_pass_matches_scalar_sections(self, u):
+        # every line of a pass against the scalar reference builder and its
+        # per-section segmentation: levels equal, edges within 1e-15
+        for delta in (0.1, 0.03, 0.007):
+            sigma, points, _, _ = multidim._line_grid(u, 12, 32)
+            got = _pass_cells(u, sigma, points, delta)
+            n = 0
+            for k, (s, z) in enumerate(zip(sigma, points)):
+                ref = _scalar_tensor_section(u, s, z)
+                step = None if ref is None else _scalar_poly_step(*ref, delta)
+                if step is None:
+                    assert k not in got
+                    continue
+                edges, levels = got[k]
+                assert np.rint(step.values / delta).tolist() == levels[1:-1].tolist()
+                assert edges[[0, -1]].tolist() == [-math.inf, math.inf]
+                err = np.abs(edges[1:-1] - step.breakpoints)
+                assert np.all(err <= 1e-15 * np.abs(step.breakpoints)), (k, err.max())
+                n += 1
+            assert n >= 120
+
+    def test_ramp_pass_matches_vertical_segmentation(self):
+        # every chord of a pass against the segmentation of its piecewise
+        # affine restriction, bit for bit
+        for u in (AffineRamp((1.5, -0.5), UNIT_BOX),
+                  AffineRamp((0.6, -0.3), Box((0.0, 0.0), (1.0, 1.5))),
+                  AffineRamp((0.0, 2.0), Box((-1.0, -0.5), (1.0, 1.5)))):
+            for delta in (0.1, 0.01, 1e-3):
+                sigma, points, _, _ = multidim._line_grid(u, 8, 24)
+                lines, secs = u._sections(sigma, points)
+                got = _pass_cells(u, sigma, points, delta)
+                assert sorted(got) == lines.tolist()
+                for j, k in enumerate(lines.tolist()):
+                    t0, t1, off, slope = secs.t0[j], secs.t1[j], secs.offset[j], secs.slope[j]
+                    want = vertical_segmentation(PiecewiseAffine1D(
+                        ((t0, off + slope * t0), (t1, off + slope * t1)), compact_support=False),
+                        delta)
+                    edges, levels = got[k]
+                    assert list(map(float.hex, edges.tolist())) == \
+                        list(map(float.hex, want.breakpoints.tolist()))
+                    assert list(map(float.hex, (levels * delta).tolist())) == \
+                        list(map(float.hex, want.values.tolist()))
 
     def test_radial_section_local_energy(self):
         # through the center the profile is a 1D tent with slope peak/radius
@@ -231,12 +366,37 @@ class TestLocalEnergyField:
             rhs = spherical_moment(2, p).value * local_energy_field(TENT, p)
             assert math.isclose(lhs, rhs, rel_tol=1e-3)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_tensor_local_energy_sectioning_identity(self, p):
+        # the midpoint grids miss the kinks: within 5e-5 at 48 x 192
+        u = TensorTent((0.05, -0.1), (1.0, 0.7), 1.2)
+        lhs = local_energy_by_sectioning(u, p, 48, 192)
+        assert math.isclose(lhs, spherical_moment(2, p).value * u.local_energy(p), rel_tol=2e-4)
+
 
 class TestSectioningEnergy:
     def test_constant_field_zero(self):
         flat = AffineRamp((0.0, 0.0), UNIT_BOX)
         est, err = energy_by_sectioning(flat, EnergyParams(0.2, 2.0), 8, 16)
         assert est == 0.0 and err == 0.0
+
+    @pytest.mark.parametrize("args, name", [
+        ((-2, 8), "n_dirs"), ((0, 8), "n_dirs"), ((1, 8), "n_dirs"), ((4.0, 8), "n_dirs"),
+        ((True, 8), "n_dirs"), ((4, 1), "n_offsets"), ((4, 8.0), "n_offsets"),
+        ((4, False), "n_offsets"), ((np.int64(4), "8"), "n_offsets")],
+        ids=["negative", "zero", "one", "float", "bool", "one_offset", "float_offsets",
+             "bool_offsets", "str_offsets"])
+    def test_counts_are_integers_from_two(self, args, name):
+        # one check for both estimators: -2 directions gave 0.0 and 0 a
+        # ZeroDivisionError in the local energy, 4.0 a TypeError in the energy
+        for estimate in (lambda: energy_by_sectioning(TENT, EnergyParams(0.2, 1.0), *args),
+                         lambda: local_energy_by_sectioning(TENT, 1.0, *args)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 2, got "):
+                estimate()
+
+    def test_numpy_integer_counts(self):
+        a = energy_by_sectioning(TENT, EnergyParams(0.2, 1.0), np.int64(6), np.int32(8))
+        assert a == energy_by_sectioning(TENT, EnergyParams(0.2, 1.0), 6, 8)
 
     def test_unsupported_dimension(self):
         u3 = RadialTent((0.0, 0.0, 0.0), 1.0, 1.0)
@@ -298,6 +458,26 @@ class TestSectioningEnergy:
                 local = local_energy_by_sectioning(u, 1.5, n_dirs, 12)
                 ref = full_circle(u, n_dirs, 12, lambda sec: sec.local_energy(1.5))
                 assert math.isclose(local, ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("u", [RadialTent((0.1, -0.2), 1.0, 0.97),
+                                   AffineRamp((0.6, -0.3), Box((0.0, 0.0), (1.0, 1.5))),
+                                   TensorTent((0.05, -0.1), (1.0, 0.7), 1.2)])
+    def test_pass_adds_lines_in_offset_order(self, u):
+        # each line's energy alone, added 0.0 + e0 + e1 + ... over the
+        # offsets of a direction and then over the directions, bit for bit
+        params = EnergyParams(0.05, 1.5)
+        sigma, points, w_z, w_dir = multidim._line_grid(u, 10, 24)
+        cells = _pass_cells(u, sigma, points, params.delta)
+        total = 0.0
+        for j, w in enumerate(w_z.tolist()):
+            acc = 0.0
+            for k in range(24 * j, 24 * j + 24):
+                if k in cells:
+                    edges, levels = cells[k]
+                    acc += float(_pair_sum(edges, levels, np.array([len(levels)]), 1, params)[0])
+            total += acc * w * w_dir
+        got = multidim._sectioning_pass(u, params, 10, 24)
+        assert got.hex() == total.hex()
 
     def test_small_delta_stays_finite(self):
         # k*delta near 1 rounds by more than delta * 1e-12 below delta ~ 1e-4;

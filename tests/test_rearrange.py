@@ -8,7 +8,7 @@ import pytest
 
 from nlg import (Direction, DiscreteArrangement, EnemyList, EnergyParams,
                  HostilityWeights, Interval, PiecewiseAffine1D, SchemaError, StepFunction1D,
-                 TailMode, TensorTent, multidim, section,
+                 TailMode, TensorTent, multidim,
                  brute_force_min_hostility, clamp_values, hostility_gap,
                  left_right_gap, monotone_rearrangement,
                  monotone_rearrangement_step, multiset_permutations,
@@ -289,28 +289,47 @@ class TestVerticalSegmentation:
             assert _hex(vertical_segmentation(u, 1e-3)) == _hex(_segment_loop(u, 1e-3))
 
     def test_tensor_tent_sections_match_scalar_piece_loop(self, rng, monkeypatch):
-        # the oracle places the crossings with the section's own callback
-        runs = []
+        # the level cells of a pass's tensor-tent sections, laid end to end,
+        # line by line against the oracle on that line's nodes; the oracle
+        # places the crossings with the builder's own callback
+        calls = []
 
-        def level_runs(xs, ys, delta, crossings, compact_support):
-            step = engine(xs, ys, delta, crossings, compact_support)
-            runs.append((xs.tolist(), ys.tolist(), delta, crossings, compact_support, step))
-            return step
+        def level_cells(xs, ys, delta, crossings, join=False):
+            calls.append((xs, ys, delta, crossings, join))
+            return engine(xs, ys, delta, crossings, join)
 
-        engine = multidim._level_runs
-        monkeypatch.setattr(multidim, "_level_runs", level_runs)
-        for _ in range(300):
+        engine = multidim._level_cells
+        monkeypatch.setattr(multidim, "_level_cells", level_cells)
+        sections = 0
+        for _ in range(30):
             tent = TensorTent(tuple(rng.uniform(-0.3, 0.3, 2)), tuple(rng.uniform(0.3, 1.5, 2)),
                               float(rng.uniform(0.5, 2.0)))
-            theta = float(rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi))))
-            sec = section(tent, Direction.from_angle(theta), float(rng.uniform(-1.2, 1.2)))
-            if sec is not None:
-                sec.step_segmentation(float(rng.choice((0.1, 0.05, 0.01))))
-        assert len(runs) > 200
-        for xs, ys, delta, crossings, compact, step in runs:
-            want = _level_runs_loop(xs, ys, delta, lambda pieces, values: crossings(
-                np.array(pieces, dtype=np.intp), np.array(values, dtype=float)).tolist(), compact)
-            assert _hex(step) == _hex(want), (xs, ys, delta)
+            d = Direction.from_angle(float(rng.choice((0.0, math.pi / 2,
+                                                       rng.uniform(0.0, math.pi)))))
+            zs = rng.uniform(-1.2, 1.2, 12)
+            calls.clear()
+            _, secs = tent._sections(np.repeat([d.sigma], len(zs), axis=0),
+                                     np.outer(zs, d.frame[0]))
+            delta = float(rng.choice((0.1, 0.05, 0.01)))
+            got = {}
+            for i, edges, levels, counts in secs._cells(delta):
+                at = np.cumsum(counts) - counts
+                for j, a, c, k in zip(i, at, counts, range(len(counts))):
+                    got[int(j)] = StepFunction1D(edges[a + k + 1:a + k + c], levels[a + 1:a + c - 1]
+                                                 * delta, TailMode.COMPACT_SUPPORT)
+            want = []
+            for xs, ys, delta, crossings, join in calls:
+                ends = [0, *(np.flatnonzero(join) + 1).tolist(), len(xs)]
+                for a, b in zip(ends, ends[1:]):  # one line's nodes
+                    step = _level_runs_loop(xs[a:b].tolist(), ys[a:b].tolist(), delta, (
+                        lambda pieces, values, a=a: crossings(np.array(pieces, dtype=np.intp) + a,
+                                                              np.array(values)).tolist()), True)
+                    want.append(step if step is not None and step.values.any() else None)
+            assert len(want) == len(secs.pieces)
+            for j, step in enumerate(want):
+                assert _hex(got.get(j)) == _hex(step), (tent, d, zs[j], delta)
+            sections += len(got)
+        assert sections > 200
 
     @pytest.mark.parametrize("shape", [
         PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),  # 10^5 cells
