@@ -141,25 +141,36 @@ def pair_cell_energy(i1: Interval, i2: Interval, params: EnergyParams) -> float:
     return float(_pair_energies(gap, len1, len2, params))
 
 
-def _pair_energies(gap, len1, len2, params: EnergyParams):
+def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None):
     """Closed-form pair energies of separated cells, vectorized.
 
     ``gap`` is the distance between two cells and ``len1``, ``len2`` their
     lengths.  ``len2`` may be the scalar +inf: the analytic limit for a
     cell against an unbounded tail, in which the terms containing the
-    infinite endpoint vanish.
+    infinite endpoint vanish.  ``coef``, if given, stands for the kernel's
+    constant factor (:func:`_pair_coef`), one or per pair: the pair sum
+    passes it with the sign of each term.
     """
-    delta, p = params.delta, params.p
+    p = params.p
+    if coef is None:
+        coef = _pair_coef(params)
     tail = np.ndim(len2) == 0 and len2 == INF
     if p == 1.0:
         if tail:
-            return delta * np.log1p(len1 / gap)
-        return delta * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
+            return coef * np.log1p(len1 / gap)
+        return coef * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
     q = 1.0 - p
     brk = gap ** q - (gap + len1) ** q
     if not tail:
         brk = brk - (gap + len2) ** q + (gap + len1 + len2) ** q
-    return delta ** p / (p * (p - 1.0)) * np.maximum(brk, 0.0)
+    return coef * np.maximum(brk, 0.0)
+
+
+def _pair_coef(params: EnergyParams) -> float:
+    """The constant factor of the pair energies: delta at p = 1, else
+    delta^p / (p (p - 1))."""
+    delta, p = params.delta, params.p
+    return delta if p == 1.0 else delta ** p / (p * (p - 1.0))
 
 
 def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> float:
@@ -230,10 +241,15 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
     return edges, values
 
 
-# transitions expanded at a time by the pair-sum engine, and the length of
-# the pieces of a function's transitions summed apart; bounds its scratch
+# the length of the pieces of a function's transitions summed apart, and
+# about the rows the pair-sum engine expands at a time; bounds its scratch
 # memory independently of the number of cells and of interacting pairs
 _SBP_CHUNK = 1 << 14
+
+# a slot of the pair sum expands the prefixes of its runs where it has at
+# most this many runs and they average this many rows or more; below that
+# a unit per run costs more than the rows it saves
+_PREFIX_RUN = 8
 
 
 def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -297,30 +313,40 @@ def _switch_ranges(x, counts, radius):
     ones each band end sweeps over: the lower end moving right (or the
     upper end moving left) switches rows on, the other way off.
 
-    Returns ``(order, cells, swept, start)``: sorted index k is cell
+    Returns ``(order, cells, swept, start, runs)``: sorted index k is cell
     ``order[k]``, and slot j switches the ``abs(swept[j])`` rows from
     sorted index ``start[j]`` on at the right edge of cell ``cells[j]``, on
     where ``swept[j] > 0`` and off where it is negative.  A function with
     cells ``[s, e)`` has slots ``[2s, 2e)``: its lower ends in cell order,
-    then its upper ends, with the zero-length ones in place.
+    then its upper ends, with the zero-length ones in place.  ``runs[k]``
+    holds where sorted index k starts a run of equal keys, and ``runs`` is
+    None if no run has ``_PREFIX_RUN`` cells.  The sort is stable, so a
+    run's cells are in order, and a band end is the same for equal keys,
+    so a slot's range holds whole runs.
     """
+    n = len(x)
     keys = x + np.repeat(np.arange(len(counts)) * (x.max() - x.min() + radius + 1.0), counts)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     lo, hi = np.empty_like(order), np.empty_like(order)
     lo[order], hi[order] = _bands(keys, keys, radius)  # sorted queries: faster
+    runs = None
+    if n >= _PREFIX_RUN and np.any(keys[_PREFIX_RUN - 1:] == keys[:n + 1 - _PREFIX_RUN]):
+        runs = np.empty(n, dtype=bool)
+        runs[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=runs[1:])
     del keys
     ends, size = np.cumsum(counts)[counts > 0], counts[counts > 0]
-    slot = np.arange(len(x)) + np.repeat(ends - size, size)  # the lower ends' slots
-    swept, start, cells = (np.empty(2 * len(x), dtype=order.dtype) for _ in range(3))
+    slot = np.arange(n) + np.repeat(ends - size, size)  # the lower ends' slots
+    swept, start, cells = (np.empty(2 * n, dtype=order.dtype) for _ in range(3))
     for band, close, sign in ((lo, ends - size, 1), (hi, ends, -1)):
         nxt = np.append(band[1:], 0)
         nxt[ends - 1] = close
         swept[slot] = sign * (nxt - band)  # signed: > 0 switches on
         start[slot] = np.minimum(band, nxt, out=nxt)
-        cells[slot] = np.arange(len(x))
+        cells[slot] = np.arange(n)
         slot += np.repeat(size, size)  # the upper ends' slots
-    return order, cells, swept, start
+    return order, cells, swept, start, runs
 
 
 def _ragged_arange(counts):
@@ -328,13 +354,55 @@ def _ragged_arange(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _prefix_units(order, cells, swept, start, ends, runs):
+    """The nonempty slots of :func:`_switch_ranges` as units to expand.
+
+    A slot of at most ``_PREFIX_RUN`` runs that average ``_PREFIX_RUN``
+    rows or more becomes one unit per run: the prefix of the run's cells
+    that come before the slot's column, found for every run by one
+    ``searchsorted`` on the sorted (run, cell) keys.  Any other slot stays
+    one unit of all its rows.  Returns ``(lo, end, flat, exact, cells,
+    swept)``: unit u expands the sorted indices from ``lo[u]`` on to the
+    expanded positions ``[end[u], end[u + 1])``, the first of them at flat
+    transition ``flat[u]``, for the column ``cells[u]`` with the sign of
+    ``swept[u]``; ``exact[u]`` holds if the unit keeps all its rows.
+    """
+    n = len(order)
+    live = np.flatnonzero(swept)
+    cells, swept, start, flat = cells[live], swept[live], start[live], ends[live]
+    size = np.abs(swept)
+    first = np.flatnonzero(runs)
+    run = np.cumsum(runs, dtype=order.dtype)
+    run -= 1
+    r = run[start]  # a slot's runs are r .. r + per - 1
+    per = run[start + size - 1] - r + 1
+    exact = (size >= _PREFIX_RUN * per) & (per <= _PREFIX_RUN)
+    nu = np.where(exact, per, 1)
+    if len(nu) < nu.sum():  # slots of several long runs: a unit for each
+        r = np.repeat(r, nu) + _ragged_arange(nu)
+        cells, swept, start, size, flat, exact = (
+            np.repeat(v, nu) for v in (cells, swept, start, size, flat, exact))
+    lo = np.where(exact, first[r], start)
+    run *= n
+    run += order  # the sorted (run, cell) keys
+    end = np.where(exact, np.searchsorted(run, r * n + cells), start + size)
+    end -= lo
+    flat += lo - start
+    return lo, np.concatenate(([0], np.cumsum(end))), flat, exact, cells, swept
+
+
 def _segment_sums(v, counts):
     """``np.sum`` of each of the consecutive segments of ``v`` with the
     given lengths, rounded bit for bit like a lone ``np.sum`` of it.
 
-    ``np.add.reduceat`` adds a segment's first entry to numpy's pairwise
-    sum of the rest, so each segment is led by an inserted 0.0.
+    A few segments are summed one at a time.  Many go through one
+    ``np.add.reduceat``, which adds a segment's first entry to numpy's
+    pairwise sum of the rest, so each segment is led by an inserted 0.0.
     """
+    if len(counts) <= 8:
+        ends = np.cumsum(counts).tolist()
+        return np.array([np.add.reduce(v[a:b]) for a, b in zip([0] + ends[:-1], ends)],
+                        dtype=float)
     starts = counts.cumsum() - counts
     return np.add.reduceat(np.insert(v, starts, 0.0), starts + np.arange(len(counts)))
 
@@ -367,9 +435,18 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     no band leaks into another function; over them the non-interacting
     rows of each column form one band (:func:`_bands`), and with no two
     adjacent cells interacting, the rows that switch are two sorted-index
-    ranges per column (:func:`_switch_ranges`).  They are expanded about
-    ``_SBP_CHUNK`` transitions at a time, keeping rows i <= b-2, so the
-    cost is O(n log n + K) for K transitions and the memory O(n + chunk).
+    ranges per column (:func:`_switch_ranges`), of which the rows i <=
+    b-2, before the column, are kept.  The sort is stable, so equal labels
+    lie in runs in cell order, and a band end sweeps whole runs, so the
+    kept rows of a run are a prefix of it; one ``searchsorted`` on the
+    sorted (run, cell) keys finds every prefix (:func:`_prefix_units`).
+    A slot of long runs, as on staircases that revisit their levels,
+    expands only those prefixes; a slot of short runs expands all its rows
+    and drops the ones past the column, which costs less than a search per
+    run.  Either way the kept rows come in sorted order, slot by slot, and
+    a step of the loop keeps about ``_SBP_CHUNK`` / 2 of them.  The cost is
+    O(n log n + kept rows + rows of short-run slots), and the memory
+    O(n + chunk).
     A row whose interacting run is thin against its gap subtracts nearly
     equal H terms: the error relative to that run's energy grows like
     eps * gap / run length.
@@ -424,33 +501,67 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
         counts = np.where(div, 0, counts)
         counts[tail_f] -= 1
     if len(x):
-        order, cells, swept, start = _switch_ranges(x, counts, radius)
+        order, cells, swept, start, runs = _switch_ranges(x, counts, radius)
         # slot j covers the flat transitions [ends[j], ends[j + 1]), and
         # function f's run from slot 2 * s[f]
         ends = np.concatenate(([0], np.cumsum(np.abs(swept))))
         t0 = ends[2 * np.append(0, np.cumsum(counts))]
-        # each function's transitions in pieces of _SBP_CHUNK, and the
-        # pieces in groups of those starting in one _SBP_CHUNK window
+        # each function's transitions in pieces of _SBP_CHUNK
         pieces = -(-np.diff(t0) // _SBP_CHUNK)
         p0 = np.repeat(t0[:-1], pieces) + _SBP_CHUNK * _ragged_arange(pieces)
-        p1 = np.minimum(p0 + _SBP_CHUNK, np.repeat(t0[1:], pieces))
         sums = np.zeros(len(p0))
-        g0 = np.flatnonzero(np.diff(p0 // _SBP_CHUNK, prepend=-1))
+        # the units to expand, and the expanded rows before each piece and
+        # after the last: the slots and all their rows, unless runs are long
+        unit_lo, unit_end, exact, at = start, ends, None, np.append(p0, ends[-1])
+        if runs is not None and ends[-1]:
+            unit_lo, unit_end, flat, exact, cells, swept = _prefix_units(
+                order, cells, swept, start, ends, runs)
+            u = np.searchsorted(flat, at, "right") - 1
+            at = unit_end[u] + np.clip(at - flat[u], 0, unit_end[u + 1] - unit_end[u])
+            del flat, u
+        del runs, start
+        # the pieces in groups of those starting in one window of expanded
+        # rows, so that a group keeps about _SBP_CHUNK / 2 of them: expand
+        # and filter keeps about half its rows, prefixes keep all
+        window = _SBP_CHUNK if exact is None else max(_SBP_CHUNK // 2, 1)
+        g0 = np.flatnonzero(np.diff(at[:-1] // window, prepend=-1))
         g1 = np.append(g0, len(p0))[1:]
-        c0, c1 = p0[g0], p1[g1 - 1]
-        # the slots a group's window [c0, c1) meets, zero-length ones between
-        j0, j1 = np.searchsorted(ends, c0, "right") - 1, np.searchsorted(ends, c1, "left")
+        c0, c1 = at[g0], at[g1]
+        # the units a group's window [c0, c1) meets, zero-length ones between
+        j0, j1 = np.searchsorted(unit_end, c0, "right") - 1, np.searchsorted(unit_end, c1, "left")
+        coef = _pair_coef(params)  # signed per unit below: a row switching on adds
+        if exact is not None:
+            # the rows' edges in sorted order, the units' column edges, and
+            # the rows each piece keeps
+            right_s, lens_s, col = right[order], lens[order], right[cells]
+            kept_all = np.diff(at)
         for a, b, c0, c1, j0, j1 in zip(*(v.tolist() for v in (g0, g1, c0, c1, j0, j1))):
-            first = ends[j0:j1]
-            cnt = np.minimum(ends[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
-            rows = order[np.arange(c0, c1) + np.repeat(start[j0:j1] - first, cnt)]
-            c = np.repeat(cells[j0:j1], cnt)
-            keep = rows < c
-            rows, c = rows[keep], c[keep]
-            h = _pair_energies(right[c] - right[rows], lens[rows], INF, params)
-            h *= np.repeat(np.sign(swept[j0:j1]), cnt)[keep]
-            # pieces are nonempty, so their kept counts are one reduceat
-            sums[a:b] = _segment_sums(h, np.add.reduceat(keep, p0[a:b] - c0, dtype=np.intp))
+            first = unit_end[j0:j1]
+            cnt = np.minimum(unit_end[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
+            k = np.arange(c0, c1) + np.repeat(unit_lo[j0:j1] - first, cnt)
+            keep = None
+            if exact is None:
+                # expand and filter: keep the rows before their column
+                rows = order[k]
+                c = np.repeat(cells[j0:j1], cnt)
+                keep = rows < c
+                rows, c = rows[keep], c[keep]
+                gap, len1 = right[c] - right[rows], lens[rows]
+                # pieces are nonempty, so their kept counts are one reduceat
+                kept = np.add.reduceat(keep, at[a:b] - c0, dtype=np.intp)
+            else:
+                gap = np.repeat(col[j0:j1], cnt)
+                kept = kept_all[a:b]
+                if not exact[j0:j1].all():  # some units of short runs: filter
+                    keep = order[k] < np.repeat(cells[j0:j1], cnt)
+                    k, gap = k[keep], gap[keep]
+                    kept = np.diff(np.searchsorted(np.flatnonzero(keep), at[a:b + 1] - c0))
+                gap -= right_s[k]
+                len1 = lens_s[k]
+            # allocated last: a step's live temporaries stay few
+            scale = np.repeat(np.copysign(coef, swept[j0:j1]), cnt)
+            h = _pair_energies(gap, len1, INF, params, scale if keep is None else scale[keep])
+            sums[a:b] = _segment_sums(h, kept)
         part_f.append(np.repeat(np.arange(nf), pieces))
         part_v.append(sums)
     if not part_f:

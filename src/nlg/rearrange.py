@@ -132,14 +132,26 @@ def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
     if compact_support:
         # fold the zero cells at both ends into the tails, judging only cells
         # of positive width, so that no zero-width cell shields a zero cell
-        kept = values != 0.0
-        kept &= edges[1:] > edges[:-1]
-        a = int(np.argmax(kept))
-        if kept[a]:
-            b = len(kept) - int(np.argmax(kept[::-1]))
+        a = _first_kept(values, edges[:-1], edges[1:])
+        if a < len(values):
+            b = len(values) - _first_kept(values[::-1], edges[-2::-1], edges[:0:-1])
             edges, values = edges[a:b + 1], values[a:b]
     return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT
                           if compact_support else TailMode.DOMAIN_ONLY)
+
+
+def _first_kept(values, lo, hi) -> int:
+    """The first i with ``values[i] != 0`` and ``hi[i] > lo[i]``, else
+    ``len(values)``, looked for in windows from the start growing eightfold:
+    a step has few zero cells at either end."""
+    m = 8
+    while True:
+        kept = (values[:m] != 0.0) & (hi[:m] > lo[:m])
+        if kept.any():
+            return int(np.argmax(kept))
+        if m >= len(values):
+            return len(values)
+        m *= 8
 
 
 def _level_cells(xs, ys, delta, crossings, join=False):

@@ -429,6 +429,43 @@ def batch_of(steps, delta):
             [len(v) for _, v in cells])
 
 
+def labelled_cells(rng, k):
+    """Edges and integer labels of 1 to 40 cells: a walk of steps -1, 0
+    and 1, a staircase that mostly stays on its level, or one of distinct
+    labels, at times between zero tails and at times with a jump of k + 1."""
+    n = int(rng.integers(1, 41))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        x = np.cumsum(rng.integers(-1, 2, n))
+    elif kind == 1:
+        x = np.cumsum(rng.choice([-1, 0, 0, 0, 0, 0, 0, 1], n))
+    else:
+        x = np.cumsum(rng.integers(1, k + 1, n)) * int(rng.choice([-1, 1]))
+    edges = np.cumsum(rng.uniform(0.05, 1.0, n + 1))
+    if rng.random() < 0.1:
+        x[int(rng.integers(n))] += k + 1
+    if rng.random() < 0.3:
+        edges, x = np.append(-math.inf, edges), np.append(0, x)
+    if rng.random() < 0.3:
+        edges, x = np.append(edges, math.inf), np.append(x, 0)
+    return edges, x.astype(float)
+
+
+def ordered_pair_sum(edges, x, radius, params):
+    """The energy of one function's cells by a loop over every ordered pair."""
+    cells = [Interval(float(a), float(b)) for a, b in zip(edges, edges[1:])]
+    return math.fsum(pair_cell_energy(ci, cj, params)
+                     for i, ci in enumerate(cells) for j, cj in enumerate(cells)
+                     if i != j and abs(x[i] - x[j]) > radius)
+
+
+def assert_sum_matches(got, want):
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestBatchedPairSum:
     def test_matches_one_function_sums(self):
         rng = np.random.default_rng(11)
@@ -482,6 +519,43 @@ class TestBatchedPairSum:
                 alone = _pair_sum(*batch_of(steps[at:at + 1], delta), k, params)
             assert batch[bad] == math.inf
             assert batch[at] == alone[0]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.0, 1.5, 2.0]),
+           k=st.integers(1, 3), chunk=st.sampled_from([1, 7, functional1d._SBP_CHUNK]))
+    def test_matches_brute_force_ordered_pairs(self, seed, p, k, chunk):
+        # walks and few-level staircases repeat their labels in long runs,
+        # staircases of distinct labels have none, and zero tails join the
+        # runs of level 0; a batch of them on integer labels, then
+        # off-grid float labels one function at a time
+        rng = np.random.default_rng(seed)
+        params = EnergyParams(0.1, p)
+        funcs = [labelled_cells(rng, k) for _ in range(int(rng.integers(1, 6)))]
+        with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
+            got = _pair_sum(np.concatenate([e for e, _ in funcs]),
+                            np.concatenate([x for _, x in funcs]),
+                            [len(x) for _, x in funcs], k, params)
+            for (edges, x), g in zip(funcs, got):
+                assert_sum_matches(g, ordered_pair_sum(edges, x, k, params))
+            radius = 0.1 * k * (1.0 + 1e-12)
+            for _ in range(2):
+                edges, x = labelled_cells(rng, k)
+                x = np.cumsum(rng.uniform(-radius, radius, len(x)))  # all distinct
+                assert_sum_matches(_pair_sum(edges, x, [len(x)], radius, params)[0],
+                                   ordered_pair_sum(edges, x, radius, params))
+
+    def test_walk_energies_are_pinned(self):
+        # a 4000-cell walk shaped like the benchmark's, whose bands sweep
+        # long runs of levels: the float bits of its energies, as computed
+        # by the expand-and-filter engine before the prefix units
+        rng = np.random.default_rng(19)
+        edges = np.concatenate(([0], np.cumsum(rng.integers(64, 449, 4000)))) * 2.0 ** -20
+        u = StepFunction1D(edges, np.cumsum(rng.integers(-1, 2, 4000)) * 0.01,
+                           TailMode.DOMAIN_ONLY)
+        got = [f(EnergyParams(0.01, p)).hex() for p in (1.0, 2.0)
+               for f in (lambda q: step_energy(u, u.domain, q),
+                         lambda q: step_hostility(u, u.domain, 2, q))]
+        assert got == ["0x1.55da200c70c9dp+4", "0x1.fe2fd9b23ccd5p+2",
+                       "0x1.326384dbbe480p+8", "0x1.5c2428e1b31d0p+5"]
 
     @pytest.mark.parametrize("shape", [
         PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),  # 10^5 cells

@@ -581,6 +581,25 @@ class TestReduction:
         with pytest.raises(TooShort):
             reduce_arrangement(DiscreteArrangement((5,)))
 
+    @pytest.mark.parametrize("species,n_max", [(3, 7), (4, 6)])
+    def test_matches_scalar_rightmost_deletion_exhaustive(self, species, n_max):
+        # every arrangement, as one array of rows and one at a time, against
+        # deleting the last maximum by hand; commuting with rearrangement
+        # holds for any tie-break, so it cannot tell them apart
+        for n in range(2, n_max + 1):
+            flats = list(itertools.product(range(species), repeat=n))
+            want_rows, want_pos = [], []
+            for flat in flats:
+                m0 = max(i for i, v in enumerate(flat) if v == max(flat))
+                want_rows.append(flat[:m0] + flat[m0 + 1:])
+                want_pos.append(m0 + 1)
+            rows, pos = reduce_arrangement(np.array(flats))
+            assert rows.tolist() == [list(r) for r in want_rows]
+            assert pos.tolist() == want_pos
+            for flat, r, p in zip(flats, want_rows, want_pos):
+                reduced, at = reduce_arrangement(DiscreteArrangement(flat))
+                assert (reduced.species, at) == (r, p)
+
     def test_commutes_with_rearrangement(self, rng):
         for _ in range(10_000):
             n = int(rng.integers(2, 9))
