@@ -9,6 +9,7 @@ its flags and seed: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,6 +221,7 @@ def cmd_converge_sectioning(args) -> int:
     return 0
 
 
+@functools.cache  # one parser a process: parsing keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlg",

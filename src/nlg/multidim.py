@@ -41,7 +41,7 @@ from . import _quad
 from .core import StepFunction1D, TailMode
 from .functional1d import INF, EnergyParams, _check_p, _first_past, _pair_sum, _ragged_arange
 from .functional1d import step_energy  # noqa: F401 -- perfbench's tracer rebinds it here
-from .rearrange import _level_cells, _on_level, _pwa_crossings, grid_floor_level
+from .rearrange import _level_cells, _merge_cells, _on_level, _pwa_crossings, grid_floor_level
 from .rearrange import vertical_segmentation  # noqa: F401 -- perfbench's tracer rebinds it here
 
 
@@ -179,50 +179,30 @@ def _spans(sizes: np.ndarray):
     return zip([0, *cuts], [*cuts, len(sizes)] if len(sizes) else [])
 
 
-def _line_runs(edges, values, first, join, compact: bool):
-    """The raw cells of lines laid end to end from ``_level_cells`` (piece i
-    starting at cell ``first[i]``), with the pieces ``join`` between them,
-    merged line by line as ``_level_runs`` merges one function: cells
-    of zero width dropped, runs of equal values joined.  Returns ``(lines,
-    edges, values, counts)``: the lines left with a cell, their cells laid
-    end to end, one more edge a line.  A compact line starts and ends on
-    level 0, as a section does at the edge of a field's support; its zero
-    runs at both ends become its tails out to -+inf, and without a nonzero
-    cell it is left out."""
-    joins = first[join]  # the cells between lines
-    line = np.searchsorted(joins, np.arange(len(values)), "right")
-    keep = edges[1:] > edges[:-1]
-    keep[joins] = False
-    if compact:
-        keep &= np.bincount(line, keep & (values != 0.0), len(joins) + 1)[line] > 0
-    cell = np.flatnonzero(keep)
-    head = np.diff(line[cell], prepend=-1) != 0  # a line's first cell
-    run = head | (np.diff(values[cell], prepend=np.nan) != 0.0)
-    edge = np.zeros(len(edges), dtype=bool)  # a line's left end, a run's right end
-    edge[cell[head]] = edge[cell[np.roll(run, -1)] + 1] = True  # run[0] is True
-    lines, counts = np.unique(line[cell[run]], return_counts=True)
-    edges = edges[edge]
-    if compact:
-        end = np.cumsum(counts + 1)
-        edges[end - counts - 1], edges[end - 1] = -INF, INF
-    return lines, edges, values[cell[run]], counts
-
-
 def _node_cells(xs, ys, nodes: np.ndarray, delta: float, crossings, compact: bool):
     """Cell blocks ``(lines, edges, levels, counts)`` of the segmented
     sections whose nodes ``(xs, ys)`` are laid end to end, ``nodes[i]`` for
     line i, each section monotone between its consecutive nodes: one
     ``_level_cells`` call a block of about ``_SECTION_CELLS`` cells, with
-    ``crossings`` taking pieces numbered in ``xs`` (see ``_level_runs``).
-    Integer levels; lines without a cell are left out."""
+    ``crossings`` taking pieces numbered in ``xs``, merged by ``_merge_cells``.
+    Integer levels; lines without a cell are left out.  A compact line, on
+    level 0 at both ends like a section at the edge of a field's support,
+    gets zero tails out to -+inf for the pair sum."""
     first = np.append(0, np.cumsum(nodes))  # line i's first node, and the end
     steps = np.abs(np.diff(grid_floor_level(ys, delta))) + 1
     steps[first[1:-1] - 1] = 0  # the joins between lines
     for a, b in _spans(np.add.reduceat(np.append(steps, 0), first[:-1])):
         lo, hi = first[a], first[b]
         join = np.isin(np.arange(lo + 1, hi), first[a + 1:b])  # the piece before a line
-        lines, edges, values, counts = _line_runs(*_level_cells(
-            xs[lo:hi], ys[lo:hi], delta, lambda i, v: crossings(i + lo, v), join), join, compact)
+        edges, values, cell = _level_cells(xs[lo:hi], ys[lo:hi], delta,
+                                           lambda i, v: crossings(i + lo, v), join)
+        lines, edges, values, counts = _merge_cells(edges, values, cell[join], compact)
+        if compact:  # zero tails at each line's first cell and one past its last
+            at = np.column_stack((np.cumsum(counts) - counts, np.cumsum(counts))).ravel()
+            values = np.insert(values, at, 0.0)
+            edges = np.insert(edges, at + (np.arange(len(at)) + 1) // 2,
+                              np.resize((-INF, INF), len(at)))
+            counts = counts + 2
         if len(lines):
             yield a + lines, edges, np.rint(values / delta), counts
 

@@ -20,13 +20,15 @@ independent oracles for the sorting statements.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import INTERACTION_GUARD, EnergyParams, _check_delta, _pair_sum, step_cells
+from .functional1d import (INTERACTION_GUARD, EnergyParams, _check_delta, _pair_sum,
+                           _ragged_arange, step_cells)
 
 
 class WeightsTooShort(ValueError):
@@ -85,81 +87,89 @@ def grid_floor_level(v, delta: float):
     return k if np.ndim(v) else int(k)
 
 
+_ONE_LINE = np.empty(0, dtype=np.intp)  # no joins
+
+
+def _merge_cells(edges: np.ndarray, values: np.ndarray, joins: np.ndarray = _ONE_LINE,
+                 compact: bool = False):
+    """Steps from the raw cells of lines laid end to end, ``joins`` the
+    sorted indices of the cells between lines.  A line drops its cells of
+    zero width and joins runs of equal neighbours, each keeping its first
+    value and its last cell's right edge; with ``compact`` the zero run at
+    either end folds into the tail, and a line left empty is dropped.
+    Returns ``(lines, edges, values, counts)``: the lines left, their cells
+    laid end to end, ``counts[i]`` values and one more edge for line
+    ``lines[i]``.  A line with edges out of order fails like public
+    construction.  The arrays pass on uncopied, or as views where only one
+    line's ends go, so no one may write them later."""
+    lines = np.arange(len(joins) + 1)
+    first, stop = lines[:1], np.array([len(values)])  # a line's first cell, one past its last
+    ordered = not len(joins) and 0 < np.count_nonzero(edges[1:] > edges[:-1]) == len(values)
+    if not ordered:  # drop the joins and the cells of zero width
+        wide = edges[1:] != edges[:-1]
+        wide[joins] = False
+        cell = np.flatnonzero(wide)
+        bounds = cell.searchsorted(np.concatenate(([0], joins + 1, stop)))  # in kept cells
+        lines = np.flatnonzero(bounds[1:] > bounds[:-1])
+        first, stop = bounds[lines], bounds[lines + 1]
+        at = np.append(False, wide)  # every kept cell's right edge
+        at[cell[first]] = True  # and each line's left edge
+        edges, values = edges[at], values[cell]
+        del wide, cell, at
+    # line i's edges start at first[i] + i; a joined cell's left edge goes
+    same = values[1:] == values[:-1]
+    same[stop[:-1] - 1] = False
+    joined = np.flatnonzero(same) + 1
+    del same
+    if len(joined):
+        edges = np.delete(edges, joined + first.searchsorted(joined, "right") - 1)
+        values = np.delete(values, joined)
+        first, stop = first - joined.searchsorted(first), stop - joined.searchsorted(stop)
+    if compact:  # runs are merged: a zero run at a line's end is one cell
+        first = first + (values[first] == 0.0)
+        stop = stop - (values[stop - 1] == 0.0)  # below first for a lone zero cell
+        if len(lines) == 1:
+            edges, values = edges[first[0]:stop[0] + 1], values[first[0]:stop[0]]
+        else:
+            n = np.maximum(stop - first, 0)
+            at = first + np.arange(len(lines))  # each line's first edge
+            edges = edges[_ragged_arange(n + (n > 0)) + np.repeat(at, n + (n > 0))]
+            values = values[_ragged_arange(n) + np.repeat(first, n)]
+    counts = stop - first
+    if compact:
+        lines, counts = lines[counts > 0], counts[counts > 0]
+    if not ordered:
+        up = edges[1:] > edges[:-1]
+        end = np.cumsum(counts + 1)  # one past each line's last edge
+        up[end[:-1] - 1] = True  # from one line to the next
+        if np.count_nonzero(up) < len(up):  # the first line out of order raises
+            i = int(end.searchsorted(np.argmin(up), "right"))
+            StepFunction1D(np.split(edges, end)[i], np.split(values, np.cumsum(counts))[i])
+    return lines, edges, values, counts
+
+
 def _cells_to_step(edges: np.ndarray, values: np.ndarray,
                    tail_mode: TailMode) -> StepFunction1D | None:
-    """Step function from raw cells, dropping zero-width cells and merging
-    runs of equal-valued neighbours; None when no cell has positive width.
-    A run keeps its first value and ends at its last cell's right edge.
-    Where every cell has positive width the step holds ``edges`` and
-    ``values``, or their copies without the merged entries, so they must be
-    arrays that no one writes later; otherwise it is built like public
-    construction, whose checks then see edges out of order."""
-    ordered = np.count_nonzero(edges[1:] > edges[:-1]) == len(edges) - 1
-    if not ordered:
-        wide = edges[1:] != edges[:-1]
-        if not np.count_nonzero(wide):
-            return None
-        # the first wide cell's left edge, then every wide cell's right edge
-        at = np.concatenate(([False], wide))
-        at[np.argmax(wide)] = True
-        edges, values = edges[at], values[wide]
-    # a run ends at its last cell's right edge and keeps its first value
-    joined = (values[1:] == values[:-1]).nonzero()[0] + 1
-    if joined.size:
-        edges, values = np.delete(edges, joined), np.delete(values, joined)
-    if ordered:
-        return StepFunction1D._of_own_arrays(edges, values, tail_mode)
-    return StepFunction1D(edges, values, tail_mode)
+    """The step function of one line's raw cells, merged by ``_merge_cells``;
+    None when no cell has nonzero width."""
+    lines, edges, values, _ = _merge_cells(edges, values)
+    return StepFunction1D._of_own_arrays(edges, values, tail_mode) if len(lines) else None
 
 
-# cells or crossings computed at a time by the level-run engine, so that
+# cells or crossings computed at a time by the level-cell engine, so that
 # the arithmetic on them stays in cache
 _CHUNK = 1 << 15
 
 
-def _level_runs(xs: np.ndarray, ys: np.ndarray, delta: float, crossings,
-                compact_support: bool) -> StepFunction1D | None:
-    """Exact vertical segmentation of a continuous function that is monotone
-    between consecutive nodes ``(xs, ys)``.  The levels a piece from (x0, y0)
-    to (x1, y1) crosses form one arithmetic run of integers k, judged on node
-    values snapped to their level (``_on_level``).  ``crossings(piece,
-    values)``, called once for all pieces with the crossings in piece
-    order, returns a new array placing each crossing of a level value
-    k*delta in [x0, x1]; it must not write to ``values``.  Each piece gives
-    its start and its crossings as raw cells, which ``_cells_to_step``
-    merges into the step."""
-    edges, values, _ = _level_cells(xs, ys, delta, crossings)
-    if compact_support:
-        # fold the zero cells at both ends into the tails, judging only cells
-        # of positive width, so that no zero-width cell shields a zero cell
-        a = _first_kept(values, edges[:-1], edges[1:])
-        if a < len(values):
-            b = len(values) - _first_kept(values[::-1], edges[-2::-1], edges[:0:-1])
-            edges, values = edges[a:b + 1], values[a:b]
-    return _cells_to_step(edges, values, TailMode.COMPACT_SUPPORT
-                          if compact_support else TailMode.DOMAIN_ONLY)
-
-
-def _first_kept(values, lo, hi) -> int:
-    """The first i with ``values[i] != 0`` and ``hi[i] > lo[i]``, else
-    ``len(values)``, looked for in windows from the start growing eightfold:
-    a step has few zero cells at either end."""
-    m = 8
-    while True:
-        kept = (values[:m] != 0.0) & (hi[:m] > lo[:m])
-        if kept.any():
-            return int(np.argmax(kept))
-        if m >= len(values):
-            return len(values)
-        m *= 8
-
-
 def _level_cells(xs, ys, delta, crossings, join=False):
-    """Raw cells of ``_level_runs``, apart so its temporaries die on return:
-    ``(edges, values, first)``, piece i's start cell at ``first[i]``.  The
-    pieces where ``join`` holds cross no level: they join functions laid end
-    to end, and their start cells, from one's last node to the next one's
-    first, belong to neither."""
+    """Raw cells ``(edges, values, first)`` of the exact vertical
+    segmentation of a function monotone between its nodes ``(xs, ys)``,
+    piece i's start cell at ``first[i]``, then its crossings.  A piece
+    crosses one arithmetic run of levels k, judged on node values snapped
+    to their level (``_on_level``); ``crossings(piece, values)``, called
+    once, returns a new array placing each crossing of k*delta in its piece.
+    The pieces where ``join`` holds cross no level: they join functions laid
+    end to end, and their start cells belong to neither."""
     # grid_floor_level, with both of its candidates tested in one call: k
     # is the nearest level if the node sits on it, else the floor
     near, floor = _level_candidates(ys, delta)
@@ -214,12 +224,16 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
     """Exact vertical segmentation of a piecewise affine function."""
     xs, ys = np.array(u.nodes).T
     slope = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
-    return _level_runs(xs, ys, delta, lambda i, v: _pwa_crossings(xs, ys, slope, i, v),
-                       u.compact_support)
+    cells = _level_cells(xs, ys, delta, lambda i, v: _pwa_crossings(xs, ys, slope, i, v))
+    lines, edges, values, _ = _merge_cells(*cells[:2], compact=u.compact_support)
+    if not len(lines):  # compact, and zero on every cell
+        return StepFunction1D((xs[0], xs[-1]), (0.0,))
+    return StepFunction1D._of_own_arrays(edges, values, TailMode.COMPACT_SUPPORT
+                                         if u.compact_support else TailMode.DOMAIN_ONLY)
 
 
 def _pwa_crossings(xs, ys, slope, piece, values):
-    """The crossings callback of ``_level_runs`` for affine pieces from the
+    """The crossings callback of ``_level_cells`` for affine pieces from the
     nodes ``(xs, ys)`` with slopes ``slope``: xs[i] + (v - ys[i]) / slope[i],
     at most xs[i + 1]."""
     cut = np.empty_like(values)
@@ -390,7 +404,9 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
     """
     if not domain.bounded:
         raise ValueError("step hostility needs a bounded domain")
-    if int(k) != k or k < 1:
+    # an integral float such as 2.0 counts; a bool, inf and nan do not
+    if isinstance(k, bool) or not (isinstance(k, numbers.Real) and math.isfinite(k)
+                                   and int(k) == k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     delta = params.delta
     edges, vals = step_cells(u, domain)

@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from nlg import (HostilityWeights, Interval, StepFunction1D, TailMode,
                  pair_cell_energy, step_cells)
+from nlg.rearrange import _on_level, grid_floor_level
 
 
 # property tests replay the same examples on every run and keep no
@@ -74,3 +75,70 @@ def rng():
 
 
 UNIT = Interval(0.0, 1.0)
+
+
+def cells_to_step_loop(edges, values, tail_mode):
+    """Scalar oracle of ``rearrange._cells_to_step``: one pass over the cells."""
+    out_e: list[float] = []
+    out_v: list[float] = []
+    last = None
+    for a, b, v in zip(edges, edges[1:], values):
+        if a == b:
+            continue
+        if v == last:
+            out_e[-1] = b
+            continue
+        if not out_e:
+            out_e.append(a)
+        out_e.append(b)
+        out_v.append(v)
+        last = v
+    if not out_v:
+        return None
+    return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
+
+
+def level_runs_loop(xs, ys, delta, place, compact):
+    """Scalar oracle of the segmentation of one function that is monotone
+    between its nodes (``rearrange._level_cells`` merged by
+    ``rearrange._merge_cells``): one pass over the pieces, each one's start
+    cell and crossings in a Python loop, merged by ``merge_cells_loop``.
+    ``place(pieces, values)`` gives the crossing of each level value in its
+    piece; one past the piece's end is put on it."""
+    k = [grid_floor_level(y, delta) for y in ys]
+    s = [kk * delta if _on_level(y, kk, delta) else y for y, kk in zip(ys, k)]
+    runs = []  # each piece's start level and its (crossed level, next level)
+    for i in range(len(xs) - 1):
+        k0, k1, s0, s1 = k[i], k[i + 1], s[i], s[i + 1]
+        if s1 > s0:  # up through every level above k0 and below the end
+            runs.append((k0, [(lev, lev) for lev in range(k0 + 1, k1 + (k1 * delta < s1))]))
+        elif s1 < s0:  # from a start on a level, the piece sits below it
+            start = k0 - (s0 == k0 * delta)
+            runs.append((start, [(lev, lev - 1)
+                                 for lev in range(start, k1 - (k1 * delta > s1), -1)]))
+        else:
+            runs.append((k0, []))
+    cuts = iter(place([i for i, (_, cross) in enumerate(runs) for _ in cross],
+                      [lev * delta for _, cross in runs for lev, _ in cross]))
+    edges, levels = [], []
+    for i, (start, cross) in enumerate(runs):
+        edges.append(xs[i])
+        levels.append(start)
+        for _, lev in cross:
+            cut = next(cuts)
+            edges.append(cut if cut < xs[i + 1] else xs[i + 1])
+            levels.append(lev)
+    edges.append(xs[-1])
+    return merge_cells_loop(edges, [lev * delta for lev in levels], compact)
+
+
+def merge_cells_loop(edges, values, compact):
+    """Scalar oracle of ``rearrange._merge_cells`` on one line: with
+    ``compact`` the zero cells of positive width at both ends join the
+    tails, then ``cells_to_step_loop`` drops and joins the cells."""
+    if compact:
+        kept = [j for j, v in enumerate(values) if v != 0.0 and edges[j + 1] > edges[j]]
+        if kept:
+            edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
+    return cells_to_step_loop(edges, values, TailMode.COMPACT_SUPPORT if compact
+                              else TailMode.DOMAIN_ONLY)

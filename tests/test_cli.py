@@ -394,3 +394,33 @@ def test_byte_identical_reruns(tmp_path):
     ]
     for args in invocations:
         assert _run_bytes(args) == _run_bytes(args)
+
+
+def test_repeated_main_calls_print_what_fresh_processes_print(tmp_path, capsys):
+    # main parses with one parser per process: no flag, default or error
+    # of one call may reach the next, in any order
+    stairs = tmp_path / "stairs.json"
+    stairs.write_text(json.dumps({"breakpoints": [0.0, 1 / 3, 2 / 3, 1.0],
+                                  "values": [0.0, 0.1, 0.2], "tail_mode": "domain_only"}))
+    lam = ["lambda", "--input", str(stairs), "--delta", "0.1"]
+    invocations = [
+        lam + ["--p", "2"],
+        lam + ["--p", "1", "--domain", "0.1", "0.9"],
+        lam + ["--p", "1", "--domain", "0", "2"],  # an error line
+        lam + ["--p", "2"],
+        ["constants", "--d", "2", "--p", "1.5"],
+        ["constants", "--p", "1.5"],
+        ["converge-sectioning", "--delta", "0.4", "0.3", "--p", "2", "--dirs", "6",
+         "--offsets", "24", "--mc-samples", "5000", "--seed", "17"],
+        ["converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "4",
+         "--offsets", "16", "--mc-samples", "5000"],
+    ]
+    fresh = []
+    for args in invocations:
+        proc = subprocess.run([sys.executable, "-m", "nlg.cli"] + args, capture_output=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for order in (invocations, invocations[::-1]):
+        for args in order:
+            code = main(list(args))
+            out = capsys.readouterr()
+            assert (code, out.out.encode(), out.err.encode()) == fresh[invocations.index(args)]

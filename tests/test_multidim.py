@@ -17,7 +17,9 @@ from nlg import PiecewiseAffine1D, multidim, vertical_segmentation
 from nlg.functional1d import _first_past, _pair_sum
 from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
                           UnsupportedField, _radial_cells, _top_levels)
-from nlg.rearrange import _level_runs, grid_floor_level
+from nlg.rearrange import grid_floor_level
+
+from conftest import level_runs_loop
 
 TENT = RadialTent((0.0, 0.0), 1.0, 1.0)
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -76,7 +78,7 @@ def _scalar_tensor_section(u, sigma, z_point):
 
 def _scalar_poly_step(cuts, coef, delta):
     """Scalar reference for the segmentation of one such section alone, by
-    the one-function level-run engine ``_level_runs``."""
+    the scalar level-run oracle ``level_runs_loop``."""
     a, b = cuts[:-1], cuts[1:]
     slope = coef[:, 1:] * np.arange(1, coef.shape[1])
     i = np.flatnonzero((_horner(slope, a) > 0.0) & (_horner(slope, b) < 0.0))
@@ -90,7 +92,8 @@ def _scalar_poly_step(cuts, coef, delta):
         c, up = coef[owner[j]], rise[j]
         return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
 
-    step = _level_runs(xs, ys, delta, crossings, compact_support=True)
+    step = level_runs_loop(xs.tolist(), ys.tolist(), delta, lambda pieces, values: crossings(
+        np.array(pieces, dtype=np.intp), np.array(values)).tolist(), True)
     return step if step is not None and step.values.any() else None
 
 

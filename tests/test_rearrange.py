@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlg import (Direction, DiscreteArrangement, EnemyList, EnergyParams,
                  HostilityWeights, Interval, PiecewiseAffine1D, SchemaError, StepFunction1D,
@@ -17,10 +18,11 @@ from nlg import (Direction, DiscreteArrangement, EnemyList, EnergyParams,
 from nlg.core import NonMonotoneBreakpoints
 from nlg.rearrange import (BadBounds, TooManyPermutations, TooShort,
                            ValuesNotOnGrid, WeightsTooShort, _cells_to_step,
-                           _on_level, grid_floor_level, hostile_gap_counts)
+                           _merge_cells, grid_floor_level, hostile_gap_counts)
 
-from conftest import (UNIT, pairwise_energy, random_grid_step,
-                      random_nonincreasing_weights, random_step)
+from conftest import (UNIT, cells_to_step_loop, level_runs_loop, merge_cells_loop,
+                      pairwise_energy, random_grid_step, random_nonincreasing_weights,
+                      random_step)
 
 E1 = EnemyList.band_complement(1)
 H3 = HostilityWeights((1.0, 0.5, 1.0 / 3.0))
@@ -52,72 +54,12 @@ def _random_pwa(rng, delta: float, compact: bool) -> PiecewiseAffine1D:
     return PiecewiseAffine1D(tuple(zip(xs, ys)), compact_support=compact)
 
 
-def _cells_to_step_loop(edges, values, tail_mode):
-    """Scalar oracle of ``_cells_to_step``: one pass over the cells."""
-    out_e: list[float] = []
-    out_v: list[float] = []
-    last = None
-    for a, b, v in zip(edges, edges[1:], values):
-        if a == b:
-            continue
-        if v == last:
-            out_e[-1] = b
-            continue
-        if not out_e:
-            out_e.append(a)
-        out_e.append(b)
-        out_v.append(v)
-        last = v
-    if not out_v:
-        return None
-    return StepFunction1D(tuple(out_e), tuple(out_v), tail_mode)
-
-
-def _level_runs_loop(xs, ys, delta, place, compact):
-    """Scalar oracle of the level-run engine (``_level_runs``): one pass
-    over the pieces, each one's start cell and crossings in a Python loop,
-    merged by ``_cells_to_step_loop``.  ``place(pieces, values)`` gives the
-    crossing of each level value in its piece; one past the piece's end is
-    put on it."""
-    k = [grid_floor_level(y, delta) for y in ys]
-    s = [kk * delta if _on_level(y, kk, delta) else y for y, kk in zip(ys, k)]
-    runs = []  # each piece's start level and its (crossed level, next level)
-    for i in range(len(xs) - 1):
-        k0, k1, s0, s1 = k[i], k[i + 1], s[i], s[i + 1]
-        if s1 > s0:  # up through every level above k0 and below the end
-            runs.append((k0, [(lev, lev) for lev in range(k0 + 1, k1 + (k1 * delta < s1))]))
-        elif s1 < s0:  # from a start on a level, the piece sits below it
-            start = k0 - (s0 == k0 * delta)
-            runs.append((start, [(lev, lev - 1)
-                                 for lev in range(start, k1 - (k1 * delta > s1), -1)]))
-        else:
-            runs.append((k0, []))
-    cuts = iter(place([i for i, (_, cross) in enumerate(runs) for _ in cross],
-                      [lev * delta for _, cross in runs for lev, _ in cross]))
-    edges, levels = [], []
-    for i, (start, cross) in enumerate(runs):
-        edges.append(xs[i])
-        levels.append(start)
-        for _, lev in cross:
-            cut = next(cuts)
-            edges.append(cut if cut < xs[i + 1] else xs[i + 1])
-            levels.append(lev)
-    edges.append(xs[-1])
-    values = [lev * delta for lev in levels]
-    if compact:  # zero cells of positive width at both ends join the tails
-        kept = [j for j, v in enumerate(values) if v != 0.0 and edges[j + 1] > edges[j]]
-        if kept:
-            edges, values = edges[kept[0]:kept[-1] + 2], values[kept[0]:kept[-1] + 1]
-    return _cells_to_step_loop(edges, values, TailMode.COMPACT_SUPPORT if compact
-                               else TailMode.DOMAIN_ONLY)
-
-
 def _segment_loop(u: PiecewiseAffine1D, delta: float):
     """Scalar oracle of ``vertical_segmentation`` on a piecewise affine
     function, each crossing placed by xs[i] + (v - ys[i]) / slope[i]."""
     xs, ys = [x for x, _ in u.nodes], [y for _, y in u.nodes]
     slope = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(u.nodes, u.nodes[1:])]
-    return _level_runs_loop(xs, ys, delta, lambda pieces, values: [
+    return level_runs_loop(xs, ys, delta, lambda pieces, values: [
         xs[i] + (v - ys[i]) / slope[i] for i, v in zip(pieces, values)], u.compact_support)
 
 
@@ -152,7 +94,7 @@ class TestCellsToStep:
                 edges[:] = edges[0]
             values = rng.choice([-0.0, 0.0, 1.0, 1.0, -2.5], n)
             tail = (TailMode.COMPACT_SUPPORT, TailMode.DOMAIN_ONLY)[i % 2]
-            want = _cells_to_step_loop(edges.tolist(), values.tolist(), tail)
+            want = cells_to_step_loop(edges.tolist(), values.tolist(), tail)
             got = _cells_to_step(edges, values, tail)
             assert _bits(got) == _bits(want), (edges, values)
 
@@ -177,6 +119,82 @@ class TestCellsToStep:
                              np.array([5.0, -0.0, 3.0, 0.0]), TailMode.DOMAIN_ONLY)
         assert _bits(got) == _bits(StepFunction1D((0.0, 2.0), (-0.0,),
                                                   TailMode.DOMAIN_ONLY))
+
+
+@st.composite
+def laid_lines(draw):
+    """Raw cells of 1-4 lines laid end to end, with a join cell between
+    consecutive lines: ``(lines, compact)``, each line ``(edges, values)``.
+
+    Edges come from a small pool, so zero-width cells fall anywhere: at a
+    line's start or end, next to a join, and between +0.0 and -0.0.  Values
+    hold +-0.0; a compact line may be all zeros or start below 0, and a
+    domain-only line may have its edges out of order.
+    """
+    compact = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 7))
+        edges = draw(st.lists(st.sampled_from((-1.0, -0.0, 0.0, 0.5, 1.0, 2.0)),
+                              min_size=n + 1, max_size=n + 1))
+        if compact or draw(st.integers(0, 3)):
+            edges.sort()  # stable: +0.0 and -0.0 keep their drawn order
+        pool = draw(st.sampled_from(((-0.0, 0.0), (-0.0, 0.0, 1.0, 1.0, -2.5))))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        if draw(st.integers(0, 3)) == 0:
+            values[0] = -2.5  # below 0 from the line's first edge
+        lines.append((edges, values))
+    return lines, compact
+
+
+def _error(f, *args):
+    """``(type, message)`` of what f raises, or None with its result."""
+    try:
+        return None, f(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc)), None
+
+
+class TestMergeCells:
+    @settings(max_examples=300)
+    @given(case=laid_lines(), join=st.sampled_from((-2.5, 0.0, 1.0)))
+    def test_lines_match_scalar_oracle(self, case, join):
+        # each line against the scalar merge of its cells alone; a compact
+        # line without a nonzero cell is left out
+        lines, compact = case
+        edges, values, joins = [], [], []
+        for e, v in lines:
+            if edges:
+                joins.append(len(values))
+                values.append(join)
+            edges += e
+            values += v
+        tail = TailMode.COMPACT_SUPPORT if compact else TailMode.DOMAIN_ONLY
+        wants = [_error(merge_cells_loop, e, v, compact) for e, v in lines]
+        error, got = _error(_merge_cells, np.array(edges), np.array(values),
+                            np.array(joins, dtype=np.intp), compact)
+        failed = [e for e, _ in wants if e is not None]
+        assert error == (failed[0] if failed else None)  # the first line out of order
+        if len(lines) == 1 and not compact:  # the one-line wrapper, its errors included
+            e, step = _error(_cells_to_step, np.array(edges), np.array(values), tail)
+            assert (e, _bits(step)) == (wants[0][0], _bits(wants[0][1]))
+        if error:
+            return
+        wants = {i: w for i, (_, w) in enumerate(wants)
+                 if w is not None and (w.values.any() or not compact)}
+        kept, edges, values, counts = got
+        assert kept.tolist() == list(wants)
+        at = np.cumsum(counts) - counts
+        for i, a, c in zip(range(len(kept)), at, counts):
+            step = StepFunction1D(edges[a + i:a + i + c + 1], values[a:a + c], tail)
+            want = wants[int(kept[i])]
+            if compact:
+                # a folded zero run and the cell after it meet at one point,
+                # which either may write as +0.0 and the other as -0.0
+                assert step.breakpoints.tolist() == want.breakpoints.tolist()
+                assert _bits(step)[2:] == _bits(want)[2:]  # values and their signs
+            else:
+                assert _bits(step) == _bits(want)
 
 
 class TestVerticalSegmentation:
@@ -321,7 +339,7 @@ class TestVerticalSegmentation:
             for xs, ys, delta, crossings, join in calls:
                 ends = [0, *(np.flatnonzero(join) + 1).tolist(), len(xs)]
                 for a, b in zip(ends, ends[1:]):  # one line's nodes
-                    step = _level_runs_loop(xs[a:b].tolist(), ys[a:b].tolist(), delta, (
+                    step = level_runs_loop(xs[a:b].tolist(), ys[a:b].tolist(), delta, (
                         lambda pieces, values, a=a: crossings(np.array(pieces, dtype=np.intp) + a,
                                                               np.array(values)).tolist()), True)
                     want.append(step if step is not None and step.values.any() else None)
@@ -543,6 +561,23 @@ class TestStepHostility:
                     expected = pairwise_energy(
                         u, UNIT, lambda a, b: abs(b - a) >= k + 1, params, levels)
                     assert math.isclose(got, expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, np.float64(math.inf), True,
+                                   False, 0, -2, 1.5, "2", None])
+    def test_k_must_be_a_positive_integer(self, k):
+        u = StepFunction1D((0.0, 1.0), (0.6,), TailMode.DOMAIN_ONLY)
+        with pytest.raises(ValueError, match="^k must be a positive integer, got "):
+            step_hostility(u, u.support, k, EnergyParams(0.2, 1.0))
+
+    def test_integral_float_k_is_that_integer(self, rng):
+        for _ in range(20):
+            u = random_grid_step(rng, 0.2, max_jump=3)
+            params = EnergyParams(0.2, 1.5)
+            for k in (1, 2, 3):
+                want = step_hostility(u, UNIT, k, params)
+                for same in (float(k), np.float64(k), np.int64(k)):
+                    got = step_hostility(u, UNIT, same, params)
+                    assert got == want or (math.isinf(got) and math.isinf(want))
 
     def test_values_off_grid_rejected(self):
         u = StepFunction1D((0.0, 1.0, 2.0), (0.0, 0.31), TailMode.DOMAIN_ONLY)
