@@ -726,6 +726,9 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
 # ---------------------------------------------------------------------------
 
 _MC_CHUNK = 1 << 19
+# samples in flight per chunk: the fastest size with two workers (2**12 is
+# bound by the GIL), and the smallest of the fast ones
+_MC_BLOCK = 1 << 14
 
 
 def _cpus() -> int:
@@ -827,56 +830,71 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
                       upper: np.ndarray, key: np.ndarray, m: int) -> tuple[int, int]:
     """One chunk of ``m`` samples drawn from the Philox stream ``key``:
     ``(hits, twice)``, the interacting pairs and those of them whose partner
-    leaves the box.  The partners are written over the points once the
-    points' levels are known, so few arrays of ``m`` rows are alive at once."""
-    rng = np.random.Generator(np.random.Philox(key=key))
-    x = rng.random((m, len(lower)))
-    x *= upper - lower
-    x += lower
-    kx = _floor_levels(u, x, params.delta)
-    outside = _move_to_partners(rng, x, r_min, params.p, lower, upper)
-    ky = _floor_levels(u, x, params.delta)
-    ky -= kx
-    hit = np.abs(ky, out=ky) >= 2.0
-    return int(np.count_nonzero(hit)), int(np.count_nonzero(hit & outside))
+    leaves the box.  Each point has a partner y = x + r * omega: omega
+    uniform on the unit sphere (d = 2 or 3), r from the density proportional
+    to r^(-1-p) on [r_min, infinity).
+
+    The stream holds the points (d * m words, row-major), then, for d = 3,
+    the polar cosines zc, then the angles phi and the radii's uniforms
+    (m words each).  Each region is read from its own generator, started at
+    its first word, and the samples are walked in blocks of ``_MC_BLOCK``,
+    so only arrays of block rows are alive and the draws are those of one
+    pass over the chunk, whatever the block size.  A block writes the
+    partners over the points, one axis at a time, once the points' levels
+    are known."""
+    d = len(lower)
+    points, *polar, angles, radii = [_stream_at(key, o)
+                                     for o in (0, *range(d * m, 2 * d * m, m))]
+    hits = twice = 0
+    for start in range(0, m, _MC_BLOCK):
+        n = min(_MC_BLOCK, m - start)
+        x = points.random((n, d))
+        for i in range(d):
+            x[:, i] *= upper[i] - lower[i]
+            x[:, i] += lower[i]
+        kx = _floor_levels(u, x, params.delta)
+        if d == 3:
+            zc = polar[0].random(n)
+            zc *= 2.0
+            zc -= 1.0
+        phi = angles.random(n)
+        phi *= 2.0 * math.pi
+        r = radii.random(n)
+        np.subtract(1.0, r, out=r)
+        r **= -1.0 / params.p
+        r *= r_min
+        omega = [np.cos(phi), np.sin(phi, out=phi)]
+        if d == 3:
+            sc = zc * zc  # sin of the polar angle, sqrt(1 - zc^2)
+            np.subtract(1.0, sc, out=sc)
+            np.sqrt(np.clip(sc, 0.0, None, out=sc), out=sc)
+            omega[0] *= sc
+            omega[1] *= sc
+            omega.append(zc)
+        outside = np.zeros(n, dtype=bool)
+        for i, w in enumerate(omega):
+            w *= r
+            y = x[:, i]
+            y += w
+            outside |= y < lower[i]
+            outside |= y > upper[i]
+        ky = _floor_levels(u, x, params.delta)
+        ky -= kx
+        hit = np.abs(ky, out=ky) >= 2.0
+        hits += int(np.count_nonzero(hit))
+        twice += int(np.count_nonzero(hit & outside))
+    return hits, twice
+
+
+def _stream_at(key: np.ndarray, word: int) -> np.random.Generator:
+    """A generator on the Philox stream ``key`` that starts at its
+    ``word``-th 64-bit word; a double takes one word."""
+    bits = np.random.Philox(key=key, counter=word // 4)
+    bits.random_raw(word % 4)
+    return np.random.Generator(bits)
 
 
 def _floor_levels(u: ScalarField, points: np.ndarray, delta: float) -> np.ndarray:
     k = u.evaluate(points)
     k /= delta
     return np.floor(k, out=k)
-
-
-def _move_to_partners(rng: np.random.Generator, x: np.ndarray, r_min: float, p: float,
-                      lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Draw each point's partner y = x + r * omega and write it over x, one
-    axis at a time: omega uniform on the unit sphere (d = 2 or 3), r from the
-    density proportional to r^(-1-p) on [r_min, infinity).  Returns the mask
-    of partners outside the box [lower, upper]."""
-    m, d = x.shape
-    if d == 3:
-        zc = rng.random(m)
-        zc *= 2.0
-        zc -= 1.0
-    phi = rng.random(m)
-    phi *= 2.0 * math.pi
-    r = rng.random(m)
-    np.subtract(1.0, r, out=r)
-    r **= -1.0 / p
-    r *= r_min
-    omega = [np.cos(phi), np.sin(phi, out=phi)]
-    if d == 3:
-        sc = zc * zc  # sin of the polar angle, sqrt(1 - zc^2)
-        np.subtract(1.0, sc, out=sc)
-        np.sqrt(np.clip(sc, 0.0, None, out=sc), out=sc)
-        omega[0] *= sc
-        omega[1] *= sc
-        omega.append(zc)
-    outside = np.zeros(m, dtype=bool)
-    for i, w in enumerate(omega):
-        w *= r
-        y = x[:, i]
-        y += w
-        outside |= y < lower[i]
-        outside |= y > upper[i]
-    return outside

@@ -579,13 +579,45 @@ class TestMonteCarlo:
                     got = energy_by_montecarlo(u, params, box, n, seed)
                     assert list(map(float.hex, got)) == list(map(float.hex, want)), workers
 
+    @pytest.mark.parametrize("block", [1, 3, 5, 1000])
+    @pytest.mark.parametrize("u,params,box", CASES)
+    def test_block_edges_keep_hit_counts(self, monkeypatch, fast_thread_switches,
+                                         u, params, box, block):
+        # blocks of 1, 3 and 5 rows end at every word offset mod 4 of each region's
+        # stream, in chunks of 1000 and 999 rows; 2500 samples are 3 chunks
+        box = box or u.support_box()
+        monkeypatch.setattr(multidim, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(multidim, "_MC_BLOCK", block)
+        for n in (999, 2500):
+            want = _weight_array_montecarlo(u, params, box, n, 7, 1000)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(multidim, "_cpus", lambda w=workers: w)
+                got = energy_by_montecarlo(u, params, box, n, 7)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), workers
+
+    @pytest.mark.parametrize("m", [1, 999, 1001])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_region_streams_are_slices_of_one_draw(self, d, m):
+        # the points (d*m words), zc for d = 3, phi and r (m words each), each
+        # read from its own generator 3 words at a time, are the chunk's one draw
+        key = np.array([5, 2], dtype=np.uint64)
+        whole = np.random.Generator(np.random.Philox(key=key)).random(2 * d * m)
+        starts = [0, *range(d * m, 2 * d * m, m)]
+        for start, end in zip(starts, [*starts[1:], 2 * d * m]):
+            stream = multidim._stream_at(key, start)
+            got = np.concatenate([stream.random(min(3, end - i)) for i in range(start, end, 3)])
+            assert got.tobytes() == whole[start:end].tobytes(), (start, end)
+
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # chunk 3 of 40 runs on the second of two workers, in its own thread;
-        # the calling thread, held in chunk 0 until then, stops soon after
+        # the calling thread, held in chunk 0 until then, stops soon after.
+        # Chunk 1 waits for chunk 0 to start, so the second worker cannot fail
+        # before the calling thread has taken its first chunk
         monkeypatch.setattr(multidim, "_MC_CHUNK", 1000)
         monkeypatch.setattr(multidim, "_cpus", lambda: 2)
         chunk = multidim._montecarlo_chunk
         started, failed, in_caller = [], threading.Event(), {}
+        caller_started = threading.Event()
 
         def failing(*args):
             started.append(int(args[5][1]))
@@ -594,8 +626,11 @@ class TestMonteCarlo:
                 failed.set()
                 raise MemoryError("chunk 3")
             if started[-1] == 0:
+                caller_started.set()
                 failed.wait(10.0)
                 time.sleep(0.05)
+            if started[-1] == 1:
+                caller_started.wait(10.0)
             return chunk(*args)
 
         monkeypatch.setattr(multidim, "_montecarlo_chunk", failing)
@@ -608,8 +643,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_scratch_memory(self, monkeypatch, workers):
-        # the benchmark's field: the traced peak stays within 64 bytes per
-        # sample in flight, one chunk per worker
+        # the benchmark's field: the traced peak stays within 104 bytes per
+        # sample in flight, one block per worker (about 98 are measured)
         monkeypatch.setattr(multidim, "_cpus", lambda: workers)
         tracemalloc.start()
         try:
@@ -619,7 +654,7 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert est > 0.0
-        assert peak <= 64 * workers * multidim._MC_CHUNK
+        assert peak <= 104 * workers * multidim._MC_BLOCK
 
     @pytest.mark.parametrize("box", [Box((-2.0, -2.0), (math.inf, 2.0)),
                                      Box((-math.inf, -2.0), (2.0, 2.0))],
