@@ -20,8 +20,9 @@ from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, validate_and_build)
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
-from .multidim import (RadialTent, _check_montecarlo_counts, energy_by_montecarlo,
-                       energy_by_sectioning)
+from .multidim import (RadialTent, _check_montecarlo_counts, _check_sectioning,
+                       _sectioning_pass, energy_by_montecarlo)
+from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
 from .rearrange import (hostile_gap_counts, hostility_gap, monotone_rearrangement,
                         monotone_rearrangement_step, reduce_arrangement,
                         total_hostility, vertical_segmentation)
@@ -209,12 +210,15 @@ def cmd_converge_sectioning(args) -> int:
         return 2
     _check_montecarlo_counts(args.mc_samples, args.seed)  # before any sectioning pass
     u = RadialTent((0.0, 0.0), 1.0, 1.0)
+    _check_sectioning(u, args.dirs, args.offsets)
     box = u.support_box()
     limit = gamma_limit_constant(2, args.p).value * u.local_energy(args.p)
     rows = []
     for delta in args.delta:
         params = EnergyParams(delta, args.p)
-        sect, _ = energy_by_sectioning(u, params, args.dirs, args.offsets)
+        # the fine estimate of energy_by_sectioning, without its coarse pass,
+        # whose error estimate is not printed
+        sect = _sectioning_pass(u, params, args.dirs, args.offsets)
         mc, stderr = energy_by_montecarlo(u, params, box, args.mc_samples, args.seed)
         rows.append(",".join([_fmt(delta), _fmt(sect), _fmt(mc), _fmt(stderr), _fmt(limit)]))
     print("\n".join(["delta,sectioning_estimate,mc_estimate,mc_stderr,limit", *rows]))

@@ -282,6 +282,8 @@ def _bands(s, y, radius):
     always exact; the float difference is monotone in ``s[k]``, so checking
     the labels on both sides of each boundary finds the rare off ones.
     Such a boundary is the count of labels below the first float past it.
+    This is the path for any labels; integer ones over a short span take
+    :func:`_counted_bands`, which gives the same ranges.
     """
     n = len(s)
     out = []
@@ -298,6 +300,35 @@ def _bands(s, y, radius):
     return out
 
 
+def _counted_bands(s, radius):
+    """:func:`_bands` of the sorted labels ``s`` at themselves, from counts,
+    or None unless the labels are integers of magnitude below 2**53 over a
+    span under 4 * len(s) and ``radius`` is an integer.
+
+    Differences of such labels are exact, so ``abs(s[k] - s[b]) <=
+    radius`` holds exactly where the integers say so.  With ``below[v]``
+    the number of labels under ``s[0] + v - radius`` (one ``bincount``,
+    one ``cumsum``), band b is ``[below[k], below[k + 2 radius + 1])`` for
+    ``k = s[b] - s[0]``: two gathers, with no fix-up.
+    """
+    n = len(s)
+    if not (float(radius).is_integer() and radius >= 0 and s[-1] - s[0] < 4 * n
+            and -2.0 ** 53 < s[0] and s[-1] < 2.0 ** 53 and float(s[0]).is_integer()):
+        return None
+    top = int(s[-1] - s[0])
+    r = min(int(radius), top)  # a wider radius holds every label too
+    d = s - s[0]
+    k = d.astype(np.int32 if top + 2 * r + 2 < 1 << 31 else np.intp)
+    if not np.array_equal(k, d):
+        return None
+    del d
+    below = np.empty(top + 2 * r + 2, dtype=k.dtype)
+    below[:r + 1] = 0
+    np.cumsum(np.bincount(k), out=below[r + 1:top + r + 2])
+    below[top + r + 2:] = n
+    return below[k], below[k + (2 * r + 1)]
+
+
 def _switch_ranges(x, counts, radius):
     """The rows whose interaction switches at each column, as one table
     of sorted-index ranges.
@@ -306,12 +337,15 @@ def _switch_ranges(x, counts, radius):
     each) are sorted once, on the keys ``function * G + label`` with G past
     every label difference, so that no band leaks into another function,
     and each function's labels fill the sorted indices of its cells.
-    Cell c's band ``[lo[c], hi[c])`` holds its non-interacting rows
-    (:func:`_bands`); a function's last column closes with the band of all
-    its cells.  Adjacent cells do not interact, so consecutive bands
-    overlap, and the rows that switch between columns c and c+1 are the
-    ones each band end sweeps over: the lower end moving right (or the
-    upper end moving left) switches rows on, the other way off.
+    Cell c's band ``[lo[c], hi[c])`` holds its non-interacting rows, from
+    counts where the keys are integers over a span under 4 n
+    (:func:`_counted_bands`, as on integer levels) and by search elsewhere
+    (:func:`_bands`), with the same ranges either way; a function's last
+    column closes with the band of all its cells.  Adjacent cells do not
+    interact, so consecutive bands overlap, and the rows that switch
+    between columns c and c+1 are the ones each band end sweeps over: the
+    lower end moving right (or the upper end moving left) switches rows
+    on, the other way off.
 
     Returns ``(order, cells, swept, start, runs)``: sorted index k is cell
     ``order[k]``, and slot j switches the ``abs(swept[j])`` rows from
@@ -322,14 +356,16 @@ def _switch_ranges(x, counts, radius):
     holds where sorted index k starts a run of equal keys, and ``runs`` is
     None if no run has ``_PREFIX_RUN`` cells.  The sort is stable, so a
     run's cells are in order, and a band end is the same for equal keys,
-    so a slot's range holds whole runs.
+    so a slot's range holds whole runs.  The index tables are int32 below
+    2**31 cells.
     """
     n = len(x)
     keys = x + np.repeat(np.arange(len(counts)) * (x.max() - x.min() + radius + 1.0), counts)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable").astype(np.int32 if n < 1 << 31 else np.intp)
     keys = keys[order]
     lo, hi = np.empty_like(order), np.empty_like(order)
-    lo[order], hi[order] = _bands(keys, keys, radius)  # sorted queries: faster
+    # the bands of the sorted keys at themselves (sorted queries: faster)
+    lo[order], hi[order] = _counted_bands(keys, radius) or _bands(keys, keys, radius)
     runs = None
     if n >= _PREFIX_RUN and np.any(keys[_PREFIX_RUN - 1:] == keys[:n + 1 - _PREFIX_RUN]):
         runs = np.empty(n, dtype=bool)
@@ -340,7 +376,7 @@ def _switch_ranges(x, counts, radius):
     slot = np.arange(n) + np.repeat(ends - size, size)  # the lower ends' slots
     swept, start, cells = (np.empty(2 * n, dtype=order.dtype) for _ in range(3))
     for band, close, sign in ((lo, ends - size, 1), (hi, ends, -1)):
-        nxt = np.append(band[1:], 0)
+        nxt = np.roll(band, -1)
         nxt[ends - 1] = close
         swept[slot] = sign * (nxt - band)  # signed: > 0 switches on
         start[slot] = np.minimum(band, nxt, out=nxt)
@@ -372,7 +408,7 @@ def _prefix_units(order, cells, swept, start, ends, runs):
     cells, swept, start, flat = cells[live], swept[live], start[live], ends[live]
     size = np.abs(swept)
     first = np.flatnonzero(runs)
-    run = np.cumsum(runs, dtype=order.dtype)
+    run = np.cumsum(runs, dtype=np.intp)  # wide: run * n below
     run -= 1
     r = run[start]  # a slot's runs are r .. r + per - 1
     per = run[start + size - 1] - r + 1
@@ -433,7 +469,9 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     switches on or off.  The labels are sorted once, on the keys
     ``function * G + label`` with G past every label difference, so that
     no band leaks into another function; over them the non-interacting
-    rows of each column form one band (:func:`_bands`), and with no two
+    rows of each column form one band, counted in integers for integer
+    labels over a short span and searched in floats otherwise, to the same
+    ranges (:func:`_counted_bands`, :func:`_bands`), and with no two
     adjacent cells interacting, the rows that switch are two sorted-index
     ranges per column (:func:`_switch_ranges`), of which the rows i <=
     b-2, before the column, are kept.  The sort is stable, so equal labels
@@ -468,11 +506,11 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     # start of a function with two cells or more
     e = np.cumsum(counts)
     s = e - counts
-    gap = np.diff(x)
-    jump = np.abs(gap, out=gap) > radius
+    jump = np.abs(np.diff(x)) > radius
     jump[e[(e > 0) & (e < len(x))] - 1] = False
     div = counts > 1
     div[div] = np.logical_or.reduceat(jump, s[div])
+    del jump
     if div.all():
         return np.full(nf, INF)
     f = np.arange(nf)
@@ -492,19 +530,24 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
         part_v.append(_segment_sums(
             _pair_energies(left[col] - right[row], lens[col], INF, params),
             np.bincount(np.searchsorted(tail, row), minlength=tail.size)))
+        del row, col, far
+    del left
     # the by-parts sum runs over the other cells of the finite functions
     drop = np.concatenate((tail, np.repeat(s[div], counts[div]) + _ragged_arange(counts[div])))
     if drop.size:
         keep = np.ones(len(x), dtype=bool)
         keep[drop] = False
         x, right, lens = x[keep], right[keep], lens[keep]
+        del keep
         counts = np.where(div, 0, counts)
         counts[tail_f] -= 1
     if len(x):
         order, cells, swept, start, runs = _switch_ranges(x, counts, radius)
         # slot j covers the flat transitions [ends[j], ends[j + 1]), and
         # function f's run from slot 2 * s[f]
-        ends = np.concatenate(([0], np.cumsum(np.abs(swept))))
+        ends = np.zeros(len(swept) + 1, dtype=np.intp)
+        np.abs(swept, out=ends[1:])
+        np.cumsum(ends, out=ends)
         t0 = ends[2 * np.append(0, np.cumsum(counts))]
         # each function's transitions in pieces of _SBP_CHUNK
         pieces = -(-np.diff(t0) // _SBP_CHUNK)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import nlg.cli
+import nlg.multidim
+from nlg import EnergyParams
 from nlg.cli import main
 
 
@@ -319,13 +321,33 @@ def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
                                                ("--mc-samples", "0", "n_samples")])
 def test_montecarlo_flags_checked_before_sectioning(capsys, monkeypatch, flag, value, name):
     calls = []
-    monkeypatch.setattr(nlg.cli, "energy_by_sectioning",
-                        lambda *args: calls.append(args) or (1.0, 0.0))
+    monkeypatch.setattr(nlg.cli, "_sectioning_pass", lambda *args: calls.append(args) or 1.0)
     code, out, err = run_cli(capsys, "converge-sectioning", "--delta", "0.4", "--p", "2",
                              "--dirs", "4", "--offsets", "8", flag, value)
     assert code == 1 and out == "" and calls == []
     assert err.startswith(f"error: {name} must be an integer")
     assert len(err.splitlines()) == 1
+
+
+def test_converge_sectioning_runs_one_pass_per_row(capsys, monkeypatch):
+    # each row prints the fine estimate of energy_by_sectioning; the coarse
+    # pass behind its error estimate, which the row does not print, is not run
+    one_pass, deltas = nlg.multidim._sectioning_pass, []
+
+    def counted(u, params, *grid):
+        deltas.append(params.delta)
+        return one_pass(u, params, *grid)
+
+    for owner in (nlg.multidim, nlg.cli):
+        monkeypatch.setattr(owner, "_sectioning_pass", counted)
+    code, out, _ = run_cli(capsys, "converge-sectioning", "--delta", "0.4", "0.3", "--p", "2",
+                           "--dirs", "6", "--offsets", "24", "--mc-samples", "100")
+    assert code == 0 and deltas == [0.4, 0.3]
+    monkeypatch.undo()
+    tent = nlg.multidim.RadialTent((0.0, 0.0), 1.0, 1.0)
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == [
+        nlg.cli._fmt(nlg.multidim.energy_by_sectioning(tent, EnergyParams(d, 2.0), 6, 24)[0])
+        for d in (0.4, 0.3)]
 
 
 _STEP = {"breakpoints": [0, 1, 2], "values": [1, 2], "tail_mode": "compact_support"}

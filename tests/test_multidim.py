@@ -13,7 +13,7 @@ from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_cells, step_energy)
-from nlg import PiecewiseAffine1D, multidim, vertical_segmentation
+from nlg import PiecewiseAffine1D, functional1d, multidim, vertical_segmentation
 from nlg.functional1d import _first_past, _pair_sum
 from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
                           UnsupportedField, _radial_cells, _top_levels)
@@ -481,6 +481,39 @@ class TestSectioningEnergy:
             total += acc * w * w_dir
         got = multidim._sectioning_pass(u, params, 10, 24)
         assert got.hex() == total.hex()
+
+    @pytest.mark.parametrize("u", [TENT, AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))],
+                             ids=["radial", "ramp"])
+    def test_line_energies_do_not_depend_on_blocks_or_bands(self, u, monkeypatch):
+        # a pass's line energies in blocks of one line, of about 7 cells and
+        # of the default size, against every block on the float bands: the
+        # same bits; the ramp's blocks of 7 take both band paths in one pass
+        params = EnergyParams(0.1, 1.5)
+        sigma, points, _, _ = multidim._line_grid(u, 8, 32)
+        counted = functional1d._counted_bands
+        paths = set()
+
+        def seen(s, radius):
+            out = counted(s, radius)
+            paths.add(out is not None)
+            return out
+
+        def line_energies(block, bands):
+            monkeypatch.setattr(multidim, "_SECTION_CELLS", block)
+            monkeypatch.setattr(functional1d, "_counted_bands", bands)
+            energies = np.zeros(len(points))
+            lines, sections = u._sections(sigma, points)
+            for i, edges, levels, counts in sections._cells(params.delta):
+                energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
+            return [e.hex() for e in energies.tolist()]
+
+        want = line_energies(multidim._SECTION_CELLS, lambda s, radius: None)
+        assert any(float.fromhex(e) > 0.0 for e in want)
+        for block in (1, 7, multidim._SECTION_CELLS):
+            paths.clear()
+            assert line_energies(block, seen) == want
+            assert paths == ({True, False} if block == 7 and isinstance(u, AffineRamp)
+                             else {True})
 
     def test_small_delta_stays_finite(self):
         # k*delta near 1 rounds by more than delta * 1e-12 below delta ~ 1e-4;
