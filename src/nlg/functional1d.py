@@ -506,11 +506,12 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     # start of a function with two cells or more
     e = np.cumsum(counts)
     s = e - counts
-    jump = np.abs(np.diff(x)) > radius
+    gap = np.diff(x)
+    jump = np.abs(gap, out=gap) > radius
     jump[e[(e > 0) & (e < len(x))] - 1] = False
     div = counts > 1
     div[div] = np.logical_or.reduceat(jump, s[div])
-    del jump
+    del gap, jump
     if div.all():
         return np.full(nf, INF)
     f = np.arange(nf)
