@@ -312,7 +312,7 @@ def _counted_bands(s, radius):
     ``k = s[b] - s[0]``: two gathers, with no fix-up.
     """
     n = len(s)
-    if not (float(radius).is_integer() and radius >= 0 and s[-1] - s[0] < 4 * n
+    if not (float(radius).is_integer() and s[-1] - s[0] < 4 * n
             and -2.0 ** 53 < s[0] and s[-1] < 2.0 ** 53 and float(s[0]).is_integer()):
         return None
     top = int(s[-1] - s[0])
@@ -380,7 +380,7 @@ def _switch_ranges(x, counts, radius):
         nxt[ends - 1] = close
         swept[slot] = sign * (nxt - band)  # signed: > 0 switches on
         start[slot] = np.minimum(band, nxt, out=nxt)
-        cells[slot] = np.arange(n)
+        cells[slot] = np.arange(n, dtype=order.dtype)
         slot += np.repeat(size, size)  # the upper ends' slots
     return order, cells, swept, start, runs
 
