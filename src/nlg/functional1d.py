@@ -141,7 +141,7 @@ def pair_cell_energy(i1: Interval, i2: Interval, params: EnergyParams) -> float:
     return float(_pair_energies(gap, len1, len2, params))
 
 
-def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None):
+def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None, out=None):
     """Closed-form pair energies of separated cells, vectorized.
 
     ``gap`` is the distance between two cells and ``len1``, ``len2`` their
@@ -149,12 +149,20 @@ def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None):
     cell against an unbounded tail, in which the terms containing the
     infinite endpoint vanish.  ``coef``, if given, stands for the kernel's
     constant factor (:func:`_pair_coef`), one or per pair: the pair sum
-    passes it with the sign of each term.
+    passes it with the sign of each term.  With a tail, an array ``out``
+    receives the same energies, and ``gap`` may be overwritten.
     """
     p = params.p
     if coef is None:
         coef = _pair_coef(params)
     tail = np.ndim(len2) == 0 and len2 == INF
+    if tail and out is not None:  # the operations below, in place
+        if p == 1.0:
+            h = np.log1p(np.divide(len1, gap, out=out), out=out)
+        else:
+            h = np.power(np.add(gap, len1, out=out), 1.0 - p, out=out)
+            h = np.maximum(np.subtract(np.power(gap, 1.0 - p, out=gap), h, out=h), 0.0, out=h)
+        return np.multiply(h, coef, out=h)
     if p == 1.0:
         if tail:
             return coef * np.log1p(len1 / gap)
@@ -579,18 +587,30 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             # the rows each piece keeps
             right_s, lens_s, col = right[order], lens[order], right[cells]
             kept_all = np.diff(at)
+        # a step's arrays, kept across steps: fresh ones of this size are
+        # trimmed from the heap and faulted in again at every step
+        most = int(np.max(c1 - c0, initial=0))
+        ar, keep_b = np.arange(most), np.empty(most, dtype=bool)
+        rows_b, c_b = (np.empty(most, dtype=order.dtype) for _ in range(2))
+        gap_b, len_b, scale_b = (np.empty(most) for _ in range(3))
         for a, b, c0, c1, j0, j1 in zip(*(v.tolist() for v in (g0, g1, c0, c1, j0, j1))):
             first = unit_end[j0:j1]
             cnt = np.minimum(unit_end[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
-            k = np.arange(c0, c1) + np.repeat(unit_lo[j0:j1] - first, cnt)
+            k = np.repeat(unit_lo[j0:j1] - first + c0, cnt)
+            k += ar[:c1 - c0]
             keep = None
             if exact is None:
-                # expand and filter: keep the rows before their column
-                rows = order[k]
+                # expand and filter: keep the rows before their column; take
+                # in "clip" mode is unbuffered, and every index is in range
+                rows = np.take(order, k, out=rows_b[:len(k)], mode="clip")
                 c = np.repeat(cells[j0:j1], cnt)
-                keep = rows < c
-                rows, c = rows[keep], c[keep]
-                gap, len1 = right[c] - right[rows], lens[rows]
+                keep = np.less(rows, c, out=keep_b[:len(k)])
+                m = np.count_nonzero(keep)
+                rows = np.compress(keep, rows, out=c_b[:m])
+                c = np.compress(keep, c, out=rows_b[:m])
+                gap = np.take(right, c, out=gap_b[:m], mode="clip")
+                gap -= np.take(right, rows, out=len_b[:m], mode="clip")
+                len1 = np.take(lens, rows, out=len_b[:m], mode="clip")
                 # pieces are nonempty, so their kept counts are one reduceat
                 kept = np.add.reduceat(keep, at[a:b] - c0, dtype=np.intp)
             else:
@@ -604,7 +624,9 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
                 len1 = lens_s[k]
             # allocated last: a step's live temporaries stay few
             scale = np.repeat(np.copysign(coef, swept[j0:j1]), cnt)
-            h = _pair_energies(gap, len1, INF, params, scale if keep is None else scale[keep])
+            if keep is not None:
+                scale = np.compress(keep, scale, out=scale_b[:len(len1)])
+            h = _pair_energies(gap, len1, INF, params, scale, out=len1)
             sums[a:b] = _segment_sums(h, kept)
         part_f.append(np.repeat(np.arange(nf), pieces))
         part_v.append(sums)
