@@ -535,11 +535,12 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
         col = row + 2 + _ragged_arange(m)
         far = np.abs(x[col] - x[row]) > radius
         row, col = row[far], col[far]
+        gap, len1 = left[col], lens[col]
+        gap -= right[row]
         part_f.append(tail_f)
-        part_v.append(_segment_sums(
-            _pair_energies(left[col] - right[row], lens[col], INF, params),
-            np.bincount(np.searchsorted(tail, row), minlength=tail.size)))
-        del row, col, far
+        part_v.append(_segment_sums(_pair_energies(gap, len1, INF, params, out=len1),
+                                    np.bincount(np.searchsorted(tail, row), minlength=tail.size)))
+        del row, col, far, gap, len1
     del left
     # the by-parts sum runs over the other cells of the finite functions
     drop = np.concatenate((tail, np.repeat(s[div], counts[div]) + _ragged_arange(counts[div])))
@@ -598,16 +599,17 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             cnt = np.minimum(unit_end[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
             k = np.repeat(unit_lo[j0:j1] - first + c0, cnt)
             k += ar[:c1 - c0]
-            keep = None
+            pick = None  # the expanded rows kept, where some are dropped
             if exact is None:
                 # expand and filter: keep the rows before their column; take
                 # in "clip" mode is unbuffered, and every index is in range
                 rows = np.take(order, k, out=rows_b[:len(k)], mode="clip")
                 c = np.repeat(cells[j0:j1], cnt)
                 keep = np.less(rows, c, out=keep_b[:len(k)])
-                m = np.count_nonzero(keep)
-                rows = np.compress(keep, rows, out=c_b[:m])
-                c = np.compress(keep, c, out=rows_b[:m])
+                pick = np.flatnonzero(keep)
+                m = len(pick)
+                rows = np.take(rows, pick, out=c_b[:m], mode="clip")
+                c = np.take(c, pick, out=rows_b[:m], mode="clip")
                 gap = np.take(right, c, out=gap_b[:m], mode="clip")
                 gap -= np.take(right, rows, out=len_b[:m], mode="clip")
                 len1 = np.take(lens, rows, out=len_b[:m], mode="clip")
@@ -617,15 +619,15 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
                 gap = np.repeat(col[j0:j1], cnt)
                 kept = kept_all[a:b]
                 if not exact[j0:j1].all():  # some units of short runs: filter
-                    keep = order[k] < np.repeat(cells[j0:j1], cnt)
-                    k, gap = k[keep], gap[keep]
-                    kept = np.diff(np.searchsorted(np.flatnonzero(keep), at[a:b + 1] - c0))
+                    pick = np.flatnonzero(order[k] < np.repeat(cells[j0:j1], cnt))
+                    k, gap = k[pick], gap[pick]
+                    kept = np.diff(np.searchsorted(pick, at[a:b + 1] - c0))
                 gap -= right_s[k]
                 len1 = lens_s[k]
             # allocated last: a step's live temporaries stay few
             scale = np.repeat(np.copysign(coef, swept[j0:j1]), cnt)
-            if keep is not None:
-                scale = np.compress(keep, scale, out=scale_b[:len(len1)])
+            if pick is not None:
+                scale = np.take(scale, pick, out=scale_b[:len(pick)], mode="clip")
             h = _pair_energies(gap, len1, INF, params, scale, out=len1)
             sums[a:b] = _segment_sums(h, kept)
         part_f.append(np.repeat(np.arange(nf), pieces))
