@@ -330,8 +330,7 @@ def _counted_bands(s, radius):
     if not np.array_equal(k, d):
         return None
     del d
-    below = np.empty(top + 2 * r + 2, dtype=k.dtype)
-    below[:r + 1] = 0
+    below = np.zeros(top + 2 * r + 2, dtype=k.dtype)
     np.cumsum(np.bincount(k), out=below[r + 1:top + r + 2])
     below[top + r + 2:] = n
     return below[k], below[k + (2 * r + 1)]

@@ -435,6 +435,18 @@ class TestPairSumEngine:
             if top >= s[-1]:
                 check(np.append(s, top))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_half_line_energies_in_place_are_the_same_bits(self, p):
+        # the pair sum's in-place form against the plain one, signed coefs
+        rng = np.random.default_rng(3)
+        gap, len1 = rng.uniform(1e-3, 5.0, 500), rng.uniform(1e-3, 5.0, 500)
+        params = EnergyParams(0.3, p)
+        coef = np.copysign(functional1d._pair_coef(params), rng.normal(size=500))
+        want = functional1d._pair_energies(gap, len1, math.inf, params, coef)
+        got = functional1d._pair_energies(gap.copy(), len1.copy(), math.inf, params, coef,
+                                          out=np.empty(500))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_counted_bands_need_exact_integers(self):
         s = np.arange(-5.0, 20.0)
         count = functional1d._counted_bands
