@@ -615,7 +615,7 @@ class TestBatchedPairSum:
     def test_integer_level_scratch_memory(self, shape, per_cell):
         # the segmented ramp and tent at delta = 1e-5 on integer levels: the
         # traced peak of the pair sum stays within per_cell bytes per cell
-        # (73 and 80 measured with numpy 2.4)
+        # (75 and 80 measured with numpy 2.4)
         delta = 1e-5
         u = vertical_segmentation(shape, delta)
         edges, vals = step_cells(u, u.domain)
