@@ -341,9 +341,11 @@ def _switch_ranges(x, counts, radius):
     of sorted-index ranges.
 
     The labels ``x`` of the functions laid end to end (``counts`` cells
-    each) are sorted once, on the keys ``function * G + label`` with G past
-    every label difference, so that no band leaks into another function,
-    and each function's labels fill the sorted indices of its cells.
+    each) are sorted once, on keys that shift each function's labels past
+    the last key of the one before by radius + 1, so that no band leaks
+    into another function, and each function's labels fill the sorted
+    indices of its cells; the keys of many functions of integer labels
+    span the sum of their label ranges and radius + 1 per join.
     Cell c's band ``[lo[c], hi[c])`` holds its non-interacting rows, from
     counts where the keys are integers over a span under 4 n
     (:func:`_counted_bands`, as on integer levels) and by search elsewhere
@@ -367,7 +369,16 @@ def _switch_ranges(x, counts, radius):
     2**31 cells.
     """
     n = len(x)
-    keys = x + np.repeat(np.arange(len(counts)) * (x.max() - x.min() + radius + 1.0), counts)
+    # each nonempty function's keys start radius + 1 past the end of the
+    # one before, and the first function's are its labels
+    shift = 0.0
+    if len(counts) > 1:
+        size = counts[counts > 0]
+        at = np.cumsum(size) - size
+        lo, hi = np.minimum.reduceat(x, at), np.maximum.reduceat(x, at)
+        base = np.cumsum(hi - lo + (radius + 1.0))  # integer labels: exact
+        shift = np.repeat(np.append(0.0, base[:-1] + lo[0] - lo[1:]), size)
+    keys = x + shift
     order = np.argsort(keys, kind="stable").astype(np.int32 if n < 1 << 31 else np.intp)
     keys = keys[order]
     lo, hi = np.empty_like(order), np.empty_like(order)
@@ -461,7 +472,8 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     more than one function the labels must be integers.  Cells i and j of
     one function interact where ``abs(x[i] - x[j]) > radius``, the one
     predicate used by every check below.  A function with two interacting
-    adjacent cells sums to +inf.
+    adjacent cells sums to +inf; that test compares neighbours
+    ``_SBP_CHUNK`` at a time into one bool array, a byte a cell.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
@@ -473,14 +485,14 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             = sum_{b = i+2}^{n} (I(i, b) - I(i, b-1)) H(i, b),
 
     with I(i, n) = 0.  The differences are nonzero only where row i
-    switches on or off.  The labels are sorted once, on the keys
-    ``function * G + label`` with G past every label difference, so that
-    no band leaks into another function; over them the non-interacting
-    rows of each column form one band, counted in integers for integer
-    labels over a short span and searched in floats otherwise, to the same
-    ranges (:func:`_counted_bands`, :func:`_bands`), and with no two
-    adjacent cells interacting, the rows that switch are two sorted-index
-    ranges per column (:func:`_switch_ranges`), of which the rows i <=
+    switches on or off.  The labels are sorted once, on keys that space
+    the functions more than the radius apart, so that no band leaks into
+    another function; over them the non-interacting rows of each column
+    form one band, counted in integers for integer labels over a short
+    span and searched in floats otherwise, to the same ranges
+    (:func:`_counted_bands`, :func:`_bands`), and with no two adjacent
+    cells interacting, the rows that switch are two sorted-index ranges
+    per column (:func:`_switch_ranges`), of which the rows i <=
     b-2, before the column, are kept.  The sort is stable, so equal labels
     lie in runs in cell order, and a band end sweeps whole runs, so the
     kept rows of a run are a prefix of it; one ``searchsorted`` on the
@@ -508,17 +520,21 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.intp)
     x = np.asarray(x, dtype=float)
     nf = len(counts)
-    # function f diverges if a jump lies among its adjacent pairs [s, e - 1);
-    # with the pairs between functions cleared, one or-reduction from each
-    # start of a function with two cells or more
+    # function f diverges if a jump lies among its adjacent pairs [s, e - 1):
+    # neighbours compared a chunk at a time into one bool array, the pairs
+    # between functions cleared, then one or-reduction from each start of a
+    # function with two cells or more
     e = np.cumsum(counts)
     s = e - counts
-    gap = np.diff(x)
-    jump = np.abs(gap, out=gap) > radius
+    jump = np.empty(max(len(x) - 1, 0), dtype=bool)
+    for a in range(0, len(jump), _SBP_CHUNK):
+        b = min(a + _SBP_CHUNK, len(jump))
+        gap = np.subtract(x[a + 1:b + 1], x[a:b])
+        np.greater(np.abs(gap, out=gap), radius, out=jump[a:b])
     jump[e[(e > 0) & (e < len(x))] - 1] = False
     div = counts > 1
     div[div] = np.logical_or.reduceat(jump, s[div])
-    del gap, jump
+    del jump
     if div.all():
         return np.full(nf, INF)
     f = np.arange(nf)

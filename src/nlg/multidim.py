@@ -183,8 +183,9 @@ def _node_cells(xs, ys, nodes: np.ndarray, delta: float, crossings, compact: boo
     """Cell blocks ``(lines, edges, levels, counts)`` of the segmented
     sections whose nodes ``(xs, ys)`` are laid end to end, ``nodes[i]`` for
     line i, each section monotone between its consecutive nodes: one
-    ``_level_cells`` call a block of about ``_SECTION_CELLS`` cells, with
-    ``crossings`` taking pieces numbered in ``xs``, merged by ``_merge_cells``.
+    ``_level_cells`` call a block of about ``_SECTION_CELLS`` cells, merged
+    by ``_merge_cells``.  ``crossings`` is the engine's callback, called a
+    chunk at a time, with pieces numbered in ``xs``.
     Integer levels; lines without a cell are left out.  A compact line, on
     level 0 at both ends like a section at the edge of a field's support,
     gets zero tails out to -+inf for the pair sum."""
@@ -407,7 +408,10 @@ class PolySection:
         ys = np.maximum(_horner(coef[owner], xs), 0.0)
         rise = ys[1:] > ys[:-1]
 
+        # one bisection a chunk of the engine: a block's short pieces share
+        # one, and a long piece, with its number passed once, has its own
         def crossings(j, values):
+            j = np.broadcast_to(j, values.shape)
             c, up = coef[owner[j]], rise[j]
             return _first_past(lambda t: (_horner(c, t) >= values) == up, xs[j], xs[j + 1])
 

@@ -156,20 +156,31 @@ def _cells_to_step(edges: np.ndarray, values: np.ndarray,
     return StepFunction1D._of_own_arrays(edges, values, tail_mode) if len(lines) else None
 
 
-# cells or crossings computed at a time by the level-cell engine, so that
-# the arithmetic on them stays in cache
+# cells and their crossings computed at a time by the level-cell engine,
+# so that the arithmetic on them stays in cache
 _CHUNK = 1 << 15
+
+# pieces of at least this many cells fill chunks of their own, their
+# numbers broadcast; shorter ones share chunks, their numbers gathered a
+# cell at a time
+_LONG_PIECE = 1 << 10
 
 
 def _level_cells(xs, ys, delta, crossings, join=False):
     """Raw cells ``(edges, values, first)`` of the exact vertical
     segmentation of a function monotone between its nodes ``(xs, ys)``,
-    piece i's start cell at ``first[i]``, then its crossings.  A piece
-    crosses one arithmetic run of levels k, judged on node values snapped
-    to their level (``_on_level``); ``crossings(piece, values)``, called
-    once, returns a new array placing each crossing of k*delta in its piece.
-    The pieces where ``join`` holds cross no level: they join functions laid
-    end to end, and their start cells belong to neither."""
+    piece i's cells from ``first[i]`` on: its start cell, then one cell
+    past each crossing.  A piece crosses one arithmetic run of levels k,
+    judged on node values snapped to their level (``_on_level``).  A start
+    cell on the level of the cell before it is left out, so that cell runs
+    on to the piece's first crossing.  The cells are filled a chunk at a
+    time, and ``crossings(piece, values)``, called once a chunk on its
+    crossings in order, returns a new array placing each crossing of
+    k*delta in its piece (one piece number, or one a crossing); the engine
+    writes them into ``edges``.  A crossing lies on the value of the cell
+    it opens on a rising piece, of the cell it closes on a falling one.
+    The pieces where ``join`` holds cross no level: they join functions
+    laid end to end, and their start cells belong to neither."""
     # grid_floor_level, with both of its candidates tested in one call: k
     # is the nearest level if the node sits on it, else the floor
     near, floor = _level_candidates(ys, delta)
@@ -188,35 +199,58 @@ def _level_cells(xs, ys, delta, crossings, join=False):
     # k0+1 .. hi1-1, a falling one hi0-1 .. k1+1
     start = k[:-1] - (fall & on[:-1])
     counts = np.maximum(np.maximum(hi[1:] - k[:-1], hi[:-1] - k[1:]) - 1, 0)
-    counts[join] = 0  # none where join is False
-    # cell c of piece i, from slot first[i] on, sits on level start[i] +
-    # step[i]*(c - first[i]); exact, as the levels are integers below 2**53.
-    # A chunk of cells at a time, with its piece's numbers broadcast where
-    # it lies in one piece
-    size = counts + 1
+    # a start cell is kept off the level the piece before ends on, and
+    # next to a join
+    own = np.ones(len(counts), dtype=bool)
+    np.not_equal(start[1:], start[:-1] + step[:-1] * counts[:-1], out=own[1:])
+    if join is not False:
+        counts[join] = 0
+        own[join] = own[1:][join[:-1]] = True
+    # cell c of piece i, from slot first[i] on, sits on level lev[i] +
+    # step[i]*(c - first[i]); exact, as the levels are integers below 2**53
+    size = counts + own
     first = size.cumsum() - size
-    values = np.empty(size.sum())
-    for a in range(0, len(values), _CHUNK):
-        cell = np.arange(a, min(a + _CHUNK, len(values)), dtype=float)
-        i = first.searchsorted(cell[[0, -1]], "right") - 1
-        i = i[0] if i[0] == i[1] else first.searchsorted(cell, "right") - 1
-        cell -= first[i]
-        cell *= step[i]
-        cell += start[i]
-        np.multiply(cell, delta, out=values[a:a + len(cell)])
-    # crossing j of a piece lies on the value of its cell j + 1 (rising) or
-    # cell j (falling): all cells but the first of a rising piece, the
-    # last of a falling one and the one of a flat one
-    skip = np.zeros(len(values), dtype=bool)
-    skip[first + fall * counts] = True
-    cut = crossings(np.arange(len(counts)).repeat(counts), values[~skip])
-    # each piece's start cell begins at its node, and the last cell ends at
-    # the last node; every other edge is a crossing
-    edges = np.empty(len(values) + 1)
-    node = np.zeros(len(edges), dtype=bool)
-    node[first] = node[-1] = True
-    edges[node] = xs
-    edges[~node] = cut
+    lev = start + step * ~own
+    n = int(first[-1] + size[-1])
+    values, edges = np.empty(n), np.empty(n + 1)
+    edges[-1] = xs[-1]
+    # a chunk of cells at a time, and the edges they open: a start cell's
+    # edge is its node, every other a crossing.  A long piece fills chunks
+    # of its own; short pieces go together, up to the next long one
+    long = np.append(first[size >= _LONG_PIECE], n)
+    a = 0
+    while a < n:
+        i = int(first.searchsorted(a, "right")) - 1
+        end = int(first[i] + size[i])
+        b = min(a + _CHUNK, end if size[i] >= _LONG_PIECE else
+                int(long[long.searchsorted(a, "right")]))
+        if b <= end:  # in one piece: its numbers broadcast
+            cell = np.arange(a - first[i], b - first[i], dtype=float)
+            cell *= step[i]
+            cell += lev[i]
+            np.multiply(cell, delta, out=values[a:b])
+            del cell  # before the crossings' temporaries
+            e = a + int(a == first[i] and own[i])
+            f = e - int(fall[i])
+            edges[a:e] = xs[i]
+            if e < b:
+                edges[e:b] = crossings(i, values[f:f + b - e])
+        else:  # one piece number a cell
+            i = first.searchsorted(np.arange(a, b), "right") - 1
+            cell = np.arange(a, b, dtype=float)
+            cell -= first[i]
+            node = (cell == 0.0) & own[i]
+            cell *= step[i]
+            cell += lev[i]
+            np.multiply(cell, delta, out=values[a:b])
+            del cell
+            e = np.flatnonzero(node)
+            edges[e + a] = xs[i[e]]
+            e = np.flatnonzero(~node)
+            i = i[e]
+            e += a
+            edges[e] = crossings(i, values[e - fall[i]])
+        a = b
     return edges, values, first
 
 
@@ -232,20 +266,11 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
                                          if u.compact_support else TailMode.DOMAIN_ONLY)
 
 
-def _pwa_crossings(xs, ys, slope, piece, values):
+def _pwa_crossings(xs, ys, slope, i, values):
     """The crossings callback of ``_level_cells`` for affine pieces from the
     nodes ``(xs, ys)`` with slopes ``slope``: xs[i] + (v - ys[i]) / slope[i],
     at most xs[i + 1]."""
-    cut = np.empty_like(values)
-    for a in range(0, len(cut), _CHUNK):
-        i, c = piece[a:a + _CHUNK], cut[a:a + _CHUNK]
-        if i[0] == i[-1]:  # pieces are in order: a chunk of one piece broadcasts
-            i = i[0]
-        np.subtract(values[a:a + _CHUNK], ys[i], out=c)
-        c /= slope[i]
-        c += xs[i]
-        np.minimum(c, xs[i + 1], out=c)
-    return cut
+    return np.minimum((values - ys[i]) / slope[i] + xs[i], xs[i + 1])
 
 
 def vertical_segmentation(u, delta: float):

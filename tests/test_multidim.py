@@ -487,7 +487,7 @@ class TestSectioningEnergy:
     def test_line_energies_do_not_depend_on_blocks_or_bands(self, u, monkeypatch):
         # a pass's line energies in blocks of one line, of about 7 cells and
         # of the default size, against every block on the float bands: the
-        # same bits; the ramp's blocks of 7 take both band paths in one pass
+        # same bits; every block takes the counted bands
         params = EnergyParams(0.1, 1.5)
         sigma, points, _, _ = multidim._line_grid(u, 8, 32)
         counted = functional1d._counted_bands
@@ -512,8 +512,36 @@ class TestSectioningEnergy:
         for block in (1, 7, multidim._SECTION_CELLS):
             paths.clear()
             assert line_energies(block, seen) == want
-            assert paths == ({True, False} if block == 7 and isinstance(u, AffineRamp)
-                             else {True})
+            assert paths == {True}
+
+    @pytest.mark.parametrize("dirs, offsets, delta", [(8, 32, 1e-3), (48, 192, 1e-2),
+                                                      (48, 192, 1e-3)])
+    def test_blocks_of_distant_lines_are_counted(self, dirs, offsets, delta, monkeypatch):
+        # a ramp's lines sit on distant level ranges; spaced by their own
+        # ranges, every block of a pass spans under 4n keys and takes the
+        # counted bands, to the line energies of the float bands
+        u = AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))
+        params = EnergyParams(delta, 1.0)
+        sigma, points, _, _ = multidim._line_grid(u, dirs, offsets)
+        counted = functional1d._counted_bands
+        paths = []
+
+        def seen(s, radius):
+            out = counted(s, radius)
+            paths.append(out is not None)
+            return out
+
+        def line_energies(bands):
+            monkeypatch.setattr(functional1d, "_counted_bands", bands)
+            energies = np.zeros(len(points))
+            lines, sections = u._sections(sigma, points)
+            for i, edges, levels, counts in sections._cells(params.delta):
+                energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
+            return [e.hex() for e in energies.tolist()]
+
+        got = line_energies(seen)
+        assert len(paths) > 1 and all(paths)
+        assert got == line_energies(lambda s, radius: None)
 
     def test_small_delta_stays_finite(self):
         # k*delta near 1 rounds by more than delta * 1e-12 below delta ~ 1e-4;

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlg import (Direction, DiscreteArrangement, EnemyList, EnergyParams,
+from nlg import (AffineRamp, Box, Direction, DiscreteArrangement, EnemyList, EnergyParams,
                  HostilityWeights, Interval, PiecewiseAffine1D, SchemaError, StepFunction1D,
-                 TailMode, TensorTent, multidim,
+                 TailMode, TensorTent, multidim, rearrange,
                  brute_force_min_hostility, clamp_values, hostility_gap,
                  left_right_gap, monotone_rearrangement,
                  monotone_rearrangement_step, multiset_permutations,
@@ -349,20 +349,72 @@ class TestVerticalSegmentation:
             sections += len(got)
         assert sections > 200
 
-    @pytest.mark.parametrize("shape", [
-        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),  # 10^5 cells
-        PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))],          # 2 * 10^5 cells
+    def test_cells_do_not_depend_on_chunks(self, rng, monkeypatch):
+        # segmentations and section cells, bit for bit, with the level-cell
+        # engine's chunks of 1, 7 and the default size, and with every piece
+        # long (chunks of its own) or at the default length
+        cases = []
+        for trial in range(300):
+            delta = float(rng.choice((0.5, 0.1, 1 / 3, 0.013, 0.07)))
+            cases.append((_random_pwa(rng, delta, compact=trial % 2 == 0), delta))
+        cases += [
+            # 7 cells, a flat piece from slot 7 on, a falling one from slot
+            # 8, and a rising one whose start cell is the falling one's last
+            (PiecewiseAffine1D(((0.0, 0.0), (1.0, 0.7), (2.0, 0.7), (3.0, -0.7), (4.0, 0.0)),
+                               compact_support=False), 0.1),
+            # short pieces, then a long one
+            (PiecewiseAffine1D(((0.0, 0.0), (0.1, 0.3), (0.2, 0.1), (0.3, 0.35), (1.3, 1.5),
+                                (1.4, 0.0))), 1e-3),
+            (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))), 5e-4),
+            (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False), 5e-4)]
+        fields = [(AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5))), 0.05),
+                  (TensorTent((0.1, -0.2), (0.9, 0.6), 1.0), 0.1)]
+
+        def cells():
+            out = [_hex(vertical_segmentation(u, delta)) for u, delta in cases]
+            for u, delta in fields:
+                sigma, points, _, _ = multidim._line_grid(u, 8, 8)
+                for block in u._sections(sigma, points)[1]._cells(delta):
+                    out.append([(a.dtype.str, a.tobytes()) for a in block])  # bit for bit
+            return out
+
+        want = cells()
+        for chunk, long in itertools.product((1, 7, rearrange._CHUNK),
+                                             (1, rearrange._LONG_PIECE)):
+            monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+            monkeypatch.setattr(rearrange, "_LONG_PIECE", long)
+            assert cells() == want, (chunk, long)
+
+    @pytest.mark.parametrize("shape, bound", [
+        (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False), 23.5),  # 10^5 cells
+        (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))), 20.5)],  # 2 * 10^5 cells
         ids=["ramp", "tent"])
-    def test_segmentation_scratch_memory(self, shape):
+    def test_segmentation_scratch_memory(self, shape, bound):
         # at delta = 1e-5 the traced peak of the segmentation, its result
-        # included, stays within 40 bytes per cell
+        # included: 16 bytes a cell for the result, one chunk's cells and
+        # crossings, and a few bool arrays
         tracemalloc.start()
         try:
             u = vertical_segmentation(shape, 1e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * len(u.values)
+        assert peak <= bound * len(u.values)
+
+    def test_divergence_test_scratch_memory(self):
+        # the 10^5-cell ramp at delta = 1e-5 diverges (k*delta rounds past
+        # the guard); finding it compares neighbours a chunk at a time into
+        # one bool array: at most 5 bytes a cell past the segmentation
+        ramp = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False)
+        u = vertical_segmentation(ramp, 1e-5)
+        tracemalloc.start()
+        try:
+            energy = step_energy(u, None, EnergyParams(1e-5, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == math.inf
+        assert peak <= 5 * len(u.values)
 
     def test_end_node_on_a_level_adds_no_cell(self):
         # the crossing of the end node's level lands on or an ulp before
