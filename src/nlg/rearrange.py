@@ -269,7 +269,8 @@ def _segment_pwa(u: PiecewiseAffine1D, delta: float) -> StepFunction1D:
 def _pwa_crossings(xs, ys, slope, i, values):
     """The crossings callback of ``_level_cells`` for affine pieces from the
     nodes ``(xs, ys)`` with slopes ``slope``: xs[i] + (v - ys[i]) / slope[i],
-    at most xs[i + 1]."""
+    at most xs[i + 1], for one chunk's crossings, ``i`` one piece number
+    broadcast over them or one a crossing."""
     return np.minimum((values - ys[i]) / slope[i] + xs[i], xs[i + 1])
 
 
