@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -123,14 +122,55 @@ def cmd_hostility(args) -> int:
 FUZZ_BLOCK = 2048  # arrangements per batch: bounds the temporary arrays of one n
 
 
+def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
+    """Every arrangement of n = 1 .. n_max positions over species
+    0 .. species - 1, FUZZ_BLOCK rows at a time, with the gap counts of
+    the rows, of their sorted rows and of their reduced rows.
+
+    Arrangement i of n holds the base-``species`` digits of i, most
+    significant first (``np.ndindex`` order), so a row's index is
+    ``row @ power``.  Each n keeps one table of the gap counts of all its
+    arrangements by index, n bytes an arrangement (the smallest unsigned
+    type that holds n).  ``hostile_gap_counts`` runs on each block's own
+    rows only.  A sorted row is the smallest permutation of its row, so
+    its index is no larger and its counts are already in the table; a
+    reduced row's counts are in the table of n - 1, which is freed once
+    n is done.
+
+    Yields ``(n, first, u, cu, mu, cm, ru, cr)``: the block's first
+    index, its rows and their counts, the sorted rows and theirs, and the
+    reduced rows and theirs (None at n = 1); counts are float64.
+    """
+    prev = None
+    for n in range(1, n_max + 1):
+        power = np.array([species ** e for e in range(n - 1, -1, -1)])
+        total = species ** n
+        # zeros, not empty: a broken sort that looks ahead reads no garbage
+        table = np.zeros((total, n), dtype=np.min_scalar_type(n))
+        for first in range(0, total, FUZZ_BLOCK):
+            index = np.arange(first, min(first + FUZZ_BLOCK, total))
+            u = index[:, None] // power % species
+            cu = hostile_gap_counts(enemies, u)
+            table[first:first + len(u)] = cu
+            mu = monotone_rearrangement(u)
+            cm = table[mu @ power].astype(float)
+            ru = cr = None
+            if n >= 2:
+                ru, _ = reduce_arrangement(u)
+                cr = prev[ru @ power[1:]].astype(float)
+            yield n, first, u, cu, mu, cm, ru, cr
+        prev = table
+
+
 def cmd_fuzz(args) -> int:
     """Rearrangement property suite: sorting minimizes, gaps match, M and R commute.
 
     Every arrangement of n positions over species 0 .. species_max - 1 is
-    checked, for n = 1 .. n_max, as rows of FUZZ_BLOCK-row integer arrays
-    in ``np.ndindex`` order.
+    checked, for n = 1 .. n_max, as the FUZZ_BLOCK-row integer arrays of
+    :func:`_fuzz_blocks`, which computes the gap counts of each
+    arrangement once and looks up those of the sorted and reduced rows.
     """
-    for flag in ("n_max", "species_max", "trials"):
+    for flag in ("n_max", "species_max", "trials", "k"):
         if getattr(args, flag) < 1:
             print(f"error: need --{flag.replace('_', '-')} >= 1", file=sys.stderr)
             return 2
@@ -139,33 +179,27 @@ def cmd_fuzz(args) -> int:
     checked = 0
     violations = 0
     tol = 1e-12
-    for n in range(1, args.n_max + 1):
-        h_batch = np.stack([np.sort(rng.random(n))[::-1] for _ in range(args.trials)])
-        weights = HostilityWeights(tuple(h_batch[0]))
-        h_cols = np.ascontiguousarray(h_batch.T)  # BLAS-ready, one column per trial
-        shape = (args.species_max,) * n
-        total = math.prod(shape)
-        for first in range(0, total, FUZZ_BLOCK):
-            index = np.arange(first, min(first + FUZZ_BLOCK, total))
-            u = np.stack(np.unravel_index(index, shape), axis=1)
-            mu = monotone_rearrangement(u)
-            cu = hostile_gap_counts(enemies, u)
-            hu = cu @ h_cols
-            hm = hostile_gap_counts(enemies, mu) @ h_cols
-            checked += len(u) * args.trials
-            violations += int(np.sum(hu < hm - tol))
-            if n >= 2:
-                # gap formula against the two-evaluation difference
-                ru, _ = reduce_arrangement(u)
-                direct = hu[:, 0] - hostile_gap_counts(enemies, ru) @ h_batch[0, :-1]
-                gap = hostility_gap(weights, enemies, u)
-                close = np.abs(gap - direct) <= np.maximum(
-                    tol * np.maximum(np.abs(gap), np.abs(direct)), tol)
-                # commutation of rearrangement and reduction
-                commute = np.all(monotone_rearrangement(ru) == reduce_arrangement(mu)[0],
-                                 axis=1)
-                checked += 2 * len(u)
-                violations += int(np.sum(~close)) + int(np.sum(~commute))
+    for n, first, u, cu, mu, cm, ru, cr in _fuzz_blocks(enemies, args.n_max,
+                                                         args.species_max):
+        if first == 0:  # weights drawn once per n, in the order of n
+            h_batch = np.stack([np.sort(rng.random(n))[::-1] for _ in range(args.trials)])
+            weights = HostilityWeights(tuple(h_batch[0]))
+            h_cols = np.ascontiguousarray(h_batch.T)  # BLAS-ready, one column per trial
+        hu = cu @ h_cols
+        hm = cm @ h_cols
+        checked += len(u) * args.trials
+        violations += int(np.sum(hu < hm - tol))
+        if n >= 2:
+            # gap formula against the two-evaluation difference
+            direct = hu[:, 0] - cr @ h_batch[0, :-1]
+            gap = hostility_gap(weights, enemies, u)
+            close = np.abs(gap - direct) <= np.maximum(
+                tol * np.maximum(np.abs(gap), np.abs(direct)), tol)
+            # commutation of rearrangement and reduction
+            commute = np.all(monotone_rearrangement(ru) == reduce_arrangement(mu)[0],
+                             axis=1)
+            checked += 2 * len(u)
+            violations += int(np.sum(~close)) + int(np.sum(~commute))
     print("checked,violations")
     print(f"{checked},{violations}")
     return 0 if violations == 0 else 1

@@ -318,7 +318,12 @@ def _as_rows(u) -> np.ndarray:
     it is: the discrete operations below take either and treat the
     arrangement as the one-row case."""
     if isinstance(u, DiscreteArrangement):
-        return np.array([u.species])  # int64, or object for huge species
+        # int64, or object for species past it: numpy would pick uint64,
+        # or float64 where such species mix with negative or small ones
+        try:
+            return np.array([u.species], dtype=np.int64)
+        except OverflowError:
+            return np.array([u.species], dtype=object)
     rows = np.asarray(u)
     if rows.ndim != 2 or rows.shape[1] < 1 or not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"need a DiscreteArrangement or an (m, n) integer array "
@@ -327,7 +332,22 @@ def _as_rows(u) -> np.ndarray:
 
 
 def _ranks(enemies: EnemyList, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank array of the rows and the hostility table of the ranks."""
+    """Rank array of the rows and the hostility table of the ranks.
+
+    Integer rows whose species span under 4 times their size are ranked
+    by counting, as :func:`functional1d._counted_bands` does: one
+    ``bincount`` marks the species present, its ``cumsum`` is the rank of
+    each, and one gather ranks the rows.  Rows with species past int64
+    (object rows, or uint64 ones) and wider spans go through
+    ``np.unique``.  Ranks and table are the same either way.
+    """
+    if rows.size and rows.dtype != object:
+        lo, hi = int(rows.min()), int(rows.max())
+        if hi - lo < 4 * rows.size and hi < 2 ** 63:
+            k = rows.astype(np.int64, copy=False) - lo
+            present = np.bincount(k.ravel()) > 0
+            values = (np.flatnonzero(present) + lo).tolist()
+            return (np.cumsum(present) - 1)[k], enemies.table(values)
     values, ranks = np.unique(rows, return_inverse=True)
     return ranks.reshape(rows.shape), enemies.table(values.tolist())
 

@@ -8,8 +8,9 @@ import pytest
 
 import nlg.cli
 import nlg.multidim
-from nlg import EnergyParams
+from nlg import EnemyList, EnergyParams
 from nlg.cli import main
+from nlg.rearrange import hostile_gap_counts, reduce_arrangement
 
 
 def run_cli(capsys, *args):
@@ -210,7 +211,8 @@ def test_fuzz_flat_weights_tie_handling(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-1"),
-                                        ("--n-max", "0"), ("--species-max", "0")])
+                                        ("--n-max", "0"), ("--species-max", "0"),
+                                        ("--k", "0"), ("--k", "-3")])
 def test_fuzz_rejects_counts_below_one(capsys, flag, value):
     args = {"--n-max": "3", "--species-max": "2", "--trials": "2", flag: value}
     code, out, err = run_cli(capsys, "fuzz", *[a for kv in args.items() for a in kv])
@@ -219,7 +221,8 @@ def test_fuzz_rejects_counts_below_one(capsys, flag, value):
 
 
 @pytest.mark.parametrize("n_max,species,trials,k", [
-    (4, 3, 10, 1), (5, 1, 3, 1), (3, 4, 1, 2), (1, 5, 2, 3), (6, 2, 1, 1)])
+    (4, 3, 10, 1), (5, 1, 3, 1), (3, 4, 1, 2), (1, 5, 2, 3), (6, 2, 1, 1),
+    (70, 1, 2, 1)])  # past numpy's 64 array dimensions
 def test_fuzz_checked_count(capsys, n_max, species, trials, k):
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", str(n_max), "--species-max",
                            str(species), "--k", str(k), "--trials", str(trials))
@@ -236,12 +239,37 @@ def _scale_gap(fn):
 
 
 @pytest.mark.parametrize("name,breaker", [("monotone_rearrangement", _roll_rows),
-                                          ("hostility_gap", _scale_gap)])
+                                          ("hostility_gap", _scale_gap),
+                                          ("hostile_gap_counts", _scale_gap)])
 def test_fuzz_catches_broken_operations(capsys, monkeypatch, name, breaker):
     monkeypatch.setattr(nlg.cli, name, breaker(getattr(nlg.cli, name)))
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max", "3",
                            "--k", "1", "--trials", "3", "--seed", "5")
     assert code == 1 and int(out.splitlines()[1].split(",")[1]) > 0
+
+
+@pytest.mark.parametrize("block", [7, nlg.cli.FUZZ_BLOCK])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("species", [1, 2, 3, 4])
+def test_fuzz_looked_up_counts_match_direct(monkeypatch, species, k, block):
+    # the sorted and reduced rows' counts come from the tables of n and
+    # n - 1; each must equal the counts computed on that row directly
+    monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", block)
+    enemies = EnemyList.band_complement(k)
+    seen = {}
+    for n, first, u, cu, mu, cm, ru, cr in nlg.cli._fuzz_blocks(enemies, 6, species):
+        index = np.arange(first, first + len(u))
+        assert np.array_equal(u, np.stack(np.unravel_index(index, (species,) * n), axis=1))
+        assert np.array_equal(cu, hostile_gap_counts(enemies, u))
+        assert np.array_equal(mu, np.sort(u, axis=1))
+        assert cm.dtype == float and np.array_equal(cm, hostile_gap_counts(enemies, mu))
+        if n == 1:
+            assert ru is None and cr is None
+        else:
+            assert np.array_equal(ru, reduce_arrangement(u)[0])
+            assert cr.dtype == float and np.array_equal(cr, hostile_gap_counts(enemies, ru))
+        seen[n] = seen.get(n, 0) + len(u)
+    assert seen == {n: species ** n for n in range(1, 7)}
 
 
 def test_converge_recovery_ramp(capsys):

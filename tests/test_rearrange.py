@@ -748,6 +748,29 @@ ROW_CASES = [
 ]
 
 
+@st.composite
+def ranked_rows(draw):
+    """Integer rows of a drawn dtype whose species span exactly a drawn
+    width: 0, the counting cut 4 * size and the width just under it among
+    them, anywhere in the dtype's range."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.uint64]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    size = m * n
+    span = 0 if size == 1 else draw(st.one_of(
+        st.sampled_from([4 * size - 1, 4 * size]), st.integers(0, 5 * size)))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(int(info.min), int(info.max) - span))
+    offsets = draw(st.lists(st.integers(0, span), min_size=size, max_size=size))
+    at_lo, at_hi = draw(st.permutations(range(size)))[:2] if size > 1 else (0, 0)
+    offsets[at_lo], offsets[at_hi] = 0, span
+    return np.array([lo + v for v in offsets], dtype=dtype).reshape(m, n)
+
+
+def _unique_ranks(enemies, rows):
+    values, ranks = np.unique(rows, return_inverse=True)
+    return ranks.reshape(rows.shape), enemies.table(values.tolist())
+
+
 class TestRowArrays:
     """The (m, n) array forms against the scalar oracle and the one-row form."""
 
@@ -813,6 +836,43 @@ class TestRowArrays:
         assert monotone_rearrangement(u).species == (-5, 2 ** 70, 2 ** 70 + 1)
         assert reduce_arrangement(u) == (DiscreteArrangement((2 ** 70, -5)), 3)
         assert hostile_gap_counts(E1, u).tolist() == [0.0, 2.0, 0.0]
+        # species past 2**63 among small ones made lossy float64 rows
+        u = DiscreteArrangement((2 ** 63 + 1000, 2 ** 63 + 3, 1))
+        assert hostile_gap_counts(E1, u).tolist() == [0.0, 2.0, 1.0]
+
+    @settings(max_examples=300)
+    @given(ranked_rows(), st.sampled_from([e for e, _ in ROW_CASES]))
+    def test_counted_ranks_match_unique(self, rows, enemies):
+        ranks, table = rearrange._ranks(enemies, rows)
+        want_ranks, want_table = _unique_ranks(enemies, rows)
+        assert ranks.dtype == want_ranks.dtype and np.array_equal(ranks, want_ranks)
+        assert table.dtype == want_table.dtype and np.array_equal(table, want_table)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.integers(-3, 8), st.integers(2 ** 63 - 2, 2 ** 63 + 2),
+                              st.integers(-2 ** 70, 2 ** 70)), min_size=1, max_size=6))
+    def test_one_arrangement_ranks_match_unique(self, species):
+        u = DiscreteArrangement(tuple(species))
+        rows = rearrange._as_rows(u)
+        huge = not all(-2 ** 63 <= v < 2 ** 63 for v in species)
+        assert rows.dtype == (object if huge else np.int64) and rows.tolist() == [species]
+        for enemies, _ in ROW_CASES:
+            ranks, table = rearrange._ranks(enemies, rows)
+            want_ranks, want_table = _unique_ranks(enemies, rows)
+            assert np.array_equal(ranks, want_ranks) and np.array_equal(table, want_table)
+        h = HostilityWeights(tuple(1.0 / (1 + g) for g in range(len(species))))
+        assert hostile_gap_counts(E1, u) @ np.asarray(h.h) \
+            == pytest.approx(total_hostility(h, E1, u), rel=1e-12)
+
+    @pytest.mark.parametrize("span,counted", [(4 * 6 - 1, True), (4 * 6, False)])
+    def test_ranks_count_spans_under_four_sizes(self, monkeypatch, span, counted):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        rows = np.array([[-7, 0, 2], [-7 + span, 2, 0]])
+        ranks, table = rearrange._ranks(E1, rows)
+        assert ranks.tolist() == [[0, 1, 2], [3, 2, 1]] and table.shape == (4, 4)
+        assert calls == ([] if counted else [1])
 
     def test_bad_rows(self):
         for bad in (np.array([1, 2]), np.zeros((2, 3)), np.zeros((2, 0), dtype=int)):
