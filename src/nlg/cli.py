@@ -138,8 +138,9 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
     n is done.
 
     Yields ``(n, first, u, cu, mu, cm, ru, cr)``: the block's first
-    index, its rows and their counts, the sorted rows and theirs, and the
-    reduced rows and theirs (None at n = 1); counts are float64.
+    index; its rows ``u``, sorted rows ``mu`` and reduced rows ``ru``
+    (None at n = 1); and their gap counts, ``cu`` computed (float64),
+    ``cm`` and ``cr`` looked up (in the table's type).
     """
     prev = None
     for n in range(1, n_max + 1):
@@ -153,11 +154,11 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
             cu = hostile_gap_counts(enemies, u)
             table[first:first + len(u)] = cu
             mu = monotone_rearrangement(u)
-            cm = table[mu @ power].astype(float)
+            cm = table[mu @ power]
             ru = cr = None
             if n >= 2:
                 ru, _ = reduce_arrangement(u)
-                cr = prev[ru @ power[1:]].astype(float)
+                cr = prev[ru @ power[1:]]
             yield n, first, u, cu, mu, cm, ru, cr
         prev = table
 
@@ -186,12 +187,11 @@ def cmd_fuzz(args) -> int:
             weights = HostilityWeights(tuple(h_batch[0]))
             h_cols = np.ascontiguousarray(h_batch.T)  # BLAS-ready, one column per trial
         hu = cu @ h_cols
-        hm = cm @ h_cols
         checked += len(u) * args.trials
-        violations += int(np.sum(hu < hm - tol))
+        violations += int(np.sum(hu < cm.astype(float) @ h_cols - tol))
         if n >= 2:
             # gap formula against the two-evaluation difference
-            direct = hu[:, 0] - cr @ h_batch[0, :-1]
+            direct = hu[:, 0] - cr.astype(float) @ h_batch[0, :-1]
             gap = hostility_gap(weights, enemies, u)
             close = np.abs(gap - direct) <= np.maximum(
                 tol * np.maximum(np.abs(gap), np.abs(direct)), tol)

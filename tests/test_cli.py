@@ -262,12 +262,12 @@ def test_fuzz_looked_up_counts_match_direct(monkeypatch, species, k, block):
         assert np.array_equal(u, np.stack(np.unravel_index(index, (species,) * n), axis=1))
         assert np.array_equal(cu, hostile_gap_counts(enemies, u))
         assert np.array_equal(mu, np.sort(u, axis=1))
-        assert cm.dtype == float and np.array_equal(cm, hostile_gap_counts(enemies, mu))
+        assert np.array_equal(cm, hostile_gap_counts(enemies, mu))
         if n == 1:
             assert ru is None and cr is None
         else:
             assert np.array_equal(ru, reduce_arrangement(u)[0])
-            assert cr.dtype == float and np.array_equal(cr, hostile_gap_counts(enemies, ru))
+            assert np.array_equal(cr, hostile_gap_counts(enemies, ru))
         seen[n] = seen.get(n, 0) + len(u)
     assert seen == {n: species ** n for n in range(1, 7)}
 
