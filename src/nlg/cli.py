@@ -22,9 +22,10 @@ from .functional1d import EnergyParams, local_energy, step_energy
 from .multidim import (RadialTent, _check_montecarlo_counts, _check_sectioning,
                        _sectioning_pass, energy_by_montecarlo)
 from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
-from .rearrange import (hostile_gap_counts, hostility_gap, monotone_rearrangement,
-                        monotone_rearrangement_step, reduce_arrangement,
-                        total_hostility, vertical_segmentation)
+from .rearrange import (_hostile, monotone_rearrangement, monotone_rearrangement_step,
+                        reduce_arrangement, total_hostility, vertical_segmentation)
+# not called here: perfbench's tracer rebinds them in this module
+from .rearrange import hostile_gap_counts, hostility_gap  # noqa: F401
 
 
 def _fmt(x: float) -> str:
@@ -122,45 +123,93 @@ def cmd_hostility(args) -> int:
 FUZZ_BLOCK = 2048  # arrangements per batch: bounds the temporary arrays of one n
 
 
+def _last_pairs(hostile: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """last[r, g] = 1 where positions n - 1 - g and n - 1 of row r hold
+    hostile species: the pairs that the last position adds to the row's
+    prefix, by gap (its self-pair at gap 0)."""
+    return _hostile(hostile, u[:, ::-1], u[:, -1:])
+
+
+def _own_counts(hostile: np.ndarray, u: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """own[r, d]: hostile partners of position m0[r] of row r at distance d
+    (itself at d = 0), one gather and one ``bincount``."""
+    m, n = u.shape
+    partner = _hostile(hostile, u, u[np.arange(m), m0][:, None]).astype(bool)
+    slot = np.arange(m)[:, None] * n + np.abs(np.arange(n) - m0[:, None])
+    return np.bincount(slot[partner], minlength=m * n).reshape(m, n)
+
+
+def _straddles(prefix: np.ndarray, last: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """straddle[r, g]: hostile pairs i < m0[r] < i + g of row r.
+
+    A row whose maximum sits left of its last position removes the same
+    m0 as its prefix, so its straddles are the prefix's row ``prefix``
+    plus the last position's pairs (i, n - 1) with i < m0; nothing
+    straddles a last position."""
+    n = last.shape[1]
+    out = np.zeros_like(last)
+    out[:, :-1] = prefix
+    out += last * (np.arange(n - 1, -1, -1) < m0[:, None])
+    out *= (m0 < n - 1)[:, None]
+    return out
+
+
 def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
     """Every arrangement of n = 1 .. n_max positions over species
     0 .. species - 1, FUZZ_BLOCK rows at a time, with the gap counts of
-    the rows, of their sorted rows and of their reduced rows.
+    the rows, of their sorted rows and of their reduced rows, and the
+    terms of the gap formula.
 
     Arrangement i of n holds the base-``species`` digits of i, most
     significant first (``np.ndindex`` order), so a row's index is
-    ``row @ power``.  Each n keeps one table of the gap counts of all its
-    arrangements by index, n bytes an arrangement (the smallest unsigned
-    type that holds n).  ``hostile_gap_counts`` runs on each block's own
-    rows only.  A sorted row is the smallest permutation of its row, so
-    its index is no larger and its counts are already in the table; a
-    reduced row's counts are in the table of n - 1, which is freed once
-    n is done.
+    ``row @ power``, and its first n - 1 positions are arrangement
+    i // species of n - 1.  Each n keeps two tables by index, n bytes an
+    arrangement each (the smallest unsigned type that holds n): the gap
+    counts, and the straddle counts of the reduction.  A row's counts are
+    its prefix's row of the n - 1 table plus the last position's pairs
+    (j, n - 1), at gap n - 1 - j (:func:`_last_pairs`): O(n) pairs a row.
+    Its straddles come from the n - 1 straddle table the same way
+    (:func:`_straddles`), and the removed position's own partners from
+    one gather (:func:`_own_counts`).  A sorted row is the smallest
+    permutation of its row, so its index is no larger and its counts are
+    already in the table; a reduced row's counts are in the table of
+    n - 1.  The n - 1 tables are freed once n is done.
 
-    Yields ``(n, first, u, cu, mu, cm, ru, cr)``: the block's first
-    index; its rows ``u``, sorted rows ``mu`` and reduced rows ``ru``
-    (None at n = 1); and their gap counts, ``cu`` computed (float64),
-    ``cm`` and ``cr`` looked up (in the table's type).
+    Yields ``(n, first, u, cu, mu, cm, ru, cr, own, su)``: the block's
+    first index; its rows ``u``, sorted rows ``mu`` and reduced rows
+    ``ru``; their gap counts ``cu``, ``cm`` and ``cr`` (in the table's
+    type); and the removed position's own counts ``own`` and the
+    straddle counts ``su``, both by gap.  ``ru``, ``cr``, ``own`` and
+    ``su`` are None at n = 1.
     """
-    prev = None
+    hostile = enemies.table(range(species)).astype(np.uint8)
+    prev = prev_straddle = None
     for n in range(1, n_max + 1):
         power = np.array([species ** e for e in range(n - 1, -1, -1)])
         total = species ** n
         # zeros, not empty: a broken sort that looks ahead reads no garbage
         table = np.zeros((total, n), dtype=np.min_scalar_type(n))
+        straddle = np.zeros_like(table)
         for first in range(0, total, FUZZ_BLOCK):
             index = np.arange(first, min(first + FUZZ_BLOCK, total))
             u = index[:, None] // power % species
-            cu = hostile_gap_counts(enemies, u)
-            table[first:first + len(u)] = cu
-            mu = monotone_rearrangement(u)
-            cm = table[mu @ power]
-            ru = cr = None
+            last = _last_pairs(hostile, u)
+            cu = table[first:first + len(u)]
+            cu += last
+            ru = cr = own = su = None
             if n >= 2:
-                ru, _ = reduce_arrangement(u)
-                cr = prev[ru @ power[1:]]
-            yield n, first, u, cu, mu, cm, ru, cr
-        prev = table
+                prefix = index // species
+                cu[:, :-1] += prev.take(prefix, axis=0)
+                ru, m0 = reduce_arrangement(u)
+                m0 -= 1
+                cr = prev.take(ru @ power[1:], axis=0)
+                own = _own_counts(hostile, u, m0)
+                su = straddle[first:first + len(u)]
+                su[:] = _straddles(prev_straddle.take(prefix, axis=0), last, m0)
+            mu = monotone_rearrangement(u)
+            cm = table.take(mu @ power, axis=0)
+            yield n, first, u, cu, mu, cm, ru, cr, own, su
+        prev, prev_straddle = table, straddle
 
 
 def cmd_fuzz(args) -> int:
@@ -168,8 +217,14 @@ def cmd_fuzz(args) -> int:
 
     Every arrangement of n positions over species 0 .. species_max - 1 is
     checked, for n = 1 .. n_max, as the FUZZ_BLOCK-row integer arrays of
-    :func:`_fuzz_blocks`, which computes the gap counts of each
-    arrangement once and looks up those of the sorted and reduced rows.
+    :func:`_fuzz_blocks`, which builds each arrangement's gap counts from
+    its prefix's and looks up those of the sorted and reduced rows.  The
+    sort check draws ``--trials`` nonincreasing weight vectors per n.  The
+    gap formula is checked exactly, gap by gap in integers:
+    ``c(u) - c(reduce u) == own_g + S_g - S_{g+1}``, with own_g the
+    removed position's hostile partners at distance g and S_g the hostile
+    pairs at gap g that straddle it.  The gap is linear in the weights,
+    so this holds for every nonincreasing h.
     """
     for flag in ("n_max", "species_max", "trials", "k"):
         if getattr(args, flag) < 1:
@@ -180,26 +235,25 @@ def cmd_fuzz(args) -> int:
     checked = 0
     violations = 0
     tol = 1e-12
-    for n, first, u, cu, mu, cm, ru, cr in _fuzz_blocks(enemies, args.n_max,
-                                                         args.species_max):
+    for n, first, u, cu, mu, cm, ru, cr, own, su in _fuzz_blocks(
+            enemies, args.n_max, args.species_max):
         if first == 0:  # weights drawn once per n, in the order of n
-            h_batch = np.stack([np.sort(rng.random(n))[::-1] for _ in range(args.trials)])
-            weights = HostilityWeights(tuple(h_batch[0]))
-            h_cols = np.ascontiguousarray(h_batch.T)  # BLAS-ready, one column per trial
-        hu = cu @ h_cols
+            # one nonincreasing vector per trial, each a column: BLAS-ready
+            h_cols = np.ascontiguousarray(np.sort(rng.random((args.trials, n)), axis=1).T[::-1])
         checked += len(u) * args.trials
-        violations += int(np.sum(hu < cm.astype(float) @ h_cols - tol))
+        violations += int(np.sum(cu.astype(float) @ h_cols
+                                 < cm.astype(float) @ h_cols - tol))
         if n >= 2:
-            # gap formula against the two-evaluation difference
-            direct = hu[:, 0] - cr.astype(float) @ h_batch[0, :-1]
-            gap = hostility_gap(weights, enemies, u)
-            close = np.abs(gap - direct) <= np.maximum(
-                tol * np.maximum(np.abs(gap), np.abs(direct)), tol)
+            # gap formula: c(u)_g == c(reduce u)_g + own_g + S_g - S_{g+1}
+            gained = own + su
+            gained[:, :-1] += cr
+            gained[:, :-1] -= su[:, 1:]
+            exact = np.all(gained == cu, axis=1)
             # commutation of rearrangement and reduction
             commute = np.all(monotone_rearrangement(ru) == reduce_arrangement(mu)[0],
                              axis=1)
             checked += 2 * len(u)
-            violations += int(np.sum(~close)) + int(np.sum(~commute))
+            violations += int(np.sum(~exact)) + int(np.sum(~commute))
     print("checked,violations")
     print(f"{checked},{violations}")
     return 0 if violations == 0 else 1

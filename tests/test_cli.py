@@ -10,7 +10,9 @@ import nlg.cli
 import nlg.multidim
 from nlg import EnemyList, EnergyParams
 from nlg.cli import main
-from nlg.rearrange import hostile_gap_counts, reduce_arrangement
+from nlg.rearrange import hostile_gap_counts, hostility_gap, reduce_arrangement
+
+from conftest import random_nonincreasing_weights
 
 
 def run_cli(capsys, *args):
@@ -234,13 +236,36 @@ def _roll_rows(fn):
     return lambda u: np.roll(fn(u), 1, axis=1)
 
 
-def _scale_gap(fn):
-    return lambda *a: fn(*a) * (1.0 + 1e-9)
+def _drop_last_pair(fn):
+    # the pair of the first and the last position goes missing
+    def broken(hostile, u):
+        last = fn(hostile, u)
+        last[:, -1] = 0
+        return last
+    return broken
+
+
+def _one_more_at(fn, gap):
+    def broken(*args):
+        counts = fn(*args)
+        counts[:, gap] += 1
+        return counts
+    return broken
+
+
+def _self_counted(fn):
+    # the removed position counted as its own hostile partner
+    return _one_more_at(fn, 0)
+
+
+def _one_more_widest_straddle(fn):
+    return _one_more_at(fn, -1)
 
 
 @pytest.mark.parametrize("name,breaker", [("monotone_rearrangement", _roll_rows),
-                                          ("hostility_gap", _scale_gap),
-                                          ("hostile_gap_counts", _scale_gap)])
+                                          ("_last_pairs", _drop_last_pair),
+                                          ("_own_counts", _self_counted),
+                                          ("_straddles", _one_more_widest_straddle)])
 def test_fuzz_catches_broken_operations(capsys, monkeypatch, name, breaker):
     monkeypatch.setattr(nlg.cli, name, breaker(getattr(nlg.cli, name)))
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max", "3",
@@ -248,28 +273,82 @@ def test_fuzz_catches_broken_operations(capsys, monkeypatch, name, breaker):
     assert code == 1 and int(out.splitlines()[1].split(",")[1]) > 0
 
 
+def _own_and_straddles_loop(u, k):
+    """Pair by pair, over all rows at once: the hostile partners of each
+    row's rightmost maximum by distance, and the hostile pairs i < m0 < j
+    that straddle it by gap."""
+    m, n = u.shape
+    m0 = np.where(u == u.max(axis=1, keepdims=True), np.arange(n), -1).max(axis=1)
+    own = np.zeros((m, n), dtype=np.int64)
+    straddle = np.zeros((m, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            hostile = np.abs(u[:, i] - u[:, j]) > k
+            own[:, j - i] += hostile & ((i == m0) | (j == m0))
+            straddle[:, j - i] += hostile & (i < m0) & (m0 < j)
+    return own, straddle
+
+
 @pytest.mark.parametrize("block", [7, nlg.cli.FUZZ_BLOCK])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("species", [1, 2, 3, 4])
 def test_fuzz_looked_up_counts_match_direct(monkeypatch, species, k, block):
-    # the sorted and reduced rows' counts come from the tables of n and
-    # n - 1; each must equal the counts computed on that row directly
+    # the counts of a row come from its prefix's row and those of its sorted
+    # and reduced rows from the tables of n and n - 1; each must equal the
+    # counts computed on that row directly.  The gap formula's terms must
+    # equal a pair loop, and give hostility_gap's float value.
     monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", block)
     enemies = EnemyList.band_complement(k)
+    rng = np.random.default_rng(species * 10 + k)
     seen = {}
-    for n, first, u, cu, mu, cm, ru, cr in nlg.cli._fuzz_blocks(enemies, 6, species):
+    for n, first, u, cu, mu, cm, ru, cr, own, su in nlg.cli._fuzz_blocks(enemies, 6,
+                                                                       species):
         index = np.arange(first, first + len(u))
         assert np.array_equal(u, np.stack(np.unravel_index(index, (species,) * n), axis=1))
         assert np.array_equal(cu, hostile_gap_counts(enemies, u))
         assert np.array_equal(mu, np.sort(u, axis=1))
         assert np.array_equal(cm, hostile_gap_counts(enemies, mu))
         if n == 1:
-            assert ru is None and cr is None
+            assert ru is None and cr is None and own is None and su is None
         else:
             assert np.array_equal(ru, reduce_arrangement(u)[0])
             assert np.array_equal(cr, hostile_gap_counts(enemies, ru))
+            want_own, want_straddle = _own_and_straddles_loop(u, k)
+            assert np.array_equal(own, want_own)
+            assert np.array_equal(su, want_straddle)
+            h = random_nonincreasing_weights(rng, n)
+            w = np.asarray(h.h)
+            terms = own @ w - su[:, 2:] @ (w[1:-1] - w[2:])
+            gap = hostility_gap(h, enemies, u)
+            assert np.all(np.abs(terms - gap) <= 1e-12 * np.maximum(
+                np.maximum(np.abs(terms), np.abs(gap)), 1.0))
         seen[n] = seen.get(n, 0) + len(u)
     assert seen == {n: species ** n for n in range(1, 7)}
+
+
+def _sorting_violations(species, k, n_max):
+    """Rows whose sorted row has more hostile pairs than they do at gaps
+    0 .. m, for some m.  Every nonincreasing weight vector is a constant
+    plus a nonnegative sum of prefix indicators, so where this is 0,
+    sorting never increases the hostility for any of them."""
+    bad = 0
+    for n, first, u, cu, mu, cm, *_ in nlg.cli._fuzz_blocks(
+            EnemyList.band_complement(k), n_max, species):
+        bad += int(np.sum(np.any(np.cumsum(cm, axis=1, dtype=np.int64)
+                                 > np.cumsum(cu, axis=1, dtype=np.int64), axis=1)))
+    return bad
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("species", [1, 2, 3, 4])
+def test_fuzz_sorting_is_optimal_for_every_weight(species, k):
+    assert _sorting_violations(species, k, 7) == 0
+
+
+def test_fuzz_exact_sorting_check_catches_a_wrong_rearrangement(monkeypatch):
+    monkeypatch.setattr(nlg.cli, "monotone_rearrangement",
+                        _roll_rows(nlg.cli.monotone_rearrangement))
+    assert _sorting_violations(3, 1, 5) > 0
 
 
 def test_converge_recovery_ramp(capsys):
