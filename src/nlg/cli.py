@@ -139,16 +139,18 @@ def _own_counts(hostile: np.ndarray, u: np.ndarray, m0: np.ndarray) -> np.ndarra
     return np.bincount(slot[partner], minlength=m * n).reshape(m, n)
 
 
-def _straddles(prefix: np.ndarray, last: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """straddle[r, g]: hostile pairs i < m0[r] < i + g of row r.
+def _straddles(prefix: np.ndarray, last: np.ndarray, m0: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """straddle[r, g]: hostile pairs i < m0[r] < i + g of row r, written
+    into ``out`` and returned.
 
     A row whose maximum sits left of its last position removes the same
     m0 as its prefix, so its straddles are the prefix's row ``prefix``
     plus the last position's pairs (i, n - 1) with i < m0; nothing
     straddles a last position."""
-    n = last.shape[1]
-    out = np.zeros_like(last)
+    n = out.shape[1]
     out[:, :-1] = prefix
+    out[:, -1] = 0
     out += last * (np.arange(n - 1, -1, -1) < m0[:, None])
     out *= (m0 < n - 1)[:, None]
     return out
@@ -187,7 +189,8 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
     for n in range(1, n_max + 1):
         power = np.array([species ** e for e in range(n - 1, -1, -1)])
         total = species ** n
-        # zeros, not empty: a broken sort that looks ahead reads no garbage
+        # zeros, not empty: counts are added in place, and a broken sort
+        # that looks ahead reads no garbage
         table = np.zeros((total, n), dtype=np.min_scalar_type(n))
         straddle = np.zeros_like(table)
         for first in range(0, total, FUZZ_BLOCK):
@@ -204,8 +207,8 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
                 m0 -= 1
                 cr = prev.take(ru @ power[1:], axis=0)
                 own = _own_counts(hostile, u, m0)
-                su = straddle[first:first + len(u)]
-                su[:] = _straddles(prev_straddle.take(prefix, axis=0), last, m0)
+                su = _straddles(prev_straddle.take(prefix, axis=0), last, m0,
+                                straddle[first:first + len(u)])
             mu = monotone_rearrangement(u)
             cm = table.take(mu @ power, axis=0)
             yield n, first, u, cu, mu, cm, ru, cr, own, su
@@ -239,16 +242,17 @@ def cmd_fuzz(args) -> int:
             enemies, args.n_max, args.species_max):
         if first == 0:  # weights drawn once per n, in the order of n
             # one nonincreasing vector per trial, each a column: BLAS-ready
-            h_cols = np.ascontiguousarray(np.sort(rng.random((args.trials, n)), axis=1).T[::-1])
+            h_cols = np.ascontiguousarray(
+                np.sort(rng.random((args.trials, n)), axis=1).T[::-1])
         checked += len(u) * args.trials
         violations += int(np.sum(cu.astype(float) @ h_cols
                                  < cm.astype(float) @ h_cols - tol))
         if n >= 2:
             # gap formula: c(u)_g == c(reduce u)_g + own_g + S_g - S_{g+1}
-            gained = own + su
-            gained[:, :-1] += cr
-            gained[:, :-1] -= su[:, 1:]
-            exact = np.all(gained == cu, axis=1)
+            formula = own + su
+            formula[:, :-1] += cr
+            formula[:, :-1] -= su[:, 1:]
+            exact = np.all(formula == cu, axis=1)
             # commutation of rearrangement and reduction
             commute = np.all(monotone_rearrangement(ru) == reduce_arrangement(mu)[0],
                              axis=1)
