@@ -6,8 +6,8 @@ arrays as their little-endian bytes (float64 and int64; gap counts are
 cast to int64, so that a change of a table's dtype alone moves nothing),
 and CLI output as its bytes.  A change that moves one bit of one result changes
 the family's digest.  Such a change must say why, and re-pin the digest
-where the diff shows it: run this file with ``NLG_PRINT_DIGESTS=1`` and
-``-s`` to print the current ones.
+where the diff shows it: a failing family's message names the digest it
+computed, which is the one to pin.
 
 The digests pin numpy's and libm's rounding too (``np.log1p``, pairwise
 sums, ``np.cos``), so they hold for the numpy version and platform
@@ -24,7 +24,6 @@ these rows on purpose.
 import contextlib
 import hashlib
 import io
-import os
 import platform
 import sys
 
@@ -187,13 +186,11 @@ def test_digest(family):
     d = _Digest()
     FAMILIES[family](d)
     got = d.hexdigest()
-    if os.environ.get("NLG_PRINT_DIGESTS"):
-        print(f'    "{family}": "{got}",')
     here = _here()
     assert here == PINNED_ON, (
         f"digests were pinned on numpy {PINNED_ON[0]} on {PINNED_ON[1]}; this is "
         f"numpy {here[0]} on {here[1]}: results may differ in the last bit, "
-        f"so re-pin on this platform and say why in CHANGES")
+        f"so re-pin on this platform ({family} computes {got}) and say why in CHANGES")
     assert got == DIGESTS[family], (
         f"{family}: digest {got} differs from the pinned one (numpy {here[0]} on "
         f"{here[1]}, as pinned): results moved by at least one bit")
