@@ -22,8 +22,9 @@ from .functional1d import EnergyParams, local_energy, step_energy
 from .multidim import (RadialTent, _check_montecarlo_counts, _check_sectioning,
                        _sectioning_pass, energy_by_montecarlo)
 from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
-from .rearrange import (_hostile, monotone_rearrangement, monotone_rearrangement_step,
-                        reduce_arrangement, total_hostility, vertical_segmentation)
+from .rearrange import (_hostile, _own_counts, monotone_rearrangement,
+                        monotone_rearrangement_step, reduce_arrangement, total_hostility,
+                        vertical_segmentation)
 # not called here: perfbench's tracer rebinds them in this module
 from .rearrange import hostile_gap_counts, hostility_gap  # noqa: F401
 
@@ -130,15 +131,6 @@ def _last_pairs(hostile: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _hostile(hostile, u[:, ::-1], u[:, -1:])
 
 
-def _own_counts(hostile: np.ndarray, u: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """own[r, d]: hostile partners of position m0[r] of row r at distance d
-    (itself at d = 0), one gather and one ``bincount``."""
-    m, n = u.shape
-    partner = _hostile(hostile, u, u[np.arange(m), m0][:, None]).astype(bool)
-    slot = np.arange(m)[:, None] * n + np.abs(np.arange(n) - m0[:, None])
-    return np.bincount(slot[partner], minlength=m * n).reshape(m, n)
-
-
 def _straddles(prefix: np.ndarray, last: np.ndarray, m0: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """straddle[r, g]: hostile pairs i < m0[r] < i + g of row r, written
@@ -165,27 +157,32 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
     Arrangement i of n holds the base-``species`` digits of i, most
     significant first (``np.ndindex`` order), so a row's index is
     ``row @ power``, and its first n - 1 positions are arrangement
-    i // species of n - 1.  Each n keeps two tables by index, n bytes an
-    arrangement each (the smallest unsigned type that holds n): the gap
-    counts, and the straddle counts of the reduction.  A row's counts are
-    its prefix's row of the n - 1 table plus the last position's pairs
-    (j, n - 1), at gap n - 1 - j (:func:`_last_pairs`): O(n) pairs a row.
-    Its straddles come from the n - 1 straddle table the same way
-    (:func:`_straddles`), and the removed position's own partners from
-    one gather (:func:`_own_counts`).  A sorted row is the smallest
+    i // species of n - 1.  Each n keeps three tables by index, n bytes
+    an arrangement each while species <= 11: the rows themselves, in the
+    smallest signed type that holds species**2 (so that the flat index
+    of :func:`rearrange._hostile` cannot wrap); the gap counts; and the
+    straddle counts of the reduction (both in the smallest unsigned type
+    that holds n).  A row is its prefix's row of the n - 1 rows table
+    with ``i % species`` appended.  Its counts are its prefix's row of
+    the n - 1 table plus the last position's pairs (j, n - 1), at gap
+    n - 1 - j (:func:`_last_pairs`): O(n) pairs a row.  Its straddles
+    come from the n - 1 straddle table the same way (:func:`_straddles`),
+    and the removed position's own partners from one gather
+    (:func:`rearrange._own_counts`).  A sorted row is the smallest
     permutation of its row, so its index is no larger and its counts are
     already in the table; a reduced row's counts are in the table of
     n - 1.  The n - 1 tables are freed once n is done.
 
     Yields ``(n, first, u, cu, mu, cm, ru, cr, own, su)``: the block's
     first index; its rows ``u``, sorted rows ``mu`` and reduced rows
-    ``ru``; their gap counts ``cu``, ``cm`` and ``cr`` (in the table's
-    type); and the removed position's own counts ``own`` and the
-    straddle counts ``su``, both by gap.  ``ru``, ``cr``, ``own`` and
-    ``su`` are None at n = 1.
+    ``ru`` (in the rows table's type); their gap counts ``cu``, ``cm``
+    and ``cr`` (in the count table's type); and the removed position's
+    own counts ``own`` and the straddle counts ``su``, both by gap.
+    ``ru``, ``cr``, ``own`` and ``su`` are None at n = 1.
     """
     hostile = enemies.table(range(species)).astype(np.uint8)
-    prev = prev_straddle = None
+    row_type = np.min_scalar_type(-species ** 2)
+    prev = prev_straddle = prev_rows = None
     for n in range(1, n_max + 1):
         power = np.array([species ** e for e in range(n - 1, -1, -1)])
         total = species ** n
@@ -193,15 +190,19 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
         # that looks ahead reads no garbage
         table = np.zeros((total, n), dtype=np.min_scalar_type(n))
         straddle = np.zeros_like(table)
+        rows = np.empty((total, n), dtype=row_type)
         for first in range(0, total, FUZZ_BLOCK):
             index = np.arange(first, min(first + FUZZ_BLOCK, total))
-            u = index[:, None] // power % species
+            prefix = index // species
+            u = rows[first:first + len(index)]
+            u[:, -1] = index % species
+            if n >= 2:
+                u[:, :-1] = prev_rows.take(prefix, axis=0)
             last = _last_pairs(hostile, u)
             cu = table[first:first + len(u)]
             cu += last
             ru = cr = own = su = None
             if n >= 2:
-                prefix = index // species
                 cu[:, :-1] += prev.take(prefix, axis=0)
                 ru, m0 = reduce_arrangement(u)
                 m0 -= 1
@@ -212,7 +213,7 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
             mu = monotone_rearrangement(u)
             cm = table.take(mu @ power, axis=0)
             yield n, first, u, cu, mu, cm, ru, cr, own, su
-        prev, prev_straddle = table, straddle
+        prev, prev_straddle, prev_rows = table, straddle, rows
 
 
 def cmd_fuzz(args) -> int:
@@ -220,14 +221,18 @@ def cmd_fuzz(args) -> int:
 
     Every arrangement of n positions over species 0 .. species_max - 1 is
     checked, for n = 1 .. n_max, as the FUZZ_BLOCK-row integer arrays of
-    :func:`_fuzz_blocks`, which builds each arrangement's gap counts from
-    its prefix's and looks up those of the sorted and reduced rows.  The
-    sort check draws ``--trials`` nonincreasing weight vectors per n.  The
-    gap formula is checked exactly, gap by gap in integers:
+    :func:`_fuzz_blocks`, which builds each arrangement's row and gap
+    counts from its prefix's and looks up those of the sorted and reduced
+    rows.  The sort check draws ``--trials`` nonincreasing weight vectors
+    per n and takes one float product a block, of the integer count
+    differences ``c(u) - c(sort u)``.  The gap formula is checked
+    exactly, gap by gap in integers:
     ``c(u) - c(reduce u) == own_g + S_g - S_{g+1}``, with own_g the
     removed position's hostile partners at distance g and S_g the hostile
     pairs at gap g that straddle it.  The gap is linear in the weights,
-    so this holds for every nonincreasing h.
+    so this holds for every nonincreasing h.  Each check is made on the
+    whole block first, and its failing rows are counted only in a block
+    that fails.
     """
     for flag in ("n_max", "species_max", "trials", "k"):
         if getattr(args, flag) < 1:
@@ -244,20 +249,24 @@ def cmd_fuzz(args) -> int:
             # one nonincreasing vector per trial, each a column: BLAS-ready
             h_cols = np.ascontiguousarray(
                 np.sort(rng.random((args.trials, n)), axis=1).T[::-1])
+            signed = np.promote_types(cu.dtype, np.int8)
         checked += len(u) * args.trials
-        violations += int(np.sum(cu.astype(float) @ h_cols
-                                 < cm.astype(float) @ h_cols - tol))
+        # c(u)·h < c(sort u)·h - tol, as one product of the differences
+        gain = (cu.astype(signed) - cm) @ h_cols
+        if gain.min() < -tol:
+            violations += int(np.sum(gain < -tol))
         if n >= 2:
             # gap formula: c(u)_g == c(reduce u)_g + own_g + S_g - S_{g+1}
             formula = own + su
             formula[:, :-1] += cr
             formula[:, :-1] -= su[:, 1:]
-            exact = np.all(formula == cu, axis=1)
+            if not np.array_equal(formula, cu):
+                violations += int(np.sum(np.any(formula != cu, axis=1)))
             # commutation of rearrangement and reduction
-            commute = np.all(monotone_rearrangement(ru) == reduce_arrangement(mu)[0],
-                             axis=1)
+            left, right = monotone_rearrangement(ru), reduce_arrangement(mu)[0]
+            if not np.array_equal(left, right):
+                violations += int(np.sum(np.any(left != right, axis=1)))
             checked += 2 * len(u)
-            violations += int(np.sum(~exact)) + int(np.sum(~commute))
     print("checked,violations")
     print(f"{checked},{violations}")
     return 0 if violations == 0 else 1

@@ -357,6 +357,16 @@ def _hostile(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return table.ravel().take(left * len(table) + right)
 
 
+def _own_counts(table: np.ndarray, rows: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """own[r, d]: hostile partners of position m0[r] of rank row r at
+    distance d (itself at d = 0), as integers: one gather and one
+    ``bincount``."""
+    m, n = rows.shape
+    partner = _hostile(table, rows, rows[np.arange(m), m0][:, None]).astype(bool, copy=False)
+    slot = np.arange(m)[:, None] * n + np.abs(np.arange(n) - m0[:, None])
+    return np.bincount(slot[partner], minlength=m * n).reshape(m, n)
+
+
 def _one_or_rows(u, rows: np.ndarray):
     """Result rows as they came in: one arrangement or an array."""
     if isinstance(u, DiscreteArrangement):
@@ -512,21 +522,19 @@ def hostility_gap(weights: HostilityWeights, enemies: EnemyList, u):
         raise WeightsTooShort(f"need weights for gaps 0..{n - 1}, got {len(weights)}")
     h = np.asarray(weights.h[:n])
     ranks, table = _ranks(enemies, rows)
-    m0 = _rightmost_max(rows)[:, None]
-    at = np.arange(n)
+    m0 = _rightmost_max(rows)
     # own[r, d]: hostile partners of the removed position at distance d
-    partner = _hostile(table, ranks, np.take_along_axis(ranks, m0, axis=1))
-    slot = np.arange(m)[:, None] * n + np.abs(at - m0)
-    own = np.bincount(slot.ravel(), weights=partner.ravel(), minlength=m * n)
+    own = _own_counts(table, ranks, m0)
     # straddle[r, g]: hostile pairs i < m0 < i + g, for g = 2 .. n - 1
     straddle = np.zeros((m, n))
+    at, m0 = np.arange(n), m0[:, None]
     for g in range(2, n):
         i = at[:n - g]
         across = (i < m0) & (i + g > m0)
         straddle[:, g] = np.count_nonzero(
             _hostile(table, ranks[:, :n - g], ranks[:, g:]) & across, axis=1)
     # row sums, not BLAS, so that a row's gap does not depend on its batch
-    gap = (own.reshape(m, n) * h).sum(axis=1) \
+    gap = (own * h).sum(axis=1) \
         - (straddle[:, 2:] * (h[1:-1] - h[2:])).sum(axis=1)
     return float(gap[0]) if isinstance(u, DiscreteArrangement) else gap
 

@@ -232,6 +232,31 @@ def test_fuzz_checked_count(capsys, n_max, species, trials, k):
     assert code == 0 and out.splitlines()[1] == f"{want},0"
 
 
+@pytest.mark.parametrize("species", [11, 12, 16])
+def test_fuzz_species_past_int8_rows(capsys, species):
+    # from S = 12 on, S**2 passes int8 and the rows take the next signed
+    # type; a row type too small would wrap _hostile's flat index
+    code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max",
+                           str(species), "--k", "2", "--trials", "2", "--seed", "3")
+    want = sum(species ** n * (2 + 2 * (n >= 2)) for n in range(1, 5))
+    assert code == 0 and out.splitlines()[1] == f"{want},0"
+
+
+@pytest.mark.parametrize("block", [7, nlg.cli.FUZZ_BLOCK])
+@pytest.mark.parametrize("species", [1, 2, 3, 4, 5])
+def test_fuzz_rows_are_signed_ndindex_digits(monkeypatch, species, block):
+    # each row is its prefix's row of the n - 1 rows table plus one digit
+    monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", block)
+    digits = {n: np.array(list(np.ndindex((species,) * n))) for n in range(1, 7)}
+    seen = dict.fromkeys(digits, 0)
+    for n, first, u, *_ in nlg.cli._fuzz_blocks(EnemyList.band_complement(1), 6,
+                                                species):
+        assert np.issubdtype(u.dtype, np.signedinteger)
+        assert np.array_equal(u, digits[n][first:first + len(u)])
+        seen[n] += len(u)
+    assert seen == {n: species ** n for n in digits}
+
+
 def _roll_rows(fn):
     return lambda u: np.roll(fn(u), 1, axis=1)
 
@@ -271,6 +296,79 @@ def test_fuzz_catches_broken_operations(capsys, monkeypatch, name, breaker):
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max", "3",
                            "--k", "1", "--trials", "3", "--seed", "5")
     assert code == 1 and int(out.splitlines()[1].split(",")[1]) > 0
+
+
+_FIELDS = ("n", "first", "u", "cu", "mu", "cm", "ru", "cr", "own", "su")
+
+
+def _sorted_counts_dominate(block, r):
+    # the sorted row's counts looked up as its row's plus one self pair
+    block["cm"][r] = block["cu"][r]
+    block["cm"][r, 0] += 1
+
+
+def _own_self_pair_twice(block, r):
+    block["own"][r, 0] += 1
+
+
+def _reduced_row_bumped(block, r):
+    block["ru"][r, 0] += 1
+
+
+def _sort_fails(block, r):
+    # some nonincreasing h makes the sorted row worse: a prefix of its
+    # counts exceeds its row's
+    cu, cm = block["cu"][r].tolist(), block["cm"][r].tolist()
+    return any(sum(cm[:m + 1]) > sum(cu[:m + 1]) for m in range(len(cu)))
+
+
+def _gap_fails(block, r):
+    n = block["n"]
+    if n == 1:
+        return False
+    cu, cr, own, su = (block[key][r].tolist() for key in ("cu", "cr", "own", "su"))
+    formula = [own[g] + su[g] + (cr[g] - su[g + 1] if g < n - 1 else 0)
+               for g in range(n)]
+    return formula != cu
+
+
+def _commute_fails(block, r):
+    if block["n"] == 1:
+        return False
+    mu = block["mu"][r].tolist()
+    top = len(mu) - 1 - mu[::-1].index(max(mu))
+    return sorted(block["ru"][r].tolist()) != mu[:top] + mu[top + 1:]
+
+
+@pytest.mark.parametrize("plant,fails,per_row", [
+    (_sorted_counts_dominate, _sort_fails, 3), (_own_self_pair_twice, _gap_fails, 1),
+    (_reduced_row_bumped, _commute_fails, 1)], ids=["sort", "gap", "commute"])
+def test_fuzz_counts_the_failing_rows_of_a_failing_block(capsys, monkeypatch, plant,
+                                                         fails, per_row):
+    # two rows of one 7-row block at n = 4 are broken for one check; the
+    # whole-block comparison fails, and fuzz must then count those rows one
+    # by one (the sort check once per trial), as a plain per-row loop does
+    monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", 7)
+    blocks_of = nlg.cli._fuzz_blocks
+    seen = []
+
+    def planted(*args):
+        for fields in blocks_of(*args):
+            block = dict(zip(_FIELDS, fields))
+            if block["n"] == 4 and block["first"] == 14:
+                for r in (1, 4):
+                    plant(block, r)
+            seen.append({key: value.copy() if isinstance(value, np.ndarray) else value
+                         for key, value in block.items()})
+            yield tuple(block.values())
+
+    monkeypatch.setattr(nlg.cli, "_fuzz_blocks", planted)
+    code, out, _ = run_cli(capsys, "fuzz", "--n-max", "5", "--species-max", "3",
+                           "--k", "1", "--trials", "3", "--seed", "5")
+    broken = [(block["n"], block["first"] + r) for block in seen
+              for r in range(len(block["u"])) if fails(block, r)]
+    assert broken == [(4, 15), (4, 18)]
+    assert code == 1 and out.splitlines()[1].endswith(f",{per_row * len(broken)}")
 
 
 def _own_and_straddles_loop(u, k):

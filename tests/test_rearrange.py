@@ -402,14 +402,18 @@ class TestVerticalSegmentation:
         assert peak <= bound * len(u.values)
 
     def test_divergence_test_scratch_memory(self):
-        # the 10^5-cell ramp at delta = 1e-5 diverges (k*delta rounds past
-        # the guard); finding it compares neighbours a chunk at a time into
-        # one bool array: at most 5 bytes a cell past the segmentation
-        ramp = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False)
-        u = vertical_segmentation(ramp, 1e-5)
+        # 10^5 cells at delta = 1e-5 alternating between 0 and delta, exact
+        # jumps of delta that do not interact, and one adjacent jump of
+        # 2 delta into the last cell, so the energy truly diverges; finding
+        # it compares neighbours a chunk at a time into one bool array: at
+        # most 5 bytes a cell past the input
+        delta, cells = 1e-5, 10 ** 5
+        values = delta * (np.arange(cells) % 2)
+        values[-1] = 2 * delta  # its left neighbour holds 0
+        u = StepFunction1D(np.linspace(0.0, 1.0, cells + 1), values, TailMode.DOMAIN_ONLY)
         tracemalloc.start()
         try:
-            energy = step_energy(u, None, EnergyParams(1e-5, 1.0))
+            energy = step_energy(u, None, EnergyParams(delta, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
