@@ -216,6 +216,11 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
         prev, prev_straddle, prev_rows = table, straddle, rows
 
 
+def _differing_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows where ``a`` and ``b`` differ, counted only if the whole blocks do."""
+    return 0 if np.array_equal(a, b) else int(np.sum(np.any(a != b, axis=1)))
+
+
 def cmd_fuzz(args) -> int:
     """Rearrangement property suite: sorting minimizes, gaps match, M and R commute.
 
@@ -260,12 +265,10 @@ def cmd_fuzz(args) -> int:
             formula = own + su
             formula[:, :-1] += cr
             formula[:, :-1] -= su[:, 1:]
-            if not np.array_equal(formula, cu):
-                violations += int(np.sum(np.any(formula != cu, axis=1)))
+            violations += _differing_rows(formula, cu)
             # commutation of rearrangement and reduction
-            left, right = monotone_rearrangement(ru), reduce_arrangement(mu)[0]
-            if not np.array_equal(left, right):
-                violations += int(np.sum(np.any(left != right, axis=1)))
+            violations += _differing_rows(monotone_rearrangement(ru),
+                                          reduce_arrangement(mu)[0])
             checked += 2 * len(u)
     print("checked,violations")
     print(f"{checked},{violations}")

@@ -224,37 +224,14 @@ def test_fuzz_rejects_counts_below_one(capsys, flag, value):
 
 @pytest.mark.parametrize("n_max,species,trials,k", [
     (4, 3, 10, 1), (5, 1, 3, 1), (3, 4, 1, 2), (1, 5, 2, 3), (6, 2, 1, 1),
-    (70, 1, 2, 1)])  # past numpy's 64 array dimensions
+    (70, 1, 2, 1),  # past numpy's 64 array dimensions
+    # S**2 passes int8 from S = 12: the rows take the next signed type
+    (4, 11, 2, 2), (4, 12, 2, 2), (4, 16, 2, 2)])
 def test_fuzz_checked_count(capsys, n_max, species, trials, k):
     code, out, _ = run_cli(capsys, "fuzz", "--n-max", str(n_max), "--species-max",
                            str(species), "--k", str(k), "--trials", str(trials))
     want = sum(species ** n * (trials + 2 * (n >= 2)) for n in range(1, n_max + 1))
     assert code == 0 and out.splitlines()[1] == f"{want},0"
-
-
-@pytest.mark.parametrize("species", [11, 12, 16])
-def test_fuzz_species_past_int8_rows(capsys, species):
-    # from S = 12 on, S**2 passes int8 and the rows take the next signed
-    # type; a row type too small would wrap _hostile's flat index
-    code, out, _ = run_cli(capsys, "fuzz", "--n-max", "4", "--species-max",
-                           str(species), "--k", "2", "--trials", "2", "--seed", "3")
-    want = sum(species ** n * (2 + 2 * (n >= 2)) for n in range(1, 5))
-    assert code == 0 and out.splitlines()[1] == f"{want},0"
-
-
-@pytest.mark.parametrize("block", [7, nlg.cli.FUZZ_BLOCK])
-@pytest.mark.parametrize("species", [1, 2, 3, 4, 5])
-def test_fuzz_rows_are_signed_ndindex_digits(monkeypatch, species, block):
-    # each row is its prefix's row of the n - 1 rows table plus one digit
-    monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", block)
-    digits = {n: np.array(list(np.ndindex((species,) * n))) for n in range(1, 7)}
-    seen = dict.fromkeys(digits, 0)
-    for n, first, u, *_ in nlg.cli._fuzz_blocks(EnemyList.band_complement(1), 6,
-                                                species):
-        assert np.issubdtype(u.dtype, np.signedinteger)
-        assert np.array_equal(u, digits[n][first:first + len(u)])
-        seen[n] += len(u)
-    assert seen == {n: species ** n for n in digits}
 
 
 def _roll_rows(fn):
@@ -389,12 +366,14 @@ def _own_and_straddles_loop(u, k):
 
 @pytest.mark.parametrize("block", [7, nlg.cli.FUZZ_BLOCK])
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("species", [1, 2, 3, 4])
+@pytest.mark.parametrize("species", [1, 2, 3, 4, 5])
 def test_fuzz_looked_up_counts_match_direct(monkeypatch, species, k, block):
-    # the counts of a row come from its prefix's row and those of its sorted
-    # and reduced rows from the tables of n and n - 1; each must equal the
-    # counts computed on that row directly.  The gap formula's terms must
-    # equal a pair loop, and give hostility_gap's float value.
+    # a row and its counts come from its prefix's rows of the n - 1 tables,
+    # and the counts of its sorted and reduced rows from the tables of n and
+    # n - 1; the row must be its index's digits in a signed type, and each
+    # count must equal the one computed on that row directly.  The gap
+    # formula's terms must equal a pair loop, and give hostility_gap's
+    # float value.
     monkeypatch.setattr(nlg.cli, "FUZZ_BLOCK", block)
     enemies = EnemyList.band_complement(k)
     rng = np.random.default_rng(species * 10 + k)
@@ -402,6 +381,7 @@ def test_fuzz_looked_up_counts_match_direct(monkeypatch, species, k, block):
     for n, first, u, cu, mu, cm, ru, cr, own, su in nlg.cli._fuzz_blocks(enemies, 6,
                                                                        species):
         index = np.arange(first, first + len(u))
+        assert np.issubdtype(u.dtype, np.signedinteger)
         assert np.array_equal(u, np.stack(np.unravel_index(index, (species,) * n), axis=1))
         assert np.array_equal(cu, hostile_gap_counts(enemies, u))
         assert np.array_equal(mu, np.sort(u, axis=1))
