@@ -171,14 +171,16 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
     (:func:`rearrange._own_counts`).  A sorted row is the smallest
     permutation of its row, so its index is no larger and its counts are
     already in the table; a reduced row's counts are in the table of
-    n - 1.  The n - 1 tables are freed once n is done.
+    n - 1.  The n - 1 tables are freed once n is done.  No later n reads
+    the rows and straddles of n_max, so that n keeps one block of each.
 
     Yields ``(n, first, u, cu, mu, cm, ru, cr, own, su)``: the block's
     first index; its rows ``u``, sorted rows ``mu`` and reduced rows
     ``ru`` (in the rows table's type); their gap counts ``cu``, ``cm``
     and ``cr`` (in the count table's type); and the removed position's
     own counts ``own`` and the straddle counts ``su``, both by gap.
-    ``ru``, ``cr``, ``own`` and ``su`` are None at n = 1.
+    ``ru``, ``cr``, ``own`` and ``su`` are None at n = 1.  At n_max, ``u``
+    and ``su`` are overwritten by the next block: copy what outlives it.
     """
     hostile = enemies.table(range(species)).astype(np.uint8)
     row_type = np.min_scalar_type(-species ** 2)
@@ -189,12 +191,15 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
         # zeros, not empty: counts are added in place, and a broken sort
         # that looks ahead reads no garbage
         table = np.zeros((total, n), dtype=np.min_scalar_type(n))
-        straddle = np.zeros_like(table)
-        rows = np.empty((total, n), dtype=row_type)
+        # no later n reads the last n's rows and straddles: one block of each
+        size = min(total, FUZZ_BLOCK) if n == n_max else total
+        straddle = np.zeros((size, n), dtype=table.dtype)
+        rows = np.empty((size, n), dtype=row_type)
         for first in range(0, total, FUZZ_BLOCK):
             index = np.arange(first, min(first + FUZZ_BLOCK, total))
             prefix = index // species
-            u = rows[first:first + len(index)]
+            at = first % size  # the block's place in the rows and straddles
+            u = rows[at:at + len(index)]
             u[:, -1] = index % species
             if n >= 2:
                 u[:, :-1] = prev_rows.take(prefix, axis=0)
@@ -209,7 +214,7 @@ def _fuzz_blocks(enemies: EnemyList, n_max: int, species: int):
                 cr = prev.take(ru @ power[1:], axis=0)
                 own = _own_counts(hostile, u, m0)
                 su = _straddles(prev_straddle.take(prefix, axis=0), last, m0,
-                                straddle[first:first + len(u)])
+                                straddle[at:at + len(u)])
             mu = monotone_rearrangement(u)
             cm = table.take(mu @ power, axis=0)
             yield n, first, u, cu, mu, cm, ru, cr, own, su

@@ -498,12 +498,17 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     kept rows of a run are a prefix of it; one ``searchsorted`` on the
     sorted (run, cell) keys finds every prefix (:func:`_prefix_units`).
     A slot of long runs, as on staircases that revisit their levels,
-    expands only those prefixes; a slot of short runs expands all its rows
-    and drops the ones past the column, which costs less than a search per
-    run.  Either way the kept rows come in sorted order, slot by slot, and
-    a step of the loop keeps about ``_SBP_CHUNK`` / 2 of them.  The cost is
-    O(n log n + kept rows + rows of short-run slots), and the memory
-    O(n + chunk).
+    expands only those prefixes, and a slot of short runs all its rows,
+    which costs less than a search per run.  One loop body serves both: a
+    step expands its units' rows, gathers their edges from copies in sorted
+    order, and, only if one of its units is a slot of short runs, drops the
+    rows at or past their column: those whose gap to the column's edge is
+    not positive, as a function's edges increase strictly.  The kept rows
+    come in sorted order, slot by slot, and a step keeps about
+    ``_SBP_CHUNK`` / 2 of them: an input with runs expands that many rows
+    a step, and one without expands twice as many and drops about half.
+    The cost is O(n log n + kept rows + rows of short-run slots), and the
+    memory O(n + chunk).
     A row whose interacting run is thin against its gap subtracts nearly
     equal H terms: the error relative to that run's energy grows like
     eps * gap / run length.
@@ -569,80 +574,64 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     if len(x):
         order, cells, swept, start, runs = _switch_ranges(x, counts, radius)
         # slot j covers the flat transitions [ends[j], ends[j + 1]), and
-        # function f's run from slot 2 * s[f]
+        # function f's run from slot 2 * s[f]; int32 below 2**31 of them
         ends = np.zeros(len(swept) + 1, dtype=np.intp)
         np.abs(swept, out=ends[1:])
         np.cumsum(ends, out=ends)
+        if ends[-1] < 1 << 31:
+            ends = ends.astype(np.int32)
         t0 = ends[2 * np.append(0, np.cumsum(counts))]
         # each function's transitions in pieces of _SBP_CHUNK
         pieces = -(-np.diff(t0) // _SBP_CHUNK)
         p0 = np.repeat(t0[:-1], pieces) + _SBP_CHUNK * _ragged_arange(pieces)
         sums = np.zeros(len(p0))
         # the units to expand, and the expanded rows before each piece and
-        # after the last: the slots and all their rows, unless runs are long
-        unit_lo, unit_end, exact, at = start, ends, None, np.append(p0, ends[-1])
+        # after the last: the slots and all their rows, unless runs are long;
+        # a step expands a window of them, so that it keeps about
+        # _SBP_CHUNK / 2: expand and filter keeps about half its rows,
+        # prefixes keep all
+        unit_lo, unit_end, at = start, ends, np.append(p0, ends[-1])
+        exact, window = np.broadcast_to(False, swept.shape), _SBP_CHUNK  # every slot filters
         if runs is not None and ends[-1]:
             unit_lo, unit_end, flat, exact, cells, swept = _prefix_units(
                 order, cells, swept, start, ends, runs)
             u = np.searchsorted(flat, at, "right") - 1
             at = unit_end[u] + np.clip(at - flat[u], 0, unit_end[u + 1] - unit_end[u])
+            window = max(_SBP_CHUNK // 2, 1)
             del flat, u
         del runs, start
-        # the pieces in groups of those starting in one window of expanded
-        # rows, so that a group keeps about _SBP_CHUNK / 2 of them: expand
-        # and filter keeps about half its rows, prefixes keep all
-        window = _SBP_CHUNK if exact is None else max(_SBP_CHUNK // 2, 1)
+        # the pieces in groups of those starting in one window
         g0 = np.flatnonzero(np.diff(at[:-1] // window, prepend=-1))
         g1 = np.append(g0, len(p0))[1:]
         c0, c1 = at[g0], at[g1]
         # the units a group's window [c0, c1) meets, zero-length ones between
         j0, j1 = np.searchsorted(unit_end, c0, "right") - 1, np.searchsorted(unit_end, c1, "left")
         coef = _pair_coef(params)  # signed per unit below: a row switching on adds
-        if exact is not None:
-            # the rows' edges in sorted order, the units' column edges, and
-            # the rows each piece keeps
-            right_s, lens_s, col = right[order], lens[order], right[cells]
-            kept_all = np.diff(at)
+        # the rows' edges in sorted order, and each piece's expanded rows
+        right_s, lens_s, kept_all = right[order], lens[order], np.diff(at)
+        del lens, order
         # a step's arrays, kept across steps: fresh ones of this size are
-        # trimmed from the heap and faulted in again at every step
+        # trimmed from the heap and faulted in again at every step; take in
+        # "clip" mode writes them unbuffered, and every index is in range
         most = int(np.max(c1 - c0, initial=0))
-        ar, keep_b = np.arange(most), np.empty(most, dtype=bool)
-        rows_b, c_b = (np.empty(most, dtype=order.dtype) for _ in range(2))
-        gap_b, len_b, scale_b = (np.empty(most) for _ in range(3))
+        ar, gap_b, len_b, scale_b = np.arange(most), *(np.empty(most) for _ in range(3))
         for a, b, c0, c1, j0, j1 in zip(*(v.tolist() for v in (g0, g1, c0, c1, j0, j1))):
             first = unit_end[j0:j1]
             cnt = np.minimum(unit_end[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
-            k = np.repeat(unit_lo[j0:j1] - first + c0, cnt)
-            k += ar[:c1 - c0]
-            pick = None  # the expanded rows kept, where some are dropped
-            if exact is None:
-                # expand and filter: keep the rows before their column; take
-                # in "clip" mode is unbuffered, and every index is in range
-                rows = np.take(order, k, out=rows_b[:len(k)], mode="clip")
-                c = np.repeat(cells[j0:j1], cnt)
-                keep = np.less(rows, c, out=keep_b[:len(k)])
-                pick = np.flatnonzero(keep)
-                m = len(pick)
-                rows = np.take(rows, pick, out=c_b[:m], mode="clip")
-                c = np.take(c, pick, out=rows_b[:m], mode="clip")
-                gap = np.take(right, c, out=gap_b[:m], mode="clip")
-                gap -= np.take(right, rows, out=len_b[:m], mode="clip")
-                len1 = np.take(lens, rows, out=len_b[:m], mode="clip")
-                # pieces are nonempty, so their kept counts are one reduceat
-                kept = np.add.reduceat(keep, at[a:b] - c0, dtype=np.intp)
-            else:
-                gap = np.repeat(col[j0:j1], cnt)
-                kept = kept_all[a:b]
-                if not exact[j0:j1].all():  # some units of short runs: filter
-                    pick = np.flatnonzero(order[k] < np.repeat(cells[j0:j1], cnt))
-                    k, gap = k[pick], gap[pick]
-                    kept = np.diff(np.searchsorted(pick, at[a:b + 1] - c0))
-                gap -= right_s[k]
-                len1 = lens_s[k]
-            # allocated last: a step's live temporaries stay few
-            scale = np.repeat(np.copysign(coef, swept[j0:j1]), cnt)
-            if pick is not None:
-                scale = np.take(scale, pick, out=scale_b[:len(pick)], mode="clip")
+            # the expanded sorted indices, as intp: int32 ones are converted by every take
+            k = (np.subtract(unit_lo[j0:j1], first, dtype=np.intp) + c0).repeat(cnt)
+            k += ar[:len(k)]
+            gap = right[cells[j0:j1]].repeat(cnt)
+            gap -= right_s.take(k, out=len_b[:len(k)], mode="clip")
+            scale = np.copysign(coef, swept[j0:j1]).repeat(cnt)
+            kept = kept_all[a:b]
+            if not exact[j0:j1].all():  # units of short runs: keep the rows before their
+                pick = np.flatnonzero(gap > 0.0)  # column, whose edges lie left of its edge
+                k = k.take(pick)
+                gap = gap.take(pick, out=gap_b[:len(k)], mode="clip")
+                scale = scale.take(pick, out=scale_b[:len(k)], mode="clip")
+                kept = np.diff(pick.searchsorted(at[a:b + 1] - c0))
+            len1 = lens_s.take(k, out=len_b[:len(k)], mode="clip")
             h = _pair_energies(gap, len1, INF, params, scale, out=len1)
             sums[a:b] = _segment_sums(h, kept)
         part_f.append(np.repeat(np.arange(nf), pieces))

@@ -608,21 +608,29 @@ class TestBatchedPairSum:
         assert got == ["0x1.55da200c70c9dp+4", "0x1.fe2fd9b23ccd5p+2",
                        "0x1.326384dbbe480p+8", "0x1.5c2428e1b31d0p+5"]
 
-    @pytest.mark.parametrize("shape, per_cell", [
-        (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False), 76),  # 10^5 cells
-        (PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))), 84)],      # 2 * 10^5 cells
-        ids=["ramp", "tent"])
-    def test_integer_level_scratch_memory(self, shape, per_cell):
-        # the segmented ramp and tent at delta = 1e-5 on integer levels: the
-        # traced peak of the pair sum stays within per_cell bytes per cell
-        # (75 and 80 measured with numpy 2.4)
-        delta = 1e-5
-        u = vertical_segmentation(shape, delta)
-        edges, vals = step_cells(u, u.domain)
-        levels = np.rint(vals / delta)
+    @pytest.mark.parametrize("case, radius, per_cell", [
+        ("ramp", 1, 76), ("tent", 1, 84), ("walk", 1, 192), ("walk", 2, 192)],
+        ids=["ramp", "tent", "walk-r1", "walk-r2"])
+    def test_integer_level_scratch_memory(self, case, radius, per_cell):
+        # the segmented ramp (10^5 cells) and tent (2 * 10^5) at delta = 1e-5
+        # on integer levels, and a 10^5-cell walk shaped like the benchmark's,
+        # whose slots expand the prefixes of long runs: the traced peak of the
+        # pair sum stays within per_cell bytes per cell (72, 80, 176 and 176
+        # measured with numpy 2.4)
+        if case == "walk":
+            delta, rng = 0.01, np.random.default_rng(19)
+            edges = np.concatenate(([0], np.cumsum(rng.integers(64, 449, 10 ** 5)))) * 2.0 ** -20
+            levels = np.cumsum(rng.integers(-1, 2, 10 ** 5)).astype(float)
+        else:
+            delta = 1e-5
+            shape = {"ramp": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False),
+                     "tent": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))}[case]
+            u = vertical_segmentation(shape, delta)
+            edges, vals = step_cells(u, u.domain)
+            levels = np.rint(vals / delta)
         tracemalloc.start()
         try:
-            energy = _pair_sum(edges, levels, [len(levels)], 1, EnergyParams(delta, 1.0))
+            energy = _pair_sum(edges, levels, [len(levels)], radius, EnergyParams(delta, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
