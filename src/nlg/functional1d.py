@@ -625,8 +625,10 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             gap -= right_s.take(k, out=len_b[:len(k)], mode="clip")
             scale = np.copysign(coef, swept[j0:j1]).repeat(cnt)
             kept = kept_all[a:b]
-            if not exact[j0:j1].all():  # units of short runs: keep the rows before their
-                pick = np.flatnonzero(gap > 0.0)  # column, whose edges lie left of its edge
+            # units of short runs: keep the rows before their column, which
+            # are the ones with a positive gap, as edges increase strictly
+            if not exact[j0:j1].all():
+                pick = np.flatnonzero(gap > 0.0)
                 k = k.take(pick)
                 gap = gap.take(pick, out=gap_b[:len(k)], mode="clip")
                 scale = scale.take(pick, out=scale_b[:len(k)], mode="clip")
