@@ -852,8 +852,9 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
     for start in range(0, m, _MC_BLOCK):
         n = min(_MC_BLOCK, m - start)
         x = points.random((n, d))
-        x *= upper - lower
-        x += lower
+        for i in range(d):
+            x[:, i] *= upper[i] - lower[i]
+            x[:, i] += lower[i]
         kx = _floor_levels(u, x, params.delta)
         omega = _directions(angles, polar, n)
         r = radii.random(n)

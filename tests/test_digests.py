@@ -10,9 +10,10 @@ where the diff shows it: a failing family's message names the digest it
 computed, which is the one to pin.
 
 The digests pin numpy's and libm's rounding too (``np.log1p``, pairwise
-sums, ``np.cos``), so they hold for the numpy version and platform
-stored next to them.  On any other, every family fails with a message
-that names both, rather than passing or skipping.
+sums, ``np.tan`` in the Monte Carlo directions, ``math.cos`` and
+``math.sin`` in the sectioning directions), so they hold for the numpy
+version and platform stored next to them.  On any other, every family
+fails with a message that names both, rather than passing or skipping.
 
 The tent's and the ramp's rows at delta <= 1e-5 are pinned as they are
 today: ``step_energy`` reads ``inf`` there, because ``k * delta`` near 1
