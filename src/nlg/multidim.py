@@ -833,8 +833,8 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
     """One chunk of ``m`` samples drawn from the Philox stream ``key``:
     ``(hits, twice)``, the interacting pairs and those of them whose partner
     leaves the box.  Each point has a partner y = x + r * omega: omega
-    uniform on the unit sphere (d = 2 or 3, see :func:`_directions`), r from
-    the density proportional to r^(-1-p) on [r_min, infinity).
+    uniform on the unit sphere (d = 2 or 3), r from the density proportional
+    to r^(-1-p) on [r_min, infinity).
 
     The stream holds the points (d * m words, row-major), then, for d = 3,
     the polar cosines zc, then the angles' uniforms U and the radii's
@@ -844,7 +844,16 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
     those of one pass over the chunk, whatever the block size.  A block
     writes the partners over the points, one axis at a time, once the
     points' levels are known, and frees the directions and radii before it
-    evaluates the partners' levels."""
+    evaluates the partners' levels.
+
+    The azimuth phi = 2 pi U comes from the tangent of its half,
+    t = tan(pi U), which is half of it exactly (fl(2 pi U) = 2 fl(pi U)):
+    cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2t / (1 + t^2), within
+    3.4e-16 of libm's cos and sin.  numpy runs tan as a SIMD loop and cos
+    and sin as scalar libm loops (numpy 2.4), so one tan and a few
+    elementwise operations cost well under the two.  At U = 1/2, t is
+    about 1.6e16 and t^2 stays finite.  For d = 3 both scale by the sine of
+    the polar angle, sqrt(1 - zc^2), and zc = 2 U' - 1 is the third axis."""
     d = len(lower)
     points, *polar, angles, radii = [_stream_at(key, o)
                                      for o in (0, *range(d * m, 2 * d * m, m))]
@@ -856,7 +865,20 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
             x[:, i] *= upper[i] - lower[i]
             x[:, i] += lower[i]
         kx = _floor_levels(u, x, params.delta)
-        omega = _directions(angles, polar, n)
+        t = angles.random(n)
+        np.tan(np.multiply(t, math.pi, out=t), out=t)
+        q = t * t
+        np.divide(2.0, np.add(q, 1.0, out=q), out=q)
+        t *= q  # sin phi = t q, with q = 2 / (1 + t^2)
+        omega = [np.subtract(q, 1.0, out=q), t]  # cos phi = q - 1
+        if d == 3:
+            zc = polar[0].random(n)
+            zc *= 2.0
+            zc -= 1.0
+            sc = zc * zc  # zc^2 <= 1, so 1 - zc^2 >= 0
+            np.sqrt(np.subtract(1.0, sc, out=sc), out=sc)
+            omega = [np.multiply(w, sc, out=w) for w in omega] + [zc]
+            del zc, sc
         r = radii.random(n)
         np.subtract(1.0, r, out=r)
         r **= -1.0 / params.p
@@ -868,40 +890,13 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
             y += w
             outside |= y < lower[i]
             outside |= y > upper[i]
-        del omega, w, r  # the partners' levels take their place
+        del omega, w, t, q, r  # the partners' levels take their place
         ky = _floor_levels(u, x, params.delta)
         ky -= kx
         hit = np.abs(ky, out=ky) >= 2.0
         hits += int(np.count_nonzero(hit))
         twice += int(np.count_nonzero(hit & outside))
     return hits, twice
-
-
-def _directions(angles: np.random.Generator, polar: list, n: int) -> list[np.ndarray]:
-    """The next ``n`` unit vectors omega, one array per axis, from the
-    angles' generator and, for d = 3, the polar cosines' one in ``polar``.
-
-    The azimuth phi = 2 pi U comes from the tangent of its half,
-    t = tan(pi U), which is half of it exactly (fl(2 pi U) = 2 fl(pi U)):
-    cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2t / (1 + t^2), within
-    3.4e-16 of libm's cos and sin.  numpy runs tan as a SIMD loop and cos
-    and sin as scalar libm loops (numpy 2.4), so one tan and a few
-    elementwise operations cost well under the two.  At U = 1/2, t is about 1.6e16 and
-    t^2 stays finite.  For d = 3 both scale by the sine of the polar
-    angle, sqrt(1 - zc^2), and zc = 2 U' - 1 is the third axis."""
-    t = angles.random(n)
-    np.tan(np.multiply(t, math.pi, out=t), out=t)
-    q = t * t
-    np.divide(2.0, np.add(q, 1.0, out=q), out=q)
-    t *= q  # sin phi = t q, with q = 2 / (1 + t^2)
-    omega = [np.subtract(q, 1.0, out=q), t]  # cos phi = q - 1
-    if polar:
-        zc = polar[0].random(n)
-        np.subtract(np.multiply(zc, 2.0, out=zc), 1.0, out=zc)
-        sc = zc * zc  # zc^2 <= 1, so 1 - zc^2 >= 0
-        np.sqrt(np.subtract(1.0, sc, out=sc), out=sc)
-        omega = [np.multiply(w, sc, out=w) for w in omega] + [zc]
-    return omega
 
 
 def _stream_at(key: np.ndarray, word: int) -> np.random.Generator:
