@@ -878,7 +878,6 @@ def _montecarlo_chunk(u: ScalarField, params: EnergyParams, r_min: float, lower:
             sc = zc * zc  # zc^2 <= 1, so 1 - zc^2 >= 0
             np.sqrt(np.subtract(1.0, sc, out=sc), out=sc)
             omega = [np.multiply(w, sc, out=w) for w in omega] + [zc]
-            del zc, sc
         r = radii.random(n)
         np.subtract(1.0, r, out=r)
         r **= -1.0 / params.p
