@@ -753,13 +753,13 @@ class TestMonteCarlo:
                 TENT, params, box, np.int64(3000), np.uint64(2 ** 64 - 1))
         assert len(set(got.values())) == 4
 
-    @pytest.mark.parametrize("u,params,box", CASES)
-    def test_hit_counts_match_weight_array_at_full_chunks(self, u, params, box):
-        box = box or u.support_box()
+    def test_hit_counts_match_weight_array_at_full_chunks(self):
         n = multidim._MC_CHUNK + 777
-        got = energy_by_montecarlo(u, params, box, n, 4)
-        want = _weight_array_montecarlo(u, params, box, n, 4, multidim._MC_CHUNK)
-        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        for u, params, box in self.CASES:
+            box = box or u.support_box()
+            got = energy_by_montecarlo(u, params, box, n, 4)
+            want = _weight_array_montecarlo(u, params, box, n, 4, multidim._MC_CHUNK)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), u
 
     @pytest.mark.parametrize("u,params", [(TENT, EnergyParams(0.1, 1.0)),
                                           (RadialTent((0.0, 0.0, 0.0), 1.0, 1.0),
@@ -774,16 +774,19 @@ class TestMonteCarlo:
                                   np.random.default_rng(seed).random(2500)])
         m, key = len(angle_u), np.array([seed, 0], dtype=np.uint64)
         stream_at, floor_levels = multidim._stream_at, multidim._floor_levels
-        levels_of = []
+        evaluated = []  # the points, then the partners, of the chunk's one block
+        assert m <= multidim._MC_BLOCK
+
+        class AngleDraws:
+            def random(self, n):
+                assert n == m
+                return angle_u.copy()
 
         def draws(key, word):
-            if word != (2 * d - 2) * m:
-                return stream_at(key, word)
-            rest = iter([angle_u])  # one block: the region in one call
-            return type("Draws", (), {"random": lambda self, n: next(rest).copy()})()
+            return AngleDraws() if word == (2 * d - 2) * m else stream_at(key, word)
 
         def spy(u, points, delta):
-            levels_of.append(points.copy())
+            evaluated.append(points.copy())
             return floor_levels(u, points, delta)
 
         monkeypatch.setattr(multidim, "_stream_at", draws)
@@ -806,8 +809,8 @@ class TestMonteCarlo:
         outside = np.any((y < lower) | (y > upper), axis=1)
         want = int(np.count_nonzero(hit)), int(np.count_nonzero(hit & outside))
         assert got == want and want[1] > 0
-        assert len(levels_of) == 2
-        partners = levels_of[1]
+        assert len(evaluated) == 2
+        partners = evaluated[1]
         assert np.isfinite(partners).all()
         assert (np.abs(partners - y) <= 4e-16 * r[:, None] + 2 * np.spacing(np.abs(y))).all()
 
