@@ -14,11 +14,9 @@ tested.
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    FULL_LINE, PiecewiseAffine1D, SchemaError, StepFunction1D,
                    TailMode, validate_and_build)
-from .functional1d import (EnergyParams, affine_interpolation_energy,
-                           energy_quadrature, integrate_pointwise_hostility,
-                           interaction_pairs, local_energy, pair_cell_energy,
-                           pair_cell_quadrature, pointwise_hostility,
-                           step_cells, step_energy)
+from .functional1d import (EnergyParams, affine_interpolation_energy, energy_quadrature,
+                           integrate_pointwise_hostility, local_energy, pair_cell_energy,
+                           pair_cell_quadrature, pointwise_hostility, step_cells, step_energy)
 from .rearrange import (brute_force_min_hostility, clamp_values, hostility_gap,
                         left_right_gap, monotone_rearrangement,
                         monotone_rearrangement_step, multiset_permutations,
@@ -27,8 +25,8 @@ from .rearrange import (brute_force_min_hostility, clamp_values, hostility_gap,
 from .constants import (LimitConstant, Provenance, gamma_limit_constant,
                         spherical_moment, spherical_moment_quadrature,
                         staircase_constant)
-from .multidim import (AffineRamp, Box, Direction, RadialTent, TensorTent,
-                       energy_by_montecarlo, energy_by_sectioning,
-                       local_energy_by_sectioning, local_energy_field, section)
+from .fields import (AffineRamp, Box, Direction, RadialTent, TensorTent, local_energy_field,
+                     section)
+from .multidim import energy_by_montecarlo, energy_by_sectioning, local_energy_by_sectioning
 
 __version__ = "0.1.0"

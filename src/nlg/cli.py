@@ -19,8 +19,9 @@ from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, validate_and_build)
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
-from .multidim import (RadialTent, _check_montecarlo_counts, _check_sectioning,
-                       _sectioning_pass, energy_by_montecarlo)
+from .fields import RadialTent
+from .multidim import (_check_montecarlo_counts, _check_sectioning, _sectioning_pass,
+                       energy_by_montecarlo)
 from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
 from .rearrange import (_hostile, _own_counts, monotone_rearrangement,
                         monotone_rearrangement_step, reduce_arrangement, total_hostility,

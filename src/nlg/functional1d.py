@@ -669,19 +669,6 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     return float(_pair_sum(edges, vals, [len(vals)], params.threshold, params)[0])
 
 
-def interaction_pairs(u: StepFunction1D, domain: Interval,
-                      params: EnergyParams) -> list[tuple[int, int]]:
-    """Index pairs (i < j) of interacting cells of ``u`` on ``domain``."""
-    _, vals = step_cells(u, domain)
-    thr = params.threshold
-    out = []
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[j] - vals[i]) > thr:
-                out.append((i, j))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz functions: adaptive quadrature
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nlg.cli
+import nlg.fields
 import nlg.multidim
 from nlg import EnemyList, EnergyParams
 from nlg.cli import main
@@ -529,7 +530,7 @@ def test_converge_sectioning_runs_one_pass_per_row(capsys, monkeypatch):
                            "--dirs", "6", "--offsets", "24", "--mc-samples", "100")
     assert code == 0 and deltas == [0.4, 0.3]
     monkeypatch.undo()
-    tent = nlg.multidim.RadialTent((0.0, 0.0), 1.0, 1.0)
+    tent = nlg.fields.RadialTent((0.0, 0.0), 1.0, 1.0)
     assert [row.split(",")[1] for row in out.splitlines()[1:]] == [
         nlg.cli._fmt(nlg.multidim.energy_by_sectioning(tent, EnergyParams(d, 2.0), 6, 24)[0])
         for d in (0.4, 0.3)]

@@ -10,9 +10,9 @@ from nlg import functional1d
 from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  StepFunction1D, TailMode, affine_interpolation_energy,
                  energy_quadrature, integrate_pointwise_hostility,
-                 interaction_pairs, local_energy, pair_cell_energy,
-                 pair_cell_quadrature, pointwise_hostility, step_cells,
-                 step_energy, step_hostility, vertical_segmentation)
+                 local_energy, pair_cell_energy, pair_cell_quadrature,
+                 pointwise_hostility, step_cells, step_energy, step_hostility,
+                 vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
                               OverlappingIntervals, UnsupportedCombination, _bands,
                               _first_past, _pair_sum, _segment_sums)
@@ -255,12 +255,22 @@ class TestStepEnergy:
                                 rel_tol=1e-9, abs_tol=1e-15)
 
     def test_interaction_set_shrinks_with_delta(self, rng):
+        # a pair that interacts at 1.8 delta interacts at delta, so the energy
+        # over delta^p, the kernel |y - x|^(-1-p) summed over the interacting
+        # pairs, cannot grow with delta; the values walk by less than delta,
+        # so that the energies are finite
+        finite = 0
         for _ in range(30):
-            u = random_step(rng)
             d = float(rng.uniform(0.05, 0.5))
-            small = set(interaction_pairs(u, u.support, EnergyParams(d, 1.0)))
-            big = set(interaction_pairs(u, u.support, EnergyParams(d * 1.8, 1.0)))
-            assert big <= small
+            u = random_step(rng, n_range=(6, 16))
+            u = StepFunction1D(u.breakpoints, tuple(np.cumsum(rng.uniform(-d, d, len(u.values)))),
+                               u.tail_mode)
+            for p in (1.0, 2.0):
+                small = step_energy(u, u.support, EnergyParams(d, p)) / d ** p
+                big = step_energy(u, u.support, EnergyParams(1.8 * d, p)) / (1.8 * d) ** p
+                assert big <= small * (1.0 + 1e-12)
+                finite += 0.0 < big < small < math.inf
+        assert finite >= 20
 
     def test_divergence_iff_adjacent_jump(self, rng):
         for _ in range(60):

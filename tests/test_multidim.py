@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import math
 import sys
@@ -13,10 +15,10 @@ from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent
                  TensorTent, energy_by_montecarlo, energy_by_sectioning,
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_cells, step_energy)
-from nlg import PiecewiseAffine1D, functional1d, multidim, vertical_segmentation
+from nlg import PiecewiseAffine1D, fields, functional1d, multidim, vertical_segmentation
 from nlg.functional1d import _first_past, _pair_sum
-from nlg.multidim import (DegenerateBox, RadialSection, UnsupportedDimension,
-                          UnsupportedField, _radial_cells, _top_levels)
+from nlg.fields import (DegenerateBox, RadialSection, UnsupportedDimension,
+                        UnsupportedField, _radial_cells, _top_levels)
 from nlg.rearrange import grid_floor_level
 
 from conftest import level_runs_loop
@@ -253,8 +255,8 @@ class TestSections:
                 (TENT, RadialTent((0.1, -0.2), 0.8, 1.3),
                  TensorTent((0.05, -0.1), (1.0, 0.7), 1.2),
                  AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))),
-                (multidim._SECTION_CELLS, 50)):
-            monkeypatch.setattr(multidim, "_SECTION_CELLS", block)
+                (fields._SECTION_CELLS, 50)):
+            monkeypatch.setattr(fields, "_SECTION_CELLS", block)
             for delta in (0.1, 0.013):
                 dirs = [Direction.from_angle(theta)
                         for theta in (0.3, math.pi / 2, 2.9, 1e-9, math.pi / 2 + 1e-9)]
@@ -499,7 +501,7 @@ class TestSectioningEnergy:
             return out
 
         def line_energies(block, bands):
-            monkeypatch.setattr(multidim, "_SECTION_CELLS", block)
+            monkeypatch.setattr(fields, "_SECTION_CELLS", block)
             monkeypatch.setattr(functional1d, "_counted_bands", bands)
             energies = np.zeros(len(points))
             lines, sections = u._sections(sigma, points)
@@ -507,9 +509,9 @@ class TestSectioningEnergy:
                 energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
             return [e.hex() for e in energies.tolist()]
 
-        want = line_energies(multidim._SECTION_CELLS, lambda s, radius: None)
+        want = line_energies(fields._SECTION_CELLS, lambda s, radius: None)
         assert any(float.fromhex(e) > 0.0 for e in want)
-        for block in (1, 7, multidim._SECTION_CELLS):
+        for block in (1, 7, fields._SECTION_CELLS):
             paths.clear()
             assert line_energies(block, seen) == want
             assert paths == {True}
@@ -814,6 +816,19 @@ class TestMonteCarlo:
         assert np.isfinite(partners).all()
         assert (np.abs(partners - y) <= 4e-16 * r[:, None] + 2 * np.spacing(np.abs(y))).all()
 
+    def test_shares_no_code_with_the_closed_forms(self):
+        # the oracle evaluates the field at points; it must not reach the
+        # sections, the segmentations or the pair sum that it checks
+        closed = {"_pair_sum", "_pair_energies", "step_energy", "grid_floor_level",
+                  "_level_cells", "_merge_cells", "_radial_cells", "_sections", "_cells",
+                  "section", "step_segmentation", "vertical_segmentation"}
+        for fn in (multidim.energy_by_montecarlo, multidim._montecarlo_chunk,
+                   multidim._floor_levels, multidim._stream_at):
+            tree = ast.parse(inspect.getsource(fn))
+            named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            assert "np" in named and not named & closed, (fn.__name__, named & closed)
+
 
 def _weight_array_montecarlo(u, params, box, n_samples, seed, chunk):
     """Monte Carlo with one float weight per sample (0, or 1 + partner
@@ -876,6 +891,22 @@ def test_delta_sweep_approaches_limit():
 def test_field_parameters_must_be_finite(make, name):
     with pytest.raises(UnsupportedField, match=name):
         make()
+
+
+@pytest.mark.parametrize("u", [TensorTent((0.05, -0.1), (1.0, 0.7), 1.2),
+                               TensorTent((0.1, -0.2, 0.05), (0.9, 0.6, 1.2), 1.1)])
+def test_tensor_tent_evaluate_matches_broadcast_formula(u, rng):
+    # the factors one column at a time, bit for bit the (n, d) broadcast;
+    # points inside and outside the support, some coordinates on a kink or
+    # on a face of the support
+    c, w = np.asarray(u.center), np.asarray(u.halfwidths)
+    pts = rng.uniform(c - 1.5 * w, c + 1.5 * w, (4000, u.dim))
+    at = rng.integers(0, 6, pts.shape)
+    pts = np.select([at == 0, at == 1, at == 2], [c, c - w, c + w], pts)
+    want = u.peak * np.prod(np.clip(1.0 - np.abs(pts - c) / w, 0.0, None), axis=-1)
+    assert np.array_equal(u.evaluate(pts), want)
+    assert 0 < np.count_nonzero(want) < len(want) and (want == u.peak).any()
+    assert [u(x) for x in pts[:100]] == want[:100].tolist()
 
 
 def test_degenerate_box_rejected():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nlg import _quad
-from nlg.multidim import RadialSection
+from nlg.fields import RadialSection
 
 
 def _old_weights():

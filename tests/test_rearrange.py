@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlg import (AffineRamp, Box, Direction, DiscreteArrangement, EnemyList, EnergyParams,
                  HostilityWeights, Interval, PiecewiseAffine1D, SchemaError, StepFunction1D,
-                 TailMode, TensorTent, multidim, rearrange,
+                 TailMode, TensorTent, fields, multidim, rearrange,
                  brute_force_min_hostility, clamp_values, hostility_gap,
                  left_right_gap, monotone_rearrangement,
                  monotone_rearrangement_step, multiset_permutations,
@@ -316,8 +316,8 @@ class TestVerticalSegmentation:
             calls.append((xs, ys, delta, crossings, join))
             return engine(xs, ys, delta, crossings, join)
 
-        engine = multidim._level_cells
-        monkeypatch.setattr(multidim, "_level_cells", level_cells)
+        engine = fields._level_cells
+        monkeypatch.setattr(fields, "_level_cells", level_cells)
         sections = 0
         for _ in range(30):
             tent = TensorTent(tuple(rng.uniform(-0.3, 0.3, 2)), tuple(rng.uniform(0.3, 1.5, 2)),
