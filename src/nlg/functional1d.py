@@ -30,6 +30,9 @@ A zero tail on the right is the last column of that sum, closed by the
 half-line past +inf, whose energy is 0; the pairs of a zero tail on the
 left are one vector term.  The step function alone decides its tails
 and its default domain (``StepFunction1D.domain``, :func:`step_cells`).
+A unimodal staircase, as every line section of the catalog's fields is,
+needs no sort: a row interacts with at most two ranges of cells, found by
+arithmetic, and each range is one closed-form term (:func:`_unimodal_sums`).
 
 Interaction uses the strict inequality |u(y)-u(x)| > delta.  Jumps equal
 to delta do NOT interact; that is what keeps staircases with consecutive
@@ -311,7 +314,8 @@ def _bands(s, y, radius):
 def _counted_bands(s, radius):
     """:func:`_bands` of the sorted labels ``s`` at themselves, from counts,
     or None unless the labels are integers of magnitude below 2**53 over a
-    span under 4 * len(s) and ``radius`` is an integer.
+    span under 4 * len(s) and ``radius`` is an integer, as the integer
+    levels of a grid step function are.
 
     Differences of such labels are exact, so ``abs(s[k] - s[b]) <=
     radius`` holds exactly where the integers say so.  With ``below[v]``
@@ -336,53 +340,39 @@ def _counted_bands(s, radius):
     return below[k], below[k + (2 * r + 1)]
 
 
-def _switch_ranges(x, counts, radius):
-    """The rows whose interaction switches at each column, as one table
-    of sorted-index ranges.
+def _switch_ranges(x, radius, right, lens):
+    """The rows whose interaction switches at each column of one step
+    function, as one table of sorted-index ranges.
 
-    The labels ``x`` of the functions laid end to end (``counts`` cells
-    each) are sorted once, on keys that shift each function's labels past
-    the last key of the one before by radius + 1, so that no band leaks
-    into another function, and each function's labels fill the sorted
-    indices of its cells; the keys of many functions of integer labels
-    span the sum of their label ranges and radius + 1 per join.
-    Cell c's band ``[lo[c], hi[c])`` holds its non-interacting rows, from
-    counts where the keys are integers over a span under 4 n
-    (:func:`_counted_bands`, as on integer levels) and by search elsewhere
-    (:func:`_bands`), with the same ranges either way; a function's last
-    column closes with the band of all its cells.  Adjacent cells do not
-    interact, so consecutive bands overlap, and the rows that switch
-    between columns c and c+1 are the ones each band end sweeps over: the
-    lower end moving right (or the upper end moving left) switches rows
-    on, the other way off.
+    The labels ``x`` are sorted once.  Cell c's band ``[lo[c], hi[c])``
+    holds its non-interacting rows, from counts where the labels are
+    integers over a span under 4 n (:func:`_counted_bands`, as on integer
+    levels) and by search elsewhere (:func:`_bands`), with the same ranges
+    either way; the last column closes with the band of all the cells.
+    Adjacent cells do not interact, so consecutive bands overlap, and the
+    rows that switch between columns c and c+1 are the ones each band end
+    sweeps over: the lower end moving right (or the upper end moving left)
+    switches rows on, the other way off.
 
-    Returns ``(order, cells, swept, start, runs)``: sorted index k is cell
-    ``order[k]``, and slot j switches the ``abs(swept[j])`` rows from
-    sorted index ``start[j]`` on at the right edge of cell ``cells[j]``, on
-    where ``swept[j] > 0`` and off where it is negative.  A function with
-    cells ``[s, e)`` has slots ``[2s, 2e)``: its lower ends in cell order,
-    then its upper ends, with the zero-length ones in place.  ``runs[k]``
-    holds where sorted index k starts a run of equal keys, and ``runs`` is
-    None if no run has ``_PREFIX_RUN`` cells.  The sort is stable, so a
-    run's cells are in order, and a band end is the same for equal keys,
-    so a slot's range holds whole runs.  The index tables are int32 below
-    2**31 cells.
+    Returns ``(order, cells, swept, start, runs, right_s, lens_s)``: sorted
+    index k is cell ``order[k]``, and slot j switches the ``abs(swept[j])``
+    rows from sorted index ``start[j]`` on at the right edge of cell
+    ``cells[j]``, on where ``swept[j] > 0`` and off where it is negative.
+    Slots ``[0, n)`` are the lower ends in cell order and ``[n, 2 n)`` the
+    upper ends, with the zero-length ones in place.  ``runs[k]`` holds where
+    sorted index k starts a run of equal labels, and ``runs`` is None if no
+    run has ``_PREFIX_RUN`` cells.  The sort is stable, so a run's cells are
+    in order, and a band end is the same for equal labels, so a slot's range
+    holds whole runs.  ``right_s`` and ``lens_s`` are the cells' right
+    edges ``right`` and lengths ``lens`` in sorted order, gathered with the
+    sort's own intp indices; the index tables are int32 below 2**31 cells.
     """
     n = len(x)
-    # each nonempty function's keys start radius + 1 past the end of the
-    # one before, and the first function's are its labels
-    shift = 0.0
-    if len(counts) > 1:
-        size = counts[counts > 0]
-        at = np.cumsum(size) - size
-        lo, hi = np.minimum.reduceat(x, at), np.maximum.reduceat(x, at)
-        base = np.cumsum(hi - lo + (radius + 1.0))  # integer labels: exact
-        shift = np.repeat(np.append(0.0, base[:-1] + lo[0] - lo[1:]), size)
-    keys = x + shift
-    order = np.argsort(keys, kind="stable").astype(np.int32 if n < 1 << 31 else np.intp)
-    keys = keys[order]
+    order = np.argsort(x, kind="stable")
+    keys, right_s, lens_s = x[order], right[order], lens[order]
+    order = order.astype(np.int32 if n < 1 << 31 else np.intp)
     lo, hi = np.empty_like(order), np.empty_like(order)
-    # the bands of the sorted keys at themselves (sorted queries: faster)
+    # the bands of the sorted labels at themselves (sorted queries: faster)
     lo[order], hi[order] = _counted_bands(keys, radius) or _bands(keys, keys, radius)
     runs = None
     if n >= _PREFIX_RUN and np.any(keys[_PREFIX_RUN - 1:] == keys[:n + 1 - _PREFIX_RUN]):
@@ -390,17 +380,13 @@ def _switch_ranges(x, counts, radius):
         runs[0] = True
         np.not_equal(keys[1:], keys[:-1], out=runs[1:])
     del keys
-    ends, size = np.cumsum(counts)[counts > 0], counts[counts > 0]
-    slot = np.arange(n) + np.repeat(ends - size, size)  # the lower ends' slots
-    swept, start, cells = (np.empty(2 * n, dtype=order.dtype) for _ in range(3))
-    for band, close, sign in ((lo, ends - size, 1), (hi, ends, -1)):
+    swept, start = np.empty(2 * n, dtype=order.dtype), np.empty(2 * n, dtype=order.dtype)
+    for band, close, at, sign in ((lo, 0, slice(0, n), 1), (hi, n, slice(n, None), -1)):
         nxt = np.roll(band, -1)
-        nxt[ends - 1] = close
-        swept[slot] = sign * (nxt - band)  # signed: > 0 switches on
-        start[slot] = np.minimum(band, nxt, out=nxt)
-        cells[slot] = np.arange(n, dtype=order.dtype)
-        slot += np.repeat(size, size)  # the upper ends' slots
-    return order, cells, swept, start, runs
+        nxt[-1] = close
+        swept[at] = sign * (nxt - band)  # signed: > 0 switches on
+        start[at] = np.minimum(band, nxt, out=nxt)
+    return order, np.tile(np.arange(n, dtype=order.dtype), 2), swept, start, runs, right_s, lens_s
 
 
 def _ragged_arange(counts):
@@ -461,19 +447,17 @@ def _segment_sums(v, counts):
     return np.add.reduceat(np.insert(v, starts, 0.0), starts + np.arange(len(counts)))
 
 
-def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
-    """Sums of pair energies over ordered pairs of interacting cells, one
-    per step function of a batch.
+def _pair_sum(edges, x, radius, params) -> float:
+    """Sum of pair energies over ordered pairs of interacting cells of one
+    step function.
 
-    ``counts[f]`` is the number of cells of function f, and the functions
-    are laid end to end: ``counts[f] + 1`` entries of ``edges`` and
-    ``counts[f]`` labels ``x`` each, as :func:`step_cells` returns them.
-    A label is any per-cell number (values, or integer grid levels); with
-    more than one function the labels must be integers.  Cells i and j of
-    one function interact where ``abs(x[i] - x[j]) > radius``, the one
-    predicate used by every check below.  A function with two interacting
-    adjacent cells sums to +inf; that test compares neighbours
-    ``_SBP_CHUNK`` at a time into one bool array, a byte a cell.
+    The function's ``len(x) + 1`` ``edges`` and its labels ``x`` are as
+    :func:`step_cells` returns them.  A label is any per-cell number
+    (values, or integer grid levels).  Cells i and j interact where
+    ``abs(x[i] - x[j]) > radius``, the one predicate used by every check
+    below.  A function with two interacting adjacent cells sums to +inf;
+    that test compares neighbours ``_SBP_CHUNK`` at a time and stops at the
+    first jump.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
@@ -485,26 +469,24 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             = sum_{b = i+2}^{n} (I(i, b) - I(i, b-1)) H(i, b),
 
     with I(i, n) = 0.  The differences are nonzero only where row i
-    switches on or off.  The labels are sorted once, on keys that space
-    the functions more than the radius apart, so that no band leaks into
-    another function; over them the non-interacting rows of each column
-    form one band, counted in integers for integer labels over a short
-    span and searched in floats otherwise, to the same ranges
-    (:func:`_counted_bands`, :func:`_bands`), and with no two adjacent
-    cells interacting, the rows that switch are two sorted-index ranges
-    per column (:func:`_switch_ranges`), of which the rows i <=
-    b-2, before the column, are kept.  The sort is stable, so equal labels
-    lie in runs in cell order, and a band end sweeps whole runs, so the
-    kept rows of a run are a prefix of it; one ``searchsorted`` on the
-    sorted (run, cell) keys finds every prefix (:func:`_prefix_units`).
-    A slot of long runs, as on staircases that revisit their levels,
-    expands only those prefixes, and a slot of short runs all its rows,
-    which costs less than a search per run.  One loop body serves both: a
-    step expands its units' rows, gathers their edges from copies in sorted
-    order, and, only if one of its units is a slot of short runs, drops the
-    rows at or past their column: those whose gap to the column's edge is
-    not positive, as a function's edges increase strictly.  The kept rows
-    come in sorted order, slot by slot, and a step keeps about
+    switches on or off.  The labels are sorted once; over them the
+    non-interacting rows of each column form one band, counted in integers
+    for integer labels over a short span and searched in floats otherwise,
+    to the same ranges (:func:`_counted_bands`, :func:`_bands`), and with no
+    two adjacent cells interacting, the rows that switch are two
+    sorted-index ranges per column (:func:`_switch_ranges`), of which the
+    rows i <= b-2, before the column, are kept.  The sort is stable, so
+    equal labels lie in runs in cell order, and a band end sweeps whole
+    runs, so the kept rows of a run are a prefix of it; one
+    ``searchsorted`` on the sorted (run, cell) keys finds every prefix
+    (:func:`_prefix_units`).  A slot of long runs, as on staircases that
+    revisit their levels, expands only those prefixes, and a slot of short
+    runs all its rows, which costs less than a search per run.  One loop
+    body serves both: a step expands its units' rows, gathers their edges
+    from copies in sorted order, and, only if one of its units is a slot of
+    short runs, drops the rows at or past their column: those whose gap to
+    the column's edge is not positive, as the edges increase strictly.  The
+    kept rows come in sorted order, slot by slot, and a step keeps about
     ``_SBP_CHUNK`` / 2 of them: an input with runs expands that many rows
     a step, and one without expands twice as many and drops about half.
     The cost is O(n log n + kept rows + rows of short-run slots), and the
@@ -517,73 +499,38 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
     half-line past its +inf edge has zero energy at every p.  A left zero
     tail, an infinitely long row, pairs with the cells 2 .. n-1 in one
     vector term instead; the right tail has its label, so it drops out.
-    Each function's transitions are cut into pieces of ``_SBP_CHUNK`` from
-    its first one, every piece and every tail term is summed like a lone
-    ``np.sum`` (:func:`_segment_sums`), and a function's pieces are added
-    with math.fsum, so its energy does not depend on the rest of its batch.
+    The transitions are cut into pieces of ``_SBP_CHUNK``, every piece and
+    the tail term are summed like a lone ``np.sum`` (:func:`_segment_sums`),
+    and the parts are added with math.fsum.
     """
-    counts = np.asarray(counts, dtype=np.intp)
     x = np.asarray(x, dtype=float)
-    nf = len(counts)
-    # function f diverges if a jump lies among its adjacent pairs [s, e - 1):
-    # neighbours compared a chunk at a time into one bool array, the pairs
-    # between functions cleared, then one or-reduction from each start of a
-    # function with two cells or more
-    e = np.cumsum(counts)
-    s = e - counts
-    jump = np.empty(max(len(x) - 1, 0), dtype=bool)
-    for a in range(0, len(jump), _SBP_CHUNK):
-        b = min(a + _SBP_CHUNK, len(jump))
+    n = len(x)
+    for a in range(0, n - 1, _SBP_CHUNK):  # adjacent interacting cells diverge
+        b = min(a + _SBP_CHUNK, n - 1)
         gap = np.subtract(x[a + 1:b + 1], x[a:b])
-        np.greater(np.abs(gap, out=gap), radius, out=jump[a:b])
-    jump[e[(e > 0) & (e < len(x))] - 1] = False
-    div = counts > 1
-    div[div] = np.logical_or.reduceat(jump, s[div])
-    del jump
-    if div.all():
-        return np.full(nf, INF)
-    f = np.arange(nf)
-    left, right = np.delete(edges, e + f), np.delete(edges, s + f)  # per cell
-    lens = right - left
-    part_f, part_v = [], []
-    ok = f[(counts > 0) & ~div]
-    tail_f = ok[left[s[ok]] == -INF]  # the functions with a left zero tail
-    tail = s[tail_f]
-    if tail.size:
-        m = np.maximum(counts[tail_f] - 2, 0)
-        row = np.repeat(tail, m)
-        col = row + 2 + _ragged_arange(m)
-        far = np.abs(x[col] - x[row]) > radius
-        row, col = row[far], col[far]
-        gap, len1 = left[col], lens[col]
-        gap -= right[row]
-        part_f.append(tail_f)
-        part_v.append(_segment_sums(_pair_energies(gap, len1, INF, params, out=len1),
-                                    np.bincount(np.searchsorted(tail, row), minlength=tail.size)))
-        del row, col, far, gap, len1
-    del left
-    # the by-parts sum runs over the other cells of the finite functions
-    drop = np.concatenate((tail, np.repeat(s[div], counts[div]) + _ragged_arange(counts[div])))
-    if drop.size:
-        keep = np.ones(len(x), dtype=bool)
-        keep[drop] = False
-        x, right, lens = x[keep], right[keep], lens[keep]
-        del keep
-        counts = np.where(div, 0, counts)
-        counts[tail_f] -= 1
+        if np.any(np.abs(gap, out=gap) > radius):
+            return INF
+    right, lens = edges[1:], np.diff(edges)  # per cell
+    parts = []
+    if n and edges[0] == -INF:  # a left zero tail, then the other cells
+        col = 2 + np.flatnonzero(np.abs(x[2:] - x[0]) > radius)
+        gap, len1 = edges[col], lens[col]
+        gap -= right[0]
+        parts.append(np.add.reduce(_pair_energies(gap, len1, INF, params, out=len1)))
+        del col, gap, len1
+        x, right, lens = x[1:], right[1:], lens[1:]
     if len(x):
-        order, cells, swept, start, runs = _switch_ranges(x, counts, radius)
-        # slot j covers the flat transitions [ends[j], ends[j + 1]), and
-        # function f's run from slot 2 * s[f]; int32 below 2**31 of them
+        order, cells, swept, start, runs, right_s, lens_s = _switch_ranges(x, radius, right, lens)
+        del lens
+        # slot j covers the flat transitions [ends[j], ends[j + 1]); int32
+        # below 2**31 of them
         ends = np.zeros(len(swept) + 1, dtype=np.intp)
         np.abs(swept, out=ends[1:])
         np.cumsum(ends, out=ends)
         if ends[-1] < 1 << 31:
             ends = ends.astype(np.int32)
-        t0 = ends[2 * np.append(0, np.cumsum(counts))]
-        # each function's transitions in pieces of _SBP_CHUNK
-        pieces = -(-np.diff(t0) // _SBP_CHUNK)
-        p0 = np.repeat(t0[:-1], pieces) + _SBP_CHUNK * _ragged_arange(pieces)
+        # the transitions in pieces of _SBP_CHUNK
+        p0 = _SBP_CHUNK * np.arange(-(-int(ends[-1]) // _SBP_CHUNK))
         sums = np.zeros(len(p0))
         # the units to expand, and the expanded rows before each piece and
         # after the last: the slots and all their rows, unless runs are long;
@@ -607,9 +554,8 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
         # the units a group's window [c0, c1) meets, zero-length ones between
         j0, j1 = np.searchsorted(unit_end, c0, "right") - 1, np.searchsorted(unit_end, c1, "left")
         coef = _pair_coef(params)  # signed per unit below: a row switching on adds
-        # the rows' edges in sorted order, and each piece's expanded rows
-        right_s, lens_s, kept_all = right[order], lens[order], np.diff(at)
-        del lens, order
+        kept_all = np.diff(at)  # each piece's expanded rows
+        del order
         # a step's arrays, kept across steps: fresh ones of this size are
         # trimmed from the heap and faulted in again at every step; take in
         # "clip" mode writes them unbuffered, and every index is in range
@@ -636,18 +582,66 @@ def _pair_sum(edges, x, counts, radius, params) -> np.ndarray:
             len1 = lens_s.take(k, out=len_b[:len(k)], mode="clip")
             h = _pair_energies(gap, len1, INF, params, scale, out=len1)
             sums[a:b] = _segment_sums(h, kept)
-        part_f.append(np.repeat(np.arange(nf), pieces))
-        part_v.append(sums)
-    if not part_f:
-        return np.where(div, INF, 0.0)
-    part_f, part_v = np.concatenate(part_f), np.concatenate(part_v)
-    # math.fsum of one or two parts is their float sum
-    n_parts = np.bincount(part_f, minlength=nf)
-    few = n_parts[part_f] <= 2
-    total = np.bincount(part_f[few], weights=part_v[few], minlength=nf).astype(float)
-    for i in np.flatnonzero(n_parts > 2).tolist():
-        total[i] = math.fsum(part_v[part_f == i])
-    return np.where(div, INF, 2.0 * total)
+        parts.extend(sums.tolist())
+    return 2.0 * math.fsum(parts)
+
+
+def _unimodal_sums(edges, levels, counts, params) -> np.ndarray:
+    """Energies at radius 1 of lines of integer levels laid end to end, as a
+    sectioning pass's ``_cells`` yields them: line f has ``counts[f] >= 1``
+    cells and ``counts[f] + 1`` edges.
+
+    A line is unimodal if every cell k lies on level T - |k - m| for its
+    top cell m on level T, as every section of the catalog's fields does.
+    Row i on level a then meets level a again at r = m + T - a, on the
+    falling side (r = i from the top on).  Of the cells past i + 1, only
+    r - 1, r and r + 1 lie within one level of a, so row i interacts with
+    the two ranges [i + 2, r - 1) and [r + 2, end), either of which may be
+    empty.  A row's energy against a range is one closed-form pair energy
+    against the union of the range's cells (:func:`_pair_energies`), in
+    the tail form where the row is a left zero tail (the lengths swapped)
+    or the range ends in a right zero tail; both tails sit on level 0, so
+    never both.  So a line's energy is a sum of positive terms, with no sort
+    and no half-line differences.  Each range's terms of a line are summed
+    like a lone ``np.sum`` (:func:`_segment_sums`), so that the line's bits
+    do not depend on its block.  A line that is not unimodal (a jump, which
+    diverges, a valley, or ulp noise on a tensor tent's top) takes
+    :func:`_pair_sum` alone.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    end = np.cumsum(counts)
+    start = end - counts
+    line = np.repeat(np.arange(len(counts)), counts)
+    i = np.arange(len(levels))
+    top = np.maximum.reduceat(levels, start)
+    below = top[line] - levels
+    # a unimodal line's top cell is as far from its first cell as it lies above it
+    peak = np.repeat(start + (top - levels[start]).astype(np.intp), counts)
+    ok = np.logical_and.reduceat(below == np.abs(i - peak), start)
+    # as edge indices: line f's cell k has the edges k + f and k + f + 1
+    i += line
+    r = peak + line + below.astype(np.intp)
+    stop = np.repeat(end + np.arange(len(counts)), counts)
+    del line, below, peak
+    live, out = np.repeat(ok, counts), np.zeros(len(counts))
+    for lo, hi in ((i + 2, np.minimum(r - 1, stop)), (r + 2, stop)):  # each row's two ranges
+        keep = (lo < hi) & live
+        row, lo, hi = i[keep], lo[keep], hi[keep]
+        gap, len2 = edges[lo], edges[hi]
+        len2 -= gap
+        len1 = edges[row + 1]
+        gap -= len1
+        len1 -= edges[row]
+        h = np.empty(len(gap))
+        tail = np.isinf(len1) | np.isinf(len2)
+        h[tail] = _pair_energies(gap[tail], np.minimum(len1[tail], len2[tail]), INF, params)
+        fin = ~tail
+        h[fin] = _pair_energies(gap[fin], len1[fin], len2[fin], params)
+        out += _segment_sums(h, np.add.reduceat(keep, start, dtype=np.intp))
+    out *= 2.0
+    for f in np.flatnonzero(~ok).tolist():
+        out[f] = _pair_sum(edges[start[f] + f:end[f] + f + 1], levels[start[f]:end[f]], 1, params)
+    return out
 
 
 def step_energy(u: StepFunction1D, domain: Interval | None = None,
@@ -666,7 +660,7 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     if domain is None:
         domain = u.domain
     edges, vals = step_cells(u, domain)
-    return float(_pair_sum(edges, vals, [len(vals)], params.threshold, params)[0])
+    return _pair_sum(edges, vals, params.threshold, params)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ each unordered line once, which applies the 1/2.  The fields of
 ``nlg.fields`` build exact sections along any line, so the section of a
 vertically segmented field is an exact StepFunction1D and the inner 1D
 energy is computed in closed form; only the two outer integrals carry
-discretization error.  A pass hands each block of section cells to the
-pair sum as integer levels, many lines per call.
+discretization error.  Every section of the catalog is unimodal, and a
+pass hands each block of section cells, on integer levels, to the sum of
+unimodal lines by interaction ranges (``functional1d._unimodal_sums``),
+many lines per call.
 
 Both estimators here target the segmented field: the sectioning path
 computes the energy of the vertical segmentation exactly in the inner
@@ -36,7 +38,7 @@ from .fields import (AffineRamp, Box, DegenerateBox, Direction, ScalarField, Uns
                      UnsupportedField, _check_finite_sides, _is_int)
 # not called here: perfbench's tracer rebinds them, and the sections' step_segmentation
 from .fields import AffineSection, PolySection, RadialSection, section  # noqa: F401
-from .functional1d import EnergyParams, _pair_sum
+from .functional1d import EnergyParams, _unimodal_sums
 from .functional1d import step_energy  # noqa: F401 -- perfbench's tracer rebinds it here
 from .rearrange import vertical_segmentation  # noqa: F401 -- perfbench's tracer rebinds it here
 
@@ -72,13 +74,13 @@ def _sectioning_pass(u: ScalarField, params: EnergyParams, n_dirs: int,
     (``_cells``), in blocks of about ``_SECTION_CELLS`` cells that may span
     directions: ``(lines, edges, levels, counts)``, the nonempty lines'
     cells laid end to end with integer levels, one more edge a line, and
-    ``lines`` indexing the sections.  A block is one pair sum; each
-    direction then adds its energies in offset order."""
+    ``lines`` indexing the sections.  A block is one range sum of its
+    unimodal lines; each direction then adds its energies in offset order."""
     sigma, points, w_z, w_dir = _line_grid(u, n_dirs, n_offsets)
     energies = np.zeros(len(points))
     lines, sections = u._sections(sigma, points)
     for i, edges, levels, counts in sections._cells(params.delta):
-        energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
+        energies[lines[i]] = _unimodal_sums(edges, levels, counts, params)
     # 0.0 + e0 + e1 + ... in offset order, where an empty line adds 0.0, and
     # then over the directions in order
     acc = np.cumsum(energies.reshape(len(w_z), -1), axis=1)[:, -1]
@@ -101,7 +103,7 @@ def energy_by_sectioning(u: ScalarField, params: EnergyParams,
                          ) -> tuple[float, float]:
     """Sectioning estimate of the energy of the segmented field, d = 2.
 
-    Every inner 1D energy is exact: the closed-form pair sum over the exactly
+    Every inner 1D energy is exact: closed-form pair energies over the exactly
     sectioned step function, on its integer grid levels, so adjacent levels
     never interact whatever the float rounding of k*delta.  The two outer
     integrals use composite midpoint rules.  The error estimate is the raw

@@ -472,7 +472,7 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")
     # integer levels: |d| >= k+1 is |d| > k
-    return float(_pair_sum(edges, levels, [len(levels)], k, params)[0])
+    return _pair_sum(edges, levels, k, params)
 
 
 # ---------------------------------------------------------------------------

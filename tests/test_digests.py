@@ -51,7 +51,7 @@ DIGESTS = {
     "energy_shapes":
         "c265ce7d63affe38309e50bcb02ef4ef162c47e98efce02961fd06ec7be7801f",
     "sectioning":
-        "c9a0f035a4b00f72436e761433e708b44871271f4dbd00541dc49204eec927bc",
+        "9ed4bba406a0a0e0f8998ba2232aee57629adc7dd4bd29f0dc2f6b40b2ea5a68",
     "montecarlo":
         "6d6d285513287ac619f413d837516f585b4faaac707091756dede67de8bbcf1c",
     "fuzz_counts":

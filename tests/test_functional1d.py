@@ -15,7 +15,7 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
                               OverlappingIntervals, UnsupportedCombination, _bands,
-                              _first_past, _pair_sum, _segment_sums)
+                              _first_past, _pair_sum, _segment_sums, _unimodal_sums)
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -235,8 +235,13 @@ class TestStepEnergy:
                 assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_translation_invariance_and_dilation_scaling(self, rng):
+        # the values walk by less than delta, so that the energies are
+        # finite and both the shift and the dilation are checked
+        finite = 0
         for _ in range(20):
-            u = random_step(rng)
+            u = random_step(rng, n_range=(6, 16))
+            walk = np.cumsum(rng.uniform(-0.35, 0.35, len(u.values)))
+            u = StepFunction1D(u.breakpoints, tuple(walk), u.tail_mode)
             params = EnergyParams(0.35, float(rng.choice([1.0, 1.5, 2.0])))
             base = step_energy(u, u.support, params)
             shift = float(rng.uniform(-5, 5))
@@ -253,6 +258,8 @@ class TestStepEnergy:
             got = step_energy(scaled, scaled.support, params)
             assert math.isclose(got, base * lam ** (1.0 - params.p),
                                 rel_tol=1e-9, abs_tol=1e-15)
+            finite += 0.0 < base < math.inf
+        assert finite >= 18
 
     def test_interaction_set_shrinks_with_delta(self, rng):
         # a pair that interacts at 1.8 delta interacts at delta, so the energy
@@ -529,6 +536,8 @@ def assert_sum_matches(got, want):
 
 class TestBatchedPairSum:
     def test_matches_one_function_sums(self):
+        # a block's line energies against each function's own step energy,
+        # and its hostility against the pair sum of its levels alone
         rng = np.random.default_rng(11)
         delta = 0.1
         for trial in range(40):
@@ -536,72 +545,69 @@ class TestBatchedPairSum:
             params = EnergyParams(delta, float(rng.choice([1.0, 1.5, 2.0])))
             edges, levels, counts = batch_of(steps, delta)
             want = [step_energy(u, u.domain, params) for u in steps]
-            assert _pair_sum(edges, levels, counts, 1, params) == \
-                pytest.approx(want, rel=1e-15, abs=0.0)
-            for k in (1, 2):
-                got = _pair_sum(edges, levels, counts, k, params)
-                for u, g in zip(steps, got):
-                    if u.tail_mode is TailMode.DOMAIN_ONLY:  # hostility needs a bounded domain
-                        assert g == pytest.approx(step_hostility(u, u.domain, k, params),
-                                                  rel=1e-15, abs=0.0)
+            assert _unimodal_sums(edges, levels, counts, params).tolist() == \
+                pytest.approx(want, rel=1e-14, abs=0.0)
+            for u in steps:
+                if u.tail_mode is TailMode.DOMAIN_ONLY:  # hostility needs a bounded domain
+                    e, x, _ = batch_of([u], delta)
+                    for k in (1, 2):
+                        assert _pair_sum(e, x, k, params) == step_hostility(u, u.domain, k, params)
 
     def test_only_the_divergent_function_is_inf(self):
         delta = 0.1
         steps = [StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.1, 0.2, 0.1)),
                  StepFunction1D((0.0, 1.0, 2.0), (0.1, 0.4)),       # jump of 3 levels
                  StepFunction1D((0.0, 1.0, 2.0, 3.5), (0.0, 0.1, 0.2), TailMode.DOMAIN_ONLY)]
-        got = _pair_sum(*batch_of(steps, delta), 1, EnergyParams(delta, 1.0))
+        got = _unimodal_sums(*batch_of(steps, delta), EnergyParams(delta, 1.0))
         assert got[1] == math.inf
         for i in (0, 2):
-            assert 0.0 < got[i] < math.inf and got[i] == step_energy(steps[i], steps[i].domain,
-                                                                   EnergyParams(delta, 1.0))
+            assert 0.0 < got[i] < math.inf
+            assert got[i] == pytest.approx(step_energy(steps[i], steps[i].domain,
+                                                       EnergyParams(delta, 1.0)), rel=1e-15)
 
     def test_empty_batch(self):
-        got = _pair_sum(np.zeros(0), np.zeros(0), [], 1, EnergyParams(0.1, 1.0))
+        got = _unimodal_sums(np.zeros(0), np.zeros(0), [], EnergyParams(0.1, 1.0))
         assert got.shape == (0,)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 8), at=st.integers(0, 8),
-           p=st.sampled_from([1.0, 1.5, 2.0]), k=st.integers(1, 2))
-    def test_energy_does_not_depend_on_batch_neighbours(self, seed, size, at, p, k):
-        # chunk sizes 1 and 7 put group seams inside and between functions;
-        # a divergent function (a jump of k + 1 levels) keeps no cells, and
-        # one-cell functions keep no transitions, before their neighbours'
+           p=st.sampled_from([1.0, 1.5, 2.0]))
+    def test_energy_does_not_depend_on_batch_neighbours(self, seed, size, at, p):
+        # a block's line against the same line alone, bit for bit, with
+        # chunk sizes 1 and 7 in the pair sum of the lines that are not
+        # unimodal; a divergent line (a jump of 2 levels) is inf in the block
         delta = 0.25
         rng = np.random.default_rng(seed)
         steps = grid_steps(rng, size, delta)
         bad = int(rng.integers(size + 1))
-        jump = (k + 1) * delta
-        steps.insert(bad, StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.0, jump, jump)))
+        steps.insert(bad, StepFunction1D((0.0, 1.0, 2.0, 3.0), (0.0, 2 * delta, 2 * delta)))
         params = EnergyParams(delta, p)
         at %= size + 1
         for chunk in (1, 7, functional1d._SBP_CHUNK):
             with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
-                batch = _pair_sum(*batch_of(steps, delta), k, params)
-                alone = _pair_sum(*batch_of(steps[at:at + 1], delta), k, params)
+                batch = _unimodal_sums(*batch_of(steps, delta), params)
+                alone = _unimodal_sums(*batch_of(steps[at:at + 1], delta), params)
             assert batch[bad] == math.inf
-            assert batch[at] == alone[0]
+            assert batch[at].hex() == alone[0].hex()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.0, 1.5, 2.0]),
            k=st.integers(1, 3), chunk=st.sampled_from([1, 7, functional1d._SBP_CHUNK]))
     def test_matches_brute_force_ordered_pairs(self, seed, p, k, chunk):
         # walks and few-level staircases repeat their labels in long runs,
         # staircases of distinct labels have none, and zero tails join the
-        # runs of level 0; a batch of them on integer labels, then
-        # off-grid float labels one function at a time
+        # runs of level 0; integer labels, then off-grid float labels, one
+        # function at a time
         rng = np.random.default_rng(seed)
         params = EnergyParams(0.1, p)
-        funcs = [labelled_cells(rng, k) for _ in range(int(rng.integers(1, 6)))]
         with mock.patch.object(functional1d, "_SBP_CHUNK", chunk):
-            got = _pair_sum(np.concatenate([e for e, _ in funcs]),
-                            np.concatenate([x for _, x in funcs]),
-                            [len(x) for _, x in funcs], k, params)
-            for (edges, x), g in zip(funcs, got):
-                assert_sum_matches(g, ordered_pair_sum(edges, x, k, params))
+            for _ in range(int(rng.integers(1, 6))):
+                edges, x = labelled_cells(rng, k)
+                assert_sum_matches(_pair_sum(edges, x, k, params),
+                                   ordered_pair_sum(edges, x, k, params))
             radius = 0.1 * k * (1.0 + 1e-12)
             for _ in range(2):
                 edges, x = labelled_cells(rng, k)
                 x = np.cumsum(rng.uniform(-radius, radius, len(x)))  # all distinct
-                assert_sum_matches(_pair_sum(edges, x, [len(x)], radius, params)[0],
+                assert_sum_matches(_pair_sum(edges, x, radius, params),
                                    ordered_pair_sum(edges, x, radius, params))
 
     def test_walk_energies_are_pinned(self):
@@ -640,11 +646,11 @@ class TestBatchedPairSum:
             levels = np.rint(vals / delta)
         tracemalloc.start()
         try:
-            energy = _pair_sum(edges, levels, [len(levels)], radius, EnergyParams(delta, 1.0))
+            energy = _pair_sum(edges, levels, radius, EnergyParams(delta, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.0 < energy[0] < math.inf
+        assert 0.0 < energy < math.inf
         assert peak <= per_cell * len(levels)
 
     def test_segment_sums_round_like_numpy(self):
@@ -671,6 +677,73 @@ class TestBatchedPairSum:
         check(rng.normal(size=sum(counts)) * 10.0 ** rng.uniform(-8, 8, sum(counts)), counts)
         check(np.full(4, -0.0), [1, 1, 0, 1, 1])  # segments of a single -0.0
         check(np.array([-0.0, -0.0, 1.0, -0.0]), [2, 2])
+
+
+def unimodal_cells(rng):
+    """Edges and integer levels T - |k - m| of a unimodal line of 1 to 17
+    cells of widths 0.05 to 1; half of them between zero tails, from level 0
+    up to their top and back."""
+    if rng.random() < 0.5:
+        rise = fall = top = int(rng.integers(0, 8))
+    else:
+        rise, fall, top = (int(v) for v in rng.integers([0, 0, -3], [9, 9, 9]))
+    x = top - np.abs(np.arange(rise + fall + 1) - rise)
+    edges = np.cumsum(rng.uniform(0.05, 1.0, len(x) + 1))
+    if rise == fall == top:
+        edges[[0, -1]] = -math.inf, math.inf
+    return edges, x.astype(float)
+
+
+def block_of(lines):
+    """The edges, levels and counts of ``lines`` laid end to end."""
+    return (np.concatenate([e for e, _ in lines]), np.concatenate([x for _, x in lines]),
+            [len(x) for _, x in lines])
+
+
+class TestUnimodalSums:
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.0, 1.5, 2.0]))
+    def test_matches_brute_force_ordered_pairs(self, seed, p):
+        # one to four unimodal lines in a block, with and without zero
+        # tails, none of them through the pair sum
+        rng = np.random.default_rng(seed)
+        params = EnergyParams(0.1, p)
+        lines = [unimodal_cells(rng) for _ in range(int(rng.integers(1, 5)))]
+        with mock.patch.object(functional1d, "_pair_sum", side_effect=AssertionError("fell back")):
+            got = _unimodal_sums(*block_of(lines), params)
+        for (edges, x), g in zip(lines, got):
+            assert_sum_matches(g, ordered_pair_sum(edges, x, 1, params))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_other_lines_take_the_pair_sum(self, p):
+        # a valley between zero tails, a plateau and a jump among unimodal
+        # lines in one block: those three, and only they, take the pair sum
+        # of their cells alone, bit for bit, and the jump is inf
+        rng = np.random.default_rng(3)
+        params = EnergyParams(0.1, p)
+        planted = {1: [0, 1, 0, 1, 0], 3: [2, 3, 3, 2, 1], 4: [0, 1, 3, 2]}
+        lines = []
+        for j in range(6):
+            edges, x = unimodal_cells(rng)
+            if j in planted:
+                x = np.array(planted[j], dtype=float)
+                edges = np.cumsum(rng.uniform(0.05, 1.0, len(x) + 1))
+            lines.append((edges, x))
+        lines[1][0][[0, -1]] = -math.inf, math.inf
+        calls = []
+
+        def pair_sum(edges, x, radius, params):
+            calls.append(x.tolist())
+            return _pair_sum(edges, x, radius, params)
+
+        with mock.patch.object(functional1d, "_pair_sum", pair_sum):
+            got = _unimodal_sums(*block_of(lines), params)
+        assert calls == [planted[j] for j in sorted(planted)]
+        assert got[4] == math.inf
+        for j, ((edges, x), g) in enumerate(zip(lines, got)):
+            if j in planted:
+                assert g.hex() == _pair_sum(edges, x, 1, params).hex()
+            else:
+                assert_sum_matches(g, ordered_pair_sum(edges, x, 1, params))
 
 
 class TestEnergyQuadrature:

@@ -16,7 +16,7 @@ from nlg import (FULL_LINE, AffineRamp, Box, Direction, EnergyParams, RadialTent
                  gamma_limit_constant, local_energy_by_sectioning,
                  local_energy_field, section, spherical_moment, step_cells, step_energy)
 from nlg import PiecewiseAffine1D, fields, functional1d, multidim, vertical_segmentation
-from nlg.functional1d import _first_past, _pair_sum
+from nlg.functional1d import _first_past, _unimodal_sums
 from nlg.fields import (DegenerateBox, RadialSection, UnsupportedDimension,
                         UnsupportedField, _radial_cells, _top_levels)
 from nlg.rearrange import grid_floor_level
@@ -37,6 +37,10 @@ def _pass_cells(u, sigma, points, delta):
         for j, a, c, k in zip(lines[i], at, counts, range(len(counts))):
             got[int(j)] = (edges[a + k:a + k + c + 1], levels[a:a + c])
     return got
+
+
+def _no_fallback(edges, x, radius, params):
+    raise AssertionError(f"a line of {len(x)} cells fell back to the pair sum")
 
 
 def _horner(coef, t):
@@ -479,7 +483,7 @@ class TestSectioningEnergy:
             for k in range(24 * j, 24 * j + 24):
                 if k in cells:
                     edges, levels = cells[k]
-                    acc += float(_pair_sum(edges, levels, np.array([len(levels)]), 1, params)[0])
+                    acc += float(_unimodal_sums(edges, levels, [len(levels)], params)[0])
             total += acc * w * w_dir
         got = multidim._sectioning_pass(u, params, 10, 24)
         assert got.hex() == total.hex()
@@ -488,62 +492,88 @@ class TestSectioningEnergy:
                              ids=["radial", "ramp"])
     def test_line_energies_do_not_depend_on_blocks_or_bands(self, u, monkeypatch):
         # a pass's line energies in blocks of one line, of about 7 cells and
-        # of the default size, against every block on the float bands: the
-        # same bits; every block takes the counted bands
+        # of the default size: the same bits, and none of them from the
+        # bands of the pair sum
         params = EnergyParams(0.1, 1.5)
         sigma, points, _, _ = multidim._line_grid(u, 8, 32)
-        counted = functional1d._counted_bands
-        paths = set()
+        monkeypatch.setattr(functional1d, "_pair_sum", _no_fallback)
 
-        def seen(s, radius):
-            out = counted(s, radius)
-            paths.add(out is not None)
-            return out
-
-        def line_energies(block, bands):
+        def line_energies(block):
             monkeypatch.setattr(fields, "_SECTION_CELLS", block)
-            monkeypatch.setattr(functional1d, "_counted_bands", bands)
             energies = np.zeros(len(points))
             lines, sections = u._sections(sigma, points)
             for i, edges, levels, counts in sections._cells(params.delta):
-                energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
+                energies[lines[i]] = _unimodal_sums(edges, levels, counts, params)
             return [e.hex() for e in energies.tolist()]
 
-        want = line_energies(fields._SECTION_CELLS, lambda s, radius: None)
+        want = line_energies(fields._SECTION_CELLS)
         assert any(float.fromhex(e) > 0.0 for e in want)
-        for block in (1, 7, fields._SECTION_CELLS):
-            paths.clear()
-            assert line_energies(block, seen) == want
-            assert paths == {True}
+        for block in (1, 7):
+            assert line_energies(block) == want
 
-    @pytest.mark.parametrize("dirs, offsets, delta", [(8, 32, 1e-3), (48, 192, 1e-2),
-                                                      (48, 192, 1e-3)])
-    def test_blocks_of_distant_lines_are_counted(self, dirs, offsets, delta, monkeypatch):
-        # a ramp's lines sit on distant level ranges; spaced by their own
-        # ranges, every block of a pass spans under 4n keys and takes the
-        # counted bands, to the line energies of the float bands
-        u = AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))
+    @pytest.mark.parametrize("u, dirs, offsets, delta", [
+        pytest.param(AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5))), *grid, id=name)
+        for name, grid in (("8-32-0.001", (8, 32, 1e-3)), ("48-192-0.01", (48, 192, 1e-2)),
+                           ("48-192-0.001", (48, 192, 1e-3)))] + [
+        pytest.param(TENT, 48, 192, delta, id=f"benchmark-{delta}") for delta in (0.1, 0.05)])
+    def test_every_line_of_a_pass_takes_the_ranges(self, u, dirs, offsets, delta, monkeypatch):
+        # a ramp's chords on distant level ranges, and the radial tent on
+        # the benchmark's grids: every line is unimodal, so no line of a
+        # pass falls back to the pair sum
+        monkeypatch.setattr(functional1d, "_pair_sum", _no_fallback)
         params = EnergyParams(delta, 1.0)
         sigma, points, _, _ = multidim._line_grid(u, dirs, offsets)
-        counted = functional1d._counted_bands
-        paths = []
+        lines, sections = u._sections(sigma, points)
+        n = 0
+        for i, edges, levels, counts in sections._cells(delta):
+            energies = _unimodal_sums(edges, levels, counts, params)
+            assert np.all(np.isfinite(energies)) and np.all(energies[counts > 3] > 0.0)
+            n += len(counts)
+        assert n > len(lines) // 2
+        assert math.isfinite(multidim._sectioning_pass(u, params, dirs, offsets))
 
-        def seen(s, radius):
-            out = counted(s, radius)
-            paths.append(out is not None)
-            return out
+    def test_short_chords_match_mpmath_at_p1(self):
+        # a ramp's chords of up to 6 cells, some with cells of 2.6e-4 next
+        # to 0.16: at p = 1 each range term is the closed form of one pair of
+        # intervals, so a line is within 1e-15 of its 50-digit pair sum,
+        # where the half-line differences of the pair sum lose up to 3e-13
+        mp = pytest.importorskip("mpmath")
+        u = AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))
+        params = EnergyParams(0.1, 1.0)
+        sigma, points, _, _ = multidim._line_grid(u, 48, 192)
+        checked = 0
+        for _, edges, levels, counts in u._sections(sigma, points)[1]._cells(params.delta):
+            got = _unimodal_sums(edges, levels, counts, params)
+            for f, (a, n) in enumerate(zip((np.cumsum(counts) - counts).tolist(), counts.tolist())):
+                if n > 6:
+                    continue
+                e, x = edges[a + f:a + f + n + 1].tolist(), levels[a:a + n]
+                with mp.workdps(50):
+                    want = 2 * params.delta * mp.fsum(
+                        mp.log((mp.mpf(e[j]) - e[i]) * (mp.mpf(e[j + 1]) - e[i + 1])
+                               / ((mp.mpf(e[j]) - e[i + 1]) * (mp.mpf(e[j + 1]) - e[i])))
+                        for i in range(n) for j in range(i + 2, n) if abs(x[i] - x[j]) > 1)
+                    if want > 0:
+                        assert abs(got[f] - want) <= 1e-15 * want
+                        checked += 1
+        assert checked > 1000
 
-        def line_energies(bands):
-            monkeypatch.setattr(functional1d, "_counted_bands", bands)
-            energies = np.zeros(len(points))
-            lines, sections = u._sections(sigma, points)
-            for i, edges, levels, counts in sections._cells(params.delta):
-                energies[lines[i]] = _pair_sum(edges, levels, counts, 1, params)
-            return [e.hex() for e in energies.tolist()]
-
-        got = line_energies(seen)
-        assert len(paths) > 1 and all(paths)
-        assert got == line_energies(lambda s, radius: None)
+    @pytest.mark.parametrize("delta, per_cell", [(0.1, 123), (0.05, 137), (1e-3, 153)])
+    def test_unimodal_sums_scratch_memory(self, delta, per_cell):
+        # every block of a radial tent's pass at 48 x 192: the traced peak of
+        # its range sums stays within per_cell bytes a cell (112, 124 and 139
+        # measured with numpy 2.4)
+        params = EnergyParams(delta, 1.0)
+        sigma, points, _, _ = multidim._line_grid(TENT, 48, 192)
+        for _, edges, levels, counts in TENT._sections(sigma, points)[1]._cells(delta):
+            tracemalloc.start()
+            try:
+                energies = _unimodal_sums(edges, levels, counts, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(energies))
+            assert peak <= per_cell * len(levels)
 
     def test_small_delta_stays_finite(self):
         # k*delta near 1 rounds by more than delta * 1e-12 below delta ~ 1e-4;
@@ -557,8 +587,8 @@ class TestSectioningEnergy:
             rho = np.zeros(1)
             top = _top_levels(rho, 1.0, 1.0, delta)
             edges, levels = _radial_cells(np.zeros(1), rho, top, 1.0, 1.0, delta)
-            central.append(_pair_sum(edges, levels, [len(levels)], 1,
-                                     EnergyParams(delta, 1.0))[0])
+            central.append(_unimodal_sums(edges, levels, [len(levels)],
+                                          EnergyParams(delta, 1.0))[0])
         assert central == pytest.approx([2.77348, 2.77307, 2.77277], abs=6e-6)
         assert central[0] > central[1] > central[2] > 4.0 * math.log(2.0)
 
@@ -819,9 +849,9 @@ class TestMonteCarlo:
     def test_shares_no_code_with_the_closed_forms(self):
         # the oracle evaluates the field at points; it must not reach the
         # sections, the segmentations or the pair sum that it checks
-        closed = {"_pair_sum", "_pair_energies", "step_energy", "grid_floor_level",
-                  "_level_cells", "_merge_cells", "_radial_cells", "_sections", "_cells",
-                  "section", "step_segmentation", "vertical_segmentation"}
+        closed = {"_pair_sum", "_unimodal_sums", "_pair_energies", "step_energy",
+                  "grid_floor_level", "_level_cells", "_merge_cells", "_radial_cells",
+                  "_sections", "_cells", "section", "step_segmentation", "vertical_segmentation"}
         for fn in (multidim.energy_by_montecarlo, multidim._montecarlo_chunk,
                    multidim._floor_levels, multidim._stream_at):
             tree = ast.parse(inspect.getsource(fn))
