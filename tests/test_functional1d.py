@@ -426,10 +426,10 @@ class TestPairSumEngine:
 
     @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.integers(1, 3))
     def test_counted_bands_match_float_bands(self, seed, radius):
-        # sorted keys laid out as the pair sum lays out a batch: several
-        # functions, empty and one-cell ones among them, on negative labels
-        # too; then one more key at the top that puts the span just under
-        # and just over the cut-off 4 n
+        # sorted keys of several walks of labels, each spaced past the one
+        # before by the radius, empty and one-cell ones among them, on
+        # negative labels too; then one more key at the top that puts the
+        # span just under and just over the cut-off 4 n
         rng = np.random.default_rng(seed)
         counts = rng.choice([0, 1, 2, 5, 12], size=int(rng.integers(1, 7)))
         counts[int(rng.integers(len(counts)))] += 1
@@ -546,7 +546,7 @@ class TestBatchedPairSum:
             edges, levels, counts = batch_of(steps, delta)
             want = [step_energy(u, u.domain, params) for u in steps]
             assert _unimodal_sums(edges, levels, counts, params).tolist() == \
-                pytest.approx(want, rel=1e-14, abs=0.0)
+                pytest.approx(want, rel=1e-15, abs=0.0)
             for u in steps:
                 if u.tail_mode is TailMode.DOMAIN_ONLY:  # hostility needs a bounded domain
                     e, x, _ = batch_of([u], delta)
