@@ -33,6 +33,10 @@ and its default domain (``StepFunction1D.domain``, :func:`step_cells`).
 A unimodal staircase, as every line section of the catalog's fields is,
 needs no sort: a row interacts with at most two ranges of cells, found by
 arithmetic, and each range is one closed-form term (:func:`_unimodal_sums`).
+Steps on the delta-grid are summed on their integer levels, by ranges if
+unimodal, as every vertical segmentation of a tent or a ramp is, and by
+parts otherwise (:func:`_level_sum`, which :func:`step_energy` and
+``rearrange.step_hostility`` share).
 
 Interaction uses the strict inequality |u(y)-u(x)| > delta.  Jumps equal
 to delta do NOT interact; that is what keeps staircases with consecutive
@@ -410,6 +414,7 @@ def _prefix_units(order, cells, swept, start, ends, runs):
     n = len(order)
     live = np.flatnonzero(swept)
     cells, swept, start, flat = cells[live], swept[live], start[live], ends[live]
+    del live
     size = np.abs(swept)
     first = np.flatnonzero(runs)
     run = np.cumsum(runs, dtype=np.intp)  # wide: run * n below
@@ -447,6 +452,16 @@ def _segment_sums(v, counts):
     return np.add.reduceat(np.insert(v, starts, 0.0), starts + np.arange(len(counts)))
 
 
+def _jumps(x, radius) -> bool:
+    """Whether two adjacent labels of ``x`` differ by more than ``radius``,
+    compared ``_SBP_CHUNK`` neighbours at a time up to the first such jump."""
+    for a in range(0, len(x) - 1, _SBP_CHUNK):
+        gap = np.subtract(x[a + 1:a + _SBP_CHUNK + 1], x[a:min(a + _SBP_CHUNK, len(x) - 1)])
+        if np.any(np.abs(gap, out=gap) > radius):
+            return True
+    return False
+
+
 def _pair_sum(edges, x, radius, params) -> float:
     """Sum of pair energies over ordered pairs of interacting cells of one
     step function.
@@ -456,8 +471,8 @@ def _pair_sum(edges, x, radius, params) -> float:
     (values, or integer grid levels).  Cells i and j interact where
     ``abs(x[i] - x[j]) > radius``, the one predicate used by every check
     below.  A function with two interacting adjacent cells sums to +inf;
-    that test compares neighbours ``_SBP_CHUNK`` at a time and stops at the
-    first jump.
+    that test (:func:`_jumps`) compares neighbours ``_SBP_CHUNK`` at a time
+    and stops at the first jump.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
@@ -504,15 +519,11 @@ def _pair_sum(edges, x, radius, params) -> float:
     and the parts are added with math.fsum.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    for a in range(0, n - 1, _SBP_CHUNK):  # adjacent interacting cells diverge
-        b = min(a + _SBP_CHUNK, n - 1)
-        gap = np.subtract(x[a + 1:b + 1], x[a:b])
-        if np.any(np.abs(gap, out=gap) > radius):
-            return INF
+    if _jumps(x, radius):  # adjacent interacting cells diverge
+        return INF
     right, lens = edges[1:], np.diff(edges)  # per cell
     parts = []
-    if n and edges[0] == -INF:  # a left zero tail, then the other cells
+    if len(x) and edges[0] == -INF:  # a left zero tail, then the other cells
         col = 2 + np.flatnonzero(np.abs(x[2:] - x[0]) > radius)
         gap, len1 = edges[col], lens[col]
         gap -= right[0]
@@ -644,6 +655,22 @@ def _unimodal_sums(edges, levels, counts, params) -> np.ndarray:
     return out
 
 
+def _level_sum(edges, levels, radius, params) -> float:
+    """:func:`_pair_sum` of one step function's integer grid levels at an
+    integer ``radius``, as a unimodal line's ranges at radius 1.
+
+    The line is unimodal if its top cell m lies T - levels[0] cells in, and
+    its levels step up by one to m and down by one after it, the test of
+    :func:`_unimodal_sums` read off the steps; a line that fails takes
+    :func:`_pair_sum` with nothing of the test kept.
+    """
+    m = int(levels.max() - levels[0])  # the top cell of a unimodal line
+    if radius == 1 and m < len(levels) and levels[m] == levels[0] + m \
+            and (np.diff(levels[:m + 1]) == 1.0).all() and (np.diff(levels[m:]) == -1.0).all():
+        return float(_unimodal_sums(edges, levels, [len(levels)], params)[0])
+    return _pair_sum(edges, levels, radius, params)
+
+
 def step_energy(u: StepFunction1D, domain: Interval | None = None,
                 params: EnergyParams = None) -> float:
     """Exact non-local energy of a step function on a domain.
@@ -651,15 +678,30 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     The sum runs over ordered pairs of distinct cells whose values differ
     by more than delta, so every unordered pair is counted twice, matching
     the symmetric double integral.  Returns +inf exactly when two touching
-    cells interact.  Partial sums over fixed-size chunks of a sequence
-    fixed by the input are accumulated with math.fsum, so the result is
-    reproducible bit for bit.
+    cells interact, tested on the values first.  Values that are exactly
+    their integer levels times delta, below 2**49 levels, then take
+    :func:`_level_sum`: interaction at radius 1 on the levels is the same
+    set.  A unimodal line there is summed per interaction range, each
+    range's terms like a lone ``np.sum``; any other step, off-grid ones
+    included, by parts, with partial sums over fixed-size chunks
+    accumulated with math.fsum.  Either way the result is reproducible bit
+    for bit.
     """
     if params is None:
         raise TypeError("params is required")
     if domain is None:
         domain = u.domain
     edges, vals = step_cells(u, domain)
+    if _jumps(vals, params.threshold):  # before any full-length work
+        return INF
+    # values exactly on levels of magnitude below 2**49: cells one
+    # level apart then differ by some adjacent pair's float difference, and
+    # two or more levels apart by more than the threshold
+    levels = np.rint(vals / params.delta)
+    if -2.0 ** 49 < levels.min() and levels.max() < 2.0 ** 49 \
+            and np.array_equal(levels * params.delta, vals):
+        return _level_sum(edges, levels, 1, params)
+    del levels
     return _pair_sum(edges, vals, params.threshold, params)
 
 
@@ -696,8 +738,7 @@ def energy_quadrature(u: Callable[[float], float], lipschitz: float,
         out = np.zeros_like(s)
         if np.any(far):
             du = np.abs(uvec(ys[far]) - uvec(xs[far]))
-            k = np.where(du > delta, delta ** p * s[far] ** (-1.0 - p), 0.0)
-            out[far] = k
+            out[far] = np.where(du > delta, delta ** p * s[far] ** (-1.0 - p), 0.0)
         return out
 
     def skip(cx0, cx1, cy0, cy1):
@@ -769,13 +810,8 @@ def pointwise_hostility(u: StepFunction1D, x: float, params: EnergyParams) -> fl
         if j == i or not abs(v - ux) > thr:
             continue
         c, d = edges[j], edges[j + 1]
-        if c >= x:
-            lo_t = (c - x) ** -p
-            hi_t = (d - x) ** -p if d != INF else 0.0
-        else:
-            lo_t = (x - d) ** -p
-            hi_t = (x - c) ** -p if c != -INF else 0.0
-        parts.append(delta ** p / p * (lo_t - hi_t))
+        near, far = (c - x, d - x) if c >= x else (x - d, x - c)  # far ** -p is 0 at inf
+        parts.append(delta ** p / p * (near ** -p - far ** -p))
     return math.fsum(parts)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import (INTERACTION_GUARD, EnergyParams, _check_delta, _pair_sum,
+from .functional1d import (INTERACTION_GUARD, EnergyParams, _check_delta, _level_sum,
                            _ragged_arange, step_cells)
 
 
@@ -472,7 +472,7 @@ def step_hostility(u: StepFunction1D, domain: Interval, k: int,
         i = int(np.argmax(bad))
         raise ValuesNotOnGrid(f"value {vals[i]} at cell {i} is not a multiple of {delta}")
     # integer levels: |d| >= k+1 is |d| > k
-    return _pair_sum(edges, levels, k, params)
+    return _level_sum(edges, levels, k, params)
 
 
 # ---------------------------------------------------------------------------

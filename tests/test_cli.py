@@ -8,6 +8,7 @@ import pytest
 
 import nlg.cli
 import nlg.fields
+import nlg.functional1d
 import nlg.multidim
 from nlg import EnemyList, EnergyParams
 from nlg.cli import main
@@ -450,6 +451,28 @@ def test_converge_recovery_single_step_no_extrapolation(capsys):
                            "--delta-factor", "0.5", "--steps", "1")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("shape, p, factor, steps", [
+    ("tent", 1, 0.5, 7), ("tent", 2, 0.5, 7), ("ramp", 1, 0.1, 5), ("ramp", 2, 0.1, 5)])
+def test_recovery_rows_take_the_ranges(capsys, monkeypatch, shape, p, factor, steps):
+    # the benchmark's converge-recovery job lists: every segmentation is a
+    # unimodal line on exact grid values, so no finite row calls the pair sum
+    calls = []
+    pair_sum = nlg.functional1d._pair_sum
+
+    def counted(edges, x, radius, params):
+        calls.append(len(x))
+        return pair_sum(edges, x, radius, params)
+
+    monkeypatch.setattr(nlg.functional1d, "_pair_sum", counted)
+    code, out, _ = run_cli(capsys, "converge-recovery", "--shape", shape, "--p", str(p),
+                           "--delta-start", "0.01", "--delta-factor", str(factor),
+                           "--steps", str(steps))
+    assert code == 0
+    rows = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:-1]]
+    assert len(rows) == steps and sum(map(math.isfinite, rows)) >= 3
+    assert calls == []
 
 
 def test_converge_sectioning_small(capsys):

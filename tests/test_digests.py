@@ -47,9 +47,9 @@ DIGESTS = {
     "segment_shapes":
         "3ef38ae5422aa7ea25aa287e1d58c5b56f0abfd26c497388a559a5e130efe9e1",
     "energy_random":
-        "91abd1d020488615231130337e24699809cd1048eafcc61a58959bc2c08188cf",
+        "9c9bb7cd4ddbe02defdc85db54a735e79ff4afd556e2fb0aef08fea0322e7fb2",
     "energy_shapes":
-        "c265ce7d63affe38309e50bcb02ef4ef162c47e98efce02961fd06ec7be7801f",
+        "d9eaa2549183aa6ce06497fe8a3b24773cf4665a50b023e64f3f172a70a94b0b",
     "sectioning":
         "9ed4bba406a0a0e0f8998ba2232aee57629adc7dd4bd29f0dc2f6b40b2ea5a68",
     "montecarlo":

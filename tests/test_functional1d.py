@@ -15,7 +15,8 @@ from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
                  vertical_segmentation)
 from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
                               OverlappingIntervals, UnsupportedCombination, _bands,
-                              _first_past, _pair_sum, _segment_sums, _unimodal_sums)
+                              _first_past, _level_sum, _pair_sum, _segment_sums,
+                              _unimodal_sums)
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -537,7 +538,8 @@ def assert_sum_matches(got, want):
 class TestBatchedPairSum:
     def test_matches_one_function_sums(self):
         # a block's line energies against each function's own step energy,
-        # and its hostility against the pair sum of its levels alone
+        # and its hostility bit for bit against the level sum of its levels
+        # alone, and within 1e-15 against their pair sum
         rng = np.random.default_rng(11)
         delta = 0.1
         for trial in range(40):
@@ -551,7 +553,9 @@ class TestBatchedPairSum:
                 if u.tail_mode is TailMode.DOMAIN_ONLY:  # hostility needs a bounded domain
                     e, x, _ = batch_of([u], delta)
                     for k in (1, 2):
-                        assert _pair_sum(e, x, k, params) == step_hostility(u, u.domain, k, params)
+                        got = step_hostility(u, u.domain, k, params)
+                        assert got.hex() == _level_sum(e, x, k, params).hex()
+                        assert got == pytest.approx(_pair_sum(e, x, k, params), rel=1e-15, abs=0.0)
 
     def test_only_the_divergent_function_is_inf(self):
         delta = 0.1
@@ -744,6 +748,123 @@ class TestUnimodalSums:
                 assert g.hex() == _pair_sum(edges, x, 1, params).hex()
             else:
                 assert_sum_matches(g, ordered_pair_sum(edges, x, 1, params))
+
+
+def exact_grid_step(rng):
+    """A step of 1 to 30 cells on exact grid values: a unimodal line (between
+    zero tails, from level 1 up and back), a walk, or a staircase that
+    mostly stays on its level; compact or domain-only."""
+    delta = float(rng.choice([0.1, 0.25, 1 / 3, 0.07, 1e-3]))
+    compact = bool(rng.random() < 0.5)
+    kind, n = int(rng.integers(3)), int(rng.integers(1, 31))
+    if kind == 0:
+        m = n // 2 if compact else int(rng.integers(n))
+        n, top = (2 * m + 1, m + 1) if compact else (n, int(rng.integers(-3, 9)))
+        levels = top - np.abs(np.arange(n) - m)
+    else:
+        steps = [-1, 0, 1] if kind == 1 else [-1, 0, 0, 0, 0, 1]
+        levels = np.cumsum(rng.choice(steps, n)) + int(rng.integers(-2, 3))
+    bp = np.cumsum(rng.uniform(0.05, 1.0, n + 1))
+    tail = TailMode.COMPACT_SUPPORT if compact else TailMode.DOMAIN_ONLY
+    return StepFunction1D(bp, levels * delta, tail), delta
+
+
+def is_unimodal(x):
+    m = int(np.argmax(x))
+    return np.array_equal(x, x[m] - np.abs(np.arange(len(x)) - m))
+
+
+class TestGridLevelSum:
+    def check(self, u, delta, p):
+        # against the float pair sum of the same cells; a value nudged one
+        # ulp off its level takes that float sum alone, bit for bit
+        params = EnergyParams(delta, p)
+        edges, vals = step_cells(u, u.domain)
+        want = _pair_sum(edges, vals, params.threshold, params)
+        calls = []
+
+        def level_sum(*args):
+            calls.append(1)
+            return _level_sum(*args)
+
+        with mock.patch.object(functional1d, "_level_sum", level_sum):
+            got = step_energy(u, u.domain, params)
+        assert math.isinf(got) == math.isinf(want)
+        assert len(calls) == (not math.isinf(want))
+        if not is_unimodal(np.rint(vals / delta)):
+            assert got.hex() == want.hex()
+        if not math.isinf(want):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            if len(vals) <= 12:
+                assert got == pytest.approx(pairwise_energy(
+                    u, u.domain, lambda a, b: abs(a - b) > params.threshold, params),
+                    rel=1e-13, abs=0.0)
+        j = int(np.flatnonzero(u.values)[-1]) if np.any(u.values) else 0
+        values = u.values.copy()
+        values[j] = np.nextafter(values[j], math.inf)
+        w = StepFunction1D(u.breakpoints, values, u.tail_mode)
+        with mock.patch.object(functional1d, "_level_sum", side_effect=AssertionError("levels")):
+            got = step_energy(w, w.domain, params)
+        assert got.hex() == _pair_sum(*step_cells(w, w.domain), params.threshold, params).hex()
+        return got
+
+    def test_random_steps_match_the_float_sum(self):
+        rng = np.random.default_rng(33)
+        unimodal = 0
+        for _ in range(150):
+            u, delta = exact_grid_step(rng)
+            unimodal += is_unimodal(np.rint(step_cells(u, u.domain)[1] / delta))
+            for p in (1.0, 1.5, 2.0):
+                self.check(u, delta, p)
+        assert unimodal >= 40
+
+    @pytest.mark.parametrize("shape", ["tent", "ramp"])
+    def test_segmented_shapes_match_the_float_sum(self, shape):
+        # the recovery families down to delta = 1e-5; from 6.25e-5 on, the
+        # adjacent-jump test of the float values reads inf (ROADMAP item 1)
+        u = {"tent": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
+             "ramp": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0)), compact_support=False)}[shape]
+        for delta in (1e-2, 1.5625e-4, 1e-4, 6.25e-5, 1e-5):
+            s = vertical_segmentation(u, delta)
+            for p in (1.0, 1.5, 2.0):
+                self.check(s, delta, p)
+
+    def test_levels_past_2_to_the_49_take_the_float_sum(self):
+        # a unimodal line whose levels reach 2**49 in magnitude takes the
+        # float sum, bit for bit; one just inside takes the level sum
+        delta = 2.0 ** -10
+        edges = np.cumsum(np.random.default_rng(2).uniform(0.05, 1.0, 22))
+        rise = 10 - np.abs(np.arange(21) - 10)
+        for base, inside in ((2 ** 49 - 11, True), (2 ** 49 - 10, False),
+                             (-2 ** 49 + 1, True), (-2 ** 49, False)):
+            u = StepFunction1D(edges, (base + rise) * delta, TailMode.DOMAIN_ONLY)
+            params = EnergyParams(delta, 1.0)
+            want = _pair_sum(edges, u.values, params.threshold, params)
+            with mock.patch.object(functional1d, "_level_sum",
+                                   wraps=functional1d._level_sum) as level_sum:
+                got = step_energy(u, u.domain, params)
+            assert level_sum.called == inside
+            assert 0.0 < got == pytest.approx(want, rel=1e-13)
+            if not inside:
+                assert got.hex() == want.hex()
+
+    def test_grid_walk_scratch_memory(self):
+        # a 10^5-cell walk on exact grid values, shaped like the benchmark's:
+        # step_energy's traced peak, its integer levels included, stays
+        # within 184 bytes a cell (the float sum's 175.5 measured before the
+        # level sum, plus 5%; 172.8 measured with numpy 2.4)
+        rng = np.random.default_rng(19)
+        edges = np.concatenate(([0], np.cumsum(rng.integers(64, 449, 10 ** 5)))) * 2.0 ** -20
+        u = StepFunction1D(edges, np.cumsum(rng.integers(-1, 2, 10 ** 5)) * 0.01,
+                           TailMode.DOMAIN_ONLY)
+        tracemalloc.start()
+        try:
+            energy = step_energy(u, u.domain, EnergyParams(0.01, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < energy < math.inf
+        assert peak <= 184 * len(u.values)
 
 
 class TestEnergyQuadrature:
