@@ -770,6 +770,7 @@ def exact_grid_step(rng):
 
 
 def is_unimodal(x):
+    """Whether every label k of ``x`` lies on x[m] - |k - m| for its maximum m."""
     m = int(np.argmax(x))
     return np.array_equal(x, x[m] - np.abs(np.arange(len(x)) - m))
 
@@ -781,16 +782,10 @@ class TestGridLevelSum:
         params = EnergyParams(delta, p)
         edges, vals = step_cells(u, u.domain)
         want = _pair_sum(edges, vals, params.threshold, params)
-        calls = []
-
-        def level_sum(*args):
-            calls.append(1)
-            return _level_sum(*args)
-
-        with mock.patch.object(functional1d, "_level_sum", level_sum):
+        with mock.patch.object(functional1d, "_level_sum", wraps=_level_sum) as level_sum:
             got = step_energy(u, u.domain, params)
         assert math.isinf(got) == math.isinf(want)
-        assert len(calls) == (not math.isinf(want))
+        assert level_sum.call_count == (not math.isinf(want))
         if not is_unimodal(np.rint(vals / delta)):
             assert got.hex() == want.hex()
         if not math.isinf(want):
@@ -806,7 +801,6 @@ class TestGridLevelSum:
         with mock.patch.object(functional1d, "_level_sum", side_effect=AssertionError("levels")):
             got = step_energy(w, w.domain, params)
         assert got.hex() == _pair_sum(*step_cells(w, w.domain), params.threshold, params).hex()
-        return got
 
     def test_random_steps_match_the_float_sum(self):
         rng = np.random.default_rng(33)
@@ -840,8 +834,7 @@ class TestGridLevelSum:
             u = StepFunction1D(edges, (base + rise) * delta, TailMode.DOMAIN_ONLY)
             params = EnergyParams(delta, 1.0)
             want = _pair_sum(edges, u.values, params.threshold, params)
-            with mock.patch.object(functional1d, "_level_sum",
-                                   wraps=functional1d._level_sum) as level_sum:
+            with mock.patch.object(functional1d, "_level_sum", wraps=_level_sum) as level_sum:
                 got = step_energy(u, u.domain, params)
             assert level_sum.called == inside
             assert 0.0 < got == pytest.approx(want, rel=1e-13)
