@@ -14,17 +14,15 @@ tested.
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
                    FULL_LINE, PiecewiseAffine1D, SchemaError, StepFunction1D,
                    TailMode, validate_and_build)
-from .functional1d import (EnergyParams, affine_interpolation_energy, energy_quadrature,
-                           integrate_pointwise_hostility, local_energy, pair_cell_energy,
-                           pair_cell_quadrature, pointwise_hostility, step_cells, step_energy)
-from .rearrange import (brute_force_min_hostility, clamp_values, hostility_gap,
-                        left_right_gap, monotone_rearrangement,
-                        monotone_rearrangement_step, multiset_permutations,
-                        reduce_arrangement, step_hostility, total_hostility,
-                        vertical_segmentation)
-from .constants import (LimitConstant, Provenance, gamma_limit_constant,
-                        spherical_moment, spherical_moment_quadrature,
+from .functional1d import EnergyParams, local_energy, pair_cell_energy, step_cells, step_energy
+from .constants import (LimitConstant, Provenance, gamma_limit_constant, spherical_moment,
                         staircase_constant)
+from .oracles import (brute_force_min_hostility, energy_quadrature,
+                      integrate_pointwise_hostility, multiset_permutations, pair_cell_quadrature,
+                      pointwise_hostility, spherical_moment_quadrature, total_hostility)
+from .rearrange import (clamp_values, hostility_gap, left_right_gap, monotone_rearrangement,
+                        monotone_rearrangement_step, reduce_arrangement, step_hostility,
+                        vertical_segmentation)
 from .fields import (AffineRamp, Box, Direction, RadialTent, TensorTent, local_energy_field,
                      section)
 from .multidim import energy_by_montecarlo, energy_by_sectioning, local_energy_by_sectioning

@@ -23,9 +23,9 @@ from .fields import RadialTent
 from .multidim import (_check_montecarlo_counts, _check_sectioning, _sectioning_pass,
                        energy_by_montecarlo)
 from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
+from .oracles import total_hostility
 from .rearrange import (_hostile, _own_counts, monotone_rearrangement,
-                        monotone_rearrangement_step, reduce_arrangement, total_hostility,
-                        vertical_segmentation)
+                        monotone_rearrangement_step, reduce_arrangement, vertical_segmentation)
 # not called here: perfbench's tracer rebinds them in this module
 from .rearrange import hostile_gap_counts, hostility_gap  # noqa: F401
 

@@ -15,10 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _quad
-
 
 class BadExponent(ValueError):
     """Exponent p below 1, or not finite."""
@@ -67,7 +63,7 @@ def spherical_moment(d: int, p: float) -> LimitConstant:
 
         2 * pi^((d-1)/2) * Gamma((p+1)/2) / Gamma((p+d)/2),
 
-    which :func:`spherical_moment_quadrature` verifies independently.
+    which ``oracles.spherical_moment_quadrature`` verifies independently.
     """
     if int(d) != d or d < 1:
         raise BadDimension(f"d must be a positive integer, got {d!r}")
@@ -78,26 +74,6 @@ def spherical_moment(d: int, p: float) -> LimitConstant:
     value = (2.0 * math.pi ** ((d - 1) / 2.0)
              * math.gamma((p + 1.0) / 2.0) / math.gamma((p + d) / 2.0))
     return LimitConstant(value, Provenance.CLOSED_FORM)
-
-
-def spherical_moment_quadrature(d: int, p: float) -> LimitConstant:
-    """Direct spherical quadrature oracle for :func:`spherical_moment`.
-
-    d = 2: the circle integral of |cos(theta)|^p, computed as
-    4 * integral over (0,1) of (1 - t^2)^((p-1)/2) via t = sin(theta).
-    d = 3: polar integral 2*pi * integral of |cos(phi)|^p sin(phi).
-    """
-    if not 1.0 <= p < math.inf:
-        raise BadExponent(f"p must be finite and >= 1, got {p}")
-    if d == 2:
-        value = 4.0 * _quad.adaptive_intervals_1d(
-            lambda t, i: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)[0]
-    elif d == 3:
-        value = 2.0 * math.pi * _quad.adaptive_intervals_1d(
-            lambda t, i: np.abs(np.cos(t)) ** p * np.sin(t), 0.0, math.pi, 1e-11)[0]
-    else:
-        raise BadDimension(f"quadrature oracle covers d in {{2, 3}}, got {d}")
-    return LimitConstant(value, Provenance.QUADRATURE)
 
 
 def gamma_limit_constant(d: int, p: float) -> LimitConstant:

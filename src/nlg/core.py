@@ -51,6 +51,14 @@ class NonMonotoneWeights(SchemaError):
         super().__init__(f"hostility weights must be nonincreasing; violated at index {index}")
 
 
+class TooShort(ValueError):
+    """Operation needs an arrangement with at least two positions."""
+
+
+class WeightsTooShort(ValueError):
+    """Weights do not cover every position gap that can occur."""
+
+
 def _require_finite(values: Sequence[float], what: str) -> None:
     finite = np.isfinite(values)
     if not finite.all():

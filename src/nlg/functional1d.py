@@ -52,16 +52,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _quad
 from .core import Interval, PiecewiseAffine1D, StepFunction1D, TailMode
 
 INTERACTION_GUARD = 1e-12
 
 INF = math.inf
+
+
+def _on_level(v, k, delta: float):
+    """Whether v sits on grid level k, within the guard of the interaction
+    threshold, elementwise; the guard's max(|v|, delta) is an or, so scalar
+    calls skip numpy's cost."""
+    d = abs(v - k * delta)
+    return (d <= INTERACTION_GUARD * abs(v)) | (d <= INTERACTION_GUARD * delta)
 
 
 class OverlappingIntervals(ValueError):
@@ -74,23 +80,6 @@ class DomainMismatch(ValueError):
 
 class UnsupportedCombination(ValueError):
     """Energy not defined for this input type / exponent combination."""
-
-
-class BreakpointQuery(ValueError):
-    """Pointwise quantity requested exactly at a breakpoint."""
-
-
-class NonUniformGrid(ValueError):
-    """Samples are not on an equally spaced grid."""
-
-
-class ToleranceNotReached(RuntimeError):
-    """Adaptive refinement budget exhausted before reaching the tolerance."""
-
-    def __init__(self, estimate: float, error_estimate: float):
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-        super().__init__(f"achieved {estimate} +- {error_estimate}")
 
 
 def _check_delta(delta: float):
@@ -186,40 +175,6 @@ def _pair_coef(params: EnergyParams) -> float:
     delta^p / (p (p - 1))."""
     delta, p = params.delta, params.p
     return delta if p == 1.0 else delta ** p / (p * (p - 1.0))
-
-
-def pair_cell_quadrature(i1: Interval, i2: Interval, params: EnergyParams) -> float:
-    """Adaptive quadrature oracle for :func:`pair_cell_energy`, to a
-    relative tolerance of 1e-9.
-
-    With (a1, b1) the left cell and (a2, b2) the right one, the inner
-    integral over y is the elementary antiderivative of the kernel,
-    delta^p/p ((a2 - x)^-p - (b2 - x)^-p), and the outer one over x, a
-    half-line included, is adaptive quadrature; neither is the closed form
-    under test.
-    """
-    a1, b1, a2, b2 = i1.lo, i1.hi, i2.lo, i2.hi
-    if (a2, b2) < (a1, b1):
-        a1, b1, a2, b2 = a2, b2, a1, b1
-    if b1 > a2:
-        raise OverlappingIntervals(f"({a1}, {b1}) and ({a2}, {b2}) overlap")
-    if a2 - b1 == 0.0:
-        return INF
-    delta, p = params.delta, params.p
-    if p == 1.0 and a1 == -INF and b2 == INF:
-        return INF
-
-    def inner(x, i):
-        return delta ** p / p * ((a2 - x) ** -p - (b2 - x) ** -p)
-
-    # the inner integral is largest at x = b1, and with the shorter of the
-    # gap and the left cell it sets the first tolerance; one looser than
-    # 1e-9 of the value reached is run once more at that
-    tol = max(1e-9 * float(inner(b1, 0)) * min(a2 - b1, b1 - a1), 1e-300)
-    value = _quad.adaptive_intervals_1d(inner, a1, b1, tol)[0]
-    if tol > 1e-9 * value:
-        value = _quad.adaptive_intervals_1d(inner, a1, b1, max(1e-9 * value, 1e-300))[0]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +633,11 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     The sum runs over ordered pairs of distinct cells whose values differ
     by more than delta, so every unordered pair is counted twice, matching
     the symmetric double integral.  Returns +inf exactly when two touching
-    cells interact, tested on the values first.  Values that are exactly
-    their integer levels times delta, below 2**49 levels, then take
-    :func:`_level_sum`: interaction at radius 1 on the levels is the same
-    set.  A unimodal line there is summed per interaction range, each
+    cells interact, tested on the values first.  Values on their integer
+    levels times delta, within the guard (``_on_level``) and below 2**49
+    levels, then take :func:`_level_sum`, as in ``step_hostility``; on
+    exact multiples of delta, interaction at radius 1 on the levels is the
+    same set as on the values.  A unimodal line there is summed per interaction range, each
     range's terms like a lone ``np.sum``; any other step, off-grid ones
     included, by parts, with partial sums over fixed-size chunks
     accumulated with math.fsum.  Either way the result is reproducible bit
@@ -694,64 +650,17 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     edges, vals = step_cells(u, domain)
     if _jumps(vals, params.threshold):  # before any full-length work
         return INF
-    # values exactly on levels of magnitude below 2**49: cells one
-    # level apart then differ by some adjacent pair's float difference, and
-    # two or more levels apart by more than the threshold
+    # values within the guard of levels of magnitude below 2**49 are on the
+    # grid, as step_hostility reads them.  On exact ones the levels give the
+    # float set: cells one level apart differ by some adjacent pair's float
+    # difference, which passed the test, and two or more apart by more than
+    # the threshold
     levels = np.rint(vals / params.delta)
     if -2.0 ** 49 < levels.min() and levels.max() < 2.0 ** 49 \
-            and np.array_equal(levels * params.delta, vals):
+            and _on_level(vals, levels, params.delta).all():
         return _level_sum(edges, levels, 1, params)
     del levels
     return _pair_sum(edges, vals, params.threshold, params)
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz functions: adaptive quadrature
-# ---------------------------------------------------------------------------
-
-def energy_quadrature(u: Callable[[float], float], lipschitz: float,
-                      domain: Interval, params: EnergyParams, tol: float,
-                      max_cells: int = 300_000) -> float:
-    """Numerical energy of an L-Lipschitz function on a bounded domain.
-
-    No pair closer than delta/L can interact, so integration runs only
-    over {|y - x| >= delta/L}; cells entirely inside that excluded band
-    are dropped without evaluating the (there singular) kernel.  The
-    indicator |u(y)-u(x)| > delta is evaluated pointwise on the adaptive
-    grid, and the refinement queue resolves its discontinuity curve.
-    """
-    if not domain.bounded:
-        raise DomainMismatch("energy_quadrature needs a bounded domain")
-    if not (lipschitz > 0.0 and math.isfinite(lipschitz)):
-        raise ValueError(f"need a positive finite Lipschitz bound, got {lipschitz}")
-    delta, p = params.delta, params.p
-    r = delta / lipschitz
-    try:
-        probe = np.asarray(u(np.asarray([domain.lo, domain.hi])), dtype=float)
-        uvec = u if probe.shape == (2,) else np.vectorize(u, otypes=[float])
-    except Exception:
-        uvec = np.vectorize(u, otypes=[float])
-
-    def f(xs, ys):
-        s = np.abs(ys - xs)
-        far = s >= r
-        out = np.zeros_like(s)
-        if np.any(far):
-            du = np.abs(uvec(ys[far]) - uvec(xs[far]))
-            out[far] = np.where(du > delta, delta ** p * s[far] ** (-1.0 - p), 0.0)
-        return out
-
-    def skip(cx0, cx1, cy0, cy1):
-        return (cy1 - cx0 < r) & (cy0 - cx1 > -r)
-
-    lo, hi = domain.lo, domain.hi
-    try:
-        value, _ = _quad.adaptive_cells_2d(
-            f, lo, hi, lo, hi, tol, skip=skip, max_cells=max_cells,
-            min_size=(hi - lo) * 1e-8, initial=8)
-    except _quad.BudgetExhausted as exc:
-        raise ToleranceNotReached(exc.value, exc.error_estimate) from None
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -782,81 +691,3 @@ def local_energy(u: PiecewiseAffine1D | StepFunction1D, p: float,
         pad = int(u.tail_mode is TailMode.COMPACT_SUPPORT)  # the zero tails are cells too
         return math.fsum(np.abs(np.diff(np.pad(u.values, pad))))
     raise UnsupportedCombination(f"unsupported input type {type(u).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# pointwise hostility
-# ---------------------------------------------------------------------------
-
-def pointwise_hostility(u: StepFunction1D, x: float, params: EnergyParams) -> float:
-    """Contribution of the single point x to the energy of u.
-
-    Integrates the kernel over {y : |u(y) - u(x)| > delta}, exactly, via
-    the one-dimensional antiderivative on each interacting cell.  The
-    energy of u is the integral of this function over the domain.
-    """
-    domain = u.domain
-    if u.tail_mode is TailMode.DOMAIN_ONLY and not (domain.lo < x < domain.hi):
-        raise BreakpointQuery(f"x={x} outside the domain ({domain.lo}, {domain.hi})")
-    if x in u.breakpoints:
-        raise BreakpointQuery(f"x={x} is a breakpoint")
-    edges, vals = step_cells(u, domain)
-    i = min(max(int(np.searchsorted(edges, x, "right")) - 1, 0), len(vals) - 1)
-    ux = vals[i]
-    thr = params.threshold
-    delta, p = params.delta, params.p
-    parts = []
-    for j, v in enumerate(vals):
-        if j == i or not abs(v - ux) > thr:
-            continue
-        c, d = edges[j], edges[j + 1]
-        near, far = (c - x, d - x) if c >= x else (x - d, x - c)  # far ** -p is 0 at inf
-        parts.append(delta ** p / p * (near ** -p - far ** -p))
-    return math.fsum(parts)
-
-
-def integrate_pointwise_hostility(u: StepFunction1D, params: EnergyParams) -> float:
-    """Quadrature of the pointwise hostility over the whole domain, to a
-    relative tolerance of 1e-6.
-
-    Used to check the identity "integral of the pointwise hostility equals
-    the energy" against :func:`step_energy`; both sides are computed by
-    entirely different code paths.  All cells and tails are integrated in
-    one call, each nudged inward off its breakpoints by 1e-9 times its
-    length, at most 1e-9 (the integrand is defined off a null set).
-    """
-    domain = u.domain
-    edges, vals = step_cells(u, domain)
-    scale = abs(step_energy(u, domain, params))
-    if not math.isfinite(scale):
-        raise UnsupportedCombination("divergent energy; the identity is +inf = +inf")
-    eps = np.minimum(np.diff(edges), 1.0) * 1e-9
-    hostility = np.vectorize(lambda x: pointwise_hostility(u, x, params), otypes=[float])
-    return _quad.adaptive_intervals_1d(lambda x, i: hostility(x), edges[:-1] + eps,
-                                       edges[1:] - eps, max(scale, 1e-12) * 1e-6)[0]
-
-
-# ---------------------------------------------------------------------------
-# piecewise affine interpolation energy
-# ---------------------------------------------------------------------------
-
-def affine_interpolation_energy(samples: Sequence[tuple[float, float]],
-                                p: float) -> float:
-    """Local energy of the affine interpolant through equally spaced samples.
-
-    For samples on a grid with spacing s the interpolant has energy
-    sum |u(x_{i+1}) - u(x_i)|^p * s^(1-p); on dyadically refined grids
-    this is nondecreasing and converges to the local energy of u.
-    """
-    _check_p(p)
-    if len(samples) < 2:
-        raise NonUniformGrid("need at least two samples")
-    xs = np.asarray([s[0] for s in samples], dtype=float)
-    ys = np.asarray([s[1] for s in samples], dtype=float)
-    dx = np.diff(xs)
-    if np.any(dx <= 0.0):
-        raise NonUniformGrid("grid points must be strictly increasing")
-    s = (xs[-1] - xs[0]) / (len(xs) - 1)
-    if np.max(np.abs(dx - s)) > 1e-9 * s:
-        raise NonUniformGrid(f"spacing varies by more than 1e-9 relative: {dx}")
-    return float(np.sum(np.abs(np.diff(ys)) ** p) * s ** (1.0 - p))

@@ -12,35 +12,24 @@ The load-bearing facts, each of which has an exhaustive or randomized
 test, are that sorting an arrangement never increases its total
 hostility, and that vertical segmentation plus truncation never increase
 the non-local energy.  The discrete operations take one arrangement or
-an ``(m, n)`` integer array of arrangements, one per row.  The scalar
-``total_hostility`` and the brute-force minimizer at the bottom are the
-independent oracles for the sorting statements.
+an ``(m, n)`` integer array of arrangements, one per row.  Their
+independent oracles, the scalar ``total_hostility`` and the brute-force
+minimizer, are in ``nlg.oracles``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
-                   PiecewiseAffine1D, StepFunction1D, TailMode)
-from .functional1d import (INTERACTION_GUARD, EnergyParams, _check_delta, _level_sum,
-                           _ragged_arange, step_cells)
-
-
-class WeightsTooShort(ValueError):
-    """Weights do not cover every position gap that can occur."""
-
-
-class TooShort(ValueError):
-    """Operation needs an arrangement with at least two positions."""
-
-
-class TooManyPermutations(ValueError):
-    """Brute-force enumeration would exceed the safety bound."""
+                   PiecewiseAffine1D, StepFunction1D, TailMode, TooShort, WeightsTooShort)
+from .functional1d import (EnergyParams, _check_delta, _level_sum, _on_level, _ragged_arange,
+                           step_cells)
+from .oracles import total_hostility  # noqa: F401 -- perfbench's tracer rebinds it here
 
 
 class ValuesNotOnGrid(ValueError):
@@ -54,13 +43,6 @@ class BadBounds(ValueError):
 # ---------------------------------------------------------------------------
 # vertical segmentation and truncation
 # ---------------------------------------------------------------------------
-
-def _on_level(v, k, delta: float):
-    """Whether v sits on grid level k (see grid_floor_level), elementwise; the
-    guard's max(|v|, delta) is an or, so scalar calls skip numpy's cost."""
-    d = abs(v - k * delta)
-    return (d <= INTERACTION_GUARD * abs(v)) | (d <= INTERACTION_GUARD * delta)
-
 
 def _level_candidates(v, delta: float):
     """The two levels grid_floor_level chooses from, as floats: the nearest
@@ -332,22 +314,8 @@ def _as_rows(u) -> np.ndarray:
 
 
 def _ranks(enemies: EnemyList, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank array of the rows and the hostility table of the ranks.
-
-    Integer rows whose species span under 4 times their size are ranked
-    by counting, as :func:`functional1d._counted_bands` does: one
-    ``bincount`` marks the species present, its ``cumsum`` is the rank of
-    each, and one gather ranks the rows.  Rows with species past int64
-    (object rows, or uint64 ones) and wider spans go through
-    ``np.unique``.  Ranks and table are the same either way.
-    """
-    if rows.size and rows.dtype != object:
-        lo, hi = int(rows.min()), int(rows.max())
-        if hi - lo < 4 * rows.size and hi < 2 ** 63:
-            k = rows.astype(np.int64, copy=False) - lo
-            present = np.bincount(k.ravel()) > 0
-            values = (np.flatnonzero(present) + lo).tolist()
-            return (np.cumsum(present) - 1)[k], enemies.table(values)
+    """Rank array of the rows (``np.unique``) and the hostility table of the
+    ranks."""
     values, ranks = np.unique(rows, return_inverse=True)
     return ranks.reshape(rows.shape), enemies.table(values.tolist())
 
@@ -426,27 +394,6 @@ def hostile_gap_counts(enemies: EnemyList, u) -> np.ndarray:
     rows = _as_rows(u)
     counts = _gap_counts(*_ranks(enemies, rows))
     return counts[0] if isinstance(u, DiscreteArrangement) else counts
-
-
-def total_hostility(weights: HostilityWeights, enemies: EnemyList,
-                    u: DiscreteArrangement) -> float:
-    """Sum of h(y - x) over hostile pairs x <= y (self-pairs contribute h(0)).
-
-    A scalar double loop over one arrangement: the oracle that the array
-    forms of the functions around it are tested against.
-    """
-    spe = u.species
-    n = len(spe)
-    if len(weights) < n:
-        raise WeightsTooShort(f"need weights for gaps 0..{n - 1}, got {len(weights)}")
-    h = weights.h
-    acc = 0.0
-    for x in range(n):
-        sx = spe[x]
-        for y in range(x, n):
-            if enemies.hostile(sx, spe[y]):
-                acc += h[y - x]
-    return acc
 
 
 def step_hostility(u: StepFunction1D, domain: Interval, k: int,
@@ -561,70 +508,3 @@ def left_right_gap(weights: HostilityWeights, left: Iterable[int],
     cross = math.fsum(h[a + b - 1] - h[a + b] for a in L for b in R)
     return total - cross
 
-
-# ---------------------------------------------------------------------------
-# brute force oracle
-# ---------------------------------------------------------------------------
-
-def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in lexicographic order."""
-    seq = sorted(items)
-    n = len(seq)
-    while True:
-        yield tuple(seq)
-        i = n - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
-
-
-def count_multiset_permutations(items: Sequence[int]) -> int:
-    total = math.factorial(len(items))
-    for v in set(items):
-        total //= math.factorial(list(items).count(v))
-    return total
-
-
-def brute_force_min_hostility(weights: HostilityWeights, enemies: EnemyList,
-                              multiset: Sequence[int],
-                              guard: int = 1_000_000
-                              ) -> tuple[float, DiscreteArrangement]:
-    """Exact hostility minimum over all distinct orderings of a multiset.
-
-    Enumerates lexicographically, so the returned witness is the
-    lexicographically first minimizer regardless of evaluation order.
-    """
-    items = [int(v) for v in multiset]
-    if len(items) < 1:
-        raise TooShort("need at least one entry")
-    if len(weights) < len(items):
-        raise WeightsTooShort(f"need weights for gaps 0..{len(items) - 1}")
-    n_perms = count_multiset_permutations(items)
-    if n_perms > guard:
-        raise TooManyPermutations(f"{n_perms} distinct permutations exceed the "
-                                  f"guard of {guard}")
-    h = weights.h
-    hostile: dict[tuple[int, int], bool] = {}
-    for a in set(items):
-        for b in set(items):
-            hostile[(a, b)] = enemies.hostile(a, b)
-    best_val = math.inf
-    best_perm: tuple[int, ...] | None = None
-    n = len(items)
-    for perm in multiset_permutations(items):
-        acc = 0.0
-        for x in range(n):
-            px = perm[x]
-            for y in range(x, n):
-                if hostile[(px, perm[y])]:
-                    acc += h[y - x]
-        if acc < best_val:
-            best_val = acc
-            best_perm = perm
-    return best_val, DiscreteArrangement(best_perm)

@@ -21,6 +21,14 @@ from nlg.rearrange import _on_level, grid_floor_level
 settings.register_profile("nlg", derandomize=True, database=None)
 settings.load_profile("nlg")
 
+# the closed forms and the engine code they are built from: no oracle
+# names any of them (Monte Carlo in nlg.multidim, every function of
+# nlg.oracles)
+CLOSED_FORMS = frozenset({
+    "_pair_sum", "_unimodal_sums", "_pair_energies", "_level_sum", "step_energy", "step_cells",
+    "grid_floor_level", "_on_level", "_level_cells", "_merge_cells", "_radial_cells",
+    "_sections", "_cells", "section", "step_segmentation", "vertical_segmentation"})
+
 
 def random_breakpoints(rng, n_cells: int, lo: float = 0.0, hi: float = 1.0,
                        min_width: float = 1e-3) -> np.ndarray:

@@ -28,15 +28,16 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "nlg"
 
 CEILINGS = {
-    "__init__.py": 18,
+    "__init__.py": 16,
     "_quad.py": 107,
     "cli.py": 287,
-    "constants.py": 51,
-    "core.py": 291,
+    "constants.py": 37,
+    "core.py": 293,
     "fields.py": 384,
-    "functional1d.py": 423,
+    "functional1d.py": 324,
     "multidim.py": 168,
-    "rearrange.py": 346,
+    "oracles.py": 184,
+    "rearrange.py": 268,
 }
 
 # below the 8192-entry step of the parser's token array, with some room

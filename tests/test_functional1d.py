@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 
 from nlg import functional1d
 from nlg import (EnergyParams, FULL_LINE, Interval, PiecewiseAffine1D,
-                 StepFunction1D, TailMode, affine_interpolation_energy,
-                 energy_quadrature, integrate_pointwise_hostility,
-                 local_energy, pair_cell_energy, pair_cell_quadrature,
-                 pointwise_hostility, step_cells, step_energy, step_hostility,
-                 vertical_segmentation)
-from nlg.functional1d import (BreakpointQuery, DomainMismatch, NonUniformGrid,
-                              OverlappingIntervals, UnsupportedCombination, _bands,
-                              _first_past, _level_sum, _pair_sum, _segment_sums,
+                 StepFunction1D, TailMode, energy_quadrature,
+                 integrate_pointwise_hostility, local_energy, pair_cell_energy,
+                 pair_cell_quadrature, pointwise_hostility, step_cells, step_energy,
+                 step_hostility, vertical_segmentation)
+from nlg.functional1d import (DomainMismatch, OverlappingIntervals, UnsupportedCombination,
+                              _bands, _first_past, _level_sum, _pair_sum, _segment_sums,
                               _unimodal_sums)
+from nlg.oracles import BreakpointQuery, ToleranceNotReached
 
 from conftest import UNIT, pairwise_energy, random_grid_step, random_step
 
@@ -769,6 +768,13 @@ def exact_grid_step(rng):
     return StepFunction1D(bp, levels * delta, tail), delta
 
 
+def nudged(u, j, v):
+    """``u`` with its value j replaced by v."""
+    values = u.values.copy()
+    values[j] = v
+    return StepFunction1D(u.breakpoints, values, u.tail_mode)
+
+
 def is_unimodal(x):
     """Whether every label k of ``x`` lies on x[m] - |k - m| for its maximum m."""
     m = int(np.argmax(x))
@@ -777,8 +783,10 @@ def is_unimodal(x):
 
 class TestGridLevelSum:
     def check(self, u, delta, p):
-        # against the float pair sum of the same cells; a value nudged one
-        # ulp off its level takes that float sum alone, bit for bit
+        # against the float pair sum of the same cells.  A value nudged one
+        # ulp off its level stays on it within the guard, and the step keeps
+        # its bits; the top value nudged down by 1e-11 of max(|v|, delta)
+        # is off the grid and takes the float sum alone, bit for bit
         params = EnergyParams(delta, p)
         edges, vals = step_cells(u, u.domain)
         want = _pair_sum(edges, vals, params.threshold, params)
@@ -795,12 +803,23 @@ class TestGridLevelSum:
                     u, u.domain, lambda a, b: abs(a - b) > params.threshold, params),
                     rel=1e-13, abs=0.0)
         j = int(np.flatnonzero(u.values)[-1]) if np.any(u.values) else 0
-        values = u.values.copy()
-        values[j] = np.nextafter(values[j], math.inf)
-        w = StepFunction1D(u.breakpoints, values, u.tail_mode)
+        w = nudged(u, j, np.nextafter(u.values[j], math.inf))
+        assert step_energy(w, w.domain, params).hex() == got.hex()
+        j = int(np.argmax(u.values))
+        w = nudged(u, j, u.values[j] - 1e-11 * max(abs(u.values[j]), delta))
         with mock.patch.object(functional1d, "_level_sum", side_effect=AssertionError("levels")):
             got = step_energy(w, w.domain, params)
         assert got.hex() == _pair_sum(*step_cells(w, w.domain), params.threshold, params).hex()
+
+    def test_values_within_the_guard_match_step_hostility(self):
+        # 0.3 is not fl(3 * 0.1) but lies within the guard of level 3:
+        # step_energy takes the level sum of step_hostility(k=1), bit for bit
+        u = StepFunction1D(np.arange(6.0), (0.1, 0.2, 0.3, 0.2, 0.1), TailMode.DOMAIN_ONLY)
+        assert 0.3 != 3 * 0.1
+        for p in (1.0, 1.5, 2.0):
+            params = EnergyParams(0.1, p)
+            assert step_energy(u, u.domain, params).hex() \
+                == step_hostility(u, u.domain, 1, params).hex()
 
     def test_random_steps_match_the_float_sum(self):
         rng = np.random.default_rng(33)
@@ -914,10 +933,6 @@ class TestExponentMustBeFinite:
         with pytest.raises(ValueError, match="p must be finite"):
             local_energy(tent, math.inf)
 
-    def test_affine_interpolation_energy(self):
-        with pytest.raises(ValueError, match="p must be finite"):
-            affine_interpolation_energy([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)], math.inf)
-
 
 class TestPointwiseHostility:
     def test_constant_zero(self):
@@ -958,19 +973,19 @@ class TestPointwiseHostility:
 
 
 class TestAffineInterpolationEnergy:
+    """The local energy of the affine interpolant through samples: the
+    PiecewiseAffine1D on them."""
+
+    def interpolant_energy(self, samples, p):
+        return local_energy(PiecewiseAffine1D(tuple(samples), compact_support=False), p)
+
     def test_linear_function_any_grid(self):
         samples = [(i / 4.0, i / 4.0) for i in range(5)]
-        assert math.isclose(affine_interpolation_energy(samples, 2.0), 1.0,
-                            rel_tol=1e-12)
+        assert math.isclose(self.interpolant_energy(samples, 2.0), 1.0, rel_tol=1e-12)
 
     def test_vee_function(self):
         samples = [(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)]
-        assert math.isclose(affine_interpolation_energy(samples, 2.0), 1.0,
-                            rel_tol=1e-12)
-
-    def test_nonuniform_rejected(self):
-        with pytest.raises(NonUniformGrid):
-            affine_interpolation_energy([(0.0, 0.0), (0.4, 1.0), (1.0, 0.0)], 2.0)
+        assert math.isclose(self.interpolant_energy(samples, 2.0), 1.0, rel_tol=1e-12)
 
     def test_dyadic_refinement_monotone(self):
         tent = PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
@@ -978,7 +993,7 @@ class TestAffineInterpolationEnergy:
         prev = 0.0
         for k in (2, 4, 8, 16, 32, 64):
             xs = np.linspace(0.0, 2.0, 2 * k + 1)
-            energy = affine_interpolation_energy([(x, tent(x)) for x in xs], p)
+            energy = self.interpolant_energy([(x, tent(x)) for x in xs], p)
             assert energy >= prev - 1e-12
             prev = energy
         assert math.isclose(prev, local_energy(tent, p), rel_tol=1e-3)
@@ -1002,7 +1017,6 @@ def test_segmented_ramp_energy_chain():
 
 
 def test_quadrature_budget_exhaustion_reports_estimate():
-    from nlg.functional1d import ToleranceNotReached
     with pytest.raises(ToleranceNotReached) as exc:
         energy_quadrature(lambda x: x, 1.0, UNIT, EnergyParams(0.1, 2.0),
                           1e-9, max_cells=500)

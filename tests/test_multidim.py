@@ -21,7 +21,7 @@ from nlg.fields import (DegenerateBox, RadialSection, UnsupportedDimension,
                         UnsupportedField, _radial_cells, _top_levels)
 from nlg.rearrange import grid_floor_level
 
-from conftest import level_runs_loop
+from conftest import CLOSED_FORMS, level_runs_loop
 
 TENT = RadialTent((0.0, 0.0), 1.0, 1.0)
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -849,15 +849,12 @@ class TestMonteCarlo:
     def test_shares_no_code_with_the_closed_forms(self):
         # the oracle evaluates the field at points; it must not reach the
         # sections, the segmentations or the pair sum that it checks
-        closed = {"_pair_sum", "_unimodal_sums", "_pair_energies", "step_energy",
-                  "grid_floor_level", "_level_cells", "_merge_cells", "_radial_cells",
-                  "_sections", "_cells", "section", "step_segmentation", "vertical_segmentation"}
         for fn in (multidim.energy_by_montecarlo, multidim._montecarlo_chunk,
                    multidim._floor_levels, multidim._stream_at):
             tree = ast.parse(inspect.getsource(fn))
             named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
                      if isinstance(node, (ast.Name, ast.Attribute))}
-            assert "np" in named and not named & closed, (fn.__name__, named & closed)
+            assert "np" in named and not named & CLOSED_FORMS, (fn.__name__, named & CLOSED_FORMS)
 
 
 def _weight_array_montecarlo(u, params, box, n_samples, seed, chunk):
