@@ -46,13 +46,13 @@ _HALVES_Y = ((3,), (2,))
 _MAX_INTERVALS = 400_000
 
 
-class BudgetExhausted(Exception):
-    """Raised by the adaptive rules when the cell budget runs out."""
+class ToleranceNotReached(RuntimeError):
+    """Adaptive refinement budget exhausted before reaching the tolerance."""
 
-    def __init__(self, value: float, error_estimate: float):
-        self.value = value
+    def __init__(self, estimate: float, error_estimate: float):
+        self.estimate = estimate
         self.error_estimate = error_estimate
-        super().__init__(f"cell budget exhausted; estimate {value} +- {error_estimate}")
+        super().__init__(f"achieved {estimate} +- {error_estimate}")
 
 
 def _refine(evaluate, split, cells, tol, max_cells, splittable=None):
@@ -60,7 +60,7 @@ def _refine(evaluate, split, cells, tol, max_cells, splittable=None):
     cells it keeps with their values and error estimates, ``split(marked)``
     the children of the marked cells, and ``splittable(cells)`` (optional)
     the cells large enough to split.  Returns ``(value, error_estimate)``;
-    raises :class:`BudgetExhausted` once ``max_cells`` cells have been
+    raises :class:`ToleranceNotReached` once ``max_cells`` cells have been
     evaluated without reaching ``tol``."""
     cells, val, err = evaluate(cells)
     n_evals = cells.shape[1]
@@ -74,7 +74,7 @@ def _refine(evaluate, split, cells, tol, max_cells, splittable=None):
         if total_err <= tol or not np.any(refinable):
             return total, total_err
         if n_evals >= max_cells:
-            raise BudgetExhausted(total, total_err)
+            raise ToleranceNotReached(total, total_err)
         # mark the smallest error-sorted prefix holding half the total error
         order = np.argsort(err)[::-1]
         sorted_err = err[order]
@@ -107,7 +107,7 @@ def adaptive_intervals_1d(f, lo, hi, tol: float) -> tuple[float, float]:
     empty ones included, to the values at those nodes.  ``lo`` and ``hi``
     are scalars or arrays of one length; at most one end of an interval
     may be infinite.
-    Returns ``(value, error_estimate)``; raises :class:`BudgetExhausted`
+    Returns ``(value, error_estimate)``; raises :class:`ToleranceNotReached`
     if the estimate cannot be pushed below ``tol`` within
     ``_MAX_INTERVALS`` interval evaluations.
     """
@@ -179,7 +179,7 @@ def adaptive_cells_2d(f, x0: float, x1: float, y0: float, y1: float,
     ``f`` must accept flat numpy arrays, empty ones included.
     ``skip(cx0, cx1, cy0, cy1)`` (vectorized over cell arrays) marks cells
     whose integral is exactly zero; they are dropped without evaluation.
-    Returns ``(value, error_estimate)``; raises :class:`BudgetExhausted`
+    Returns ``(value, error_estimate)``; raises :class:`ToleranceNotReached`
     if the estimate cannot be pushed below ``tol`` within ``max_cells``
     cell evaluations.
     """

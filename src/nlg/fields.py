@@ -23,7 +23,7 @@ import numpy as np
 from . import _quad
 from .core import StepFunction1D, TailMode
 from .functional1d import INF, _check_p, _first_past, _ragged_arange
-from .rearrange import _level_cells, _merge_cells, _on_level, _pwa_crossings, grid_floor_level
+from .rearrange import _floor_level, _level_cells, _merge_cells, _pwa_crossings, grid_floor_level
 
 
 class UnsupportedDimension(ValueError):
@@ -87,10 +87,6 @@ class Box:
                    zip(self.lower, self.upper, other.lower, other.upper))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
 @dataclass(frozen=True)
 class Direction:
     """Unit vector plus an orthonormal frame of its orthogonal complement."""
@@ -114,23 +110,11 @@ class Direction:
         v = np.asarray(v, dtype=float)
         if not 0.0 < np.linalg.norm(v) < math.inf:
             raise ValueError(f"a direction needs a nonzero finite vector, got {v.tolist()}")
-        s = _unit(v)
-        d = len(s)
-        if d == 2:
+        s = v / np.linalg.norm(v)
+        if len(s) == 2:  # the sectioning grid's bits rest on this frame
             frame = [np.asarray([-s[1], s[0]])]
-        elif d == 3:
-            k = int(np.argmin(np.abs(s)))
-            e = np.zeros(3)
-            e[k] = 1.0
-            u1 = _unit(e - s[k] * s)
-            u2 = np.cross(s, u1)
-            frame = [u1, u2]
-        else:
-            # complete to an orthonormal basis; QR of [sigma | identity-ish]
-            m = np.column_stack([s, np.eye(d)])
-            q, _ = np.linalg.qr(m)
-            q[:, 0] = s
-            frame = [q[:, i] for i in range(1, d)]
+        else:  # Q of the QR of [sigma | identity]: +-sigma, then an orthonormal frame
+            frame = np.linalg.qr(np.column_stack([s, np.eye(len(s))]))[0].T[1:]
         return cls(tuple(s), tuple(tuple(f) for f in frame))
 
     @classmethod
@@ -298,8 +282,8 @@ def _top_levels(rho: np.ndarray, radius: float, peak: float, delta: float) -> np
     floor level of its top peak*(1 - rho/r), less one where the top sits on
     that level (its level set would be a single point); below 1 if none."""
     top = peak * (1.0 - rho / radius)
-    n = grid_floor_level(top, delta)
-    return n - _on_level(top, n, delta)
+    n, on = _floor_level(top, delta)
+    return n - on
 
 
 def _radial_cells(t_center, rho, top, radius, peak, delta):

@@ -145,28 +145,29 @@ def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None, out=None):
     cell against an unbounded tail, in which the terms containing the
     infinite endpoint vanish.  ``coef``, if given, stands for the kernel's
     constant factor (:func:`_pair_coef`), one or per pair: the pair sum
-    passes it with the sign of each term.  With a tail, an array ``out``
-    receives the same energies, and ``gap`` may be overwritten.
+    passes it with the sign of each term.  The tail form runs in place: an
+    array ``out`` receives the energies and ``gap`` may be overwritten;
+    with ``out=None`` an array ``gap`` is copied first.  Numbers stay
+    numbers, whose powers are libm's ``pow``: numpy's array power differs
+    from it in the last bits of some values.
     """
     p = params.p
     if coef is None:
         coef = _pair_coef(params)
-    tail = np.ndim(len2) == 0 and len2 == INF
-    if tail and out is not None:  # the operations below, in place
+    if np.ndim(len2) == 0 and len2 == INF:  # the tail
+        gap = np.array(gap, dtype=float) if out is None and isinstance(gap, np.ndarray) else gap
         if p == 1.0:
             h = np.log1p(np.divide(len1, gap, out=out), out=out)
-        else:
-            h = np.power(np.add(gap, len1, out=out), 1.0 - p, out=out)
-            h = np.maximum(np.subtract(np.power(gap, 1.0 - p, out=gap), h, out=h), 0.0, out=h)
-        return np.multiply(h, coef, out=h)
+        else:  # **= is in place on arrays
+            h = np.add(gap, len1, out=out)
+            h **= 1.0 - p
+            gap **= 1.0 - p
+            h = np.maximum(np.subtract(gap, h, out=out), 0.0, out=out)
+        return np.multiply(h, coef, out=out)
     if p == 1.0:
-        if tail:
-            return coef * np.log1p(len1 / gap)
         return coef * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
     q = 1.0 - p
-    brk = gap ** q - (gap + len1) ** q
-    if not tail:
-        brk = brk - (gap + len2) ** q + (gap + len1 + len2) ** q
+    brk = gap ** q - (gap + len1) ** q - (gap + len2) ** q + (gap + len1 + len2) ** q
     return coef * np.maximum(brk, 0.0)
 
 

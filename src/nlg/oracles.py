@@ -21,6 +21,10 @@ classes from the other ``nlg`` modules, plus the adaptive rule of
 ``nlg._quad``, and builds a step function's cells itself from its
 breakpoints, values and tail mode.  Monte Carlo, the oracle for the
 sectioning estimators, stays in ``nlg.multidim`` next to them.
+
+A quadrature that runs out of its budget raises the rule's one exception,
+:class:`ToleranceNotReached` (defined in ``nlg._quad``), with the estimate
+it reached.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _quad
+from ._quad import ToleranceNotReached  # noqa: F401 -- every oracle raises it
 from .constants import BadDimension, BadExponent, LimitConstant, Provenance
 from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval, StepFunction1D,
                    TailMode, TooShort, WeightsTooShort)
@@ -40,15 +45,6 @@ from .functional1d import (DomainMismatch, EnergyParams, OverlappingIntervals,
 
 class BreakpointQuery(ValueError):
     """Pointwise quantity requested exactly at a breakpoint."""
-
-
-class ToleranceNotReached(RuntimeError):
-    """Adaptive refinement budget exhausted before reaching the tolerance."""
-
-    def __init__(self, estimate: float, error_estimate: float):
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-        super().__init__(f"achieved {estimate} +- {error_estimate}")
 
 
 class TooManyPermutations(ValueError):
@@ -103,6 +99,8 @@ def energy_quadrature(u: Callable[[float], float], lipschitz: float,
     are dropped without evaluating the (there singular) kernel.  The
     indicator |u(y)-u(x)| > delta is evaluated pointwise on the adaptive
     grid, and the refinement queue resolves its discontinuity curve.
+    Raises :class:`ToleranceNotReached`, with the estimate reached, if
+    ``max_cells`` cell evaluations do not bring the error below ``tol``.
     """
     if not domain.bounded:
         raise DomainMismatch("energy_quadrature needs a bounded domain")
@@ -129,13 +127,8 @@ def energy_quadrature(u: Callable[[float], float], lipschitz: float,
         return (cy1 - cx0 < r) & (cy0 - cx1 > -r)
 
     lo, hi = domain.lo, domain.hi
-    try:
-        value, _ = _quad.adaptive_cells_2d(
-            f, lo, hi, lo, hi, tol, skip=skip, max_cells=max_cells,
-            min_size=(hi - lo) * 1e-8, initial=8)
-    except _quad.BudgetExhausted as exc:
-        raise ToleranceNotReached(exc.value, exc.error_estimate) from None
-    return value
+    return _quad.adaptive_cells_2d(f, lo, hi, lo, hi, tol, skip=skip, max_cells=max_cells,
+                                   min_size=(hi - lo) * 1e-8, initial=8)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,18 @@ class BadBounds(ValueError):
 # vertical segmentation and truncation
 # ---------------------------------------------------------------------------
 
-def _level_candidates(v, delta: float):
-    """The two levels grid_floor_level chooses from, as floats: the nearest
-    one, and the largest k with k*delta <= v."""
+def _floor_level(v, delta: float):
+    """``(k, on)``, elementwise: k the grid level of v, the nearest one if v
+    sits on it within the guard of the interaction threshold, else the
+    largest k with k*delta <= v, and ``on`` whether v sits on level k."""
     _check_delta(delta)
     q = np.divide(v, delta)
     if not (np.abs(q) < 2.0 ** 53).all():  # float levels are exact integers below 2**53
         raise ValueError(f"grid levels need |v/delta| < 2**53, got v = {v}, delta = {delta}")
     k = np.floor(q)
-    return np.rint(q), k + ((k + 1.0) * delta <= v) - (k * delta > v)
+    near, floor = np.rint(q), k + ((k + 1.0) * delta <= v) - (k * delta > v)
+    on = _on_level(v, np.array((near, floor)), delta)  # both candidates in one call
+    return np.where(on[0], near, floor).astype(np.int64), on[0] | on[1]
 
 
 def grid_floor_level(v, delta: float):
@@ -64,8 +67,7 @@ def grid_floor_level(v, delta: float):
     with values intended to be exact multiples of delta are fixed points
     of the segmentation even when k*delta rounds.
     """
-    near, k = _level_candidates(v, delta)
-    k = np.where(_on_level(v, near, delta), near, k).astype(np.int64)
+    k = _floor_level(v, delta)[0]
     return k if np.ndim(v) else int(k)
 
 
@@ -163,12 +165,7 @@ def _level_cells(xs, ys, delta, crossings, join=False):
     it opens on a rising piece, of the cell it closes on a falling one.
     The pieces where ``join`` holds cross no level: they join functions
     laid end to end, and their start cells belong to neither."""
-    # grid_floor_level, with both of its candidates tested in one call: k
-    # is the nearest level if the node sits on it, else the floor
-    near, floor = _level_candidates(ys, delta)
-    on = _on_level(ys, np.array((near, floor)), delta)
-    k = np.where(on[0], near, floor).astype(np.int64)
-    on = on[0] | on[1]  # on level k
+    k, on = _floor_level(ys, delta)
     # k*delta is at or below a node, strictly below it off its level, and hi
     # is the lowest level at or above it; k + hi orders the nodes like their
     # snapped values, nodes inside one cell tied (no piece there crosses)

@@ -23,7 +23,30 @@ P1 = EnergyParams(1.0, 1.0)
 P2 = EnergyParams(1.0, 2.0)
 
 
+# pair_cell_energy(HALF_LINE_PAIRS[i], EnergyParams(0.3, p)) as float.hex,
+# pinned from the two-form pair energy that the one tail form replaced
+HALF_LINE_PAIRS = [((0.0, 0.1), (0.8, math.inf)), ((0.0, 0.1), (0.100001, math.inf)),
+                   ((0.0, 1000.0), (1000.3, math.inf)), ((0.0, 0.3), (2.8, math.inf)),
+                   ((-math.inf, -0.3), (0.4, 0.5)), ((-math.inf, 0.0), (1e-06, 1.5))]
+HALF_LINE_BITS = {
+    1.0: ["0x1.482ab02964561p-5", "0x1.ba18c2c36b01dp+1", "0x1.37807afd52354p+1",
+          "0x1.16843e6415ecap-5", "0x1.482ab02964560p-5", "0x1.110af0893976ep+2"],
+    1.5: ["0x1.15182429432f8p-6", "0x1.b4cadb88155c8p+7", "0x1.9281af7a407bap-2",
+          "0x1.f44208b3bb249p-8", "0x1.1518242943306p-6", "0x1.b5d1fd8cff55cp+7"],
+    2.0: ["0x1.075075075074bp-7", "0x1.5f8f199a2f155p+15", "0x1.331b9d36b10b0p-3",
+          "0x1.f9903cdad7eb2p-10", "0x1.0750750750751p-7", "0x1.5f8ff0a3d70a4p+15"],
+    3.0: ["0x1.1a1f58d0fac66p-9", "0x1.0c388cff8a7f8p+32", "0x1.9999972f7f6a0p-5",
+          "0x1.323a1c1561238p-13", "0x1.1a1f58d0fac66p-9", "0x1.0c388cffff7cfp+32"],
+}
+
+
 class TestPairCellEnergy:
+    @pytest.mark.parametrize("p", sorted(HALF_LINE_BITS))
+    def test_half_lines_keep_their_bits(self, p):
+        got = [pair_cell_energy(Interval(*a), Interval(*b), EnergyParams(0.3, p)).hex()
+               for a, b in HALF_LINE_PAIRS]
+        assert got == HALF_LINE_BITS[p]
+
     def test_unit_separated_p1(self):
         assert math.isclose(pair_cell_energy(Interval(0, 1), Interval(2, 3), P1),
                             math.log(4.0 / 3.0), rel_tol=1e-14)
@@ -453,16 +476,28 @@ class TestPairSumEngine:
                 check(np.append(s, top))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_half_line_energies_in_place_are_the_same_bits(self, p):
-        # the pair sum's in-place form against the plain one, signed coefs
+    def test_half_line_energies_without_out_keep_the_gap(self, p):
+        # the one tail form: out=None works on a copy of an array gap, to the
+        # bits of the in-place run, signed coefs too; numbers stay numbers,
+        # whose powers are Python's
         rng = np.random.default_rng(3)
-        gap, len1 = rng.uniform(1e-3, 5.0, 500), rng.uniform(1e-3, 5.0, 500)
         params = EnergyParams(0.3, p)
-        coef = np.copysign(functional1d._pair_coef(params), rng.normal(size=500))
-        want = functional1d._pair_energies(gap, len1, math.inf, params, coef)
-        got = functional1d._pair_energies(gap.copy(), len1.copy(), math.inf, params, coef,
-                                          out=np.empty(500))
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        for gap, len1 in ((rng.uniform(1e-3, 5.0, 500), rng.uniform(1e-3, 5.0, 500)),
+                          (np.array(0.7), np.array(0.1)), (np.array(1e-6), 0.1)):
+            coef = np.copysign(functional1d._pair_coef(params), rng.normal(size=gap.shape))
+            before = gap.copy()
+            got = functional1d._pair_energies(gap, len1, math.inf, params, coef)
+            assert gap.tobytes() == before.tobytes()
+            want = functional1d._pair_energies(gap.copy(), np.array(len1, dtype=float),
+                                               math.inf, params, coef, out=np.empty(gap.shape))
+            assert np.shape(got) == gap.shape
+            assert got.tobytes() == want.tobytes()
+        coef, q = functional1d._pair_coef(params), 1.0 - p
+        for gap, len1 in ((0.7, 0.1), (1e-6, 0.1), (0.3, 1000.0), (2.5, 0.3)):
+            got = functional1d._pair_energies(gap, len1, math.inf, params)
+            want = coef * (float(np.log1p(len1 / gap)) if p == 1.0 else
+                           max(gap ** q - (gap + len1) ** q, 0.0))
+            assert float(got).hex() == want.hex()
 
     def test_counted_bands_need_exact_integers(self):
         s = np.arange(-5.0, 20.0)

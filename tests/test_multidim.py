@@ -117,6 +117,18 @@ class TestDirection:
         gram = np.array([[np.dot(a, b) for b in vecs] for a in vecs])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_frames_past_the_plane_are_orthonormal(self, d):
+        rng = np.random.default_rng(d)
+        tiny = np.zeros(d)
+        tiny[:2] = 1e-300, 1.0
+        for v in (*np.eye(d), -np.eye(d)[d - 1], tiny, np.ones(d), *rng.normal(size=(20, d))):
+            got = Direction.from_vector(tuple(v))
+            vecs = np.array([got.sigma, *got.frame])
+            assert vecs.shape == (d, d)
+            assert np.max(np.abs(vecs @ vecs.T - np.eye(d))) <= 1e-12
+            assert np.max(np.abs(vecs[0] - v / np.linalg.norm(v))) <= 1e-15
+
     def test_offset_has_one_component_per_frame_vector(self):
         # an offset of the wrong length is an error, not the line at z[0]
         d = Direction.from_angle(0.3)
@@ -944,10 +956,11 @@ def test_degenerate_box_rejected():
 
 
 def test_three_dimensional_section_commutes(rng):
-    d = Direction.from_vector((0.3, -1.0, 0.5))
     delta = 0.2
-    for u3 in (RadialTent((0.1, -0.2, 0.05), 0.9, 1.1),
-               TensorTent((0.1, -0.2, 0.05), (0.9, 0.6, 1.2), 1.1)):
+    for d, u3 in itertools.product(
+            (Direction.from_vector((0.3, -1.0, 0.5)), Direction.from_vector((0.0, 0.0, 1.0))),
+            (RadialTent((0.1, -0.2, 0.05), 0.9, 1.1),
+             TensorTent((0.1, -0.2, 0.05), (0.9, 0.6, 1.2), 1.1))):
         sec = section(u3, d, (0.15, -0.1))
         step = sec.step_segmentation(delta)
         for t in rng.uniform(-2.0, 2.0, 500):

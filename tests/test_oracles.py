@@ -10,13 +10,14 @@ list the Monte Carlo test in ``test_multidim.py`` uses too).
 """
 
 import ast
+import math
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from nlg import oracles
+from nlg import _quad, oracles
 
 from conftest import CLOSED_FORMS
 
@@ -79,3 +80,34 @@ def test_every_oracle_lives_in_oracles():
             defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
                        if isinstance(node, ast.FunctionDef)}
             assert not defined & set(ORACLES), (path.name, defined & set(ORACLES))
+
+
+def test_every_quadrature_raises_the_one_budget_exception(monkeypatch):
+    # a rule out of budget raises the oracles' ToleranceNotReached, a
+    # RuntimeError carrying the estimate reached, whichever caller it serves
+    from nlg import Direction, Interval, RadialTent, StepFunction1D, TensorTent, fields, section
+    from nlg.functional1d import EnergyParams
+
+    assert _quad.ToleranceNotReached is oracles.ToleranceNotReached
+    assert issubclass(oracles.ToleranceNotReached, RuntimeError)
+    assert not hasattr(_quad, "BudgetExhausted")
+    monkeypatch.setattr(_quad, "_MAX_INTERVALS", 3)
+    params = EnergyParams(0.1, 1.5)
+    step = StepFunction1D((0.0, 0.3, 0.7, 1.0), (0.1, 0.2, 0.1))
+    sigma = Direction.from_angle(0.4)
+    radial = section(RadialTent((0.0, 0.0), 1.0, 1.0), sigma, 0.3)
+    poly = section(TensorTent((0.0, 0.0), (1.0, 0.8), 1.0), sigma, 0.2)
+    assert isinstance(radial, fields.RadialSection) and isinstance(poly, fields.PolySection)
+    for run in (lambda: oracles.pair_cell_quadrature(Interval(0.0, 1.0), Interval(1.5, 3.0),
+                                                     params),
+                lambda: oracles.spherical_moment_quadrature(2, 1.5),
+                lambda: oracles.spherical_moment_quadrature(3, 1.5),
+                lambda: oracles.integrate_pointwise_hostility(step, params),
+                lambda: radial.local_energy(1.5),
+                lambda: poly.local_energy(1.5),
+                lambda: oracles.energy_quadrature(lambda x: x, 1.0, Interval(0.0, 1.0), params,
+                                                  1e-12, max_cells=100)):
+        with pytest.raises(oracles.ToleranceNotReached) as got:
+            run()
+        assert type(got.value) is oracles.ToleranceNotReached
+        assert math.isfinite(got.value.estimate) and got.value.error_estimate > 0.0

@@ -16,9 +16,11 @@ from nlg import (AffineRamp, Box, Direction, DiscreteArrangement, EnemyList, Ene
                  reduce_arrangement, step_cells, step_energy, step_hostility,
                  total_hostility, vertical_segmentation)
 from nlg.core import NonMonotoneBreakpoints
+from nlg.functional1d import INTERACTION_GUARD
 from nlg.oracles import TooManyPermutations
 from nlg.rearrange import (BadBounds, TooShort, ValuesNotOnGrid, WeightsTooShort,
-                           _cells_to_step, _merge_cells, grid_floor_level, hostile_gap_counts)
+                           _cells_to_step, _merge_cells, _on_level, grid_floor_level,
+                           hostile_gap_counts)
 
 from conftest import (UNIT, cells_to_step_loop, level_runs_loop, merge_cells_loop,
                       pairwise_energy, random_grid_step, random_nonincreasing_weights,
@@ -231,6 +233,41 @@ class TestVerticalSegmentation:
         for v, delta in ((1.0, 1e-300), (-(2.0 ** 53), 1.0), (np.array([0.5, 2.0 ** 52]), 0.5)):
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 grid_floor_level(v, delta)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 1e-5])
+    def test_floor_level_is_the_floor_then_the_level_test(self, delta):
+        # _floor_level's (k, on) against grid_floor_level and then _on_level
+        # at that level, on values on levels -3..3 and a few guard widths
+        # and ulps either side of them, as numbers and as one array
+        vs = []
+        for k in range(-3, 4):
+            level = k * delta
+            guard = INTERACTION_GUARD * max(abs(level), delta)
+            vs += [level, np.nextafter(level, -1.0), np.nextafter(level, 1.0), level + 0.5 * delta]
+            vs += [level + f * guard for f in (-10.0, -2.0, -1.01, -0.99, -0.5, 0.5, 0.99,
+                                               1.01, 2.0, 10.0)]
+        vs = np.array(vs)
+        want_k = [grid_floor_level(float(v), delta) for v in vs]
+        want_on = [bool(_on_level(float(v), k, delta)) for v, k in zip(vs, want_k)]
+        assert any(want_on) and not all(want_on)
+        for v, k, on in zip(vs.tolist(), want_k, want_on):
+            got_k, got_on = rearrange._floor_level(v, delta)
+            assert (int(got_k), bool(got_on)) == (k, on), v
+            m = round(v / delta)  # the rule itself: the nearest level within the guard
+            if abs(v - m * delta) <= INTERACTION_GUARD * max(abs(v), delta):
+                assert (k, on) == (m, True), v
+            else:
+                assert k * delta <= v < (k + 1) * delta and not on, v
+        got_k, got_on = rearrange._floor_level(vs, delta)
+        assert got_k.dtype == np.int64 and got_k.tolist() == want_k
+        assert got_on.dtype == bool and got_on.tolist() == want_on
+        # the radial tops peak*(1 - rho/r) near the same levels, less one on a level
+        radius, peak = 1.3, 0.9
+        rho = radius * (1.0 - vs / peak)
+        top = peak * (1.0 - rho / radius)
+        n = grid_floor_level(top, delta)
+        assert fields._top_levels(rho, radius, peak, delta).tolist() == \
+            (n - _on_level(top, n, delta)).tolist()
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -0.5])
     def test_delta_must_be_positive_and_finite(self, delta):
