@@ -54,8 +54,8 @@ def _floor_level(v, delta: float):
         raise ValueError(f"grid levels need |v/delta| < 2**53, got v = {v}, delta = {delta}")
     k = np.floor(q)
     near, floor = np.rint(q), k + ((k + 1.0) * delta <= v) - (k * delta > v)
-    on = _on_level(v, np.array((near, floor)), delta)  # both candidates in one call
-    return np.where(on[0], near, floor).astype(np.int64), on[0] | on[1]
+    on = _on_level(v, near, delta)
+    return np.where(on, near, floor).astype(np.int64), on | _on_level(v, floor, delta)
 
 
 def grid_floor_level(v, delta: float):
