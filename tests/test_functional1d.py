@@ -23,8 +23,8 @@ P1 = EnergyParams(1.0, 1.0)
 P2 = EnergyParams(1.0, 2.0)
 
 
-# pair_cell_energy(HALF_LINE_PAIRS[i], EnergyParams(0.3, p)) as float.hex,
-# pinned from the two-form pair energy that the one tail form replaced
+# pair_cell_energy(HALF_LINE_PAIRS[i], EnergyParams(0.3, p)) as float.hex:
+# libm's powers, which numpy's array power misses on some of these pairs
 HALF_LINE_PAIRS = [((0.0, 0.1), (0.8, math.inf)), ((0.0, 0.1), (0.100001, math.inf)),
                    ((0.0, 1000.0), (1000.3, math.inf)), ((0.0, 0.3), (2.8, math.inf)),
                    ((-math.inf, -0.3), (0.4, 0.5)), ((-math.inf, 0.0), (1e-06, 1.5))]
