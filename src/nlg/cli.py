@@ -34,9 +34,18 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _load(path: str):
+class _Usage(Exception):
+    """A flag or input that the command cannot take: one error line, exit 2."""
+
+
+def _load(path: str, *kinds):
+    """The object that the JSON file ``path`` holds, if it is one of ``kinds``."""
     with open(path) as fh:
-        return validate_and_build(json.load(fh))
+        obj = validate_and_build(json.load(fh))
+    if not isinstance(obj, kinds):
+        raise _Usage(f"{path}: got {type(obj).__name__}, expected "
+                     + " or ".join(kind.__name__ for kind in kinds))
+    return obj
 
 
 def _write(text: str, path: str | None):
@@ -48,9 +57,7 @@ def _write(text: str, path: str | None):
 
 
 def _domain_from_args(args, u: StepFunction1D) -> Interval:
-    if args.domain is not None:
-        return Interval(*args.domain)
-    return u.domain
+    return u.domain if args.domain is None else Interval(*args.domain)
 
 
 def cmd_constants(args) -> int:
@@ -64,60 +71,40 @@ def cmd_constants(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    u = _load(args.input)
+    u = _load(args.input, StepFunction1D, PiecewiseAffine1D)
     params = EnergyParams(args.delta, args.p)
     if isinstance(u, PiecewiseAffine1D):
         if not args.segment:
-            print("error: piecewise affine input requires --segment", file=sys.stderr)
-            return 2
+            raise _Usage("piecewise affine input requires --segment")
         u = vertical_segmentation(u, args.delta)
-    elif not isinstance(u, StepFunction1D):
-        print(f"error: expected a step or piecewise affine function, got "
-              f"{type(u).__name__}", file=sys.stderr)
-        return 2
-    domain = _domain_from_args(args, u)
-    print(_fmt(step_energy(u, domain, params)))
+    print(_fmt(step_energy(u, _domain_from_args(args, u), params)))
     return 0
 
 
 def cmd_segment(args) -> int:
-    u = _load(args.input)
-    if not isinstance(u, PiecewiseAffine1D):
-        print(f"error: segment expects a piecewise affine function, got "
-              f"{type(u).__name__}", file=sys.stderr)
-        return 2
+    u = _load(args.input, PiecewiseAffine1D)
     step = vertical_segmentation(u, args.delta)
     _write(json.dumps(step.to_json()) + "\n", args.output)
     return 0
 
 
 def cmd_rearrange(args) -> int:
-    u = _load(args.input)
+    u = _load(args.input, DiscreteArrangement, StepFunction1D)
     if isinstance(u, DiscreteArrangement):
         out = monotone_rearrangement(u)
-    elif isinstance(u, StepFunction1D):
+    else:
         domain = _domain_from_args(args, u)
         if not domain.bounded:
-            print("error: rearranging a step function needs a bounded --domain",
-                  file=sys.stderr)
-            return 2
+            raise _Usage("rearranging a step function needs a bounded --domain")
         out = monotone_rearrangement_step(u, domain)
-    else:
-        print(f"error: cannot rearrange a {type(u).__name__}", file=sys.stderr)
-        return 2
     _write(json.dumps(out.to_json()) + "\n", args.output)
     return 0
 
 
 def cmd_hostility(args) -> int:
-    u = _load(args.arrangement)
-    h = _load(args.weights)
-    e = _load(args.enemies)
-    if not isinstance(u, DiscreteArrangement) or not isinstance(h, HostilityWeights) \
-            or not isinstance(e, EnemyList):
-        print("error: hostility expects an arrangement, weights, and an enemy list",
-              file=sys.stderr)
-        return 2
+    u = _load(args.arrangement, DiscreteArrangement)
+    h = _load(args.weights, HostilityWeights)
+    e = _load(args.enemies, EnemyList)
     print(_fmt(total_hostility(h, e, u)))
     return 0
 
@@ -247,8 +234,7 @@ def cmd_fuzz(args) -> int:
     """
     for flag in ("n_max", "species_max", "trials", "k"):
         if getattr(args, flag) < 1:
-            print(f"error: need --{flag.replace('_', '-')} >= 1", file=sys.stderr)
-            return 2
+            raise _Usage(f"need --{flag.replace('_', '-')} >= 1")
     rng = np.random.default_rng(args.seed)
     enemies = EnemyList.band_complement(args.k)
     checked = 0
@@ -287,13 +273,11 @@ _SHAPES = {"tent": PiecewiseAffine1D(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
 
 def cmd_converge_recovery(args) -> int:
     if not (args.delta_start > 0.0 and 0.0 < args.delta_factor < 1.0):
-        print("error: need --delta-start > 0 and 0 < --delta-factor < 1", file=sys.stderr)
-        return 2
+        raise _Usage("need --delta-start > 0 and 0 < --delta-factor < 1")
     if args.steps < 1:
-        print("error: need --steps >= 1", file=sys.stderr)
-        return 2
+        raise _Usage("need --steps >= 1")
     u = _SHAPES[args.shape]
-    limit = (2.0 / args.p) * staircase_constant(args.p).value * local_energy(u, args.p)
+    limit = gamma_limit_constant(1, args.p).value * local_energy(u, args.p)
     rows = []
     delta = args.delta_start
     for _ in range(args.steps):
@@ -313,11 +297,9 @@ def cmd_converge_recovery(args) -> int:
 
 def cmd_converge_sectioning(args) -> int:
     if args.d != 2:
-        print("error: only --d 2 is supported", file=sys.stderr)
-        return 2
+        raise _Usage("only --d 2 is supported")
     if args.shape != "radial-tent":
-        print(f"error: unknown shape {args.shape!r}", file=sys.stderr)
-        return 2
+        raise _Usage(f"unknown shape {args.shape!r}")
     _check_montecarlo_counts(args.mc_samples, args.seed)  # before any sectioning pass
     u = RadialTent((0.0, 0.0), 1.0, 1.0)
     _check_sectioning(u, args.dirs, args.offsets)
@@ -412,9 +394,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # SchemaError and JSONDecodeError included
+    except (_Usage, ValueError, OSError) as exc:  # SchemaError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _Usage) else 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _quad
+from .constants import _pi_gamma_ratio
 from .core import StepFunction1D, TailMode
 from .functional1d import INF, _check_p, _first_past, _ragged_arange
 from .rearrange import _floor_level, _level_cells, _merge_cells, _pwa_crossings, grid_floor_level
@@ -473,7 +474,7 @@ class RadialTent:
 
     def local_energy(self, p: float) -> float:
         d = self.dim
-        ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * self.radius ** d
+        ball = _pi_gamma_ratio(d / 2.0, 1.0, d / 2.0 + 1.0) * self.radius ** d
         return (self.peak / self.radius) ** p * ball
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):

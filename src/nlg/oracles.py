@@ -217,19 +217,25 @@ def spherical_moment_quadrature(d: int, p: float) -> LimitConstant:
 
     d = 2: the circle integral of |cos(theta)|^p, computed as
     4 * integral over (0,1) of (1 - t^2)^((p-1)/2) via t = sin(theta).
-    d = 3: polar integral 2*pi * integral of |cos(phi)|^p sin(phi).
+    d = 3: the polar integral 2*pi * integral of |cos(phi)|^p sin(phi),
+    computed as 2*pi * integral over (-1,1) of |t|^p via t = cos(phi), so
+    that the peaks at t = -1 and 1 are nodes of the rule at any p.
+
+    The tolerance is 1e-11 relative to a first estimate reached at 1e-11
+    absolute: the integral falls like p^(-1/2) (d = 2) and 1/p (d = 3).
     """
     if not 1.0 <= p < math.inf:
         raise BadExponent(f"p must be finite and >= 1, got {p}")
     if d == 2:
-        value = 4.0 * _quad.adaptive_intervals_1d(
-            lambda t, i: (1.0 - t * t) ** ((p - 1.0) / 2.0), 0.0, 1.0, 1e-11)[0]
+        scale, lo, integrand = 4.0, 0.0, lambda t, i: (1.0 - t * t) ** ((p - 1.0) / 2.0)
     elif d == 3:
-        value = 2.0 * math.pi * _quad.adaptive_intervals_1d(
-            lambda t, i: np.abs(np.cos(t)) ** p * np.sin(t), 0.0, math.pi, 1e-11)[0]
+        scale, lo, integrand = 2.0 * math.pi, -1.0, lambda t, i: np.abs(t) ** p
     else:
         raise BadDimension(f"quadrature oracle covers d in {{2, 3}}, got {d}")
-    return LimitConstant(value, Provenance.QUADRATURE)
+    value = _quad.adaptive_intervals_1d(integrand, lo, 1.0, 1e-11)[0]
+    if value < 1.0:
+        value = _quad.adaptive_intervals_1d(integrand, lo, 1.0, 1e-11 * value)[0]
+    return LimitConstant(scale * value, Provenance.QUADRATURE)
 
 
 # ---------------------------------------------------------------------------

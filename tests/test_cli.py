@@ -500,30 +500,80 @@ def test_converge_sectioning_small_delta_is_finite(capsys):
         assert math.isfinite(sect) and abs(sect - mc) < 5.0 * se
 
 
-@pytest.mark.parametrize("args", [
-    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
-     "--delta-factor", "1", "--steps", "3"),
-    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
-     "--delta-factor", "0", "--steps", "3"),
-    ("converge-recovery", "--shape", "ramp", "--p", "1", "--delta-start", "-0.1",
-     "--delta-factor", "0.5", "--steps", "3"),
-    ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
-     "--delta-factor", "0.5", "--steps", "0"),
-    ("lambda", "--delta", "0.1", "--p", "0.5"),
-    ("lambda", "--delta", "0.1", "--p", "1", "--domain", "-5", "5"),
-    ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "1",
-     "--offsets", "8", "--mc-samples", "100"),
-    ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "4",
-     "--offsets", "8", "--mc-samples", "100", "--seed", "-1"),
+@pytest.mark.parametrize("args, want", [
+    (("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+      "--delta-factor", "1", "--steps", "3"), 2),
+    (("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+      "--delta-factor", "0", "--steps", "3"), 2),
+    (("converge-recovery", "--shape", "ramp", "--p", "1", "--delta-start", "-0.1",
+      "--delta-factor", "0.5", "--steps", "3"), 2),
+    (("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1",
+      "--delta-factor", "0.5", "--steps", "0"), 2),
+    (("lambda", "--delta", "0.1", "--p", "0.5"), 1),
+    (("lambda", "--delta", "0.1", "--p", "1", "--domain", "-5", "5"), 1),
+    (("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "1",
+      "--offsets", "8", "--mc-samples", "100"), 1),
+    (("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "4",
+      "--offsets", "8", "--mc-samples", "100", "--seed", "-1"), 1),
 ], ids=["delta-factor-1", "delta-factor-0", "negative-delta-start", "zero-steps",
         "p-below-1", "domain-outside-domain-only-step", "one-direction", "negative-seed"])
-def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args):
+def test_bad_numeric_flags_end_in_one_error_line(capsys, staircase_file, args, want):
     if args[0] == "lambda":
         args = args[:1] + ("--input", staircase_file) + args[1:]
     code, out, err = run_cli(capsys, *args)
-    assert code != 0
+    assert code == want
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert out == ""
+
+
+_INPUTS = {
+    "step": {"breakpoints": [0, 1, 2], "values": [1, 2], "tail_mode": "domain_only"},
+    "compact": {"breakpoints": [0, 1, 2], "values": [1, 2], "tail_mode": "compact_support"},
+    "pwa": {"nodes": [[0, 0], [1, 1], [2, 0]], "compact_support": True},
+    "arrangement": {"species": [0, 2, 0]},
+    "weights": {"h": [1.0, 0.5]},
+    "enemies": {"band_complement": 1},
+}
+_RECOVERY = ("converge-recovery", "--shape", "tent", "--p", "1", "--delta-start", "0.1")
+_SECTIONING = ("converge-sectioning", "--delta", "0.4", "--p", "2", "--dirs", "4",
+               "--offsets", "8", "--mc-samples", "100")
+_FUZZ = {"--n-max": "3", "--species-max": "2", "--k": "1", "--trials": "2"}
+
+
+@pytest.mark.parametrize("args", [
+    ("lambda", "--input", "pwa", "--delta", "0.25", "--p", "1"),
+    ("lambda", "--input", "arrangement", "--delta", "0.25", "--p", "1"),
+    ("segment", "--input", "step", "--delta", "0.25"),
+    ("rearrange", "--input", "weights"),
+    ("rearrange", "--input", "compact"),
+    ("hostility", "--arrangement", "weights", "--weights", "arrangement",
+     "--enemies", "enemies"),
+    *[("fuzz", *[a for kv in {**_FUZZ, flag: "0"}.items() for a in kv]) for flag in _FUZZ],
+    _RECOVERY + ("--delta-factor", "1", "--steps", "3"),
+    _RECOVERY + ("--delta-factor", "0.5", "--steps", "0"),
+    _SECTIONING + ("--d", "3"),
+    _SECTIONING + ("--shape", "x"),
+], ids=["lambda-affine-without-segment", "lambda-arrangement", "segment-step",
+        "rearrange-weights", "rearrange-compact-step-without-domain", "hostility-swapped",
+        "fuzz-n-max-0", "fuzz-species-max-0", "fuzz-k-0", "fuzz-trials-0",
+        "recovery-delta-factor-1", "recovery-zero-steps", "sectioning-d-3",
+        "sectioning-shape-x"])
+def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, args):
+    # every flag or input that a command cannot take: exit 2, no output,
+    # one error line; input names stand for files of those documents
+    for name, doc in _INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    args = [str(tmp_path / f"{a}.json") if a in _INPUTS else a for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("d, p", [("2", "400"), ("400", "2")])
+def test_constants_past_the_range_of_math_gamma(capsys, d, p):
+    code, out, err = run_cli(capsys, "constants", "--d", d, "--p", p)
+    assert code == 0 and err == ""
+    assert all(float(v) > 0.0 for v in out.splitlines()[1].split(","))
 
 
 @pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed"),

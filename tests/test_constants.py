@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from nlg import (LimitConstant, Provenance, gamma_limit_constant,
+from nlg import (LimitConstant, Provenance, RadialTent, gamma_limit_constant,
                  spherical_moment, spherical_moment_quadrature,
                  staircase_constant)
 from nlg.constants import BadDimension, BadExponent
@@ -44,7 +45,7 @@ def test_infinite_exponent_is_a_bad_exponent(constant):
 
 
 def test_spherical_moment_dimension_one():
-    for p in (1.0, 1.7, 3.0):
+    for p in (1.0, 1.7, 3.0, 171.0, 400.0, 1e17, 1e300, 1.7e308):
         lc = spherical_moment(1, p)
         assert lc.value == 2.0
         assert lc.provenance is Provenance.CLOSED_FORM
@@ -59,11 +60,69 @@ def test_spherical_moment_closed_forms():
 
 def test_spherical_moment_vs_quadrature():
     for d in (2, 3):
-        for p in (1.0, 2.0, 3.5):
+        for p in (1.0, 2.0, 3.5, 100.0, 400.0, 1000.0):
             closed = spherical_moment(d, p).value
             quad = spherical_moment_quadrature(d, p)
             assert quad.provenance is Provenance.QUADRATURE
             assert math.isclose(closed, quad.value, rel_tol=1e-8)
+
+
+def _moment_mp(mp, d, p):
+    """The closed form of the spherical moment in mpmath."""
+    p = mp.mpf(p)
+    return 2 * mp.pi ** (mp.mpf(d - 1) / 2) * mp.gamma((p + 1) / 2) / mp.gamma((p + d) / 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 100, 400])
+def test_closed_forms_match_mpmath_past_the_range_of_math_gamma(d):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for p in (1.0, 1.5, 2.0, 10.0, 100.0, 400.0, 1000.0):
+            want = _moment_mp(mp, d, p)
+            if want < sys.float_info.min:
+                # d = 400 from p = 100 (1e-327 and below): no positive float holds it
+                with pytest.raises(ValueError, match="positive"):
+                    spherical_moment(d, p)
+                continue
+            assert spherical_moment(d, p).value == pytest.approx(float(want), rel=1e-12)
+            stairs = mp.log(2) if p == 1.0 else (1 - mp.mpf(2) ** (1 - p)) / (p - 1)
+            assert gamma_limit_constant(d, p).value == pytest.approx(
+                float(want * stairs / p), rel=1e-12)
+
+
+def test_spherical_moment_at_large_p_matches_mpmath():
+    # past math.gamma's range the log-gamma difference would keep only
+    # about 1 - p * 1e-16 of the value; Stirling's terms subtracted exactly keep it all
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(150):
+        for d in (2, 3, 10):
+            for p in (1e4, 1e10, 1e17, 1e100):
+                p_mp = mp.mpf(p)
+                want = 2 * mp.pi ** (mp.mpf(d - 1) / 2) * mp.exp(
+                    mp.loggamma((p_mp + 1) / 2) - mp.loggamma((p_mp + d) / 2))
+                if want > sys.float_info.min:
+                    assert spherical_moment(d, p).value == pytest.approx(float(want),
+                                                                         rel=1e-12)
+
+
+def test_spherical_moment_keeps_the_gamma_expression_where_it_is_finite():
+    for d in range(2, 13):
+        for p in np.linspace(1.0, 150.0, 299):
+            p = float(p)
+            want = (2.0 * math.pi ** ((d - 1) / 2.0)
+                    * math.gamma((p + 1.0) / 2.0) / math.gamma((p + d) / 2.0))
+            assert spherical_moment(d, p).value == want
+
+
+def test_radial_tent_local_energy_in_dimension_400():
+    # the ball volume pi^200 / Gamma(201) is past math.gamma's range from d = 342
+    mp = pytest.importorskip("mpmath")
+    u = RadialTent((0.0,) * 400, 1.5, 2.0)
+    with mp.workdps(50):
+        for p in (1.0, 2.0):
+            want = ((mp.mpf(2) / mp.mpf(1.5)) ** p * mp.pi ** 200 / mp.gamma(201)
+                    * mp.mpf(1.5) ** 400)
+            assert u.local_energy(p) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_spherical_moment_errors():
