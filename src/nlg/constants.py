@@ -35,8 +35,8 @@ class LimitConstant:
     provenance: Provenance
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError(f"limit constants are positive, got {self.value}")
+        if not self.value >= 2.0 ** -1022:  # a subnormal float keeps too few bits
+            raise ValueError(f"limit constants are positive normal floats, got {self.value}")
 
 
 def staircase_constant(p: float) -> LimitConstant:

@@ -80,7 +80,7 @@ def test_closed_forms_match_mpmath_past_the_range_of_math_gamma(d):
         for p in (1.0, 1.5, 2.0, 10.0, 100.0, 400.0, 1000.0):
             want = _moment_mp(mp, d, p)
             if want < sys.float_info.min:
-                # d = 400 from p = 100 (1e-327 and below): no positive float holds it
+                # d = 400 from p = 100 (1e-327 and below): no normal float holds it
                 with pytest.raises(ValueError, match="positive"):
                     spherical_moment(d, p)
                 continue
@@ -152,3 +152,6 @@ def test_gamma_limit_dimension_one_identity():
 def test_limit_constant_positive():
     with pytest.raises(ValueError):
         LimitConstant(0.0, Provenance.CLOSED_FORM)
+    # subnormal: spherical_moment(341, 342.0) is 6.6e-324, which rounds to 1e-323
+    with pytest.raises(ValueError, match="normal"):
+        spherical_moment(341, 342.0)
