@@ -91,8 +91,8 @@ def test_closed_forms_match_mpmath_past_the_range_of_math_gamma(d):
 
 
 def test_spherical_moment_at_large_p_matches_mpmath():
-    # past math.gamma's range the log-gamma difference would keep only
-    # about 1 - p * 1e-16 of the value; Stirling's terms subtracted exactly keep it all
+    # past math.gamma's range, lgamma(a) - lgamma(b) would cancel to a relative
+    # error of about p * 1e-16 (2.3e-5 at p = 1e10)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(150):
         for d in (2, 3, 10):
