@@ -20,8 +20,8 @@ from .core import (DiscreteArrangement, EnemyList, HostilityWeights, Interval,
 from .constants import gamma_limit_constant, spherical_moment, staircase_constant
 from .functional1d import EnergyParams, local_energy, step_energy
 from .fields import RadialTent
-from .multidim import (_check_montecarlo_counts, _check_sectioning, _sectioning_pass,
-                       energy_by_montecarlo)
+from .multidim import (_check_montecarlo_counts, _check_sectioning, _montecarlo_scales,
+                       _sectioning_pass, energy_by_montecarlo)
 from .multidim import energy_by_sectioning  # noqa: F401 -- perfbench's tracer rebinds it here
 from .oracles import total_hostility
 from .rearrange import (_hostile, _own_counts, monotone_rearrangement,
@@ -305,9 +305,11 @@ def cmd_converge_sectioning(args) -> int:
     _check_sectioning(u, args.dirs, args.offsets)
     box = u.support_box()
     limit = gamma_limit_constant(2, args.p).value * u.local_energy(args.p)
+    runs = [(delta, EnergyParams(delta, args.p)) for delta in args.delta]
+    for _, params in runs:  # Monte Carlo's scales too, before any sectioning pass
+        _montecarlo_scales(u, params, box, args.mc_samples)
     rows = []
-    for delta in args.delta:
-        params = EnergyParams(delta, args.p)
+    for delta, params in runs:
         # the fine estimate of energy_by_sectioning, without its coarse pass,
         # whose error estimate is not printed
         sect = _sectioning_pass(u, params, args.dirs, args.offsets)

@@ -452,16 +452,17 @@ class RadialTent:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         # |x - c| summed column by column in axis order, as
-        # np.linalg.norm(axis=-1) sums it, without its (n, d) temporaries
-        dist = np.zeros(pts.shape[:-1])
+        # np.linalg.norm(axis=-1) sums it, without its (n, d) temporaries;
+        # the sum starts at the first square, not at 0.0 (0.0 + t == t for t >= 0)
+        dist = None
         for i, c in enumerate(self.center):
             t = pts[..., i] - c
             t *= t
-            dist += t
+            dist = t if dist is None else np.add(dist, t, out=dist)
         np.sqrt(dist, out=dist)
         dist /= self.radius
         np.subtract(1.0, dist, out=dist)
-        np.clip(dist, 0.0, None, out=dist)
+        np.maximum(dist, 0.0, out=dist)
         dist *= self.peak
         return dist
 
@@ -511,15 +512,23 @@ class TensorTent:
 
     @property
     def lipschitz(self) -> float:
-        return self.peak * math.sqrt(sum(1.0 / w ** 2 for w in self.halfwidths))
+        try:
+            lip = self.peak * math.sqrt(sum(1.0 / w ** 2 for w in self.halfwidths))
+        except (ZeroDivisionError, OverflowError):  # w^2 under- or overflows
+            lip = 0.0
+        # elsewhere the same norm, of the scaled terms peak / w, without squares
+        return lip if 0.0 < lip < INF else math.hypot(*(self.peak / w for w in self.halfwidths))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         # the factors column by column, multiplied in axis order, then the
-        # peak: as np.prod(axis=-1) multiplies them, without (n, d) temporaries
-        v = np.ones(pts.shape[:-1])
+        # peak: as np.prod(axis=-1) multiplies them, without (n, d) temporaries;
+        # the product starts at the first factor, not at 1.0 (1.0 * f == f)
+        v = None
         for i, (c, w) in enumerate(zip(self.center, self.halfwidths)):
-            v *= np.clip(1.0 - np.abs(pts[..., i] - c) / w, 0.0, None)
+            f = np.abs(pts[..., i] - c)
+            np.maximum(np.subtract(1.0, np.divide(f, w, out=f), out=f), 0.0, out=f)
+            v = f if v is None else np.multiply(v, f, out=v)
         return np.multiply(v, self.peak, out=v)
 
     def __call__(self, point: Sequence[float]) -> float:

@@ -588,6 +588,20 @@ def test_montecarlo_flags_checked_before_sectioning(capsys, monkeypatch, flag, v
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("deltas", [["1e-12"], ["1e-300"], ["0.4", "1e-12"]],
+                         ids=["small", "tiny", "second-row"])
+def test_unresolved_montecarlo_scale_checked_before_sectioning(capsys, monkeypatch, deltas):
+    # partners below the rounding of the box's coordinates: one error line
+    # naming r_min, before the first sectioning pass of any row
+    calls = []
+    monkeypatch.setattr(nlg.cli, "_sectioning_pass", lambda *args: calls.append(args) or 1.0)
+    code, out, err = run_cli(capsys, "converge-sectioning", "--delta", *deltas, "--p", "2",
+                             "--dirs", "4", "--offsets", "8", "--mc-samples", "1000")
+    assert code == 1 and out == "" and calls == []
+    assert err.startswith("error: partners at r_min = delta / L = ")
+    assert len(err.splitlines()) == 1
+
+
 def test_converge_sectioning_runs_one_pass_per_row(capsys, monkeypatch):
     # each row prints the fine estimate of energy_by_sectioning; the coarse
     # pass behind its error estimate, which the row does not print, is not run

@@ -30,12 +30,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nlg"
 CEILINGS = {
     "__init__.py": 16,
     "_quad.py": 107,
-    "cli.py": 265,
+    "cli.py": 267,
     "constants.py": 47,
     "core.py": 293,
-    "fields.py": 372,
+    "fields.py": 378,
     "functional1d.py": 322,
-    "multidim.py": 168,
+    "multidim.py": 189,
     "oracles.py": 176,
     "rearrange.py": 266,
 }

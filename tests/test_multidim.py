@@ -764,6 +764,28 @@ class TestMonteCarlo:
         assert est > 0.0
         assert peak <= 84 * workers * multidim._MC_BLOCK
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("u,per_sample", [
+        (TensorTent((0.0, 0.0), (1.0, 1.0), 1.0), 84),
+        (RadialTent((0.0, 0.0, 0.0), 1.0, 1.0), 120),
+        (TensorTent((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0), 120),
+    ], ids=["tensor_d2", "radial_d3", "tensor_d3"])
+    def test_chunk_scratch_memory_of_each_field(self, monkeypatch, u, per_sample, workers):
+        # as test_chunk_scratch_memory, for the other fields: a block holds
+        # one more axis in d = 3 (about 57 bytes a sample are measured in
+        # d = 2 and 73 in d = 3)
+        monkeypatch.setattr(multidim, "_cpus", lambda: workers)
+        params, box = EnergyParams(0.1, 1.0), u.support_box()
+        energy_by_montecarlo(u, params, box, 1000, 0)
+        tracemalloc.start()
+        try:
+            est, _ = energy_by_montecarlo(u, params, box, 2 * multidim._MC_CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est > 0.0
+        assert peak <= per_sample * workers * multidim._MC_BLOCK
+
     @pytest.mark.parametrize("box", [Box((-2.0, -2.0), (math.inf, 2.0)),
                                      Box((-math.inf, -2.0), (2.0, 2.0))],
                              ids=["inf_upper", "inf_lower"])
@@ -858,6 +880,64 @@ class TestMonteCarlo:
         assert np.isfinite(partners).all()
         assert (np.abs(partners - y) <= 4e-16 * r[:, None] + 2 * np.spacing(np.abs(y))).all()
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("u,delta,cause", [
+        (RadialTent((0.0, 0.0), 1e-200, 1e200), 0.1, "Lipschitz constant L = inf"),
+        (TensorTent((0.0, 0.0), (1e-200, 1.0), 1e200), 0.1, "Lipschitz constant L = inf"),
+        (RadialTent((0.0, 0.0), 1.0, 1e200), 0.1, "partners at r_min"),  # x + r omega == x
+        (RadialTent((0.0, 0.0), 1.0, 1.0), 1e-300, "partners at r_min"),
+        (RadialTent((0.0, 0.0), 1e-200, 1e-190), 1e-191, "scale"),  # the box's volume is 0.0
+        (RadialTent((0.0, 0.0), 1.0, 1e160), 1e150, "scale"),  # L^p overflows at p = 2
+    ], ids=["radial_lipschitz_inf", "tensor_lipschitz_inf", "radial_partners_round",
+            "delta_partners_round", "volume_underflows", "scale_overflows"])
+    def test_scales_floats_cannot_carry_raise(self, u, delta, cause, p):
+        params = EnergyParams(delta, p)
+        if cause == "scale" and delta == 1e150 and p == 1.0:  # L / p = 1.6e160 fits
+            est, se = energy_by_montecarlo(u, params, u.support_box(), 1000, 0)
+            assert 0.0 < est < math.inf and 0.0 < se < math.inf
+            return
+        with pytest.raises(multidim.ScaleOutOfRange, match=cause):
+            energy_by_montecarlo(u, params, u.support_box(), 1000, 0)
+
+    def test_resolution_bound(self):
+        # r_min >= 2**-42 * sqrt(d * n_samples) * X, with X the box's
+        # largest coordinate: at the bound the estimate runs, just below it
+        # raises; a box far from the origin needs a larger r_min
+        n, params = 1000, EnergyParams(0.25, 1.0)
+        for c in (0.0, 1e6):
+            box = Box((c - 1.0, -1.0), (c + 1.0, 1.0))
+            bound = 2.0 ** -42 * math.sqrt(2 * n) * (abs(c) + 1.0)
+            at = RadialTent((c, 0.0), 1.0, params.delta / bound)
+            assert params.delta / at.lipschitz >= bound
+            est, se = energy_by_montecarlo(at, params, box, n, 0)
+            assert math.isfinite(est) and math.isfinite(se) and est > 0.0
+            below = RadialTent((c, 0.0), 1.0, 1.001 * at.peak)
+            with pytest.raises(multidim.ScaleOutOfRange, match="2\\*\\*-42"):
+                energy_by_montecarlo(below, params, box, n, 0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("u", [
+        TENT, RadialTent((0.3, -0.2), 0.7, 1.3), RadialTent((0.1, 0.0, -0.2), 0.8, 0.9),
+        TensorTent((0.0, 0.1), (1.0, 0.7), 1.0),
+        TensorTent((0.1, -0.2, 0.05), (0.9, 0.6, 1.2), 1.1),
+    ], ids=["radial_d2", "radial_off_centre", "radial_d3", "tensor_d2", "tensor_d3"])
+    def test_blocks_match_one_pass_over_the_chunk(self, monkeypatch, u, p):
+        # 2777 samples are two blocks of 1000 and one of 777; a box larger
+        # than the support on every side
+        monkeypatch.setattr(multidim, "_MC_BLOCK", 1000)
+        params = EnergyParams(0.1 if u.dim == 2 else 0.2, p)
+        lower = np.asarray(u.support_box().lower) - 0.3
+        upper = np.asarray(u.support_box().upper) + 0.2
+        r_min = params.delta / u.lipschitz
+        twice = 0
+        for seed, index in ((0, 0), (7, 3), (2 ** 64 - 1, 1)):
+            key = np.array([seed, index], dtype=np.uint64)
+            got = multidim._montecarlo_chunk(u, params, r_min, lower, upper, key, 2777)
+            want = _one_pass_chunk(u, params, r_min, lower, upper, key, 2777)
+            assert got == want, (seed, index)
+            twice += want[1]
+        assert twice > 0
+
     def test_shares_no_code_with_the_closed_forms(self):
         # the oracle evaluates the field at points; it must not reach the
         # sections, the segmentations or the pair sum that it checks
@@ -867,6 +947,29 @@ class TestMonteCarlo:
             named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
                      if isinstance(node, (ast.Name, ast.Attribute))}
             assert "np" in named and not named & CLOSED_FORMS, (fn.__name__, named & CLOSED_FORMS)
+
+
+def _one_pass_chunk(u, params, r_min, lower, upper, key, m):
+    """The chunk's ``(hits, twice)`` from one generator and whole-chunk
+    arrays, the points row-major and every partner box-tested, with the
+    chunk's own float operations on each sample (the azimuth's tangent
+    form): the reference for the blocked kernel, bit for bit."""
+    d = len(lower)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = rng.random((m, d)) * (upper - lower) + lower
+    zc = 2.0 * rng.random(m) - 1.0 if d == 3 else None
+    t = np.tan(rng.random(m) * math.pi)
+    q = 2.0 / (t * t + 1.0)
+    omega = [q - 1.0, t * q]
+    if d == 3:
+        sc = np.sqrt(1.0 - zc * zc)
+        omega = [w * sc for w in omega] + [zc]
+    r = (1.0 - rng.random(m)) ** (-1.0 / params.p) * r_min
+    y = x + np.column_stack([w * r for w in omega])
+    k = [np.floor(u.evaluate(v) / params.delta) for v in (x, y)]
+    hit = np.abs(k[1] - k[0]) >= 2.0
+    outside = np.any((y < lower) | (y > upper), axis=1)
+    return int(np.count_nonzero(hit)), int(np.count_nonzero(hit & outside))
 
 
 def _weight_array_montecarlo(u, params, box, n_samples, seed, chunk):
@@ -946,6 +1049,52 @@ def test_tensor_tent_evaluate_matches_broadcast_formula(u, rng):
     assert np.array_equal(u.evaluate(pts), want)
     assert 0 < np.count_nonzero(want) < len(want) and (want == u.peak).any()
     assert [u(x) for x in pts[:100]] == want[:100].tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tents_evaluate_as_their_numpy_formulas(d, rng):
+    # RadialTent as peak * max(0, 1 - np.linalg.norm(x - c, axis=-1) / r) and
+    # TensorTent as peak * np.prod(max(0, 1 - |x - c| / w), axis=-1), bit for
+    # bit: points inside, on the support's boundary (axis points and the
+    # 3-4-5 triangle at radius 5) and outside, with coordinates of +0.0 and -0.0
+    tents = [RadialTent((0.0,) * d, 5.0, 0.7),
+             RadialTent(tuple(rng.uniform(-0.5, 0.5, d)), 0.9, 1.3),
+             TensorTent((0.0,) * d, (5.0,) * d, 0.7),
+             TensorTent(tuple(rng.uniform(-0.5, 0.5, d)), tuple(rng.uniform(0.5, 1.5, d)), 1.2)]
+    for u in tents:
+        c = np.asarray(u.center)
+        reach = u.radius if isinstance(u, RadialTent) else np.asarray(u.halfwidths)
+        pts = rng.uniform(c - 1.5 * reach, c + 1.5 * reach, (3000, d))
+        edges = np.concatenate([c + reach * np.eye(d), c - reach * np.eye(d), [c]])
+        if d >= 2:
+            edges = np.concatenate([edges, [c + np.r_[3.0, 4.0, [0.0] * (d - 2)]]])
+        signed_zero = rng.integers(0, 4, pts.shape)
+        pts = np.where(signed_zero == 0, 0.0, np.where(signed_zero == 1, -0.0, pts))
+        pts = np.concatenate([pts, edges, -0.0 * edges])
+        if isinstance(u, RadialTent):
+            want = u.peak * np.clip(1.0 - np.linalg.norm(pts - c, axis=-1) / u.radius, 0.0, None)
+        else:
+            want = u.peak * np.prod(np.clip(1.0 - np.abs(pts - c) / reach, 0.0, None), axis=-1)
+        got = u.evaluate(pts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), u
+        assert (want == 0.0).any() and (want > 0.0).any() and (want == u.peak).any(), u
+        assert [u(x) for x in pts[-50:]] == want[-50:].tolist()
+    on_sphere = np.concatenate([5.0 * np.eye(d), -5.0 * np.eye(d)])
+    assert (tents[0].evaluate(on_sphere) == 0.0).all()  # |x| = 5 exactly
+
+
+def test_tensor_tent_lipschitz_past_the_range_of_squares(rng):
+    # peak * sqrt(sum 1 / w^2), as before, where it is a positive float; the
+    # norm of peak / w where w^2 under- or overflows
+    assert TensorTent((0.0, 0.0), (1e-200, 1.0), 1e200).lipschitz == math.inf
+    assert TensorTent((0.0, 0.0), (1e-200, 1.0), 1e-190).lipschitz == pytest.approx(1e10)
+    assert TensorTent((0.0, 0.0), (1e200, 1e200), 1e190).lipschitz == \
+        pytest.approx(math.sqrt(2.0) * 1e-10)
+    for _ in range(200):
+        w = tuple(np.exp(rng.uniform(-30.0, 30.0, rng.integers(1, 5))))
+        peak = float(np.exp(rng.uniform(-30.0, 30.0)))
+        u = TensorTent((0.0,) * len(w), w, peak)
+        assert u.lipschitz == peak * math.sqrt(sum(1.0 / v ** 2 for v in w))
 
 
 def test_degenerate_box_rejected():
