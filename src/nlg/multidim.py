@@ -221,9 +221,10 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
     about 2 eta.  The estimator raises :class:`ScaleOutOfRange` unless
     r_min >= 2**-42 * sqrt(d * n_samples) * X, which keeps that bias below
     2**-10 / sqrt(n_samples): a thousandth of the standard error of a mean
-    weight of order one.  It raises it too where L or the scale
-    V * |S^(d-1)| * L^p / p (twice it, the largest estimate) is not a
-    positive float.
+    weight of order one.  A tent's levels then stay below X / r_min < 2**42,
+    so they and their differences are exact.  It raises it too where L or
+    the scale V * |S^(d-1)| * L^p / p (twice it, the largest estimate) is
+    not a positive float.
     """
     d = u.dim
     if d not in (2, 3):
