@@ -454,7 +454,7 @@ class RadialTent:
         # |x - c| summed column by column in axis order, as
         # np.linalg.norm(axis=-1) sums it, without its (n, d) temporaries;
         # the sum starts at the first square, not at 0.0 (0.0 + t == t for t >= 0)
-        dist = None
+        dist = None if self.center else np.zeros(pts.shape[:-1])
         for i, c in enumerate(self.center):
             t = pts[..., i] - c
             t *= t
@@ -524,7 +524,7 @@ class TensorTent:
         # the factors column by column, multiplied in axis order, then the
         # peak: as np.prod(axis=-1) multiplies them, without (n, d) temporaries;
         # the product starts at the first factor, not at 1.0 (1.0 * f == f)
-        v = None
+        v = None if self.center else np.ones(pts.shape[:-1])
         for i, (c, w) in enumerate(zip(self.center, self.halfwidths)):
             f = np.abs(pts[..., i] - c)
             np.maximum(np.subtract(1.0, np.divide(f, w, out=f), out=f), 0.0, out=f)
