@@ -39,6 +39,13 @@ class UnsupportedField(ValueError):
     """Operation not available for this field type, or a bad field parameter."""
 
 
+class ScaleOutOfRange(ValueError):
+    """A scale that floats cannot carry: a field's local energy that is not
+    a positive float, or, in a Monte Carlo estimate, a Lipschitz constant or
+    an estimate's scale that is not one, or partners' displacements below
+    the rounding of the box's coordinates."""
+
+
 def _check_positive(name: str, v: float):
     if not 0.0 < v < INF:
         raise UnsupportedField(f"{name} must be positive and finite, got {v}")
@@ -48,6 +55,20 @@ def _check_finite_sides(name: str, box: Box):
     for lo, hi in zip(box.lower, box.upper):
         if not math.isfinite(hi - lo):
             raise DegenerateBox(f"{name} side ({lo}, {hi}) must be finite")
+
+
+def _positive_energy(u, p: float, energy) -> float:
+    """``energy()``, the local energy of ``u`` at ``p``, or raise
+    :class:`ScaleOutOfRange` unless it is a positive float: a power or a
+    product that over- or underflows gives inf, nan or 0.0, not the energy."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = energy()
+    except OverflowError:  # a Python float's power
+        value = INF
+    if not 0.0 < value < INF:
+        raise ScaleOutOfRange(f"the local energy of {u!r} at p = {p!r} is {value!r} in floats")
+    return value
 
 
 def _is_int(v) -> bool:
@@ -399,7 +420,10 @@ class AffineRamp:
 
     @property
     def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.gradient))
+        with np.errstate(over="ignore"):  # a square past the float range
+            lip = float(np.linalg.norm(self.gradient))
+        # elsewhere the same norm without squares, as a tensor tent's
+        return lip if 0.0 < lip < INF else math.hypot(*self.gradient)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ np.asarray(self.gradient)
@@ -411,7 +435,8 @@ class AffineRamp:
         return self.box
 
     def local_energy(self, p: float) -> float:
-        return self.lipschitz ** p * self.box.volume
+        lip = self.lipschitz  # 0.0 only on a flat ramp, whose local energy reads 0.0
+        return 0.0 if lip == 0.0 else _positive_energy(self, p, lambda: lip ** p * self.box.volume)
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
         lines, sec = self._sections(sigma, np.asarray(z_point, dtype=float))
@@ -475,8 +500,8 @@ class RadialTent:
 
     def local_energy(self, p: float) -> float:
         d = self.dim
-        ball = _pi_gamma_ratio(d / 2.0, 1.0, d / 2.0 + 1.0) * self.radius ** d
-        return (self.peak / self.radius) ** p * ball
+        return _positive_energy(self, p, lambda: (self.peak / self.radius) ** p * (
+            _pi_gamma_ratio(d / 2.0, 1.0, d / 2.0 + 1.0) * self.radius ** d))
 
     def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
         along, rho = _radial_lines(self, sigma, np.asarray(z_point, dtype=float)[None])
@@ -546,6 +571,9 @@ class TensorTent:
         # grid puts those on cell edges.
         if self.dim != 2:
             raise UnsupportedField("tensor tent local energy is implemented for d = 2")
+        return _positive_energy(self, p, lambda: self._gradient_integral(p))
+
+    def _gradient_integral(self, p: float) -> float:
         (c0, c1), (w0, w1) = self.center, self.halfwidths
 
         def g(xs, ys):

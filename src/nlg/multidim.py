@@ -29,13 +29,11 @@ energies converge to the limit constant times the local energy).
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
-from .fields import (AffineRamp, Box, DegenerateBox, Direction, ScalarField, UnsupportedDimension,
-                     UnsupportedField, _check_finite_sides, _is_int)
+from .fields import (AffineRamp, Box, DegenerateBox, Direction, ScalarField, ScaleOutOfRange,
+                     UnsupportedDimension, UnsupportedField, _check_finite_sides, _is_int)
 # not called here: perfbench's tracer rebinds them, and the sections' step_segmentation
 from .fields import AffineSection, PolySection, RadialSection, section  # noqa: F401
 from .functional1d import EnergyParams, _unimodal_sums
@@ -136,16 +134,12 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
 # ---------------------------------------------------------------------------
 
 _MC_CHUNK = 1 << 19
-# samples in flight per chunk: the fastest size with two workers (2**12 is
-# bound by the GIL), and the smallest of the fast ones
+# samples in flight per chunk.  A 2**19-sample chunk of the radial tent
+# took, in ns a sample at p = 1 and 2 (best of 15, three rounds, one thread
+# of a 2-core Xeon): 49-54 at 2**12, 43-47 at 2**13, 42-44 at 2**14, 40-44
+# at 2**15 and 43-47 at 2**16.  2**15 gains less than the spread of the
+# rounds and doubles the block's scratch, so 2**14
 _MC_BLOCK = 1 << 14
-
-
-def _cpus() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _check_montecarlo_counts(n_samples, seed):
@@ -155,13 +149,6 @@ def _check_montecarlo_counts(n_samples, seed):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not (_is_int(seed) and 0 <= seed < 1 << 64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
-class ScaleOutOfRange(ValueError):
-    """A field, box and threshold whose Monte Carlo estimate floats cannot
-    carry: the Lipschitz constant or the estimate's scale is not a positive
-    float, or the partners' displacements are below the rounding of the
-    box's coordinates."""
 
 
 def _montecarlo_scales(u: ScalarField, params: EnergyParams, box: Box,
@@ -206,9 +193,8 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
 
     Streams are counter-based per fixed-size chunk (Philox keyed by
     (seed, chunk index)), and a chunk yields two integer hit counts, so
-    the result is reproducible bit for bit for a given seed whatever the
-    order the chunks run in.  The chunks are shared out among one thread
-    per core (the calling thread is one of them), at most one per chunk.
+    the result is reproducible bit for bit for a given seed, whatever the
+    order of the chunks; they run in index order on the calling thread.
     ``n_samples`` must be an integer >= 1 and ``seed`` one in [0, 2**64).
 
     The resolution bound: rounding a partner x + r * omega to floats moves
@@ -241,40 +227,15 @@ def energy_by_montecarlo(u: ScalarField, params: EnergyParams, bounding_box: Box
 
     lower = np.asarray(bounding_box.lower)
     upper = np.asarray(bounding_box.upper)
-    n_chunks = -(-n_samples // _MC_CHUNK)
-    n_workers = min(_cpus(), n_chunks)
-    sums = [None] * n_workers
-    stop = threading.Event()  # set when a worker fails or is interrupted
-
-    def work(worker: int):
-        # chunks worker, worker + n_workers, ...: exact integer sums of the
-        # weights and their squares, where a hit weighs 1, or 2 if counted twice
-        try:
-            total = total_sq = 0
-            for i in range(worker, n_chunks, n_workers):
-                if stop.is_set():
-                    return
-                m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
-                hits, twice = _montecarlo_chunk(u, params, r_min, lower, upper,
-                                                np.array([seed, i], dtype=np.uint64), m)
-                total += hits + twice
-                total_sq += hits + 3 * twice
-            sums[worker] = total, total_sq
-        except BaseException as exc:  # re-raised in the calling thread
-            sums[worker] = exc
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, n_workers)]
-    for t in threads:
-        t.start()
-    work(0)  # raises nothing: a failure is kept in sums[0]
-    for t in threads:
-        t.join()
-    for s in sums:
-        if isinstance(s, BaseException):
-            raise s
-    total = sum(s[0] for s in sums)
-    total_sq = sum(s[1] for s in sums)
+    # exact integer sums of the weights and their squares, where a hit
+    # weighs 1, or 2 if counted twice
+    total = total_sq = 0
+    for i in range(-(-n_samples // _MC_CHUNK)):
+        m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
+        hits, twice = _montecarlo_chunk(u, params, r_min, lower, upper,
+                                        np.array([seed, i], dtype=np.uint64), m)
+        total += hits + twice
+        total_sq += hits + 3 * twice
 
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)

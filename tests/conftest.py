@@ -6,6 +6,10 @@ Everything is seeded by the caller; no test draws from global state.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,39 @@ CLOSED_FORMS = frozenset({
     "_pair_sum", "_unimodal_sums", "_pair_energies", "_level_sum", "step_energy", "step_cells",
     "grid_floor_level", "_on_level", "_level_cells", "_merge_cells", "_radial_cells",
     "_sections", "_cells", "section", "step_segmentation", "vertical_segmentation"})
+
+
+# numpy's AVX-512 loops, switched off for one process: the baseline dispatch
+BASELINE_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def numpy_dispatch() -> str:
+    """The numpy SIMD dispatch that pinned bits depend on: ``"X86_V4"``
+    where numpy's AVX-512 loops run, ``"pre-X86_V4"`` where they do not.
+    With numpy 2.4.6 on x86-64, array ``np.power`` rounds differently in
+    the two, while switching off AVX512_ICL and AVX512_SPR alone, or X86_V3
+    too, moved no pinned bit."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return "X86_V4" if __cpu_features__.get("X86_V4") else "pre-X86_V4"
+
+
+def run_under_baseline_dispatch(check: str):
+    """Run the Python source ``check`` in a subprocess with numpy's AVX-512
+    loops switched off, the tests and ``nlg`` importable, and fail with its
+    stderr unless it exits with 0; skip where this process already runs
+    without them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    if numpy_dispatch() != "X86_V4":
+        pytest.skip("numpy's AVX-512 loops are off: this run already uses the baseline dispatch")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(
+                   f for f in BASELINE_DISPATCH if __cpu_features__.get(f)))
+    check = ("import conftest; assert conftest.numpy_dispatch() == 'pre-X86_V4', "
+             f"'dispatch not switched'; {check}")
+    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr[-3000:]
 
 
 def random_breakpoints(rng, n_cells: int, lo: float = 0.0, hi: float = 1.0,

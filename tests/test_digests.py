@@ -14,6 +14,11 @@ sums, ``np.tan`` in the Monte Carlo directions, ``math.cos`` and
 ``math.sin`` in the sectioning directions), so they hold for the numpy
 version and platform stored next to them.  On any other, every family
 fails with a message that names both, rather than passing or skipping.
+Two families depend on numpy's SIMD dispatch as well (array ``np.power``
+rounds differently with the AVX-512 loops than without them), so they
+are pinned once for each dispatch, and the pin of the dispatch in use is
+checked; a subprocess with the AVX-512 loops switched off checks the
+other.  Every failure message names the dispatch.
 
 The tent's and the ramp's rows at delta <= 1e-5 are pinned as they are
 today: ``step_energy`` reads ``inf`` there, because ``k * delta`` near 1
@@ -41,6 +46,7 @@ from nlg.cli import _SHAPES, _fuzz_blocks, main
 from nlg.multidim import energy_by_montecarlo, energy_by_sectioning
 from nlg.rearrange import hostile_gap_counts
 
+from conftest import BASELINE_DISPATCH, numpy_dispatch, run_under_baseline_dispatch
 from test_rearrange import _random_pwa
 
 PINNED_ON = ("2.4.6", "linux x86_64")
@@ -50,12 +56,14 @@ DIGESTS = {
         "d8b7ce589036010b48216d162687903fab6785ec986a613ce81bfba51608f71e",
     "segment_shapes":
         "3ef38ae5422aa7ea25aa287e1d58c5b56f0abfd26c497388a559a5e130efe9e1",
-    "energy_random":
-        "9c9bb7cd4ddbe02defdc85db54a735e79ff4afd556e2fb0aef08fea0322e7fb2",
+    "energy_random": {
+        "X86_V4": "9c9bb7cd4ddbe02defdc85db54a735e79ff4afd556e2fb0aef08fea0322e7fb2",
+        "pre-X86_V4": "eeaf7f1757e9bcb2903a80698b0fd04567f9231a69202a72bc30694aab50aea6"},
     "energy_shapes":
         "d9eaa2549183aa6ce06497fe8a3b24773cf4665a50b023e64f3f172a70a94b0b",
-    "sectioning":
-        "9ed4bba406a0a0e0f8998ba2232aee57629adc7dd4bd29f0dc2f6b40b2ea5a68",
+    "sectioning": {
+        "X86_V4": "9ed4bba406a0a0e0f8998ba2232aee57629adc7dd4bd29f0dc2f6b40b2ea5a68",
+        "pre-X86_V4": "8874a912adb1c76c3263677da9beb49537e35e29866198fddbaa38f353c6bbf4"},
     "montecarlo":
         "6d6d285513287ac619f413d837516f585b4faaac707091756dede67de8bbcf1c",
     "fuzz_counts":
@@ -191,18 +199,23 @@ def test_digest(family):
     d = _Digest()
     FAMILIES[family](d)
     got = d.hexdigest()
-    here = _here()
+    here, dispatch = _here(), numpy_dispatch()
     assert here == PINNED_ON, (
         f"digests were pinned on numpy {PINNED_ON[0]} on {PINNED_ON[1]}; this is "
-        f"numpy {here[0]} on {here[1]}: results may differ in the last bit, "
-        f"so re-pin on this platform ({family} computes {got}) and say why in CHANGES")
-    assert got == DIGESTS[family], (
+        f"numpy {here[0]} on {here[1]} ({dispatch} dispatch): results may differ in the "
+        f"last bit, so re-pin on this platform ({family} computes {got}) and say why in CHANGES")
+    pin = DIGESTS[family]
+    pin = pin[dispatch] if isinstance(pin, dict) else pin
+    assert got == pin, (
         f"{family}: digest {got} differs from the pinned one (numpy {here[0]} on "
-        f"{here[1]}, as pinned): results moved by at least one bit")
+        f"{here[1]}, {dispatch} dispatch, as pinned): results moved by at least one bit")
 
 
-# numpy's AVX-512 loops, switched off for one process: the baseline dispatch
-BASELINE_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+@pytest.mark.parametrize("family", sorted(f for f, pin in DIGESTS.items() if isinstance(pin, dict)))
+def test_digest_under_the_baseline_dispatch(family):
+    # the families pinned once for each dispatch: their baseline pins, in a
+    # subprocess with numpy's AVX-512 loops switched off
+    run_under_baseline_dispatch(f"import test_digests; test_digests.test_digest({family!r})")
 
 
 def test_montecarlo_digest_under_the_baseline_dispatch():

@@ -1,8 +1,8 @@
 """``import nlg`` loads no process or executor machinery.
 
 ``concurrent.futures`` alone adds several milliseconds to every CLI start,
-and Monte Carlo needs only ``threading``.  A fresh interpreter is used, so
-modules that pytest or other tests loaded do not count.
+and Monte Carlo runs its chunks on the calling thread.  A fresh interpreter
+is used, so modules that pytest or other tests loaded do not count.
 """
 
 import os
