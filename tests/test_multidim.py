@@ -764,28 +764,30 @@ class TestMonteCarlo:
             energy_by_montecarlo(TENT, EnergyParams(0.25, 2.0), TENT.support_box(), 40_000, 0)
         assert started == [(0, True), (1, True), (2, True), (3, True)]
 
-    def test_chunk_scratch_memory(self):
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_chunk_scratch_memory(self, chunks):
         # the benchmark's field: the traced peak stays within 84 bytes per
-        # sample in flight, one block (about 75 are measured).  A first,
-        # untraced call imports what the estimator imports on first use, so
-        # the bound holds whichever test runs first
+        # sample in flight, one block (about 75 are measured), however many
+        # chunks run.  A first, untraced call imports what the estimator
+        # imports on first use, so the bound holds whichever test runs first
         params, box = EnergyParams(0.1, 1.0), TENT.support_box()
         energy_by_montecarlo(TENT, params, box, 1000, 0)
         tracemalloc.start()
         try:
-            est, _ = energy_by_montecarlo(TENT, params, box, 2 * multidim._MC_CHUNK, 0)
+            est, _ = energy_by_montecarlo(TENT, params, box, chunks * multidim._MC_CHUNK, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert est > 0.0
         assert peak <= 84 * multidim._MC_BLOCK
 
+    @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("u,per_sample", [
         (TensorTent((0.0, 0.0), (1.0, 1.0), 1.0), 84),
         (RadialTent((0.0, 0.0, 0.0), 1.0, 1.0), 120),
         (TensorTent((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0), 120),
     ], ids=["tensor_d2", "radial_d3", "tensor_d3"])
-    def test_chunk_scratch_memory_of_each_field(self, u, per_sample):
+    def test_chunk_scratch_memory_of_each_field(self, u, per_sample, chunks):
         # as test_chunk_scratch_memory, for the other fields: a block holds
         # one more axis in d = 3 (about 57 bytes a sample are measured in
         # d = 2 and 73 in d = 3)
@@ -793,7 +795,7 @@ class TestMonteCarlo:
         energy_by_montecarlo(u, params, box, 1000, 0)
         tracemalloc.start()
         try:
-            est, _ = energy_by_montecarlo(u, params, box, 2 * multidim._MC_CHUNK, 0)
+            est, _ = energy_by_montecarlo(u, params, box, chunks * multidim._MC_CHUNK, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
