@@ -18,9 +18,10 @@ Unbounded tails are the analytic limits of these expressions (the terms
 containing an infinite endpoint tend to 0), never truncations.  Touching
 intervals whose values differ by more than delta make the energy +inf.
 
-The energy of n cells is not summed pair by pair.  Each pair energy is a
-mixed second difference of the double antiderivative, so summation by
-parts along a row leaves only the columns where the row's interaction
+The energy of n maximal constancy runs (equal neighbours never interact,
+so they are merged first) is not summed pair by pair.  Each pair energy
+is a mixed second difference of the double antiderivative, so summation
+by parts along a row leaves only the columns where the row's interaction
 switches on or off, each weighted by the cell's energy against a
 half-line (the tail case of the closed form).  With the values sorted
 once, those switches come from the ends of one band of non-interacting
@@ -428,7 +429,8 @@ def _pair_sum(edges, x, radius, params) -> float:
     ``abs(x[i] - x[j]) > radius``, the one predicate used by every check
     below.  A function with two interacting adjacent cells sums to +inf;
     that test (:func:`_jumps`) compares neighbours ``_SBP_CHUNK`` at a time
-    and stops at the first jump.
+    and stops at the first jump.  Each run of equal adjacent labels is then
+    one cell, since equal labels never interact: n below counts runs.
 
     Every pair energy is a mixed second difference of the kernel's double
     antiderivative.  With H(i, b) the energy of cell i against the
@@ -477,6 +479,9 @@ def _pair_sum(edges, x, radius, params) -> float:
     x = np.asarray(x, dtype=float)
     if _jumps(x, radius):  # adjacent interacting cells diverge
         return INF
+    keep = np.append(True, x[1:] != x[:-1])  # the first cell of each run of equal labels
+    if not keep.all():  # a run is one cell: equal labels never interact
+        x, edges = x[keep], edges[np.append(keep, True)]
     right, lens = edges[1:], np.diff(edges)  # per cell
     parts = []
     if len(x) and edges[0] == -INF:  # a left zero tail, then the other cells

@@ -33,7 +33,8 @@ import math
 import numpy as np
 
 from .fields import (AffineRamp, Box, DegenerateBox, Direction, ScalarField, ScaleOutOfRange,
-                     UnsupportedDimension, UnsupportedField, _check_finite_sides, _is_int)
+                     UnsupportedDimension, UnsupportedField, _check_finite_sides, _is_int,
+                     _positive_energy)
 # not called here: perfbench's tracer rebinds them, and the sections' step_segmentation
 from .fields import AffineSection, PolySection, RadialSection, section  # noqa: F401
 from .functional1d import EnergyParams, _unimodal_sums
@@ -120,13 +121,18 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
                                n_offsets: int = 256) -> float:
     """Outer average of the sections' local energies; equals
     spherical_moment(2, p) times the field's local energy.  The sections of
-    a direction are integrated together, in one quadrature call."""
+    a direction are integrated together, in one quadrature call.  Like the
+    field's local energy, it is a positive finite float or raises
+    :class:`ScaleOutOfRange`, save a flat field's 0.0."""
     _check_sectioning(u, n_dirs, n_offsets)
     sigma, points, w_z, w_dir = _line_grid(u, n_dirs, n_offsets)
-    acc = np.array([u._sections(s, z)[1].local_energy(p) for s, z in
-                    zip(np.split(sigma, len(w_z)), np.split(points, len(w_z)))])
-    # every line once is half of the integral over all directions
-    return 2.0 * float(np.cumsum(acc * w_z * w_dir)[-1])
+
+    def energy():
+        acc = np.array([u._sections(s, z)[1].local_energy(p) for s, z in
+                        zip(np.split(sigma, len(w_z)), np.split(points, len(w_z)))])
+        # every line once is half of the integral over all directions
+        return 2.0 * float(np.cumsum(acc * w_z * w_dir)[-1])
+    return 0.0 if u.lipschitz == 0.0 else _positive_energy(u, p, energy)
 
 
 # ---------------------------------------------------------------------------

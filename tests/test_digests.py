@@ -30,23 +30,19 @@ these rows on purpose.
 import contextlib
 import hashlib
 import io
-import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nlg
 from nlg import (AffineRamp, Box, EnemyList, EnergyParams, Interval, RadialTent,
                  TensorTent, step_energy, step_hostility, vertical_segmentation)
 from nlg.cli import _SHAPES, _fuzz_blocks, main
 from nlg.multidim import energy_by_montecarlo, energy_by_sectioning
 from nlg.rearrange import hostile_gap_counts
 
-from conftest import BASELINE_DISPATCH, numpy_dispatch, run_under_baseline_dispatch
+from conftest import numpy_dispatch, run_under_baseline_dispatch
 from test_rearrange import _random_pwa
 
 PINNED_ON = ("2.4.6", "linux x86_64")
@@ -222,17 +218,4 @@ def test_montecarlo_digest_under_the_baseline_dispatch():
     # a layout change in the Monte Carlo chunk must not route np.tan, the
     # radius power or np.sqrt through another SIMD loop: the family keeps its
     # digest with those loops switched off, in a subprocess of its own
-    from numpy._core._multiarray_umath import __cpu_features__ as features
-    missing = [f for f in BASELINE_DISPATCH if not features.get(f)]
-    if missing:
-        pytest.skip(f"this CPU lacks {missing}: the main run already uses the baseline dispatch")
-    tests = Path(__file__).resolve().parent
-    check = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; "
-             f"assert not any(f[k] for k in {BASELINE_DISPATCH!r}), 'dispatch not switched'; "
-             "import test_digests; test_digests.test_digest('montecarlo')")
-    src = Path(nlg.__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(BASELINE_DISPATCH),
-               PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
-    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True,
-                         timeout=300)
-    assert run.returncode == 0, run.stderr[-3000:]
+    run_under_baseline_dispatch("import test_digests; test_digests.test_digest('montecarlo')")

@@ -176,6 +176,14 @@ class TestStepEnergy:
     def test_constant_is_zero(self):
         u = StepFunction1D((0.0, 0.4, 1.0), (0.7, 0.7), TailMode.DOMAIN_ONLY)
         assert step_energy(u, u.support, P1) == 0.0
+        # equal cells are one run, also where a compact step's zero cells
+        # join its two tails: zero energy, hostility and pair sum
+        for value, tail, domain in ((3.0, TailMode.DOMAIN_ONLY, Interval(0.0, 5.0)),
+                                    (0.0, TailMode.COMPACT_SUPPORT, Interval(-1.0, 7.0))):
+            u = StepFunction1D(np.arange(6.0), (value,) * 5, tail)
+            assert step_energy(u, u.domain, P2) == 0.0
+            assert step_hostility(u, domain, 1, P2) == step_hostility(u, domain, 2, P2) == 0.0
+            assert _pair_sum(*step_cells(u, u.domain), 0.5, P2) == 0.0
 
     def test_adjacent_big_jump_diverges(self):
         u = StepFunction1D((0.0, 1.0, 2.0), (0.0, 2.0), TailMode.DOMAIN_ONLY)
@@ -927,6 +935,122 @@ class TestGridLevelSum:
             tracemalloc.stop()
         assert 0.0 < energy < math.inf
         assert peak <= 184 * len(u.values)
+
+
+def flat_walk(rng, n):
+    """Integer levels of a walk of n steps of -1, 0 and +1 from level 0,
+    one of them flat at least, then back to level 0 one level a step, and
+    a last flat step: zero cells at both ends, and never unimodal."""
+    steps = rng.integers(-1, 2, n)
+    steps[rng.integers(n)] = 0
+    walk = np.cumsum(np.append(0, steps))
+    s = int(np.sign(walk[-1]))
+    back = np.arange(walk[-1] - s, -s, -s) if s else np.zeros(0, dtype=walk.dtype)
+    return np.concatenate((walk, back, [0]))
+
+
+def split_cells(rng, u, times):
+    """``u`` with ``times`` breakpoints inserted inside its cells, each new
+    cell keeping the value of the cell it was cut from."""
+    bp, vals = list(u.breakpoints), list(u.values)
+    for _ in range(times):
+        j = int(rng.integers(len(vals)))
+        cut = bp[j] + (bp[j + 1] - bp[j]) * rng.uniform(0.2, 0.8)
+        if bp[j] < cut < bp[j + 1]:
+            bp.insert(j + 1, cut)
+            vals.insert(j, vals[j])
+    return StepFunction1D(tuple(bp), tuple(vals), u.tail_mode)
+
+
+def merged_runs(u):
+    """``u`` with each run of equal adjacent values joined into one cell."""
+    keep = np.append(True, u.values[1:] != u.values[:-1])
+    return StepFunction1D(u.breakpoints[np.append(keep, True)], u.values[keep], u.tail_mode)
+
+
+def walk_step(rng, n, delta, tail):
+    """A flat walk of ``n`` steps (:func:`flat_walk`) as a step function on
+    random cells, and a bounded domain for it: its support, with a zero
+    cell on each side where it is compact."""
+    levels = flat_walk(rng, n)
+    bp = np.cumsum(rng.uniform(0.05, 1.0, len(levels) + 1))
+    u = StepFunction1D(bp, levels * delta, tail)
+    pad = 1.0 if tail is TailMode.COMPACT_SUPPORT else 0.0
+    return u, Interval(bp[0] - pad, bp[-1] + pad)
+
+
+class TestMaximalRuns:
+    # the pair sum makes each maximal run of equal adjacent labels one cell
+    TAILS = [TailMode.DOMAIN_ONLY, TailMode.COMPACT_SUPPORT]
+
+    @pytest.mark.parametrize("tail", TAILS, ids=["domain_only", "compact"])
+    def test_split_cells_keep_their_bits(self, tail):
+        # cutting cells in two, values kept, moves no bit of the energy (on
+        # the step's own domain: zero tails out to -inf and +inf where it is
+        # compact) nor of the hostility at k = 1 and 2 (on a bounded domain
+        # with a zero cell beside each end of a compact step); the walks
+        # start and end on zero cells, which join the tails
+        rng = np.random.default_rng(39)
+        delta = 0.1
+        for trial in range(60):
+            u, domain = walk_step(rng, int(rng.integers(1, 40)), delta, tail)
+            w = split_cells(rng, u, int(rng.integers(1, 2 * len(u.values))))
+            assert len(w.values) > len(u.values)
+            for p in (1.0, 1.5, 2.0):
+                params = EnergyParams(delta, p)
+                want = step_energy(u, u.domain, params)
+                assert step_energy(w, w.domain, params).hex() == want.hex()
+                for k in (1, 2):
+                    assert step_hostility(w, domain, k, params).hex() \
+                        == step_hostility(u, domain, k, params).hex()
+
+    @pytest.mark.parametrize("tail", TAILS, ids=["domain_only", "compact"])
+    def test_split_off_grid_cells_keep_their_bits(self, tail):
+        # off-grid values, some runs of them equal, take the float pair sum
+        rng = np.random.default_rng(391)
+        delta = 0.1
+        for trial in range(60):
+            n = int(rng.integers(2, 40))
+            rise = rng.uniform(-delta, delta, n) * (rng.random(n) < 0.7)
+            vals = np.cumsum(rise) + 0.0123
+            u = StepFunction1D(np.cumsum(rng.uniform(0.05, 1.0, n + 1)), vals, tail)
+            w = split_cells(rng, u, int(rng.integers(1, 2 * n)))
+            for p in (1.0, 1.5, 2.0):
+                params = EnergyParams(delta, p)
+                with mock.patch.object(functional1d, "_level_sum",
+                                       side_effect=AssertionError("levels")):
+                    want = step_energy(u, u.domain, params)
+                    assert step_energy(w, w.domain, params).hex() == want.hex()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_energy_is_hostility_at_k_1_on_flat_walks(self, p):
+        rng = np.random.default_rng(392)
+        params = EnergyParams(0.25, p)
+        for trial in range(40):
+            u, _ = walk_step(rng, int(rng.integers(1, 200)), 0.25, TailMode.DOMAIN_ONLY)
+            assert step_energy(u, u.domain, params).hex() \
+                == step_hostility(u, u.domain, 1, params).hex()
+
+    def test_split_step_evaluates_the_rows_of_its_merged_form(self):
+        # a work guard: the half-line terms the pair sum evaluates for a
+        # 2000-cell walk with flat steps, cut further, are those of the
+        # same walk with its runs joined
+        rng = np.random.default_rng(393)
+        u, _ = walk_step(rng, 2000, 0.01, TailMode.DOMAIN_ONLY)
+        w = split_cells(rng, u, 1000)
+        runs = merged_runs(w)
+        assert not np.any(runs.values[1:] == runs.values[:-1])
+        assert len(runs.values) < 0.8 * len(u.values) < len(w.values)
+
+        def rows(v):
+            with mock.patch.object(functional1d, "_pair_energies",
+                                   wraps=functional1d._pair_energies) as energies:
+                got = step_energy(v, v.domain, EnergyParams(0.01, 1.0))
+            return got, sum(np.size(c.args[0]) for c in energies.call_args_list)
+
+        (e_split, n_split), (e_runs, n_runs) = rows(w), rows(runs)
+        assert n_runs > 0 and n_split == n_runs
+        assert e_split.hex() == e_runs.hex()
 
 
 class TestEnergyQuadrature:

@@ -427,6 +427,55 @@ class TestLocalEnergyField:
                                            * radius ** d)
             assert tent.local_energy(p) == want
 
+    @pytest.mark.parametrize("u,p", [
+        (RadialTent((0.0, 0.0), 1.0, 1e200), 2.0),  # (peak / r)^p overflows
+        (TensorTent((0.0, 0.0), (1.0, 1.0), 1e200), 2.0),  # |slope|^p overflows
+        (RadialTent((0.0, 0.0), 1.0, 1e-200), 2.0),  # (peak / r)^p underflows to 0.0
+        (RadialTent((0.0, 0.0), 1e200, 1.0), 1.0),  # r^2 overflows
+        (AffineRamp((1e200, 0.0), UNIT_BOX), 2.0),  # |slope|^p overflows
+    ], ids=["radial_peak_big", "tensor_peak", "radial_peak_small", "radial_radius_big",
+            "ramp_big"])
+    def test_sectioning_scales_floats_cannot_carry_raise(self, u, p):
+        # the sections' local energies: a positive finite float or
+        # ScaleOutOfRange, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScaleOutOfRange, match="local energy of"):
+                local_energy_by_sectioning(u, p, 8, 16)
+
+    @pytest.mark.parametrize("gradient", [(0.0, 0.0), (-0.0, 0.0)])
+    def test_sectioning_of_a_flat_ramp_reads_zero(self, gradient):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1.0, 1.5, 2.0):
+                assert local_energy_by_sectioning(AffineRamp(gradient, UNIT_BOX), p, 8, 16) == 0.0
+
+    def test_sectioning_positive_energies_keep_their_bits(self, rng):
+        # against the sum without the range check, scales near the ends of
+        # the float range included
+        def unchecked(u, p):
+            sigma, points, w_z, w_dir = multidim._line_grid(u, 8, 16)
+            acc = np.array([u._sections(s, z)[1].local_energy(p) for s, z in
+                            zip(np.split(sigma, len(w_z)), np.split(points, len(w_z)))])
+            return 2.0 * float(np.cumsum(acc * w_z * w_dir)[-1])
+
+        fields_at = [(AffineRamp((1e150, 0.0), UNIT_BOX), 2.0),
+                     (RadialTent((0.0, 0.0), 1.0, 1e150), 2.0),
+                     (RadialTent((0.0, 0.0), 1.0, 1e-150), 2.0)]
+        for _ in range(8):
+            p = float(rng.choice((1.0, 1.5, 2.0)))
+            g, (r, peak) = (np.exp(rng.uniform(-30.0, 30.0, 2)) for _ in range(2))
+            # a tensor tent's slopes near 1 and its center at 0: the pieces'
+            # tolerance is absolute, and a far center's rounding is noise
+            w = r * np.exp(rng.uniform(-1.0, 1.0, 2))
+            fields_at += [(AffineRamp(tuple(g * rng.choice((-1.0, 1.0), 2)), UNIT_BOX), p),
+                          (RadialTent((0.1, -0.2), float(r), float(peak)), p),
+                          (TensorTent((0.0, 0.0), tuple(w.tolist()), float(r)), p)]
+        for u, p in fields_at:
+            want = unchecked(u, p)
+            assert 0.0 < want < math.inf
+            assert local_energy_by_sectioning(u, p, 8, 16).hex() == want.hex()
+
     def test_local_energy_sectioning_identity(self):
         for p in (1.0, 2.0):
             lhs = local_energy_by_sectioning(TENT, p, 48, 192)
