@@ -992,7 +992,7 @@ class TestMaximalRuns:
         # start and end on zero cells, which join the tails
         rng = np.random.default_rng(39)
         delta = 0.1
-        for trial in range(60):
+        for _ in range(60):
             u, domain = walk_step(rng, int(rng.integers(1, 40)), delta, tail)
             w = split_cells(rng, u, int(rng.integers(1, 2 * len(u.values))))
             assert len(w.values) > len(u.values)
@@ -1009,7 +1009,7 @@ class TestMaximalRuns:
         # off-grid values, some runs of them equal, take the float pair sum
         rng = np.random.default_rng(391)
         delta = 0.1
-        for trial in range(60):
+        for _ in range(60):
             n = int(rng.integers(2, 40))
             rise = rng.uniform(-delta, delta, n) * (rng.random(n) < 0.7)
             vals = np.cumsum(rise) + 0.0123
@@ -1026,7 +1026,7 @@ class TestMaximalRuns:
     def test_energy_is_hostility_at_k_1_on_flat_walks(self, p):
         rng = np.random.default_rng(392)
         params = EnergyParams(0.25, p)
-        for trial in range(40):
+        for _ in range(40):
             u, _ = walk_step(rng, int(rng.integers(1, 200)), 0.25, TailMode.DOMAIN_ONLY)
             assert step_energy(u, u.domain, params).hex() \
                 == step_hostility(u, u.domain, 1, params).hex()
