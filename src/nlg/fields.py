@@ -362,10 +362,13 @@ class PolySection:
     step_segmentation = RadialSection.step_segmentation
 
     def local_energy(self, p: float) -> float:
-        """The summed local energies, all pieces in one quadrature call."""
+        """The summed local energies, all pieces in one quadrature call, to
+        a tolerance relative to the integrand's size: the largest |u'| at
+        the pieces' ends, to the p (u' is linear on a piece in d = 2)."""
         _, a, b, slope = self._piece_ends()
+        size = np.abs(_horner(slope, np.stack((a, b)))).max(initial=0.0) ** p
         return _quad.adaptive_intervals_1d(lambda t, i: np.abs(_horner(slope[i], t)) ** p,
-                                           a, b, 1e-10 * float(np.sum(b - a)) + 1e-300)[0]
+                                           a, b, 1e-10 * float(np.sum(b - a)) * size + 1e-300)[0]
 
     def _cells(self, delta: float):
         """Cell blocks of the segmentations.  A product of nonnegative affine

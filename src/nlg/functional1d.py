@@ -254,8 +254,6 @@ def _bands(s, y, radius):
     always exact; the float difference is monotone in ``s[k]``, so checking
     the labels on both sides of each boundary finds the rare off ones.
     Such a boundary is the count of labels below the first float past it.
-    This is the path for any labels; integer ones over a short span take
-    :func:`_counted_bands`, which gives the same ranges.
     """
     n = len(s)
     out = []
@@ -272,44 +270,15 @@ def _bands(s, y, radius):
     return out
 
 
-def _counted_bands(s, radius):
-    """:func:`_bands` of the sorted labels ``s`` at themselves, from counts,
-    or None unless the labels are integers of magnitude below 2**53 over a
-    span under 4 * len(s) and ``radius`` is an integer, as the integer
-    levels of a grid step function are.
-
-    Differences of such labels are exact, so ``abs(s[k] - s[b]) <=
-    radius`` holds exactly where the integers say so.  With ``below[v]``
-    the number of labels under ``s[0] + v - radius`` (one ``bincount``,
-    one ``cumsum``), band b is ``[below[k], below[k + 2 radius + 1])`` for
-    ``k = s[b] - s[0]``: two gathers, with no fix-up.
-    """
-    n = len(s)
-    if not (float(radius).is_integer() and s[-1] - s[0] < 4 * n
-            and -2.0 ** 53 < s[0] and s[-1] < 2.0 ** 53 and float(s[0]).is_integer()):
-        return None
-    top = int(s[-1] - s[0])
-    r = min(int(radius), top)  # a wider radius holds every label too
-    d = s - s[0]
-    k = d.astype(np.int32 if top + 2 * r + 2 < 1 << 31 else np.intp)
-    if not np.array_equal(k, d):
-        return None
-    del d
-    below = np.zeros(top + 2 * r + 2, dtype=k.dtype)
-    np.cumsum(np.bincount(k), out=below[r + 1:top + r + 2])
-    below[top + r + 2:] = n
-    return below[k], below[k + (2 * r + 1)]
-
-
 def _switch_ranges(x, radius, right, lens):
     """The rows whose interaction switches at each column of one step
     function, as one table of sorted-index ranges.
 
     The labels ``x`` are sorted once.  Cell c's band ``[lo[c], hi[c])``
-    holds its non-interacting rows, from counts where the labels are
-    integers over a span under 4 n (:func:`_counted_bands`, as on integer
-    levels) and by search elsewhere (:func:`_bands`), with the same ranges
-    either way; the last column closes with the band of all the cells.
+    holds its non-interacting rows.  Equal labels have equal bands, so one
+    search (:func:`_bands`) finds the bands of the distinct labels, and
+    each band maps to sorted indices through the starts of the runs of
+    equal labels; the last column closes with the band of all the cells.
     Adjacent cells do not interact, so consecutive bands overlap, and the
     rows that switch between columns c and c+1 are the ones each band end
     sweeps over: the lower end moving right (or the upper end moving left)
@@ -329,18 +298,27 @@ def _switch_ranges(x, radius, right, lens):
     sort's own intp indices; the index tables are int32 below 2**31 cells.
     """
     n = len(x)
+    index = np.int32 if n < 1 << 31 else np.intp
     order = np.argsort(x, kind="stable")
-    keys, right_s, lens_s = x[order], right[order], lens[order]
-    order = order.astype(np.int32 if n < 1 << 31 else np.intp)
-    lo, hi = np.empty_like(order), np.empty_like(order)
-    # the bands of the sorted labels at themselves (sorted queries: faster)
-    lo[order], hi[order] = _counted_bands(keys, radius) or _bands(keys, keys, radius)
-    runs = None
-    if n >= _PREFIX_RUN and np.any(keys[_PREFIX_RUN - 1:] == keys[:n + 1 - _PREFIX_RUN]):
-        runs = np.empty(n, dtype=bool)
-        runs[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    keys = x[order]
+    runs = np.empty(n, dtype=bool)
+    runs[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+    first = np.append(np.flatnonzero(runs), n)  # the runs' starts, and the end
+    keys = keys[first[:-1]]
+    # the bands of the distinct labels at themselves (sorted queries:
+    # faster), each mapped to its runs' cells and freed in turn
+    bands = _bands(keys, keys, radius)
     del keys
+    size = np.diff(first)
+    if size.max() < _PREFIX_RUN:
+        runs = None
+    lo, hi = np.empty(n, dtype=index), np.empty(n, dtype=index)
+    for band in (lo, hi):
+        band[order] = first[bands.pop(0)].repeat(size)
+    del first, size
+    right_s, lens_s = right[order], lens[order]
+    order = order.astype(index)
     swept, start = np.empty(2 * n, dtype=order.dtype), np.empty(2 * n, dtype=order.dtype)
     for band, close, at, sign in ((lo, 0, slice(0, n), 1), (hi, n, slice(n, None), -1)):
         nxt = np.roll(band, -1)
@@ -443,10 +421,9 @@ def _pair_sum(edges, x, radius, params) -> float:
 
     with I(i, n) = 0.  The differences are nonzero only where row i
     switches on or off.  The labels are sorted once; over them the
-    non-interacting rows of each column form one band, counted in integers
-    for integer labels over a short span and searched in floats otherwise,
-    to the same ranges (:func:`_counted_bands`, :func:`_bands`), and with no
-    two adjacent cells interacting, the rows that switch are two
+    non-interacting rows of each column form one band, the same for equal
+    labels and searched once for each distinct label (:func:`_bands`), and
+    with no two adjacent cells interacting, the rows that switch are two
     sorted-index ranges per column (:func:`_switch_ranges`), of which the
     rows i <= b-2, before the column, are kept.  The sort is stable, so
     equal labels lie in runs in cell order, and a band end sweeps whole

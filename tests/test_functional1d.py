@@ -456,33 +456,62 @@ class TestPairSumEngine:
             k = np.arange(len(s))
             assert np.array_equal(inside, (k >= lo[:, None]) & (k < hi[:, None]))
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.integers(1, 3))
-    def test_counted_bands_match_float_bands(self, seed, radius):
-        # sorted keys of several walks of labels, each spaced past the one
-        # before by the radius, empty and one-cell ones among them, on
-        # negative labels too; then one more key at the top that puts the
-        # span just under and just over the cut-off 4 n
+    @staticmethod
+    def switch_ranges_from_every_label(x, radius, right, lens):
+        """``_switch_ranges`` with a band searched for every sorted label."""
+        n = len(x)
+        order = np.argsort(x, kind="stable")
+        keys = x[order]
+        lo, hi = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        lo[order], hi[order] = _bands(keys, keys, radius)
+        runs = None
+        if n >= 8 and np.any(keys[7:] == keys[:n - 7]):  # a run of 8 equal labels
+            runs = np.append(True, keys[1:] != keys[:-1])
+        swept, start = [], []
+        for band, close, sign in ((lo, 0, 1), (hi, n, -1)):
+            nxt = np.append(band[1:], close)
+            swept.append(sign * (nxt - band))
+            start.append(np.minimum(band, nxt))
+        return (order, np.tile(np.arange(n), 2), np.concatenate(swept), np.concatenate(start),
+                runs, right[order], lens[order])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["walk", "off-grid", "one cell", "runs"]))
+    def test_switch_ranges_match_bands_of_every_label(self, seed, kind):
+        # the bands of the distinct labels, mapped to their runs, against a
+        # band for every label: integer walks that revisit their levels;
+        # floats with ties and one ulp around -+ radius of one another;
+        # one cell; runs of up to 7 equal labels, or one of 8
         rng = np.random.default_rng(seed)
-        counts = rng.choice([0, 1, 2, 5, 12], size=int(rng.integers(1, 7)))
-        counts[int(rng.integers(len(counts)))] += 1
-        x = np.concatenate([np.cumsum(rng.integers(-radius - 1, radius + 2, c))
-                            + int(rng.integers(-30, 31)) for c in counts]).astype(float)
-        s = np.sort(x + np.repeat(np.arange(len(counts)) * (x.max() - x.min() + radius + 1.0),
-                                  counts), kind="stable")
-
-        def check(s):
-            got = functional1d._counted_bands(s, radius)
-            if s[-1] - s[0] >= 4 * len(s):
-                assert got is None
-                return
-            want = _bands(s, s, radius)
-            assert all(g.tolist() == w.tolist() for g, w in zip(got, want))
-
-        check(s)
-        for over in (0, 1):  # a span of 4 n - 1, then of 4 n
-            top = s[0] + 4 * (len(s) + 1) - 1 + over
-            if top >= s[-1]:
-                check(np.append(s, top))
+        radius = int(rng.integers(1, 4))
+        if kind == "walk":
+            n = int(rng.integers(2, 300))
+            x = np.cumsum(rng.integers(-radius, radius + 1, n)) + int(rng.integers(-30, 31))
+        elif kind == "off-grid":
+            radius = float(rng.choice([0.1, 1.0, 0.3 * (1 + 1e-12), 1e-6 * (1 + 1e-12)]))
+            y0 = float(rng.choice([0.0, -3.7, 3.3e5, 1000.0]))
+            near = [y0 + np.spacing(y0 or 1e-300) * k for k in range(-2, 3)]
+            for v in (y0 - radius, y0 + radius):
+                near += [np.nextafter(v, v + k) for k in (-1.0, 0.0, 1.0)]
+            x = rng.choice(near, int(rng.integers(2, 60)))
+        elif kind == "one cell":
+            x = np.array([float(rng.choice([0.0, -2.0, 0.37, 1e15]))])
+        else:
+            counts = rng.integers(1, 8, int(rng.integers(1, 12)))
+            if rng.random() < 0.5:
+                counts[int(rng.integers(len(counts)))] = 8
+            levels = np.cumsum(rng.integers(1, 2 * radius + 2, len(counts)))
+            x = rng.permutation(np.repeat(levels, counts))
+        x = np.asarray(x, dtype=float)
+        right = np.cumsum(rng.uniform(0.05, 1.0, len(x)))
+        lens = rng.uniform(0.05, 1.0, len(x))
+        got = functional1d._switch_ranges(x, radius, right, lens)
+        want = self.switch_ranges_from_every_label(x, radius, right, lens)
+        if kind == "runs":
+            assert (got[4] is None) == (counts.max() < 8)
+        assert (got[4] is None) == (want[4] is None)
+        for g, w in zip(got, want):
+            assert g is None or g.tolist() == w.tolist()
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_half_line_energies_without_out_keep_the_gap(self, p):
@@ -507,17 +536,6 @@ class TestPairSumEngine:
             want = coef * (float(np.log1p(len1 / gap)) if p == 1.0 else
                            max(gap ** q - (gap + len1) ** q, 0.0))
             assert float(got).hex() == want.hex()
-
-    def test_counted_bands_need_exact_integers(self):
-        s = np.arange(-5.0, 20.0)
-        count = functional1d._counted_bands
-        assert count(s + 0.5, 1) is None                  # labels off the integers
-        assert count(np.append(s, 19.5), 1) is None       # one of them off
-        assert count(s, 1.5) is None and count(s, 1.0) is not None
-        assert count(s + 2.0 ** 53, 1) is None            # differences may round
-        # a radius past the span puts every label in every band
-        lo, hi = count(s, 10 ** 9)
-        assert lo.tolist() == [0] * len(s) and hi.tolist() == [len(s)] * len(s)
 
 
 def grid_steps(rng, n_funcs, delta):

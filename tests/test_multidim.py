@@ -443,6 +443,15 @@ class TestLocalEnergyField:
             with pytest.raises(ScaleOutOfRange, match="local energy of"):
                 local_energy_by_sectioning(u, p, 8, 16)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_tensor_sectioning_scales_with_the_peak(self, p):
+        # the pieces' tolerance scales with |slope|^p: a tall tent reaches it
+        # as a unit one does, where an absolute one raised ToleranceNotReached
+        unit = local_energy_by_sectioning(TensorTent((0.0, 0.0), (1.0, 1.0), 1.0), p, 8, 16)
+        for peak in (1e3, 1e6, 1e100):
+            got = local_energy_by_sectioning(TensorTent((0.0, 0.0), (1.0, 1.0), peak), p, 8, 16)
+            assert math.isclose(got, unit * peak ** p, rel_tol=1e-12)
+
     @pytest.mark.parametrize("gradient", [(0.0, 0.0), (-0.0, 0.0)])
     def test_sectioning_of_a_flat_ramp_reads_zero(self, gradient):
         with warnings.catch_warnings():
@@ -466,7 +475,8 @@ class TestLocalEnergyField:
             p = float(rng.choice((1.0, 1.5, 2.0)))
             g, (r, peak) = (np.exp(rng.uniform(-30.0, 30.0, 2)) for _ in range(2))
             # a tensor tent's slopes near 1 and its center at 0: the pieces'
-            # tolerance is absolute, and a far center's rounding is noise
+            # tolerance scales with |slope|^p, but a far center's rounding
+            # is noise against small halfwidths
             w = r * np.exp(rng.uniform(-1.0, 1.0, 2))
             fields_at += [(AffineRamp(tuple(g * rng.choice((-1.0, 1.0), 2)), UNIT_BOX), p),
                           (RadialTent((0.1, -0.2), float(r), float(peak)), p),
