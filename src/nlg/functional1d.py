@@ -19,24 +19,22 @@ containing an infinite endpoint tend to 0), never truncations.  Touching
 intervals whose values differ by more than delta make the energy +inf.
 
 The energy of n maximal constancy runs (equal neighbours never interact,
-so they are merged first) is not summed pair by pair.  Each pair energy
-is a mixed second difference of the double antiderivative, so summation
-by parts along a row leaves only the columns where the row's interaction
-switches on or off, each weighted by the cell's energy against a
-half-line (the tail case of the closed form).  With the values sorted
-once, those switches come from the ends of one band of non-interacting
-values per column, and the sum costs O(n log n + K) for K switches,
-with K = O(n) on monotone and unimodal staircases, against n^2/2 pairs.
-A zero tail on the right is the last column of that sum, closed by the
-half-line past +inf, whose energy is 0; the pairs of a zero tail on the
-left are one vector term.  The step function alone decides its tails
-and its default domain (``StepFunction1D.domain``, :func:`step_cells`).
-A unimodal staircase, as every line section of the catalog's fields is,
-needs no sort: a row interacts with at most two ranges of cells, found by
-arithmetic, and each range is one closed-form term (:func:`_unimodal_sums`).
-Steps on the delta-grid are summed on their integer levels, by ranges if
+so they are merged first) is not summed pair by pair.  A pair energy is
+additive over adjacent cells, so a row's energy against a maximal run of
+the cells it interacts with is one positive closed-form term, the tail
+form where the row or the run is a zero tail.  The runs of a row depend
+only on its label: with the distinct labels sorted once, each label's
+band of non-interacting labels is one rank range, and the runs start and
+end where the band ends of adjacent cells sweep over the label, so the
+sum costs O(n log n + E log E + T) for E swept labels and T (row, run)
+terms, against n^2/2 pairs (:func:`_pair_sum`).  The step function alone
+decides its tails and its default domain (``StepFunction1D.domain``,
+:func:`step_cells`).  A unimodal staircase, as every line section of the
+catalog's fields is, needs no sort: a row interacts with at most two
+ranges of cells, found by arithmetic (:func:`_unimodal_sums`).  Steps on
+the delta-grid are summed on their integer levels, by ranges if
 unimodal, as every vertical segmentation of a tent or a ramp is, and by
-parts otherwise (:func:`_level_sum`, which :func:`step_energy` and
+runs otherwise (:func:`_level_sum`, which :func:`step_energy` and
 ``rearrange.step_hostility`` share).
 
 Interaction uses the strict inequality |u(y)-u(x)| > delta.  Jumps equal
@@ -138,38 +136,25 @@ def pair_cell_energy(i1: Interval, i2: Interval, params: EnergyParams) -> float:
     return float(_pair_energies(gap, len1, len2, params))
 
 
-def _pair_energies(gap, len1, len2, params: EnergyParams, coef=None, out=None):
+def _pair_energies(gap, len1, len2, params: EnergyParams):
     """Closed-form pair energies of separated cells, vectorized.
 
     ``gap`` is the distance between two cells and ``len1``, ``len2`` their
     lengths.  ``len2`` may be the scalar +inf: the analytic limit for a
     cell against an unbounded tail, in which the terms containing the
-    infinite endpoint vanish.  ``coef``, if given, stands for the kernel's
-    constant factor (:func:`_pair_coef`), one or per pair: the pair sum
-    passes it with the sign of each term.  The tail form runs in place: an
-    array ``out`` receives the energies and ``gap`` may be overwritten;
-    with ``out=None`` an array ``gap`` is copied first.  Numbers stay
-    numbers, whose powers are libm's ``pow``: numpy's array power differs
-    from it in the last bits of some values.
+    infinite endpoint vanish.  Numbers stay numbers, whose powers are
+    libm's ``pow``: numpy's array power differs from it in the last bits
+    of some values.
     """
-    p = params.p
-    if coef is None:
-        coef = _pair_coef(params)
+    p, q = params.p, 1.0 - params.p
     if np.ndim(len2) == 0 and len2 == INF:  # the tail
-        gap = np.array(gap, dtype=float) if out is None and isinstance(gap, np.ndarray) else gap
-        if p == 1.0:
-            h = np.log1p(np.divide(len1, gap, out=out), out=out)
-        else:  # **= is in place on arrays
-            h = np.add(gap, len1, out=out)
-            h **= 1.0 - p
-            gap **= 1.0 - p
-            h = np.maximum(np.subtract(gap, h, out=out), 0.0, out=out)
-        return np.multiply(h, coef, out=out)
-    if p == 1.0:
-        return coef * np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
-    q = 1.0 - p
-    brk = gap ** q - (gap + len1) ** q - (gap + len2) ** q + (gap + len1 + len2) ** q
-    return coef * np.maximum(brk, 0.0)
+        h = np.log1p(len1 / gap) if p == 1.0 else np.maximum(gap ** q - (gap + len1) ** q, 0.0)
+    elif p == 1.0:
+        h = np.log1p(len1 * len2 / (gap * (gap + len1 + len2)))
+    else:
+        h = gap ** q - (gap + len1) ** q - (gap + len2) ** q + (gap + len1 + len2) ** q
+        h = np.maximum(h, 0.0)
+    return _pair_coef(params) * h
 
 
 def _pair_coef(params: EnergyParams) -> float:
@@ -213,15 +198,11 @@ def step_cells(u: StepFunction1D, domain: Interval) -> tuple[np.ndarray, np.ndar
     return edges, values
 
 
-# the length of the pieces of a function's transitions summed apart, and
-# about the rows the pair-sum engine expands at a time; bounds its scratch
-# memory independently of the number of cells and of interacting pairs
-_SBP_CHUNK = 1 << 14
-
-# a slot of the pair sum expands the prefixes of its runs where it has at
-# most this many runs and they average this many rows or more; below that
-# a unit per run costs more than the rows it saves
-_PREFIX_RUN = 8
+# the cells the adjacent-jump test compares at a time, and about the
+# (row, run) terms a group of the range sum evaluates and sums at a time;
+# bounds their scratch memory independently of the number of cells and of
+# interacting pairs
+_SBP_CHUNK = 1 << 13
 
 
 def _first_past(past, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -270,105 +251,9 @@ def _bands(s, y, radius):
     return out
 
 
-def _switch_ranges(x, radius, right, lens):
-    """The rows whose interaction switches at each column of one step
-    function, as one table of sorted-index ranges.
-
-    The labels ``x`` are sorted once.  Cell c's band ``[lo[c], hi[c])``
-    holds its non-interacting rows.  Equal labels have equal bands, so one
-    search (:func:`_bands`) finds the bands of the distinct labels, and
-    each band maps to sorted indices through the starts of the runs of
-    equal labels; the last column closes with the band of all the cells.
-    Adjacent cells do not interact, so consecutive bands overlap, and the
-    rows that switch between columns c and c+1 are the ones each band end
-    sweeps over: the lower end moving right (or the upper end moving left)
-    switches rows on, the other way off.
-
-    Returns ``(order, cells, swept, start, runs, right_s, lens_s)``: sorted
-    index k is cell ``order[k]``, and slot j switches the ``abs(swept[j])``
-    rows from sorted index ``start[j]`` on at the right edge of cell
-    ``cells[j]``, on where ``swept[j] > 0`` and off where it is negative.
-    Slots ``[0, n)`` are the lower ends in cell order and ``[n, 2 n)`` the
-    upper ends, with the zero-length ones in place.  ``runs[k]`` holds where
-    sorted index k starts a run of equal labels, and ``runs`` is None if no
-    run has ``_PREFIX_RUN`` cells.  The sort is stable, so a run's cells are
-    in order, and a band end is the same for equal labels, so a slot's range
-    holds whole runs.  ``right_s`` and ``lens_s`` are the cells' right
-    edges ``right`` and lengths ``lens`` in sorted order, gathered with the
-    sort's own intp indices; the index tables are int32 below 2**31 cells.
-    """
-    n = len(x)
-    index = np.int32 if n < 1 << 31 else np.intp
-    order = np.argsort(x, kind="stable")
-    keys = x[order]
-    runs = np.empty(n, dtype=bool)
-    runs[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
-    first = np.append(np.flatnonzero(runs), n)  # the runs' starts, and the end
-    keys = keys[first[:-1]]
-    # the bands of the distinct labels at themselves (sorted queries:
-    # faster), each mapped to its runs' cells and freed in turn
-    bands = _bands(keys, keys, radius)
-    del keys
-    size = np.diff(first)
-    if size.max() < _PREFIX_RUN:
-        runs = None
-    lo, hi = np.empty(n, dtype=index), np.empty(n, dtype=index)
-    for band in (lo, hi):
-        band[order] = first[bands.pop(0)].repeat(size)
-    del first, size
-    right_s, lens_s = right[order], lens[order]
-    order = order.astype(index)
-    swept, start = np.empty(2 * n, dtype=order.dtype), np.empty(2 * n, dtype=order.dtype)
-    for band, close, at, sign in ((lo, 0, slice(0, n), 1), (hi, n, slice(n, None), -1)):
-        nxt = np.roll(band, -1)
-        nxt[-1] = close
-        swept[at] = sign * (nxt - band)  # signed: > 0 switches on
-        start[at] = np.minimum(band, nxt, out=nxt)
-    return order, np.tile(np.arange(n, dtype=order.dtype), 2), swept, start, runs, right_s, lens_s
-
-
 def _ragged_arange(counts):
     """0, 1, .., counts[0]-1, 0, 1, .., counts[1]-1, ..."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _prefix_units(order, cells, swept, start, ends, runs):
-    """The nonempty slots of :func:`_switch_ranges` as units to expand.
-
-    A slot of at most ``_PREFIX_RUN`` runs that average ``_PREFIX_RUN``
-    rows or more becomes one unit per run: the prefix of the run's cells
-    that come before the slot's column, found for every run by one
-    ``searchsorted`` on the sorted (run, cell) keys.  Any other slot stays
-    one unit of all its rows.  Returns ``(lo, end, flat, exact, cells,
-    swept)``: unit u expands the sorted indices from ``lo[u]`` on to the
-    expanded positions ``[end[u], end[u + 1])``, the first of them at flat
-    transition ``flat[u]``, for the column ``cells[u]`` with the sign of
-    ``swept[u]``; ``exact[u]`` holds if the unit keeps all its rows.
-    """
-    n = len(order)
-    live = np.flatnonzero(swept)
-    cells, swept, start, flat = cells[live], swept[live], start[live], ends[live]
-    del live
-    size = np.abs(swept)
-    first = np.flatnonzero(runs)
-    run = np.cumsum(runs, dtype=np.intp)  # wide: run * n below
-    run -= 1
-    r = run[start]  # a slot's runs are r .. r + per - 1
-    per = run[start + size - 1] - r + 1
-    exact = (size >= _PREFIX_RUN * per) & (per <= _PREFIX_RUN)
-    nu = np.where(exact, per, 1)
-    if len(nu) < nu.sum():  # slots of several long runs: a unit for each
-        r = np.repeat(r, nu) + _ragged_arange(nu)
-        cells, swept, start, size, flat, exact = (
-            np.repeat(v, nu) for v in (cells, swept, start, size, flat, exact))
-    lo = np.where(exact, first[r], start)
-    run *= n
-    run += order  # the sorted (run, cell) keys
-    end = np.where(exact, np.searchsorted(run, r * n + cells), start + size)
-    end -= lo
-    flat += lo - start
-    return lo, np.concatenate(([0], np.cumsum(end))), flat, exact, cells, swept
 
 
 def _segment_sums(v, counts):
@@ -397,6 +282,22 @@ def _jumps(x, radius) -> bool:
     return False
 
 
+def _run_energies(gap, len1, len2, params):
+    """Energies of rows of lengths ``len1`` against runs of adjacent cells of
+    total lengths ``len2``, ``gap`` apart.  A pair energy is additive over
+    adjacent cells, so each is one closed-form pair energy
+    (:func:`_pair_energies`), in the tail form where the row is a left zero
+    tail (the lengths swapped) or the run ends in a right zero tail."""
+    tail = np.isinf(len1) | np.isinf(len2)
+    if not tail.any():
+        return _pair_energies(gap, len1, len2, params)
+    h = np.empty(len(gap))
+    h[tail] = _pair_energies(gap[tail], np.minimum(len1[tail], len2[tail]), INF, params)
+    fin = ~tail
+    h[fin] = _pair_energies(gap[fin], len1[fin], len2[fin], params)
+    return h
+
+
 def _pair_sum(edges, x, radius, params) -> float:
     """Sum of pair energies over ordered pairs of interacting cells of one
     step function.
@@ -410,48 +311,28 @@ def _pair_sum(edges, x, radius, params) -> float:
     and stops at the first jump.  Each run of equal adjacent labels is then
     one cell, since equal labels never interact: n below counts runs.
 
-    Every pair energy is a mixed second difference of the kernel's double
-    antiderivative.  With H(i, b) the energy of cell i against the
-    half-line right of edge b (``_pair_energies(gap, len, inf)``) and
-    I(i, j) the interaction indicator, Abel summation along row i of a
-    function of n cells gives
-
-        sum_{j >= i+2} I(i, j) (H(i, j) - H(i, j+1))
-            = sum_{b = i+2}^{n} (I(i, b) - I(i, b-1)) H(i, b),
-
-    with I(i, n) = 0.  The differences are nonzero only where row i
-    switches on or off.  The labels are sorted once; over them the
-    non-interacting rows of each column form one band, the same for equal
-    labels and searched once for each distinct label (:func:`_bands`), and
-    with no two adjacent cells interacting, the rows that switch are two
-    sorted-index ranges per column (:func:`_switch_ranges`), of which the
-    rows i <= b-2, before the column, are kept.  The sort is stable, so
-    equal labels lie in runs in cell order, and a band end sweeps whole
-    runs, so the kept rows of a run are a prefix of it; one
-    ``searchsorted`` on the sorted (run, cell) keys finds every prefix
-    (:func:`_prefix_units`).  A slot of long runs, as on staircases that
-    revisit their levels, expands only those prefixes, and a slot of short
-    runs all its rows, which costs less than a search per run.  One loop
-    body serves both: a step expands its units' rows, gathers their edges
-    from copies in sorted order, and, only if one of its units is a slot of
-    short runs, drops the rows at or past their column: those whose gap to
-    the column's edge is not positive, as the edges increase strictly.  The
-    kept rows come in sorted order, slot by slot, and a step keeps about
-    ``_SBP_CHUNK`` / 2 of them: an input with runs expands that many rows
-    a step, and one without expands twice as many and drops about half.
-    The cost is O(n log n + kept rows + rows of short-run slots), and the
-    memory O(n + chunk).
-    A row whose interacting run is thin against its gap subtracts nearly
-    equal H terms: the error relative to that run's energy grows like
-    eps * gap / run length.
-
-    A right zero tail is the last column like any other: the closing
-    half-line past its +inf edge has zero energy at every p.  A left zero
-    tail, an infinitely long row, pairs with the cells 2 .. n-1 in one
-    vector term instead; the right tail has its label, so it drops out.
-    The transitions are cut into pieces of ``_SBP_CHUNK``, every piece and
-    the tail term are summed like a lone ``np.sum`` (:func:`_segment_sums`),
-    and the parts are added with math.fsum.
+    Row i on label a interacts with the cells j >= i + 2 outside a's band
+    of non-interacting labels; cells i and i + 1 lie inside it, so these
+    cells form maximal runs that start past i + 1, the same runs for every
+    row on label a.  A pair energy is additive over adjacent cells, so row
+    i's energy is one positive closed-form term per run
+    (:func:`_run_energies`), with no differences to cancel.  The distinct
+    labels are ranked, and each label's band is a rank range from one
+    search (:func:`_bands`).  Between cells c - 1 and c the band ends of
+    the two cells sweep over the labels for which a run starts at c (those
+    leaving the band) or ends there (those entering it); sorted by (label,
+    column), a label's events alternate, so a start's run ends at the
+    label's next event, or at the last edge.  Row i takes its label's runs
+    that start past i, found by one ``searchsorted``.  A left zero tail is
+    row 0 with infinite length, and a run ending in a right zero tail has
+    infinite length; both take the tail form.  The events number E: 2 sum
+    |jump| on integer levels at an integer radius, but up to O(n^2) where a
+    walk packs off-grid labels densely.  So the labels are taken in blocks
+    of about 2 n events, each with the bands cut to it, and the (row, run)
+    terms of a block in row groups of about ``_SBP_CHUNK`` terms, each
+    group summed like a lone ``np.sum`` and the groups with math.fsum, so
+    the result is reproducible bit for bit.  The cost is O(n log n + E log
+    E + terms), and the memory O(n + chunk).
     """
     x = np.asarray(x, dtype=float)
     if _jumps(x, radius):  # adjacent interacting cells diverge
@@ -459,79 +340,98 @@ def _pair_sum(edges, x, radius, params) -> float:
     keep = np.append(True, x[1:] != x[:-1])  # the first cell of each run of equal labels
     if not keep.all():  # a run is one cell: equal labels never interact
         x, edges = x[keep], edges[np.append(keep, True)]
-    right, lens = edges[1:], np.diff(edges)  # per cell
+    del keep
+    n = len(x)
+    if n < 3:
+        return 0.0
+    index = np.int32 if n < 1 << 31 else np.int64  # the tables of cells
+    labels = np.sort(x)
+    labels = labels[np.append(True, labels[1:] != labels[:-1])]
+    rank = np.searchsorted(labels, x).astype(index)
+    lo, hi = (band.astype(index)[rank] for band in _bands(labels, labels, radius))
+    span, step, m = n + 1, 2 * (n + 1), len(labels)
+    del labels
+    # between cells c - 1 and c each band end sweeps the labels between its
+    # two places: those leaving the band start a run at c, those entering it
+    # end one.  The labels go in blocks of about 2 n such events, so that
+    # the scratch memory stays O(n) however many labels the ends sweep
+    per = np.zeros(m + 1, dtype=np.int64)
+    for band in (lo, hi):
+        per += np.bincount(np.minimum(band[1:], band[:-1]), minlength=m + 1)
+        per -= np.bincount(np.maximum(band[1:], band[:-1]), minlength=m + 1)
+    per = np.cumsum(per[:-1])
+    per = np.cumsum(per) - per  # the events of the labels before each
+    blocks = np.append(np.flatnonzero(np.diff(per // (2 * n), prepend=-1)), m).tolist()
+    del per
     parts = []
-    if len(x) and edges[0] == -INF:  # a left zero tail, then the other cells
-        col = 2 + np.flatnonzero(np.abs(x[2:] - x[0]) > radius)
-        gap, len1 = edges[col], lens[col]
-        gap -= right[0]
-        parts.append(np.add.reduce(_pair_energies(gap, len1, INF, params, out=len1)))
-        del col, gap, len1
-        x, right, lens = x[1:], right[1:], lens[1:]
-    if len(x):
-        order, cells, swept, start, runs, right_s, lens_s = _switch_ranges(x, radius, right, lens)
-        del lens
-        # slot j covers the flat transitions [ends[j], ends[j + 1]); int32
-        # below 2**31 of them
-        ends = np.zeros(len(swept) + 1, dtype=np.intp)
-        np.abs(swept, out=ends[1:])
-        np.cumsum(ends, out=ends)
-        if ends[-1] < 1 << 31:
-            ends = ends.astype(np.int32)
-        # the transitions in pieces of _SBP_CHUNK
-        p0 = _SBP_CHUNK * np.arange(-(-int(ends[-1]) // _SBP_CHUNK))
-        sums = np.zeros(len(p0))
-        # the units to expand, and the expanded rows before each piece and
-        # after the last: the slots and all their rows, unless runs are long;
-        # a step expands a window of them, so that it keeps about
-        # _SBP_CHUNK / 2: expand and filter keeps about half its rows,
-        # prefixes keep all
-        unit_lo, unit_end, at = start, ends, np.append(p0, ends[-1])
-        exact, window = np.broadcast_to(False, swept.shape), _SBP_CHUNK  # every slot filters
-        if runs is not None and ends[-1]:
-            unit_lo, unit_end, flat, exact, cells, swept = _prefix_units(
-                order, cells, swept, start, ends, runs)
-            u = np.searchsorted(flat, at, "right") - 1
-            at = unit_end[u] + np.clip(at - flat[u], 0, unit_end[u + 1] - unit_end[u])
-            window = max(_SBP_CHUNK // 2, 1)
-            del flat, u
-        del runs, start
-        # the pieces in groups of those starting in one window
-        g0 = np.flatnonzero(np.diff(at[:-1] // window, prepend=-1))
-        g1 = np.append(g0, len(p0))[1:]
-        c0, c1 = at[g0], at[g1]
-        # the units a group's window [c0, c1) meets, zero-length ones between
-        j0, j1 = np.searchsorted(unit_end, c0, "right") - 1, np.searchsorted(unit_end, c1, "left")
-        coef = _pair_coef(params)  # signed per unit below: a row switching on adds
-        kept_all = np.diff(at)  # each piece's expanded rows
-        del order
-        # a step's arrays, kept across steps: fresh ones of this size are
-        # trimmed from the heap and faulted in again at every step; take in
-        # "clip" mode writes them unbuffered, and every index is in range
-        most = int(np.max(c1 - c0, initial=0))
-        ar, gap_b, len_b, scale_b = np.arange(most), *(np.empty(most) for _ in range(3))
-        for a, b, c0, c1, j0, j1 in zip(*(v.tolist() for v in (g0, g1, c0, c1, j0, j1))):
-            first = unit_end[j0:j1]
-            cnt = np.minimum(unit_end[j0 + 1:j1 + 1], c1) - np.maximum(first, c0)
-            # the expanded sorted indices, as intp: int32 ones are converted by every take
-            k = (np.subtract(unit_lo[j0:j1], first, dtype=np.intp) + c0).repeat(cnt)
-            k += ar[:len(k)]
-            gap = right[cells[j0:j1]].repeat(cnt)
-            gap -= right_s.take(k, out=len_b[:len(k)], mode="clip")
-            scale = np.copysign(coef, swept[j0:j1]).repeat(cnt)
-            kept = kept_all[a:b]
-            # units of short runs: keep the rows before their column, which
-            # are the ones with a positive gap, as edges increase strictly
-            if not exact[j0:j1].all():
-                pick = np.flatnonzero(gap > 0.0)
-                k = k.take(pick)
-                gap = gap.take(pick, out=gap_b[:len(k)], mode="clip")
-                scale = scale.take(pick, out=scale_b[:len(k)], mode="clip")
-                kept = np.diff(pick.searchsorted(at[a:b + 1] - c0))
-            len1 = lens_s.take(k, out=len_b[:len(k)], mode="clip")
-            h = _pair_energies(gap, len1, INF, params, scale, out=len1)
-            sums[a:b] = _segment_sums(h, kept)
-        parts.extend(sums.tolist())
+    for l0, l1 in zip(blocks, blocks[1:]):
+        # the bands cut to the block sweep its labels alone: consecutive
+        # bands overlap, so no cut band is empty above the block and the
+        # next below it
+        blo, bhi = np.clip(lo, l0, l1), np.clip(hi, l0, l1)
+        size = np.concatenate((np.diff(blo), np.diff(bhi))).astype(np.intp)  # as repeat takes it
+        first = np.concatenate((np.minimum(blo[1:], blo[:-1]), np.minimum(bhi[1:], bhi[:-1])))
+        starts = np.concatenate((blo[1:] > blo[:-1], bhi[1:] < bhi[:-1]))
+        del blo, bhi
+        np.abs(size, out=size)
+        # an event is keyed 2 (label * span + c) + (it starts a run), and a
+        # column's keys are its base plus their flat indices times step
+        base = np.cumsum(size, dtype=np.int64)
+        base -= size
+        np.subtract(first, base, out=base)
+        base *= step
+        col = np.arange(2, step - 2, 2)
+        base[:n - 1] += col
+        base[n - 1:] += col
+        base += starts
+        del first, starts, col
+        key = base.repeat(size)
+        del base
+        key += np.arange(0, len(key) * step, step)
+        del size
+        key.sort()
+        # the runs in (label, start) order: a label's events alternate, so a
+        # run ends at the next event if that is its label's end (the last
+        # event, a start there, is clipped to itself), else at the last edge
+        at = np.flatnonzero(key & 1)
+        stop = key.take(at + 1, mode="clip")
+        key = key.take(at) >> 1
+        del at
+        stop = np.where((stop // step == key // span) & (stop % 2 == 0), (stop >> 1) % span, n)
+        run_lo = edges.take(key % span)
+        run_len = edges.take(stop)
+        run_len -= run_lo
+        del stop
+        # row i takes its label's runs from the first that starts past i;
+        # its k-th term, flat index before[i] + k, is run first[i] + k
+        rows = np.flatnonzero((rank >= l0) & (rank < l1)).astype(index)
+        row = rank.take(rows).astype(np.int64)
+        row *= span
+        first = np.searchsorted(key, row + rows, "right")
+        row += span
+        cnt = np.searchsorted(key, row)
+        del row, key
+        cnt -= first
+        cnt = cnt.astype(index)
+        before = np.cumsum(cnt, dtype=np.int64)
+        before -= cnt
+        first -= before
+        # the rows in groups of those whose first term lies in one chunk
+        before //= _SBP_CHUNK
+        g = np.flatnonzero(np.append(True, before[1:] != before[:-1]))
+        del before
+        b = 0  # the flat index of a group's first term
+        for r0, r1 in zip(g.tolist(), g[1:].tolist() + [len(rows)]):
+            c = cnt[r0:r1]
+            t = first[r0:r1].repeat(c)
+            t += np.arange(b, b + len(t))
+            b += len(t)
+            right = edges.take(rows[r0:r1] + 1)
+            gap = run_lo.take(t)
+            gap -= right.repeat(c)
+            right -= edges.take(rows[r0:r1])
+            h = _run_energies(gap, right.repeat(c), run_len.take(t), params)
+            parts.append(np.add.reduce(h))
     return 2.0 * math.fsum(parts)
 
 
@@ -546,14 +446,13 @@ def _unimodal_sums(edges, levels, counts, params) -> np.ndarray:
     falling side (r = i from the top on).  Of the cells past i + 1, only
     r - 1, r and r + 1 lie within one level of a, so row i interacts with
     the two ranges [i + 2, r - 1) and [r + 2, end), either of which may be
-    empty.  A row's energy against a range is one closed-form pair energy
-    against the union of the range's cells (:func:`_pair_energies`), in
-    the tail form where the row is a left zero tail (the lengths swapped)
-    or the range ends in a right zero tail; both tails sit on level 0, so
-    never both.  So a line's energy is a sum of positive terms, with no sort
-    and no half-line differences.  Each range's terms of a line are summed
-    like a lone ``np.sum`` (:func:`_segment_sums`), so that the line's bits
-    do not depend on its block.  A line that is not unimodal (a jump, which
+    empty.  These are the runs of :func:`_pair_sum`, found by arithmetic
+    instead of a sort, and a row's energy against one is the same term
+    (:func:`_run_energies`), the tail form where the row is a left zero
+    tail or the range ends in a right zero tail; both tails sit on level
+    0, so never both.  Each range's terms of a line are summed like a lone
+    ``np.sum`` (:func:`_segment_sums`), so that the line's bits do not
+    depend on its block.  A line that is not unimodal (a jump, which
     diverges, a valley, or ulp noise on a tensor tent's top) takes
     :func:`_pair_sum` alone.
     """
@@ -581,11 +480,7 @@ def _unimodal_sums(edges, levels, counts, params) -> np.ndarray:
         len1 = edges[row + 1]
         gap -= len1
         len1 -= edges[row]
-        h = np.empty(len(gap))
-        tail = np.isinf(len1) | np.isinf(len2)
-        h[tail] = _pair_energies(gap[tail], np.minimum(len1[tail], len2[tail]), INF, params)
-        fin = ~tail
-        h[fin] = _pair_energies(gap[fin], len1[fin], len2[fin], params)
+        h = _run_energies(gap, len1, len2, params)
         out += _segment_sums(h, np.add.reduceat(keep, start, dtype=np.intp))
     out *= 2.0
     for f in np.flatnonzero(~ok).tolist():
@@ -594,8 +489,10 @@ def _unimodal_sums(edges, levels, counts, params) -> np.ndarray:
 
 
 def _level_sum(edges, levels, radius, params) -> float:
-    """:func:`_pair_sum` of one step function's integer grid levels at an
-    integer ``radius``, as a unimodal line's ranges at radius 1.
+    """The pair sum of one step function's integer grid levels at an
+    integer ``radius``: a unimodal line's ranges at radius 1
+    (:func:`_unimodal_sums`, with no sort), else the range sum of
+    :func:`_pair_sum`.
 
     The line is unimodal if its top cell m lies T - levels[0] cells in, and
     its levels step up by one to m and down by one after it, the test of
@@ -620,11 +517,12 @@ def step_energy(u: StepFunction1D, domain: Interval | None = None,
     levels times delta, within the guard (``_on_level``) and below 2**49
     levels, then take :func:`_level_sum`, as in ``step_hostility``; on
     exact multiples of delta, interaction at radius 1 on the levels is the
-    same set as on the values.  A unimodal line there is summed per interaction range, each
-    range's terms like a lone ``np.sum``; any other step, off-grid ones
-    included, by parts, with partial sums over fixed-size chunks
-    accumulated with math.fsum.  Either way the result is reproducible bit
-    for bit.
+    same set as on the values.  A unimodal line there is summed per
+    interaction range, each range's terms like a lone ``np.sum``; any other
+    step, off-grid ones included, per row and run of interacting cells
+    (:func:`_pair_sum`), with partial sums over groups of about
+    ``_SBP_CHUNK`` terms accumulated with math.fsum.  Either way the result
+    is reproducible bit for bit.
     """
     if params is None:
         raise TypeError("params is required")

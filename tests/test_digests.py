@@ -53,10 +53,10 @@ DIGESTS = {
     "segment_shapes":
         "3ef38ae5422aa7ea25aa287e1d58c5b56f0abfd26c497388a559a5e130efe9e1",
     "energy_random": {
-        "X86_V4": "9c9bb7cd4ddbe02defdc85db54a735e79ff4afd556e2fb0aef08fea0322e7fb2",
-        "pre-X86_V4": "eeaf7f1757e9bcb2903a80698b0fd04567f9231a69202a72bc30694aab50aea6"},
+        "X86_V4": "91e61c40db8917ad75bad00ce960b00c10cba98353e1ad039d5d6bcb38aafb12",
+        "pre-X86_V4": "e2ae173339596e9a2a293e7c0e17bc1aae42fce88ab0357496527d20aa3f2d92"},
     "energy_shapes":
-        "d9eaa2549183aa6ce06497fe8a3b24773cf4665a50b023e64f3f172a70a94b0b",
+        "abff8ae99553aa33f86ba66509b895faacae086c14bd047f86f60484acd45498",
     "sectioning": {
         "X86_V4": "9ed4bba406a0a0e0f8998ba2232aee57629adc7dd4bd29f0dc2f6b40b2ea5a68",
         "pre-X86_V4": "8874a912adb1c76c3263677da9beb49537e35e29866198fddbaa38f353c6bbf4"},

@@ -652,8 +652,7 @@ class TestSectioningEnergy:
     def test_short_chords_match_mpmath_at_p1(self):
         # a ramp's chords of up to 6 cells, some with cells of 2.6e-4 next
         # to 0.16: at p = 1 each range term is the closed form of one pair of
-        # intervals, so a line is within 1e-15 of its 50-digit pair sum,
-        # where the half-line differences of the pair sum lose up to 3e-13
+        # intervals, so a line is within 1e-15 of its 50-digit pair sum
         mp = pytest.importorskip("mpmath")
         u = AffineRamp((0.6, -0.3), Box((-1.0, -0.5), (1.0, 1.5)))
         params = EnergyParams(0.1, 1.0)
