@@ -88,8 +88,6 @@ class Interval:
             raise SchemaError("interval endpoints must not be NaN")
         if not self.lo < self.hi:
             raise SchemaError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
-        if self.lo == math.inf or self.hi == -math.inf:
-            raise SchemaError("lo may only be -inf and hi may only be +inf")
 
     @staticmethod
     def full_line() -> "Interval":

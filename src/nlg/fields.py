@@ -57,10 +57,14 @@ def _check_finite_sides(name: str, box: Box):
             raise DegenerateBox(f"{name} side ({lo}, {hi}) must be finite")
 
 
-def _positive_energy(u, p: float, energy) -> float:
+def _positive_energy(u, p: float, energy, flat: bool = False) -> float:
     """``energy()``, the local energy of ``u`` at ``p``, or raise
     :class:`ScaleOutOfRange` unless it is a positive float: a power or a
-    product that over- or underflows gives inf, nan or 0.0, not the energy."""
+    product that over- or underflows gives inf, nan or 0.0, not the energy.
+    The exponent is checked first; a ``flat`` field's reads 0.0."""
+    _check_p(p)
+    if flat:
+        return 0.0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = energy()
@@ -151,7 +155,7 @@ class Direction:
 
 
 # ---------------------------------------------------------------------------
-# 1D sections, one line at a time or all lines of a pass at once
+# 1D sections: all lines of a pass at once, and one line as the case of one
 # ---------------------------------------------------------------------------
 
 # cells summed by one pair-sum call of a sectioning pass, and built at a
@@ -196,18 +200,21 @@ def _node_cells(xs, ys, nodes: np.ndarray, delta: float, crossings, compact: boo
 
 
 class AffineSection:
-    """Restriction of an affine field to a line chord (t0, t1), where it is
-    offset + slope*t; domain-only.  The section of one line holds floats,
-    the sections of many lines hold arrays of them."""
+    """Restriction of an affine field to line chords (t0, t1), where it is
+    offset + slope*t; domain-only.  It holds arrays, one entry a line, for
+    one line as for many; the one-line reads take entry 0."""
 
     def __init__(self, offset, slope, t0, t1):
-        self.offset, self.slope, self.t0, self.t1 = offset, slope, t0, t1
+        self.offset, self.slope, self.t0, self.t1 = np.atleast_1d(offset, slope, t0, t1)
 
     def __call__(self, t: float) -> float:
-        return self.offset + self.slope * t
+        return float(self.offset[0] + self.slope[0] * t)
 
     def local_energy(self, p: float) -> float:
-        energies = np.abs(self.slope) ** p * np.subtract(self.t1, self.t0)
+        # libm's pow line by line, as a number's power: numpy's array power
+        # differs from it in the last bits of some values under AVX-512, so
+        # a line has the same bits alone, in a pass and under any dispatch
+        energies = np.array([abs(g) ** p for g in self.slope.tolist()]) * (self.t1 - self.t0)
         return float(np.cumsum(np.append(0.0, energies))[-1])  # 0.0 + e0 + e1 + ...
 
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
@@ -217,7 +224,7 @@ class AffineSection:
     def _cells(self, delta: float):
         """Cell blocks of the segmentations, each the one of the domain-only
         piecewise affine function from (t0, u(t0)) to (t1, u(t1))."""
-        offset, slope, t0, t1 = map(np.atleast_1d, (self.offset, self.slope, self.t0, self.t1))
+        offset, slope, t0, t1 = self.offset, self.slope, self.t0, self.t1
         y0, y1 = offset + slope * t0, offset + slope * t1
         xs, ys = np.column_stack((t0, t1)).ravel(), np.column_stack((y0, y1)).ravel()
         rate = np.repeat((y1 - y0) / (t1 - t0), 2)[:-1]  # a join's is never used
@@ -239,21 +246,21 @@ def _chords(lo, hi, sigma, points):
 
 
 class RadialSection:
-    """Restriction of a radial tent to a line: a bump of height peak*(1 - rho/r)
-    centred at t_center.  The section of one line holds floats, the sections
-    of many lines hold arrays of ``t_center`` and ``rho``."""
+    """Restriction of a radial tent to lines: on each, a bump of height
+    peak*(1 - rho/r) centred at t_center.  It holds arrays of ``t_center``
+    and ``rho``, one entry a line, for one line as for many; the one-line
+    reads take entry 0."""
 
     def __init__(self, t_center, rho, radius: float, peak: float):
-        self.t_center, self.rho, self.radius, self.peak = t_center, rho, radius, peak
+        self.t_center, self.rho = np.atleast_1d(t_center, rho)
+        self.radius, self.peak = radius, peak
 
     @property
     def half_width(self) -> float:
-        if self.rho >= self.radius:
-            return 0.0
-        return math.sqrt(self.radius ** 2 - self.rho ** 2)
+        return math.sqrt(max(0.0, self.radius ** 2 - float(self.rho[0]) ** 2))
 
     def __call__(self, t: float) -> float:
-        dist = math.hypot(self.rho, t - self.t_center)
+        dist = math.hypot(self.rho[0], t - self.t_center[0])
         return self.peak * max(0.0, 1.0 - dist / self.radius)
 
     def step_segmentation(self, delta: float) -> StepFunction1D | None:
@@ -265,8 +272,7 @@ class RadialSection:
         over s in (0, T), T = sqrt(r^2 - rho^2), summed over the sections to
         an absolute tolerance of 1e-12 T each; the integrand is 1 on a
         section through the center."""
-        radius, rho = self.radius, np.atleast_1d(self.rho)
-        rho = rho[rho < radius]
+        radius, rho = self.radius, self.rho[self.rho < self.radius]
         half = np.sqrt(radius * radius - rho * rho)
         off = rho > 0.0
         rho2 = rho[off] * rho[off]
@@ -277,10 +283,9 @@ class RadialSection:
 
     def _cells(self, delta: float):
         """Cell blocks from the closed form; sections below level 1 are left out."""
-        t_center, rho = np.atleast_1d(self.t_center), np.atleast_1d(self.rho)
-        top = _top_levels(rho, self.radius, self.peak, delta)
+        top = _top_levels(self.rho, self.radius, self.peak, delta)
         lines = np.flatnonzero(top >= 1)
-        t_center, rho, top = t_center[lines], rho[lines], top[lines]
+        t_center, rho, top = self.t_center[lines], self.rho[lines], top[lines]
         for a, b in _spans(2 * top + 1):
             edges, levels = _radial_cells(t_center[a:b], rho[a:b], top[a:b],
                                           self.radius, self.peak, delta)
@@ -438,13 +443,8 @@ class AffineRamp:
         return self.box
 
     def local_energy(self, p: float) -> float:
-        lip = self.lipschitz  # 0.0 only on a flat ramp, whose local energy reads 0.0
-        return 0.0 if lip == 0.0 else _positive_energy(self, p, lambda: lip ** p * self.box.volume)
-
-    def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        lines, sec = self._sections(sigma, np.asarray(z_point, dtype=float))
-        chord = (sec.offset, sec.slope, sec.t0, sec.t1)
-        return AffineSection(*(float(v[0]) for v in chord)) if len(lines) else None
+        lip = self.lipschitz  # 0.0 only on a flat ramp
+        return _positive_energy(self, p, lambda: lip ** p * self.box.volume, flat=lip == 0.0)
 
     def _sections(self, sigma: np.ndarray, points: np.ndarray):
         """The lines along ``sigma[i]`` through ``points[i]`` that cross the
@@ -505,10 +505,6 @@ class RadialTent:
         d = self.dim
         return _positive_energy(self, p, lambda: (self.peak / self.radius) ** p * (
             _pi_gamma_ratio(d / 2.0, 1.0, d / 2.0 + 1.0) * self.radius ** d))
-
-    def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        along, rho = _radial_lines(self, sigma, np.asarray(z_point, dtype=float)[None])
-        return RadialSection(-float(along[0]), float(rho[0]), self.radius, self.peak)
 
     def _sections(self, sigma: np.ndarray, points: np.ndarray):
         """The lines along ``sigma[i]`` through ``points[i]``, and their sections."""
@@ -588,10 +584,6 @@ class TensorTent:
         raw, _ = _quad.adaptive_cells_2d(g, c0 - w0, c0 + w0, c1 - w1, c1 + w1, 1e-11 * bound)
         return raw * float(self.peak) ** p
 
-    def section_along(self, sigma: Sequence[float], z_point: np.ndarray):
-        lines, sec = self._sections(sigma, np.asarray(z_point, dtype=float))
-        return sec if len(lines) else None
-
     def _sections(self, sigma: np.ndarray, points: np.ndarray):
         """The lines along ``sigma[i]`` through ``points[i]`` that meet the
         support, and their sections: on each line, the support's ends and the
@@ -623,14 +615,15 @@ def section(u: ScalarField, direction: Direction, z: Sequence[float] | float):
 
     ``z`` is given in the coordinates of the direction's orthogonal frame.
     Returns a section object (callable, with the exact ``step_segmentation``
-    and ``local_energy``), or None if the line misses the domain.
+    and ``local_energy``), or None if the line misses the domain: the
+    one-line case of the field's ``_sections``.
     """
-    return u.section_along(direction.sigma, direction.point(z))
+    lines, sec = u._sections(np.asarray(direction.sigma), direction.point(z)[None])
+    return sec if len(lines) else None
 
 
 def local_energy_field(u: ScalarField, p: float) -> float:
     """Integral of |grad u|^p over the field's domain."""
-    _check_p(p)
     if isinstance(u, (AffineRamp, RadialTent, TensorTent)):
         return u.local_energy(p)
     raise UnsupportedField(f"unknown field type {type(u).__name__}")

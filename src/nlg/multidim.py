@@ -132,7 +132,7 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
                         zip(np.split(sigma, len(w_z)), np.split(points, len(w_z)))])
         # every line once is half of the integral over all directions
         return 2.0 * float(np.cumsum(acc * w_z * w_dir)[-1])
-    return 0.0 if u.lipschitz == 0.0 else _positive_energy(u, p, energy)
+    return _positive_energy(u, p, energy, flat=u.lipschitz == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,13 @@ def test_interval_basics():
         Interval(math.inf, 2.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                    (math.nan, 1.0), (0.0, math.nan)])
+def test_interval_rejects_one_infinity_at_both_ends_and_nan(lo, hi):
+    with pytest.raises(SchemaError):
+        Interval(lo, hi)
+
+
 def test_nonmonotone_breakpoints_names_index():
     with pytest.raises(NonMonotoneBreakpoints) as exc:
         validate_and_build({"breakpoints": [0, 1, 0.5], "values": [1.0, 2.0],
@@ -210,3 +217,29 @@ def test_weights_roundtrip(raw):
     h = HostilityWeights(tuple(sorted(raw, reverse=True)))
     assert validate_and_build(h.to_json()) == h
     assert all(a >= b for a, b in zip(h.h, h.h[1:]))
+
+
+# one value of every kind that validate_and_build reads
+SCHEMA_KINDS = {
+    "step_compact": StepFunction1D((-1.5, 0.0, 0.25, 2.0), (0.5, -1.0, 3.0),
+                                   TailMode.COMPACT_SUPPORT),
+    "step_domain_only": StepFunction1D((0.0, 1.0 / 3.0, 1.0), (1e-300, 2.5),
+                                       TailMode.DOMAIN_ONLY),
+    "affine_compact": PiecewiseAffine1D(((0.0, 0.0), (0.1, 1.25), (2.0, 0.0))),
+    "affine_domain_only": PiecewiseAffine1D(((-1.0, 0.3), (0.7, -2.0)), compact_support=False),
+    "arrangement": DiscreteArrangement((3, -1, 2, 2)),
+    "band_complement": EnemyList.band_complement(2),
+    "band_square": EnemyList.band_square(-1, 3),
+    "band_square_complement": EnemyList.band_square_complement(0, 4),
+    "explicit": EnemyList.explicit([(1, 2), (2, 1), (0, 0)]),
+    "weights": HostilityWeights((3.0, 1.5, 1.5, 0.1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_KINDS))
+def test_json_round_trip_of_every_schema_kind(kind):
+    x = SCHEMA_KINDS[kind]
+    text = json.dumps(x.to_json())
+    again = validate_and_build(json.loads(text))
+    assert again == x
+    assert json.dumps(again.to_json()) == text

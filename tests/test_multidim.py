@@ -160,8 +160,21 @@ class TestSections:
         d = Direction.from_vector((1.0, 0.0))
         sec = section(ramp, d, 0.5)
         assert sec is not None
-        assert math.isclose(sec.slope, 3.0, rel_tol=1e-14)
-        assert (sec.t0, sec.t1) == (0.0, 1.0)
+        assert math.isclose(sec.slope[0], 3.0, rel_tol=1e-14)
+        assert (sec.t0[0], sec.t1[0]) == (0.0, 1.0)
+
+    def test_affine_local_energy_takes_libm_powers(self, rng):
+        # |slope|^p times the chord in numbers, libm's pow, as when a
+        # one-line section held numbers: numpy's array power differs from it
+        # in the last bits of some values under AVX-512
+        ramp = AffineRamp((1.5, -0.5), UNIT_BOX)
+        for theta, z in zip(rng.uniform(0.0, 2.0 * math.pi, 60), rng.uniform(-0.7, 0.7, 60)):
+            sec = section(ramp, Direction.from_angle(float(theta)), float(z))
+            if sec is None:
+                continue
+            slope, chord = abs(float(sec.slope[0])), float(sec.t1[0]) - float(sec.t0[0])
+            for p in (1.5, 2.5, 3.0):
+                assert sec.local_energy(p) == slope ** p * chord
 
     def test_affine_section_misses_box(self):
         ramp = AffineRamp((1.0, 1.0), UNIT_BOX)
@@ -171,7 +184,7 @@ class TestSections:
     def test_radial_center_section_is_tent(self):
         d = Direction.from_angle(1.2)
         sec = section(TENT, d, 0.0)
-        assert math.isclose(sec(sec.t_center), 1.0, rel_tol=1e-14)
+        assert math.isclose(sec(sec.t_center[0]), 1.0, rel_tol=1e-14)
         assert math.isclose(sec.half_width, 1.0, rel_tol=1e-14)
         assert sec(5.0) == 0.0
 
@@ -226,7 +239,7 @@ class TestSections:
             d = Direction.from_angle(theta)
             for z in (-0.3, 0.1):
                 z_point = d.point((z,))
-                step = u.section_along(d.sigma, z_point).step_segmentation(delta)
+                step = section(u, d, (z,)).step_segmentation(delta)
                 edges = step.breakpoints
                 for e, left, right in zip(edges[1:-1], step.values, step.values[1:]):
                     with mp.workdps(50):
@@ -378,6 +391,21 @@ class TestLocalEnergyField:
     def test_infinite_exponent_rejected(self):
         with pytest.raises(ValueError, match="p must be finite"):
             local_energy_field(TENT, math.inf)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("u", [RadialTent((0.0, 0.0), 1.0, 1.0),
+                                   TensorTent((0.0, 0.0), (1.0, 0.7), 1.0),
+                                   AffineRamp((3.0, 4.0), UNIT_BOX),
+                                   AffineRamp((0.0, 0.0), UNIT_BOX)],
+                             ids=["radial", "tensor", "ramp", "flat_ramp"])
+    def test_exponent_checked_on_every_entry(self, u, p):
+        # below 1, infinite or NaN: the exponent error, never a number or a
+        # ScaleOutOfRange, from the field, the dispatcher and sectioning
+        for energy in (u.local_energy, lambda p: local_energy_field(u, p),
+                       lambda p: local_energy_by_sectioning(u, p, 8, 16)):
+            with pytest.raises(ValueError, match="p must be finite and >= 1") as err:
+                energy(p)
+            assert not isinstance(err.value, ScaleOutOfRange)
 
     @pytest.mark.parametrize("u,p", [
         (RadialTent((0.0, 0.0), 1.0, 1e200), 2.0),  # (peak / r)^p overflows

@@ -175,6 +175,18 @@ def test_energy_integrand_with_skip_matches_four_array_engine(p):
     assert _hex(got) == _hex(want)
 
 
+def test_min_size_fallback_matches_four_array_engine():
+    # a step along the diagonal: once the cells holding half of the error
+    # are all at min_size, the loop splits the largest error among the cells
+    # that can still split
+    def f(xs, ys):
+        return (xs + ys > 1.0) * 1.0
+
+    want = _four_array_cells_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-12, min_size=0.05)
+    got = _quad.adaptive_cells_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-12, min_size=0.05)
+    assert _hex(got) == _hex(want)
+
+
 def test_skipped_everywhere_is_zero():
     def f(xs, ys):  # NaN would show if a skipped cell were evaluated
         return np.full_like(xs, np.nan)
