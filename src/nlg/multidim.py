@@ -122,8 +122,8 @@ def local_energy_by_sectioning(u: ScalarField, p: float, n_dirs: int = 64,
     """Outer average of the sections' local energies; equals
     spherical_moment(2, p) times the field's local energy.  The sections of
     a direction are integrated together, in one quadrature call.  Like the
-    field's local energy, it is a positive finite float or raises
-    :class:`ScaleOutOfRange`, save a flat field's 0.0."""
+    field's local energy, it checks p, and is a positive finite float or
+    raises :class:`ScaleOutOfRange`, save a flat field's 0.0."""
     _check_sectioning(u, n_dirs, n_offsets)
     sigma, points, w_z, w_dir = _line_grid(u, n_dirs, n_offsets)
 
